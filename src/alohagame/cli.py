@@ -161,7 +161,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--step", type=float, default=0.001, help="rate search step")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--edge-rule", choices=("min", "max"), default="min")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for trials")
     p.add_argument(
         "--fully-connected",
         action="store_true",
@@ -324,7 +323,6 @@ def _cmd_sweep(args) -> int:
             step=args.step,
             seed=args.seed,
             edge_rule=args.edge_rule,
-            threads=args.threads,
             include_fully_connected=args.fully_connected,
         )
         label = "n"
@@ -336,7 +334,6 @@ def _cmd_sweep(args) -> int:
             step=args.step,
             seed=args.seed,
             edge_rule=args.edge_rule,
-            threads=args.threads,
         )
         label = "density"
     if args.output:

@@ -2,22 +2,22 @@
 
 Everything here is deterministic given its arguments: random trials
 derive their generator seeds from (master seed, setting index, trial
-index), results are reduced in a fixed order regardless of the worker
-count, and CSV emission uses a fixed number format, so identical calls
-produce byte-identical files.
+index), trials run and are reduced in a fixed order, and CSV emission
+uses a fixed number format, so identical calls produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, achieved_rate, best_response
-from .solver import multistart_fixed_points
+# best_response is unused here but stays a module attribute: the
+# benchmark tests check that tracing rebinds it in every module.
+from .game import Game, achieved_rate, best_response  # noqa: F401
+from .solver import multistart_fixed_points, newton_lfp
 from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd, diag_dominant
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
@@ -54,28 +54,46 @@ def _interior_stable_lfp(game: Game, warm_start, tol=_SOLVE_TOL, max_iter=_SOLVE
 
     ``warm_start`` must be a point known to sit below the least fixed
     point (zeros, or the least fixed point of the same topology at
-    lower rates). The ascending iteration bails out as soon as any
-    component reaches 1: the chain never descends, so the least fixed
-    point cannot be interior past that.
+    lower rates). The solve is :func:`newton_lfp`, which gives up as
+    soon as it proves the point cannot be interior and stable.
 
     Marginal certificates (minors inside the tolerance band) count as
     unstable: boundary points are excluded, which keeps rate searches
     conservative.
     """
-    q = np.asarray(warm_start, dtype=float)
-    point = None
-    for _ in range(max_iter + 1):
-        f = best_response(q, game)
-        if (f >= 1.0).any():
-            return None
-        if np.abs(f - q).max() <= tol:
-            point = f
-            break
-        q = f
-    if point is None:
+    res = newton_lfp(game, warm_start, tol, max_iter)
+    if not res.converged:
         return None
-    pd, _ = sylvester_pd(krasovskii_matrix(point, game))
-    return point if pd else None
+    pd, _ = sylvester_pd(krasovskii_matrix(res.point, game))
+    return res.point if pd else None
+
+
+def _last_passing(probe, bound: float, start):
+    """Bisect the step grid for the last index whose probe passes.
+
+    ``probe(k, warm)`` returns the solution at grid index k, or None
+    when k fails; index 0 passes with solution ``start``, and no index
+    above ``bound`` passes, give or take the grid's rounding. Returns
+    ``(k, solution)`` for the largest passing k. Each probe warm-starts
+    from the solution at the last passing index, which lies below the
+    solution at any higher one.
+
+    Bisection finds the same k as walking up the grid because the
+    passing indices form an interval [0, k]: along a componentwise
+    increasing rate path the least fixed point grows, the certificate's
+    off-diagonal entries q_i / (1 - q_j) grow with it, and by
+    Perron-Frobenius so does the largest eigenvalue of their symmetric
+    part, so once the certificate fails it stays failed.
+    """
+    lo, hi, best = 0, int(bound) + 2, start
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        got = probe(mid, best)
+        if got is None:
+            hi = mid
+        else:
+            lo, best = mid, got
+    return lo, best
 
 
 # ---------------------------------------------------------------------------
@@ -198,38 +216,36 @@ def bifurcation_sweep(
 def max_common_rate(matrix, step: float = RATE_STEP, tol: float = _SOLVE_TOL, max_iter: int = _SOLVE_MAX_ITER):
     """Largest common target rate with a stable interior equilibrium.
 
-    Raises the common rate in multiples of ``step`` until the least
-    fixed point stops being interior and Sylvester-stable, warm-starting
-    each ascent from the previous equilibrium. Returns
-    ``(y_max, q_star)``; (0.0, zeros) when even the first step fails.
+    Returns ``(y_max, q_star)`` with ``y_max`` the largest multiple of
+    ``step`` up to 1 at which the least fixed point is interior and
+    Sylvester-stable, found by bisection over the step grid; (0.0,
+    zeros) when even the first step fails.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     a = np.asarray(matrix)
     n = a.shape[0]
-    best_y, best_q = 0.0, np.zeros(n)
-    warm = np.zeros(n)
-    k = 1
-    while True:
+
+    def probe(k, warm):
         y = _grid(k * step, step)
         if y > 1.0:
-            break
-        point = _interior_stable_lfp(Game(a, np.full(n, y)), warm, tol, max_iter)
-        if point is None:
-            break
-        best_y, best_q, warm = y, point, point
-        k += 1
-    return best_y, best_q
+            return None
+        return _interior_stable_lfp(Game(a, np.full(n, y)), warm, tol, max_iter)
+
+    k, point = _last_passing(probe, 1.0 / step, np.zeros(n))
+    return _grid(k * step, step), point
 
 
 def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     """Maximum stable middle rate over a grid of outer rates.
 
     For a three-player topology, returns ``surface[i, j]`` = largest
-    rate of player 2 (in multiples of ``step``) with a stable interior
-    equilibrium when players 1 and 3 demand ``y1_values[i]`` and
-    ``y3_values[j]``. The upper boundary of the resulting region is the
-    set of rate combinations with nothing left to give away.
+    multiple of ``step`` up to 1 that player 2 can demand with a stable
+    interior equilibrium when players 1 and 3 demand ``y1_values[i]``
+    and ``y3_values[j]`` (NaN when the outer rates alone have none),
+    found by bisection over the step grid. The upper boundary of the
+    resulting region is the set of rate combinations with nothing left
+    to give away.
     """
     a = np.asarray(matrix)
     if a.shape[0] != 3:
@@ -239,24 +255,19 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     surface = np.zeros((len(y1_values), len(y3_values)))
     for i, y1 in enumerate(y1_values):
         for j, y3 in enumerate(y3_values):
-            warm = np.zeros(3)
-            best = 0.0
-            feasible_base = _interior_stable_lfp(Game(a, [y1, 0.0, y3]), warm)
-            if feasible_base is None:
+            base = _interior_stable_lfp(Game(a, [y1, 0.0, y3]), np.zeros(3))
+            if base is None:
                 surface[i, j] = np.nan
                 continue
-            warm = feasible_base
-            k = 1
-            while True:
+
+            def probe(k, warm):
                 y2 = _grid(k * step, step)
                 if y2 > 1.0:
-                    break
-                point = _interior_stable_lfp(Game(a, [y1, y2, y3]), warm)
-                if point is None:
-                    break
-                best, warm = y2, point
-                k += 1
-            surface[i, j] = best
+                    return None
+                return _interior_stable_lfp(Game(a, [y1, y2, y3]), warm)
+
+            k, _ = _last_passing(probe, 1.0 / step, base)
+            surface[i, j] = _grid(k * step, step)
     return surface
 
 
@@ -273,27 +284,29 @@ class ScaleResult:
 def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     """Scale every demand proportionally until stability gives out.
 
-    Finds the largest factor k (in multiples of ``step``, starting at 1)
-    such that rates k*y still admit a stable interior equilibrium.
-    The base rates themselves must be stable-feasible.
+    Finds the largest factor k = 1 + m*step (m = 0, 1, ...) such that
+    rates k*y stay at most 1 and still admit a stable interior
+    equilibrium, by bisection over m. The base rates themselves must be
+    stable-feasible, and at least one must be positive (otherwise every
+    factor works).
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     base_point = _interior_stable_lfp(game, np.zeros(game.n))
     if base_point is None:
         raise ValueError("base rates admit no stable interior equilibrium")
-    factor, point = 1.0, base_point
-    k = 1
-    while True:
-        cand = _grid(1.0 + k * step, step)
-        rates = cand * game.rates
+    top = float(game.rates.max())
+    if top == 0.0:
+        raise ValueError("all base rates are zero: the demand scale is unbounded")
+
+    def probe(m, warm):
+        rates = _grid(1.0 + m * step, step) * game.rates
         if (rates > 1.0).any():
-            break
-        nxt = _interior_stable_lfp(Game(game.matrix, rates), point)
-        if nxt is None:
-            break
-        factor, point = cand, nxt
-        k += 1
+            return None
+        return _interior_stable_lfp(Game(game.matrix, rates), warm)
+
+    m, point = _last_passing(probe, (1.0 / top - 1.0) / step, base_point)
+    factor = _grid(1.0 + m * step, step)
     rates = factor * game.rates
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
 
@@ -301,35 +314,33 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
 def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> ScaleResult:
     """Scale the equilibrium probabilities until the certificate gives out.
 
-    Finds the largest factor b (multiples of ``step``, starting at 1)
-    with b*q_star inside the box and the certificate matrix positive
-    definite there. The scaled point is an exact equilibrium for the
-    rates it induces through the throughput map, which is what
-    ``rates`` reports.
+    Finds the largest factor b = 1 + m*step (m = 0, 1, ...) with b*q_star
+    strictly inside the box and the certificate matrix positive
+    definite there, by bisection over m. The scaled point is an exact
+    equilibrium for the rates it induces through the throughput map,
+    which is what ``rates`` reports. ``q_star`` must be a stable
+    equilibrium of the base game with some positive component.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     q_star = np.asarray(q_star, dtype=float)
     if not krasovskii_verdict(q_star, game, fp_tol=1e-6).stable:
         raise ValueError("q_star must be a stable equilibrium of the base game")
+    top = float(q_star.max())
+    if top == 0.0:
+        raise ValueError("q_star is zero: the probability scale is unbounded")
 
-    def scaled(b):
-        q = b * q_star
-        if (q > 1.0).any():
+    def probe(m, _warm):
+        q = _grid(1.0 + m * step, step) * q_star
+        if (q >= 1.0).any():
             return None
         induced = achieved_rate(q, game.matrix)
         pd, _ = sylvester_pd(krasovskii_matrix(q, Game(game.matrix, induced)))
         return (q, induced) if pd else None
 
-    factor, point, rates = 1.0, q_star, achieved_rate(q_star, game.matrix)
-    k = 1
-    while True:
-        cand = _grid(1.0 + k * step, step)
-        got = scaled(cand)
-        if got is None:
-            break
-        factor, (point, rates) = cand, got
-        k += 1
+    base = (q_star, achieved_rate(q_star, game.matrix))
+    m, (point, rates) = _last_passing(probe, (1.0 / top - 1.0) / step, base)
+    factor = _grid(1.0 + m * step, step)
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
 
 
@@ -387,13 +398,6 @@ def _random_trial(args):
     return _run_trial(matrix, seed, n, side, step)
 
 
-def _run_jobs(jobs, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_random_trial, jobs))
-    return [_random_trial(job) for job in jobs]
-
-
 def _summarize(records, **labels):
     return {
         **labels,
@@ -412,7 +416,6 @@ def density_sweep(
     step: float = RATE_STEP,
     seed: int = 0,
     edge_rule: str = "min",
-    threads: int = 1,
 ):
     """Best common rates over random topologies of increasing density.
 
@@ -431,7 +434,7 @@ def density_sweep(
             (n, side, _trial_seed(seed, d_idx, t), step, edge_rule)
             for t in range(trials)
         ]
-        batch = _run_jobs(jobs, threads)
+        batch = [_random_trial(job) for job in jobs]
         records.extend(batch)
         summaries.append(_summarize(batch, density=float(density), n=n, side=side))
     return records, summaries
@@ -444,7 +447,6 @@ def size_sweep(
     step: float = RATE_STEP,
     seed: int = 0,
     edge_rule: str = "min",
-    threads: int = 1,
     include_fully_connected: bool = True,
     fully_connected_max_n: int = 50,
 ):
@@ -452,9 +454,7 @@ def size_sweep(
 
     Returns ``(records, baselines, summaries)``. ``baselines`` holds the
     deterministic fully connected reference for each n up to
-    ``fully_connected_max_n`` (larger single-channel instances converge
-    so slowly toward the fold that the search is not worth running);
-    baseline rows use seed 0 and side 0.
+    ``fully_connected_max_n``; baseline rows use seed 0 and side 0.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -467,7 +467,7 @@ def size_sweep(
             (n, side, _trial_seed(seed, s_idx, t), step, edge_rule)
             for t in range(trials)
         ]
-        batch = _run_jobs(jobs, threads)
+        batch = [_random_trial(job) for job in jobs]
         records.extend(batch)
         summaries.append(_summarize(batch, n=int(n), density=float(density), side=side))
         if include_fully_connected and n >= 2 and n <= fully_connected_max_n:

@@ -203,13 +203,12 @@ class TestFeasible:
 
 
 class TestSweepAndFit:
-    def test_byte_identical_reruns_and_thread_independence(self, tmp_path, capsys):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["sweep", "--n", "8", "--density", "0.2,0.6", "--trials", "3", "--seed", "11"]
-        a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--output", str(a)]) == 0
         assert main(args + ["--output", str(b)]) == 0
-        assert main(args + ["--output", str(c), "--threads", "3"]) == 0
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert a.read_bytes() == b.read_bytes()
         assert "density=0.2" in capsys.readouterr().out
 
     def test_size_mode_with_baseline(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from alohagame import (
     achieved_rate,
     bifurcation_sweep,
     chain_matrix,
+    connected_components,
     density_sweep,
     feasible_contour,
     fit_power_law,
@@ -17,6 +18,8 @@ from alohagame import (
     max_common_rate,
     max_demand_scale,
     max_probability_scale,
+    random_topology,
+    side_for_density,
     size_sweep,
     write_records_csv,
 )
@@ -89,6 +92,58 @@ class TestMaxCommonRate:
         assert not (res.interior and krasovskii_verdict(res.point, g).stable)
 
 
+def _linear_walk_max_common_rate(matrix, step=0.001):
+    """Reference search: walk the common rate up one step at a time,
+    solving each step from zeros with kleene_lfp, and stop at the first
+    rate whose least fixed point is not interior and certified stable."""
+    n = len(matrix)
+    best = 0.0
+    for k in range(1, int(1.0 / step) + 1):
+        y = round(k * step, 12)
+        game = Game(matrix, np.full(n, y))
+        res = kleene_lfp(game)
+        if not (res.interior and krasovskii_verdict(res.point, game).stable):
+            break
+        best = y
+    return best
+
+
+def _pair_limited(matrix) -> bool:
+    return max(len(c) for c in connected_components(matrix)) == 2
+
+
+class TestSearchEquivalence:
+    """Bisection with Newton solves gives the linear Kleene walk's y_max.
+
+    Topologies whose largest component is an isolated pair are left
+    out. Their fold sits exactly on the grid, at y = 0.25, where the
+    certificate at the true equilibrium (0.5, 0.5) is marginal. Both
+    solvers stop a few 1e-6 short of it, where the certificate is still
+    positive, so whether 0.25 passes depends on where each one stops.
+    """
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_chain_and_fully_connected(self, n):
+        for matrix in (chain_matrix(n), fully_connected_matrix(n)):
+            assert max_common_rate(matrix)[0] == _linear_walk_max_common_rate(matrix)
+
+    def test_random_topologies(self):
+        compared = 0
+        for n in (5, 8, 10, 12):
+            for density in (0.05, 0.1, 0.2, 0.4):
+                for trial in range(2):
+                    _, matrix = random_topology(n, side_for_density(n, density), seed=100 * n + trial)
+                    if _pair_limited(matrix):
+                        continue
+                    y_max, point = max_common_rate(matrix)
+                    assert y_max == _linear_walk_max_common_rate(matrix), (n, density, trial)
+                    if y_max > 0.0:
+                        game = Game(matrix, np.full(n, y_max))
+                        assert np.abs(point - kleene_lfp(game, tol=1e-13).point).max() <= 1e-6
+                    compared += 1
+        assert compared >= 25
+
+
 class TestFeasibleContour:
     def test_matches_bifurcation_at_symmetric_rates(self):
         surface = feasible_contour(CHAIN, [0.15], [0.15])
@@ -105,6 +160,28 @@ class TestFeasibleContour:
         assert (chain_surface >= full_surface - 1e-12).all()
         assert chain_surface[2, 2] > full_surface[2, 2]
 
+    def test_reference_surfaces(self):
+        # values of the linear walk the bisection replaced
+        grid = [0.0, 0.05, 0.1, 0.14, 0.15, 0.2]
+        chain = [
+            [0.999, 0.601, 0.467, 0.391, 0.375, 0.305],
+            [0.601, 0.486, 0.398, 0.341, 0.328, 0.272],
+            [0.467, 0.398, 0.337, 0.295, 0.285, 0.240],
+            [0.391, 0.341, 0.295, 0.261, 0.253, 0.216],
+            [0.375, 0.328, 0.285, 0.253, 0.245, 0.210],
+            [0.305, 0.272, 0.240, 0.216, 0.210, 0.182],
+        ]
+        full = [
+            [0.999, 0.600, 0.465, 0.389, 0.373, 0.303],
+            [0.600, 0.444, 0.345, 0.285, 0.272, 0.214],
+            [0.465, 0.345, 0.262, 0.211, 0.200, 0.150],
+            [0.389, 0.285, 0.211, 0.164, 0.154, 0.109],
+            [0.373, 0.272, 0.200, 0.154, 0.144, 0.100],
+            [0.303, 0.214, 0.150, 0.109, 0.100, 0.060],
+        ]
+        assert np.array_equal(feasible_contour(CHAIN, grid, grid), chain)
+        assert np.array_equal(feasible_contour(fully_connected_matrix(3), grid, grid), full)
+
     def test_requires_three_players(self):
         with pytest.raises(ValueError, match="3-player"):
             feasible_contour(fully_connected_matrix(2), [0.1], [0.1])
@@ -117,6 +194,16 @@ class TestDemandScaling:
         assert result.sum_rate == pytest.approx(0.5715, abs=0.002)
         assert np.abs(result.point - [0.3336, 0.4290, 0.3336]).max() <= 1e-3
         assert np.abs(result.rates - 0.1905).max() <= 1e-3
+
+    def test_walk_reference_factor_is_exact(self, chain3):
+        result = max_demand_scale(chain3)
+        assert result.factor == 1.27
+        assert np.array_equal(result.rates, np.full(3, 1.27 * 0.15))
+        assert np.abs(result.point - [0.3336265749287018, 0.4290023208911804, 0.3336265749287018]).max() <= 1e-9
+
+    def test_all_zero_rates_rejected(self):
+        with pytest.raises(ValueError, match="unbounded"):
+            max_demand_scale(Game(CHAIN, [0.0, 0.0, 0.0]))
 
     def test_factor_at_least_one_for_stable_base(self, chain3):
         assert max_demand_scale(chain3).factor >= 1.0
@@ -140,6 +227,17 @@ class TestProbabilityScaling:
         assert result.sum_rate == pytest.approx(0.5905, abs=0.002)
         assert np.abs(result.point - [0.3787, 0.4493, 0.3787]).max() <= 1e-3
         assert np.abs(result.rates - [0.2086, 0.1734, 0.2086]).max() <= 1e-3
+
+    def test_walk_reference_factor_is_exact(self, chain3):
+        q_star = kleene_lfp(chain3).point
+        result = max_probability_scale(chain3, q_star)
+        assert result.factor == 1.94
+        assert result.sum_rate == pytest.approx(0.5905428019718605, abs=1e-12)
+
+    def test_zero_point_rejected(self):
+        g = Game(CHAIN, [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unbounded"):
+            max_probability_scale(g, np.zeros(3))
 
     def test_induced_rates_exact_by_construction(self, chain3):
         q_star = kleene_lfp(chain3).point
@@ -188,9 +286,9 @@ class TestSweeps:
             assert r.connectivity == 1.0
             assert r.max_common_rate == pytest.approx(y_fc)
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        r1, _ = density_sweep(8, [0.2, 0.6], trials=4, seed=13, threads=1)
-        r2, _ = density_sweep(8, [0.2, 0.6], trials=4, seed=13, threads=3)
+    def test_reruns_write_byte_identical_csv(self, tmp_path):
+        r1, _ = density_sweep(8, [0.02, 0.2, 0.6], trials=4, seed=13)
+        r2, _ = density_sweep(8, [0.02, 0.2, 0.6], trials=4, seed=13)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(p1, r1)
         write_records_csv(p2, r2)

@@ -9,11 +9,13 @@ from alohagame import (
     fully_connected_matrix,
     is_fixed_point,
     kleene_lfp,
+    krasovskii_verdict,
     least_of,
     leq,
     multistart_fixed_points,
+    newton_lfp,
 )
-from conftest import P_SADDLE, Q_STAR
+from conftest import P_SADDLE, Q_STAR, instance_rng, random_game
 from test_game import two_player_root
 
 
@@ -76,6 +78,85 @@ class TestKleene:
         res = kleene_lfp(g)
         assert res.point[1] == 0.0
         assert np.abs(res.point - [0.15, 0.0, 0.15]).max() <= 1e-12
+
+
+def _reference_games(count=60):
+    """Seeded small games, each with its least fixed point to 1e-13."""
+    for i in range(count):
+        game = random_game(instance_rng(4242, i))
+        yield game, kleene_lfp(game, tol=1e-13, max_iter=200_000)
+
+
+class TestNewton:
+    def test_chain_reaches_reported_equilibrium_in_few_steps(self, chain3):
+        res = newton_lfp(chain3)
+        assert res.converged and res.interior and not res.infeasible
+        assert np.abs(res.point - Q_STAR).max() <= 5e-4
+        assert res.iterations < kleene_lfp(chain3).iterations
+
+    def test_iterates_stay_below_the_least_fixed_point(self):
+        # Checked against a tighter Kleene solve than the default: the
+        # ascent stops up to tol / (1 - rho) short of the least fixed
+        # point, and late Newton iterates are closer than that.
+        checked = 0
+        for game, ref in _reference_games():
+            if not ref.interior:
+                continue
+            final = newton_lfp(game)
+            for k in range(1, final.iterations + 1):
+                step = newton_lfp(game, max_iter=k)
+                assert (step.point <= ref.point + 1e-10).all()
+            checked += 1
+        assert checked >= 20
+
+    def test_agrees_with_kleene_away_from_folds(self):
+        checked = 0
+        for game, ref in _reference_games():
+            if not ref.interior:
+                continue
+            verdict = krasovskii_verdict(ref.point, game)
+            if verdict.leading_minors.min() < 1e-2:
+                continue
+            res = newton_lfp(game)
+            assert res.converged
+            assert np.abs(res.point - ref.point).max() <= 1e-6
+            checked += 1
+        assert checked >= 20
+
+    def test_infeasible_only_without_a_stable_interior_point(self):
+        flagged = 0
+        for game, ref in _reference_games():
+            res = newton_lfp(game)
+            if res.infeasible:
+                flagged += 1
+                assert not (ref.interior and krasovskii_verdict(ref.point, game).stable)
+        assert flagged >= 5
+
+    def test_past_the_two_player_fold_is_infeasible_not_budget_exhausted(self):
+        res = newton_lfp(Game(chain_matrix(2), [0.26, 0.26]))
+        assert res.infeasible and not res.converged and not res.interior
+        assert res.iterations < 10
+
+    def test_budget_exhaustion_is_not_infeasible(self, chain3):
+        res = newton_lfp(chain3, max_iter=1)
+        assert not res.converged and not res.infeasible
+        assert res.iterations == 1
+
+    def test_warm_start_from_lower_rates(self, chain3):
+        lower = newton_lfp(Game(chain_matrix(3), [0.1, 0.1, 0.1])).point
+        res = newton_lfp(chain3, q0=lower)
+        assert np.abs(res.point - newton_lfp(chain3).point).max() <= 1e-12
+
+    def test_edgeless_topology_returns_the_rates(self):
+        g = Game(np.zeros((3, 3)), [0.2, 0.5, 0.9])
+        res = newton_lfp(g)
+        assert res.converged and np.array_equal(res.point, g.rates)
+
+    def test_start_outside_unit_box_rejected(self, chain3):
+        with pytest.raises(ValueError, match="q0"):
+            newton_lfp(chain3, q0=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="q0"):
+            newton_lfp(chain3, q0=[-0.1, 0.0, 0.0])
 
 
 class TestMultistartOracle:
