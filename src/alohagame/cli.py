@@ -164,7 +164,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument(
         "--fully-connected",
         action="store_true",
-        help="also run the fully connected baseline (size sweeps, n <= 50)",
+        help="also run the fully connected baseline (size sweeps)",
     )
     p.add_argument("--output", metavar="CSV", help="write trial records")
     p.add_argument("--baseline-output", metavar="CSV", help="write fully connected baseline records")

@@ -35,8 +35,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_DT = 0.01
 DEFAULT_T_END = 200.0
-DEFAULT_CYCLE_TOL = 1e-6
-DEFAULT_MAX_PERIOD = 64
+CYCLE_TOL = 1e-6
+MAX_PERIOD = 64
 
 # How many steps between cycle scans during iteration; scanning every
 # step would dominate the run time for long trajectories.
@@ -81,25 +81,21 @@ class Trajectory:
                 writer.writerow([step] + [f"{v:.12g}" for v in state])
 
 
-def detect_cycle(
-    states,
-    cycle_tol: float = DEFAULT_CYCLE_TOL,
-    max_period: int = DEFAULT_MAX_PERIOD,
-) -> int | None:
+def detect_cycle(states) -> int | None:
     """Smallest sustained period in the tail of a state sequence.
 
-    Period p is accepted when the last 2p states repeat with lag p
-    within ``cycle_tol`` (infinity norm). A constant tail matches lag 1
-    and reports None: standing still is convergence, not a cycle.
-    Needs at least 4 states to say anything.
+    Period p (at most ``MAX_PERIOD``) is accepted when the last 2p
+    states repeat with lag p within ``CYCLE_TOL`` (infinity norm). A
+    constant tail matches lag 1 and reports None: standing still is
+    convergence, not a cycle. Needs at least 4 states to say anything.
     """
     states = np.asarray(states, dtype=float)
     m = len(states)
     if m < 4:
         return None
-    for period in range(1, min(max_period, m // 2) + 1):
+    for period in range(1, min(MAX_PERIOD, m // 2) + 1):
         tail = states[m - 2 * period :]
-        if np.abs(tail[period:] - tail[:period]).max() <= cycle_tol:
+        if np.abs(tail[period:] - tail[:period]).max() <= CYCLE_TOL:
             return None if period == 1 else period
     return None
 
@@ -111,8 +107,6 @@ def iterate_game(
     max_iter: int = DEFAULT_MAX_ITER,
     epsilon: float = 1.0,
     perturb: float = 0.0,
-    cycle_tol: float = DEFAULT_CYCLE_TOL,
-    max_period: int = DEFAULT_MAX_PERIOD,
 ) -> Trajectory:
     """Run the (relaxed) discrete game from q0.
 
@@ -150,12 +144,12 @@ def iterate_game(
         q = f if epsilon == 1.0 else np.clip(q + move, 0.0, 1.0)
         states.append(q)
         if len(states) >= 4 and len(states) % _CYCLE_CHECK_STRIDE == 0:
-            period = detect_cycle(states, cycle_tol, max_period)
+            period = detect_cycle(states)
             if period is not None:
                 outcome = CYCLE
                 break
     if outcome == BUDGET_EXHAUSTED:
-        period = detect_cycle(states, cycle_tol, max_period)
+        period = detect_cycle(states)
         if period is not None:
             outcome = CYCLE
     return Trajectory(states=np.asarray(states), outcome=outcome, epsilon=epsilon, period=period)

@@ -40,8 +40,6 @@ __all__ = [
 
 RATE_STEP = 0.001
 SCALE_STEP = 0.01
-_SOLVE_TOL = 1e-10
-_SOLVE_MAX_ITER = 100_000
 
 
 def _grid(value: float, step: float) -> float:
@@ -49,7 +47,7 @@ def _grid(value: float, step: float) -> float:
     return float(round(value, 12))
 
 
-def _interior_stable_lfp(game: Game, warm_start, tol=_SOLVE_TOL, max_iter=_SOLVE_MAX_ITER):
+def _interior_stable_lfp(game: Game, warm_start):
     """Least fixed point if it is interior and Sylvester-stable, else None.
 
     ``warm_start`` must be a point known to sit below the least fixed
@@ -61,7 +59,7 @@ def _interior_stable_lfp(game: Game, warm_start, tol=_SOLVE_TOL, max_iter=_SOLVE
     unstable: boundary points are excluded, which keeps rate searches
     conservative.
     """
-    res = newton_lfp(game, warm_start, tol, max_iter)
+    res = newton_lfp(game, warm_start)
     if not res.converged:
         return None
     pd, _ = sylvester_pd(krasovskii_matrix(res.point, game))
@@ -126,12 +124,7 @@ class BifurcationBranch:
     critical_point: np.ndarray | None
 
     def to_csv(self, path) -> None:
-        n = len(self.branches[0][0].point) if self.branches and self.branches[0] else 0
-        if n == 0:
-            for row in self.branches:
-                if row:
-                    n = len(row[0].point)
-                    break
+        n = next((len(row[0].point) for row in self.branches if row), 0)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -154,7 +147,6 @@ def bifurcation_sweep(
     varying_index: int,
     value_range: tuple,
     step: float = RATE_STEP,
-    starts_per_axis: int = 5,
 ) -> BifurcationBranch:
     """Track the fixed points while rate ``varying_index`` sweeps a range.
 
@@ -177,7 +169,7 @@ def bifurcation_sweep(
         rates = base.copy()
         rates[varying_index] = value
         game = Game(a, rates)
-        fps = multistart_fixed_points(game, starts_per_axis=starts_per_axis)
+        fps = multistart_fixed_points(game)
         pts = sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
         row = []
         for p in pts:
@@ -213,7 +205,7 @@ def bifurcation_sweep(
 # ---------------------------------------------------------------------------
 
 
-def max_common_rate(matrix, step: float = RATE_STEP, tol: float = _SOLVE_TOL, max_iter: int = _SOLVE_MAX_ITER):
+def max_common_rate(matrix, step: float = RATE_STEP):
     """Largest common target rate with a stable interior equilibrium.
 
     Returns ``(y_max, q_star)`` with ``y_max`` the largest multiple of
@@ -230,7 +222,7 @@ def max_common_rate(matrix, step: float = RATE_STEP, tol: float = _SOLVE_TOL, ma
         y = _grid(k * step, step)
         if y > 1.0:
             return None
-        return _interior_stable_lfp(Game(a, np.full(n, y)), warm, tol, max_iter)
+        return _interior_stable_lfp(Game(a, np.full(n, y)), warm)
 
     k, point = _last_passing(probe, 1.0 / step, np.zeros(n))
     return _grid(k * step, step), point
@@ -392,8 +384,7 @@ def _run_trial(matrix, seed, n, side, step) -> SweepRecord:
     )
 
 
-def _random_trial(args):
-    n, side, seed, step, edge_rule = args
+def _random_trial(n, side, seed, step, edge_rule) -> SweepRecord:
     _, matrix = random_topology(n, side, seed, edge_rule=edge_rule)
     return _run_trial(matrix, seed, n, side, step)
 
@@ -430,11 +421,10 @@ def density_sweep(
     summaries = []
     for d_idx, density in enumerate(densities):
         side = side_for_density(n, density)
-        jobs = [
-            (n, side, _trial_seed(seed, d_idx, t), step, edge_rule)
+        batch = [
+            _random_trial(n, side, _trial_seed(seed, d_idx, t), step, edge_rule)
             for t in range(trials)
         ]
-        batch = [_random_trial(job) for job in jobs]
         records.extend(batch)
         summaries.append(_summarize(batch, density=float(density), n=n, side=side))
     return records, summaries
@@ -448,13 +438,14 @@ def size_sweep(
     seed: int = 0,
     edge_rule: str = "min",
     include_fully_connected: bool = True,
-    fully_connected_max_n: int = 50,
 ):
     """Best common rates as the player count grows at fixed density.
 
     Returns ``(records, baselines, summaries)``. ``baselines`` holds the
-    deterministic fully connected reference for each n up to
-    ``fully_connected_max_n``; baseline rows use seed 0 and side 0.
+    deterministic fully connected reference for each n >= 2; baseline
+    rows use seed 0 and side 0. At large n the rate grid quantises the
+    baseline's total throughput n * y_max: at step 0.001, n = 100 gives
+    0.30.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -463,14 +454,13 @@ def size_sweep(
     summaries = []
     for s_idx, n in enumerate(n_values):
         side = side_for_density(n, density)
-        jobs = [
-            (n, side, _trial_seed(seed, s_idx, t), step, edge_rule)
+        batch = [
+            _random_trial(n, side, _trial_seed(seed, s_idx, t), step, edge_rule)
             for t in range(trials)
         ]
-        batch = [_random_trial(job) for job in jobs]
         records.extend(batch)
         summaries.append(_summarize(batch, n=int(n), density=float(density), side=side))
-        if include_fully_connected and n >= 2 and n <= fully_connected_max_n:
+        if include_fully_connected and n >= 2:
             baselines.append(_run_trial(fully_connected_matrix(n), 0, int(n), 0.0, step))
     return records, baselines, summaries
 

@@ -43,6 +43,9 @@ ORACLE_MAX_PLAYERS = 8
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
+# Oracle roots closer than this (infinity norm) are one root.
+DEDUP_RADIUS = 1e-6
+
 
 @dataclass(frozen=True)
 class LfpResult:
@@ -329,9 +332,7 @@ def _dedup(points: np.ndarray, radius: float) -> list:
 def multistart_fixed_points(
     game: Game,
     starts_per_axis: int = 5,
-    newton_tol: float = DEFAULT_TOL,
     max_iter: int = 80,
-    dedup_radius: float = 1e-6,
 ) -> FixedPointSet:
     """Enumerate fixed points on a small instance by gridded Newton runs.
 
@@ -354,8 +355,8 @@ def multistart_fixed_points(
     grid = np.stack(np.meshgrid(*([centers] * game.n), indexing="ij"), axis=-1)
     starts = grid.reshape(-1, game.n)
 
-    roots = _newton_from_grid(game, starts, newton_tol, max_iter)
-    reps = [_polish(game, r) for r in _dedup(roots, dedup_radius)]
+    roots = _newton_from_grid(game, starts, DEFAULT_TOL, max_iter)
+    reps = [_polish(game, r) for r in _dedup(roots, DEDUP_RADIUS)]
     slack = 1e-9
     kept = [
         np.clip(r, 0.0, 1.0)
@@ -363,9 +364,9 @@ def multistart_fixed_points(
         if (r >= -slack).all() and (r <= 1.0 + slack).all()
     ]
     # Enforce the advertised guarantee against the clipped map as well.
-    kept = [r for r in kept if is_fixed_point(r, game, 10.0 * newton_tol)]
+    kept = [r for r in kept if is_fixed_point(r, game, 10.0 * DEFAULT_TOL)]
 
-    points = _dedup(np.asarray(kept) if kept else np.empty((0, game.n)), dedup_radius)
+    points = _dedup(np.asarray(kept) if kept else np.empty((0, game.n)), DEDUP_RADIUS)
     return FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all()))
 
 

@@ -6,7 +6,9 @@ when the symmetrized negated Jacobian C(q) = -(J(q) + J(q)^T) is
 positive definite near it; the squared residual then acts as a
 Lyapunov function. Positive definiteness is decided exactly through
 the leading principal minors and, as a cheaper sufficient condition,
-through diagonal dominance.
+through diagonal dominance. The Jacobian, the certificate matrix and
+the minor test take stacks of points or matrices as well as single
+ones, and the region-of-attraction grid goes through them in one call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .game import Game, best_response, is_fixed_point, residual, success_product
+from .game import Game, is_fixed_point, residual, success_product
 from .solver import FixedPointSet, least_of
 
 __all__ = [
@@ -44,10 +46,10 @@ ROA_MAX_PLAYERS = 4
 ROA_DEFAULT_RESOLUTION = 41
 
 
-def _classify(minors: np.ndarray, pd_tol: float) -> str:
-    if (minors > pd_tol).all():
+def _classify(minors: np.ndarray) -> str:
+    if (minors > PD_TOL).all():
         return "stable"
-    if (minors > -pd_tol).all():
+    if (minors > -PD_TOL).all():
         return "critical"
     return "unstable"
 
@@ -68,10 +70,10 @@ class StabilityVerdict:
         return self.positive_definite
 
 
-def _saturated_rows(q, game: Game) -> np.ndarray:
-    """Rows where the clipped response is flat (quotient at or above 1)."""
+def _quotient(q, game: Game) -> np.ndarray:
+    """Unclipped response rates / prod; +inf where the product vanishes."""
     prod = success_product(q, game.matrix)
-    return (game.rates >= prod) & (game.rates > 0.0)
+    return np.divide(game.rates, prod, out=np.full_like(prod, np.inf), where=prod > 0.0)
 
 
 def residual_jacobian(q, game: Game) -> np.ndarray:
@@ -80,47 +82,58 @@ def residual_jacobian(q, game: Game) -> np.ndarray:
     Diagonal entries are -1. Off-diagonal entry (i, j) is
     a_ij * F_i(q) / (1 - q_j), and 0 on rows where the map is locally
     flat: the response saturates at 1, or the player's rate is 0.
+    Accepts leading batch dimensions on ``q``.
 
     Raises when some neighbour coordinate equals 1, where the quotient
     is singular.
     """
     q = np.asarray(q, dtype=float)
-    at_one = q >= 1.0
-    if (np.asarray(game.matrix)[:, at_one] != 0).any():
+    raw = _quotient(q, game)
+    mask = np.asarray(game.matrix, dtype=bool)
+    if (mask & (q[..., np.newaxis, :] >= 1.0)).any():
         raise ValueError("Jacobian is singular: a neighbour coordinate equals 1")
-    f = best_response(q, game)
-    flat = _saturated_rows(q, game) | (game.rates == 0.0)
+    # flat rows: saturated and jammed ones have raw >= 1, and a rate of
+    # 0 gives raw 0
+    f = np.where(raw >= 1.0, 0.0, raw)
     # a coordinate at 1 can only survive the check above in an all-zero
     # column, where the quotient is masked out anyway
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = f[:, np.newaxis] / (1.0 - q)[np.newaxis, :]
-    jac = np.where(np.asarray(game.matrix, dtype=bool), ratio, 0.0)
-    jac[flat, :] = 0.0
-    np.fill_diagonal(jac, -1.0)
+        ratio = f[..., :, np.newaxis] / (1.0 - q)[..., np.newaxis, :]
+    jac = np.where(mask, ratio, 0.0)
+    diag = np.arange(game.n)
+    jac[..., diag, diag] = -1.0
     return jac
 
 
 def krasovskii_matrix(q, game: Game) -> np.ndarray:
-    """C(q) = -(J + J^T): symmetric, diagonal exactly 2."""
+    """C(q) = -(J + J^T): symmetric, diagonal exactly 2. Takes batches like ``q``."""
     jac = residual_jacobian(q, game)
-    return -(jac + jac.T)
+    return -(jac + np.swapaxes(jac, -1, -2))
 
 
 def leading_minors(c) -> np.ndarray:
-    """Determinants of the n leading principal submatrices (LU-based)."""
+    """Determinants of the n leading principal submatrices (LU-based).
+
+    Accepts leading batch dimensions; the minors run along the last axis.
+    """
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    return np.array([np.linalg.det(c[: k + 1, : k + 1]) for k in range(n)])
+    minors = np.empty(c.shape[:-1])
+    for k in range(c.shape[-1]):
+        minors[..., k] = np.linalg.det(c[..., : k + 1, : k + 1])
+    return minors
 
 
-def sylvester_pd(c, pd_tol: float = PD_TOL):
+def sylvester_pd(c):
     """Positive-definiteness test by leading principal minors.
 
     Returns ``(positive_definite, minors)``; the matrix is accepted only
-    when every minor clears ``pd_tol``, so marginal certificates fail.
+    when every minor clears ``PD_TOL``, so marginal certificates fail.
+    For a stack of matrices ``positive_definite`` is a boolean array
+    over the stack, for a single matrix a ``bool``.
     """
     minors = leading_minors(c)
-    return bool((minors > pd_tol).all()), minors
+    pd = (minors > PD_TOL).all(axis=-1)
+    return (bool(pd) if pd.ndim == 0 else pd), minors
 
 
 def diag_dominant(q_s, game: Game) -> bool:
@@ -142,7 +155,6 @@ def krasovskii_verdict(
     q_s,
     game: Game,
     fp_tol: float = 1e-6,
-    pd_tol: float = PD_TOL,
 ) -> StabilityVerdict:
     """Full stability certificate at a fixed point.
 
@@ -157,7 +169,7 @@ def krasovskii_verdict(
         res = float(np.abs(residual(q, game)).max())
         raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {res:.3e})")
     c = krasovskii_matrix(q, game)
-    pd, minors = sylvester_pd(c, pd_tol)
+    pd, minors = sylvester_pd(c)
     point = q.copy()
     point.flags.writeable = False
     minors.flags.writeable = False
@@ -166,8 +178,8 @@ def krasovskii_verdict(
         leading_minors=minors,
         positive_definite=pd,
         diag_dominant=diag_dominant(q, game),
-        classification=_classify(minors, pd_tol),
-        clipped=bool(_saturated_rows(q, game).any()),
+        classification=_classify(minors),
+        clipped=bool(((_quotient(q, game) >= 1.0) & (game.rates > 0.0)).any()),
     )
 
 
@@ -210,33 +222,10 @@ class RoaEstimate:
         return bool(self.mask[self.cell_of(q)])
 
 
-def _batched_krasovskii(points: np.ndarray, game: Game) -> np.ndarray:
-    """C(q) stacked over rows of ``points`` (all strictly inside [0, 1))."""
-    a = np.asarray(game.matrix, dtype=float)
-    prod = success_product(points, game.matrix)
-    positive = prod > 0.0
-    raw = np.divide(game.rates, prod, out=np.full_like(prod, np.inf), where=positive)
-    f = np.minimum(raw, 1.0)
-    flat = raw >= 1.0
-    jac = a * np.where(flat, 0.0, f)[:, :, np.newaxis] / (1.0 - points)[:, np.newaxis, :]
-    c = -(jac + jac.transpose(0, 2, 1))
-    c[:, np.arange(game.n), np.arange(game.n)] = 2.0
-    return c
-
-
-def _batched_pd(c: np.ndarray, pd_tol: float) -> np.ndarray:
-    n = c.shape[-1]
-    ok = np.ones(c.shape[0], dtype=bool)
-    for k in range(1, n + 1):
-        ok &= np.linalg.det(c[:, :k, :k]) > pd_tol
-    return ok
-
-
 def roa_estimate(
     game: Game,
     q_star,
     resolution: int = ROA_DEFAULT_RESOLUTION,
-    pd_tol: float = PD_TOL,
     fp_tol: float = 1e-6,
 ) -> RoaEstimate:
     """Estimate the region of attraction of a stable equilibrium.
@@ -252,15 +241,13 @@ def roa_estimate(
         raise ValueError(f"grid estimate limited to {ROA_MAX_PLAYERS} players (got {game.n})")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    verdict = krasovskii_verdict(q_star, game, fp_tol=fp_tol, pd_tol=pd_tol)
+    verdict = krasovskii_verdict(q_star, game, fp_tol=fp_tol)
     if not verdict.stable:
         raise ValueError("equilibrium is not certified stable; no attraction region to estimate")
 
     centers = (np.arange(resolution) + 0.5) / resolution
     grid = np.stack(np.meshgrid(*([centers] * game.n), indexing="ij"), axis=-1)
-    points = grid.reshape(-1, game.n)
-    pd_flat = _batched_pd(_batched_krasovskii(points, game), pd_tol)
-    pd_mask = pd_flat.reshape((resolution,) * game.n)
+    pd_mask, _ = sylvester_pd(krasovskii_matrix(grid, game))
 
     labels, _ = ndimage.label(pd_mask)
     q_star = np.asarray(q_star, dtype=float)

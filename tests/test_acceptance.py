@@ -258,7 +258,7 @@ def test_criterion_7_property_suites():
         else:
             init_skipped += 1
 
-        fps = multistart_fixed_points(game, starts_per_axis=4, newton_tol=1e-10, max_iter=50)
+        fps = multistart_fixed_points(game, starts_per_axis=4, max_iter=50)
         for root in fps.points:
             if not is_fixed_point(root, game, tol=1e-9):
                 fails["root_certificate"] += 1

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 
@@ -276,6 +277,8 @@ class TestEntryPoint:
             [sys.executable, "-m", "alohagame.cli", "solve", "--topology", str(topo), "--rates", "0.2"],
             capture_output=True,
             text=True,
+            # import the package from where this process imported it
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("NE=[0.2764,0.2764]")

@@ -131,7 +131,7 @@ class TestDetectCycle:
     def test_tolerance_respected(self):
         rng = np.random.default_rng(4)
         states = [CYCLE_A + rng.uniform(-1e-8, 1e-8, 3) for _ in range(12)]
-        assert detect_cycle(states, cycle_tol=1e-6) is None  # constant within tol
+        assert detect_cycle(states) is None  # constant within tol
 
 
 class TestTrajectorySerialization:

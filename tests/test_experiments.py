@@ -294,13 +294,12 @@ class TestSweeps:
         write_records_csv(p2, r2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_size_sweep_baseline_limited_to_small_instances(self):
-        records, baselines, summaries = size_sweep(
-            0.3, [4, 8], trials=1, seed=3, fully_connected_max_n=6
-        )
-        assert [r.n for r in baselines] == [4]
+    def test_size_sweep_baseline_at_every_size(self):
+        records, baselines, summaries = size_sweep(0.3, [4, 60], trials=1, seed=3)
+        assert [r.n for r in baselines] == [4, 60]
+        assert baselines[1].total_throughput == pytest.approx(0.36)
         assert len(records) == 2
-        assert [row["n"] for row in summaries] == [4, 8]
+        assert [row["n"] for row in summaries] == [4, 60]
 
     def test_single_player_record(self):
         records, _, _ = size_sweep(0.5, [1], trials=1, seed=4, include_fully_connected=False)

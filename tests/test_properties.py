@@ -106,4 +106,4 @@ def test_planted_cycles_survive_sub_tolerance_noise(period):
     rng = np.random.default_rng(7)
     pattern = [np.array([0.2 + 0.2 * k]) for k in range(period)]
     states = [p + rng.uniform(-1e-8, 1e-8, 1) for p in pattern * 8]
-    assert detect_cycle(states, cycle_tol=1e-6) == period
+    assert detect_cycle(states) == period

@@ -186,7 +186,7 @@ class TestMultistartOracle:
             assert np.abs(point - root).max() <= 1e-3
 
     def test_roots_satisfy_fixed_point_certificate(self, chain3):
-        fps = multistart_fixed_points(chain3, newton_tol=1e-10)
+        fps = multistart_fixed_points(chain3)
         for p in fps.points:
             assert is_fixed_point(p, chain3, tol=1e-9)
 

@@ -18,6 +18,7 @@ from alohagame import (
     stability_consistency,
     sylvester_pd,
 )
+from alohagame.game import success_product
 from conftest import P_SADDLE, Q_STAR
 
 CHAIN = chain_matrix(3)
@@ -117,6 +118,59 @@ class TestSylvester:
         assert np.allclose(minors, [1.0, 2.0, 6.0, 24.0])
 
 
+def _stacks():
+    """Random games with rate-0 players and stacks of points of shape (3, 4, n).
+
+    The points reach 0.95, so many responses saturate; one hand-built
+    stack also sits exactly on the saturation boundary rate == product.
+    """
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        a = (rng.random((n, n)) < 0.6).astype(int)
+        np.fill_diagonal(a, 0)
+        y = rng.uniform(0.0, 0.6, n)
+        y[rng.random(n) < 0.25] = 0.0
+        yield Game(a, y), rng.uniform(0.0, 0.95, (3, 4, n))
+    edge = np.array([[0.3, 0.5], [0.5, 0.5], [0.0, 0.2], [0.9, 0.5]])
+    yield Game(chain_matrix(2), [0.5, 0.0]), edge.reshape(2, 2, 2)
+
+
+class TestStackedInput:
+    def test_stacks_cover_saturated_and_silent_rows(self):
+        saturated = silent = 0
+        for game, q in _stacks():
+            raw = game.rates / success_product(q, game.matrix)
+            saturated += int(((raw >= 1.0) & (game.rates > 0.0)).sum())
+            silent += int((game.rates == 0.0).sum())
+        assert saturated > 50 and silent > 10
+
+    def test_matches_per_point_loop(self):
+        for game, q in _stacks():
+            n = game.n
+            points = q.reshape(-1, n)
+            jac = residual_jacobian(q, game)
+            assert jac.shape == q.shape + (n,)
+            loop = np.stack([residual_jacobian(p, game) for p in points])
+            assert np.array_equal(jac.reshape(-1, n, n), loop)
+
+            c = krasovskii_matrix(q, game)
+            loop = np.stack([krasovskii_matrix(p, game) for p in points])
+            assert np.array_equal(c.reshape(-1, n, n), loop)
+
+            minors = leading_minors(c)
+            assert minors.shape == q.shape
+            loop = np.stack([leading_minors(m) for m in c.reshape(-1, n, n)])
+            assert np.array_equal(minors.reshape(-1, n), loop)
+
+            pd, pd_minors = sylvester_pd(c)
+            assert pd.shape == q.shape[:-1]
+            loop = [sylvester_pd(m) for m in c.reshape(-1, n, n)]
+            assert all(type(ok) is bool for ok, _ in loop)
+            assert np.array_equal(pd.ravel(), [ok for ok, _ in loop])
+            assert np.array_equal(pd_minors.reshape(-1, n), np.stack([m for _, m in loop]))
+
+
 class TestDiagDominance:
     def test_edgeless(self):
         g = Game(np.zeros((3, 3)), [0.1, 0.1, 0.1])
@@ -203,6 +257,22 @@ class TestRoaEstimate:
         g = Game(np.zeros((5, 5)), np.full(5, 0.1))
         with pytest.raises(ValueError, match="players"):
             roa_estimate(g, np.full(5, 0.1), resolution=5)
+
+    @pytest.mark.parametrize("which", ["chain3", "random4"])
+    def test_pd_mask_is_the_pointwise_certificate(self, which, chain3):
+        if which == "chain3":
+            game, resolution = chain3, 21
+        else:
+            rng = np.random.default_rng(41)
+            a = (rng.random((4, 4)) < 0.5).astype(int)
+            np.fill_diagonal(a, 0)
+            game, resolution = Game(a, rng.uniform(0.02, 0.15, 4)), 9
+        roa = roa_estimate(game, kleene_lfp(game).point, resolution=resolution)
+        assert 0 < roa.pd_mask.sum() < roa.pd_mask.size
+        centers = roa.cell_centers
+        for idx in np.ndindex(roa.pd_mask.shape):
+            pd, _ = sylvester_pd(krasovskii_matrix(centers[list(idx)], game))
+            assert roa.pd_mask[idx] == pd, idx
 
 
 class TestConsistency:
