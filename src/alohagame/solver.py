@@ -14,7 +14,13 @@ Three routes to the fixed points of the best-response map:
 * :func:`multistart_fixed_points` is a brute-force oracle: damped
   Newton on the unclipped stationarity system from a uniform grid of
   starting points. It enumerates the fixed points on small instances
-  and is used to cross-check the iterative solver.
+  and is used to cross-check the iterative solver. Each step takes the
+  first of the factors 1, 1/2, ..., 2^-29 that does not raise the
+  residual. The factors are tried in four blocks, each one residual
+  evaluation over all starts still searching: the full step, then
+  2^-1 ... 2^-8, 2^-9 ... 2^-16 and 2^-17 ... 2^-29. That accepts the
+  same factor as halving one at a time, with at most four evaluations
+  per step instead of up to thirty.
 """
 
 from __future__ import annotations
@@ -45,6 +51,12 @@ DEFAULT_MAX_ITER = 100_000
 
 # Oracle roots closer than this (infinity norm) are one root.
 DEDUP_RADIUS = 1e-6
+
+# The oracle's damping factors 1, 2^-1, ..., 2^-29, in the blocks that
+# share one residual evaluation. About a quarter of the steps take the
+# full step, which goes alone; most others need 10 to 16 halvings and
+# end in the third block.
+_DAMPING_BLOCKS = np.split(np.ldexp(1.0, -np.arange(30)), [1, 9, 17])
 
 
 @dataclass(frozen=True)
@@ -231,7 +243,19 @@ def _stationarity_jacobian(q, raw, game: Game):
 
 
 def _newton_from_grid(game: Game, starts: np.ndarray, tol: float, max_iter: int):
-    """Damped Newton from every start at once; returns converged iterates."""
+    """Damped Newton from every start at once; returns converged iterates.
+
+    Each start moves by the first of 1, 1/2, ..., 2^-29 times its Newton
+    step at which the residual is finite and no larger than before. The
+    factors are tried block by block (``_DAMPING_BLOCKS``): the full
+    step for every active start in one residual evaluation, then the
+    halved factors for the starts it did not improve, in at most three
+    more, each over all factors of a block and all starts still pending.
+    Every residual row depends on its own point only, so this accepts
+    the factor that halving one at a time would. Starts that no factor
+    improves, or whose Jacobian is singular or not finite, are dropped
+    silently.
+    """
     q = starts.astype(float).copy()
     h, raw = _stationarity(q, game)
     hnorm = np.abs(h).max(axis=1)
@@ -254,33 +278,25 @@ def _newton_from_grid(game: Game, starts: np.ndarray, tol: float, max_iter: int)
             continue
         step = np.linalg.solve(jac[ok], -h[idx][..., np.newaxis])[..., 0]
 
-        # Halve the step while it makes the residual worse; starts that
-        # never improve are dropped silently.
-        lam = np.ones(idx.size)
-        improved = np.zeros(idx.size, dtype=bool)
-        trial = np.empty_like(q[idx])
-        trial_h = np.empty_like(trial)
-        trial_raw = np.empty_like(trial)
-        for _damp in range(30):
-            pending = ~improved
-            if not pending.any():
-                break
-            cand = q[idx[pending]] + lam[pending, np.newaxis] * step[pending]
+        rows = idx
+        for factors in _DAMPING_BLOCKS:
+            cand = (q[rows] + factors[:, np.newaxis, np.newaxis] * step).reshape(-1, game.n)
             cand_h, cand_raw = _stationarity(cand, game)
             cand_norm = np.abs(cand_h).max(axis=1)
-            better = np.isfinite(cand_norm) & (cand_norm <= hnorm[idx[pending]])
-            sub = np.flatnonzero(pending)
-            trial[sub[better]] = cand[better]
-            trial_h[sub[better]] = cand_h[better]
-            trial_raw[sub[better]] = cand_raw[better]
-            improved[sub[better]] = True
-            lam[sub[~better]] *= 0.5
-        alive[idx[~improved]] = False
-        keep = idx[improved]
-        q[keep] = trial[improved]
-        h[keep] = trial_h[improved]
-        raw[keep] = trial_raw[improved]
-        hnorm[keep] = np.abs(trial_h[improved]).max(axis=1)
+            norms = cand_norm.reshape(factors.size, rows.size)
+            better = np.isfinite(norms) & (norms <= hnorm[rows])
+            hit = better.any(axis=0)
+            # row of the first improving factor of each start that has one
+            take = better.argmax(axis=0)[hit] * rows.size + np.flatnonzero(hit)
+            moved = rows[hit]
+            q[moved] = cand[take]
+            h[moved] = cand_h[take]
+            raw[moved] = cand_raw[take]
+            hnorm[moved] = cand_norm[take]
+            rows, step = rows[~hit], step[~hit]
+            if rows.size == 0:
+                break
+        alive[rows] = False
 
     return q[alive & (hnorm <= tol)]
 
@@ -292,27 +308,25 @@ def _polish(game: Game, q: np.ndarray, max_iter: int = 8) -> np.ndarray:
     merely tol-accurate root can sit noticeably off the true fixed
     point; a few undamped steps remove that amplification.
     """
-    best = q
-    best_norm = np.inf
+    h, raw = _stationarity(q[np.newaxis, :], game)
+    if not np.isfinite(h).all():
+        return q
+    norm = np.abs(h).max()
     for _ in range(max_iter):
-        h, raw = _stationarity(best[np.newaxis, :], game)
-        h = h[0]
-        if not np.isfinite(h).all():
+        if norm < 1e-15:
             break
-        norm = np.abs(h).max()
-        if norm >= best_norm or norm < 1e-15:
-            break
-        best_norm = norm
-        jac = _stationarity_jacobian(best[np.newaxis, :], raw, game)[0]
+        jac = _stationarity_jacobian(q[np.newaxis, :], raw, game)[0]
         try:
-            step = np.linalg.solve(jac, -h)
+            step = np.linalg.solve(jac, -h[0])
         except np.linalg.LinAlgError:
             break
-        cand = best + step
-        cand_h, _ = _stationarity(cand[np.newaxis, :], game)
-        if np.isfinite(cand_h).all() and np.abs(cand_h).max() < norm:
-            best = cand
-    return best
+        cand = q + step
+        cand_h, cand_raw = _stationarity(cand[np.newaxis, :], game)
+        cand_norm = np.abs(cand_h).max()
+        if not (np.isfinite(cand_h).all() and cand_norm < norm):
+            break
+        q, h, raw, norm = cand, cand_h, cand_raw, cand_norm
+    return q
 
 
 def _dedup(points: np.ndarray, radius: float) -> list:

@@ -8,7 +8,8 @@ Lyapunov function. Positive definiteness is decided exactly through
 the leading principal minors and, as a cheaper sufficient condition,
 through diagonal dominance. The Jacobian, the certificate matrix and
 the minor test take stacks of points or matrices as well as single
-ones, and the region-of-attraction grid goes through them in one call.
+ones, and the region-of-attraction grid goes through them one slab of
+cells at a time.
 """
 
 from __future__ import annotations
@@ -245,9 +246,14 @@ def roa_estimate(
     if not verdict.stable:
         raise ValueError("equilibrium is not certified stable; no attraction region to estimate")
 
+    # one certificate call per slab of cells along the first axis, so
+    # memory stays at resolution**(n-1) cells
     centers = (np.arange(resolution) + 0.5) / resolution
-    grid = np.stack(np.meshgrid(*([centers] * game.n), indexing="ij"), axis=-1)
-    pd_mask, _ = sylvester_pd(krasovskii_matrix(grid, game))
+    pd_mask = np.empty((resolution,) * game.n, dtype=bool)
+    for i in range(resolution):
+        axes = [centers[i : i + 1]] + [centers] * (game.n - 1)
+        slab = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[0]
+        pd_mask[i], _ = sylvester_pd(krasovskii_matrix(slab, game))
 
     labels, _ = ndimage.label(pd_mask)
     q_star = np.asarray(q_star, dtype=float)

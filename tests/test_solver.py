@@ -15,6 +15,7 @@ from alohagame import (
     multistart_fixed_points,
     newton_lfp,
 )
+from alohagame import solver
 from conftest import P_SADDLE, Q_STAR, instance_rng, random_game
 from test_game import two_player_root
 
@@ -204,6 +205,116 @@ class TestMultistartOracle:
         for i, p in enumerate(fps.points):
             for q in fps.points[i + 1 :]:
                 assert np.abs(p - q).max() > 1e-6
+
+
+# The oracle settings in use: the default, and the property batches'.
+ORACLE_SETTINGS = [(5, 80), (4, 50)]
+
+
+def _grid_starts(n, starts_per_axis):
+    centers = (np.arange(starts_per_axis) + 0.5) / starts_per_axis
+    return np.stack(np.meshgrid(*([centers] * n), indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def _halving_newton(game, starts, tol, max_iter):
+    """The oracle's damped Newton with one residual evaluation per halving."""
+    q = starts.astype(float).copy()
+    h, raw = solver._stationarity(q, game)
+    hnorm = np.abs(h).max(axis=1)
+    alive = np.isfinite(hnorm)
+    hnorm[~alive] = np.inf
+    for _ in range(max_iter):
+        active = alive & (hnorm > tol)
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        jac = solver._stationarity_jacobian(q[idx], raw[idx], game)
+        ok = np.isfinite(jac).all(axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.where(ok, np.linalg.det(np.where(np.isfinite(jac), jac, 0.0)), 0.0)
+        ok &= np.abs(det) > 1e-300
+        alive[idx[~ok]] = False
+        idx = idx[ok]
+        if idx.size == 0:
+            continue
+        step = np.linalg.solve(jac[ok], -h[idx][..., np.newaxis])[..., 0]
+        lam = np.ones(idx.size)
+        improved = np.zeros(idx.size, dtype=bool)
+        trial = np.empty_like(q[idx])
+        trial_h = np.empty_like(trial)
+        trial_raw = np.empty_like(trial)
+        for _damp in range(30):
+            pending = ~improved
+            if not pending.any():
+                break
+            cand = q[idx[pending]] + lam[pending, np.newaxis] * step[pending]
+            cand_h, cand_raw = solver._stationarity(cand, game)
+            cand_norm = np.abs(cand_h).max(axis=1)
+            better = np.isfinite(cand_norm) & (cand_norm <= hnorm[idx[pending]])
+            sub = np.flatnonzero(pending)
+            trial[sub[better]] = cand[better]
+            trial_h[sub[better]] = cand_h[better]
+            trial_raw[sub[better]] = cand_raw[better]
+            improved[sub[better]] = True
+            lam[sub[~better]] *= 0.5
+        alive[idx[~improved]] = False
+        keep = idx[improved]
+        q[keep] = trial[improved]
+        h[keep] = trial_h[improved]
+        raw[keep] = trial_raw[improved]
+        hnorm[keep] = np.abs(trial_h[improved]).max(axis=1)
+    return q[alive & (hnorm <= tol)]
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named ``solver`` functions from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+class TestOracleLineSearch:
+    """The blocked line search accepts the factor that halving one at a
+    time does, so the oracle's iterates are unchanged bit for bit."""
+
+    @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
+    def test_chain_sweep_matches_halving_loop(self, starts_per_axis, max_iter):
+        starts = _grid_starts(3, starts_per_axis)
+        for y2 in np.append(np.linspace(0.0, 0.30, 16), [0.245, 0.246]):
+            game = Game(chain_matrix(3), [0.15, y2, 0.15])
+            got = solver._newton_from_grid(game, starts, solver.DEFAULT_TOL, max_iter)
+            assert np.array_equal(got, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
+
+    @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
+    def test_random_games_match_halving_loop(self, starts_per_axis, max_iter):
+        games = [random_game(instance_rng(808, i)) for i in range(40)]
+        assert {g.n for g in games} == {1, 2, 3, 4}
+        assert any((g.rates == 0.0).any() for g in games)
+        assert any((g.matrix != g.matrix.T).any() for g in games)
+        for game in games:
+            starts = _grid_starts(game.n, starts_per_axis)
+            got = solver._newton_from_grid(game, starts, solver.DEFAULT_TOL, max_iter)
+            assert np.array_equal(got, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
+
+    def test_at_most_four_residual_evaluations_per_step(self, chain3, monkeypatch):
+        calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
+        solver._newton_from_grid(chain3, _grid_starts(3, 5), solver.DEFAULT_TOL, 80)
+        assert calls["_stationarity_jacobian"] > 0
+        assert calls["_stationarity"] <= 1 + 4 * calls["_stationarity_jacobian"]
+
+    def test_polish_evaluates_each_residual_once(self, chain3, monkeypatch):
+        root = solver._newton_from_grid(chain3, _grid_starts(3, 5), 1e-6, 80)[0]
+        calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
+        solver._polish(chain3, root)
+        assert calls["_stationarity_jacobian"] > 0
+        assert calls["_stationarity"] == 1 + calls["_stationarity_jacobian"]
 
 
 class TestLeastOf:
