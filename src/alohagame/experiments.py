@@ -17,7 +17,7 @@ import numpy as np
 # best_response is unused here but stays a module attribute: the
 # benchmark tests check that tracing rebinds it in every module.
 from .game import Game, achieved_rate, best_response  # noqa: F401
-from .solver import multistart_fixed_points, newton_lfp
+from .solver import _fixed_point_sets, newton_lfp
 from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd, diag_dominant
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
@@ -152,24 +152,33 @@ def bifurcation_sweep(
 
     Runs the multistart oracle at every parameter value (so the
     instance must respect the oracle's size limit) and classifies each
-    root with the Krasovskii certificate.
+    root with the Krasovskii certificate. The oracle's Newton starts
+    for consecutive values step together in stacked solves of at most
+    ``solver._STACK_STARTS`` starts, so memory does not grow with the
+    number of values; each value gets the roots that
+    :func:`multistart_fixed_points` would find for it alone.
+    ``varying_index`` must name a player, 0..n-1.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    a = np.asarray(matrix)
+    n = a.shape[0]
+    if not 0 <= varying_index < n:
+        raise ValueError(f"varying_index must be in 0..{n - 1}, got {varying_index}")
     lo, hi = value_range
     values = np.arange(_grid(lo, step), hi + step / 2, step)
     values = np.array([_grid(v, step) for v in values])
 
-    a = np.asarray(matrix)
     base = np.asarray(fixed_rates, dtype=float)
-    branches = []
-    critical_value = None
-    critical_point = None
+    games = []
     for value in values:
         rates = base.copy()
         rates[varying_index] = value
-        game = Game(a, rates)
-        fps = multistart_fixed_points(game)
+        games.append(Game(a, rates))
+    branches = []
+    critical_value = None
+    critical_point = None
+    for value, game, fps in zip(values, games, _fixed_point_sets(games)):
         pts = sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
         row = []
         for p in pts:

@@ -20,7 +20,13 @@ Three routes to the fixed points of the best-response map:
   evaluation over all starts still searching: the full step, then
   2^-1 ... 2^-8, 2^-9 ... 2^-16 and 2^-17 ... 2^-29. That accepts the
   same factor as halving one at a time, with at most four evaluations
-  per step instead of up to thirty.
+  per step instead of up to thirty. Games that share a matrix, such as
+  the values of a bifurcation sweep, are solved in stacks: each start
+  carries its own game's rates, and the whole start grids of
+  consecutive games step together, at most ``_STACK_STARTS`` starts
+  per stack, so the working memory is bounded whatever the number of
+  games. Every start's iterates depend on its own point and rates
+  only, so each game gets the roots it would get alone.
 """
 
 from __future__ import annotations
@@ -57,6 +63,15 @@ DEDUP_RADIUS = 1e-6
 # full step, which goes alone; most others need 10 to 16 halvings and
 # end in the third block.
 _DAMPING_BLOCKS = np.split(np.ldexp(1.0, -np.arange(30)), [1, 9, 17])
+
+# The oracle's default start grid (per axis) and Newton step budget.
+_ORACLE_STARTS_PER_AXIS = 5
+_ORACLE_MAX_ITER = 80
+
+# Starts per stacked oracle solve. Whole start grids of games that share
+# a matrix are solved together up to this many starts, which bounds the
+# stack's working memory whatever the number of games.
+_STACK_STARTS = 500
 
 
 @dataclass(frozen=True)
@@ -221,29 +236,33 @@ def newton_lfp(
 # ---------------------------------------------------------------------------
 
 
-def _stationarity(q, game: Game):
+def _stationarity(q, matrix, rates):
     """Unclipped stationarity residual rates/prod - q, batched over rows of q.
 
-    Well defined wherever no success product vanishes; entries where it
-    does are returned as +/-inf so callers can drop those iterates.
+    ``rates`` broadcasts against ``q``: one target-rate vector for every
+    row, or one per row. Well defined wherever no success product
+    vanishes; entries where it does are returned as +/-inf so callers
+    can drop those iterates.
     """
-    prod = success_product(q, game.matrix)
-    nonzero = prod != 0.0
-    raw = np.divide(game.rates, prod, out=np.full_like(prod, np.inf), where=nonzero)
+    prod = success_product(q, matrix)
+    raw = np.divide(rates, prod, out=np.full_like(prod, np.inf), where=prod != 0.0)
     return raw - q, raw
 
 
-def _stationarity_jacobian(q, raw, game: Game):
+def _stationarity_jacobian(q, raw, matrix):
     """Jacobian of the unclipped stationarity map at each row of q."""
-    a = np.asarray(game.matrix, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        jac = a * raw[:, :, np.newaxis] / (1.0 - q[:, np.newaxis, :])
-    jac -= np.eye(game.n)
+        jac = matrix * raw[:, :, np.newaxis] / (1.0 - q[:, np.newaxis, :])
+    jac -= np.eye(q.shape[-1])
     return jac
 
 
-def _newton_from_grid(game: Game, starts: np.ndarray, tol: float, max_iter: int):
-    """Damped Newton from every start at once; returns converged iterates.
+def _newton_from_grid(matrix, rates, starts: np.ndarray, tol: float, max_iter: int):
+    """Damped Newton from every start at once.
+
+    ``rates`` broadcasts against ``starts``, so each start can carry the
+    target rates of its own game; all share the interference matrix.
+    Returns the final iterates and a mask of the converged ones.
 
     Each start moves by the first of 1, 1/2, ..., 2^-29 times its Newton
     step at which the residual is finite and no larger than before. The
@@ -251,13 +270,14 @@ def _newton_from_grid(game: Game, starts: np.ndarray, tol: float, max_iter: int)
     step for every active start in one residual evaluation, then the
     halved factors for the starts it did not improve, in at most three
     more, each over all factors of a block and all starts still pending.
-    Every residual row depends on its own point only, so this accepts
-    the factor that halving one at a time would. Starts that no factor
-    improves, or whose Jacobian is singular or not finite, are dropped
-    silently.
+    Every residual row depends on its own point and rates only, so this
+    accepts the factor that halving one at a time would, whatever else
+    is in the stack. Starts that no factor improves, or whose Jacobian
+    is singular or not finite, are dropped silently.
     """
     q = starts.astype(float).copy()
-    h, raw = _stationarity(q, game)
+    rates = np.broadcast_to(rates, q.shape)
+    h, raw = _stationarity(q, matrix, rates)
     hnorm = np.abs(h).max(axis=1)
     alive = np.isfinite(hnorm)
     hnorm[~alive] = np.inf
@@ -267,11 +287,10 @@ def _newton_from_grid(game: Game, starts: np.ndarray, tol: float, max_iter: int)
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        jac = _stationarity_jacobian(q[idx], raw[idx], game)
+        jac = _stationarity_jacobian(q[idx], raw[idx], matrix)
         ok = np.isfinite(jac).all(axis=(1, 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            det = np.where(ok, np.linalg.det(np.where(np.isfinite(jac), jac, 0.0)), 0.0)
-        ok &= np.abs(det) > 1e-300
+            ok[ok] = np.abs(np.linalg.det(jac[ok])) > 1e-300
         alive[idx[~ok]] = False
         idx = idx[ok]
         if idx.size == 0:
@@ -280,14 +299,13 @@ def _newton_from_grid(game: Game, starts: np.ndarray, tol: float, max_iter: int)
 
         rows = idx
         for factors in _DAMPING_BLOCKS:
-            cand = (q[rows] + factors[:, np.newaxis, np.newaxis] * step).reshape(-1, game.n)
-            cand_h, cand_raw = _stationarity(cand, game)
-            cand_norm = np.abs(cand_h).max(axis=1)
-            norms = cand_norm.reshape(factors.size, rows.size)
-            better = np.isfinite(norms) & (norms <= hnorm[rows])
+            cand = q[rows] + factors[:, np.newaxis, np.newaxis] * step
+            cand_h, cand_raw = _stationarity(cand, matrix, rates[rows])
+            cand_norm = np.abs(cand_h).max(axis=2)
+            better = np.isfinite(cand_norm) & (cand_norm <= hnorm[rows])
             hit = better.any(axis=0)
-            # row of the first improving factor of each start that has one
-            take = better.argmax(axis=0)[hit] * rows.size + np.flatnonzero(hit)
+            # first improving factor of each start that has one
+            take = better.argmax(axis=0)[hit], np.flatnonzero(hit)
             moved = rows[hit]
             q[moved] = cand[take]
             h[moved] = cand_h[take]
@@ -298,7 +316,7 @@ def _newton_from_grid(game: Game, starts: np.ndarray, tol: float, max_iter: int)
                 break
         alive[rows] = False
 
-    return q[alive & (hnorm <= tol)]
+    return q, alive & (hnorm <= tol)
 
 
 def _polish(game: Game, q: np.ndarray, max_iter: int = 8) -> np.ndarray:
@@ -308,20 +326,20 @@ def _polish(game: Game, q: np.ndarray, max_iter: int = 8) -> np.ndarray:
     merely tol-accurate root can sit noticeably off the true fixed
     point; a few undamped steps remove that amplification.
     """
-    h, raw = _stationarity(q[np.newaxis, :], game)
+    h, raw = _stationarity(q[np.newaxis, :], game.matrix, game.rates)
     if not np.isfinite(h).all():
         return q
     norm = np.abs(h).max()
     for _ in range(max_iter):
         if norm < 1e-15:
             break
-        jac = _stationarity_jacobian(q[np.newaxis, :], raw, game)[0]
+        jac = _stationarity_jacobian(q[np.newaxis, :], raw, game.matrix)[0]
         try:
             step = np.linalg.solve(jac, -h[0])
         except np.linalg.LinAlgError:
             break
         cand = q + step
-        cand_h, cand_raw = _stationarity(cand[np.newaxis, :], game)
+        cand_h, cand_raw = _stationarity(cand[np.newaxis, :], game.matrix, game.rates)
         cand_norm = np.abs(cand_h).max()
         if not (np.isfinite(cand_h).all() and cand_norm < norm):
             break
@@ -330,46 +348,24 @@ def _polish(game: Game, q: np.ndarray, max_iter: int = 8) -> np.ndarray:
 
 
 def _dedup(points: np.ndarray, radius: float) -> list:
-    """Merge points within the given infinity-norm radius, deterministically."""
-    if len(points) == 0:
-        return []
-    order = np.lexsort(points.T[::-1])
+    """Merge points within the given infinity-norm radius, deterministically.
+
+    In lexicographic order, keeps the first remaining point and drops
+    every remaining point within ``radius`` of it, until none remain:
+    the points a greedy pass keeps, one array operation per kept point.
+    """
+    rest = points[np.lexsort(points.T[::-1])]
     kept: list = []
-    for p in points[order]:
-        if all(np.abs(p - k).max() > radius for k in kept):
-            kept.append(p)
-    for p in kept:
+    while len(rest):
+        p, rest = rest[0], rest[1:]
+        rest = rest[np.abs(rest - p).max(axis=1) > radius]
         p.flags.writeable = False
+        kept.append(p)
     return kept
 
 
-def multistart_fixed_points(
-    game: Game,
-    starts_per_axis: int = 5,
-    max_iter: int = 80,
-) -> FixedPointSet:
-    """Enumerate fixed points on a small instance by gridded Newton runs.
-
-    Solves the unclipped stationarity system rates_i = q_i * prod_i from
-    ``starts_per_axis ** n`` interior grid starts, keeps the converged
-    roots that land inside [0, 1]^n, and deduplicates them. Roots of the
-    polynomial system outside the box (transmission "probabilities"
-    above 1) are discarded as infeasible. The clipping-induced all-ones
-    point is reported through ``includes_extraneous`` whenever every
-    target rate is positive.
-    """
-    if game.n > ORACLE_MAX_PLAYERS:
-        raise ValueError(
-            f"oracle limited to {ORACLE_MAX_PLAYERS} players (got {game.n}); "
-            "the start grid grows exponentially"
-        )
-    if starts_per_axis < 1:
-        raise ValueError("starts_per_axis must be at least 1")
-    centers = (np.arange(starts_per_axis) + 0.5) / starts_per_axis
-    grid = np.stack(np.meshgrid(*([centers] * game.n), indexing="ij"), axis=-1)
-    starts = grid.reshape(-1, game.n)
-
-    roots = _newton_from_grid(game, starts, DEFAULT_TOL, max_iter)
+def _root_set(game: Game, roots: np.ndarray) -> FixedPointSet:
+    """Polished, deduplicated roots of one game inside [0, 1]^n."""
     reps = [_polish(game, r) for r in _dedup(roots, DEDUP_RADIUS)]
     slack = 1e-9
     kept = [
@@ -382,6 +378,67 @@ def multistart_fixed_points(
 
     points = _dedup(np.asarray(kept) if kept else np.empty((0, game.n)), DEDUP_RADIUS)
     return FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all()))
+
+
+def _fixed_point_sets(
+    games: list,
+    starts_per_axis: int = _ORACLE_STARTS_PER_AXIS,
+    max_iter: int = _ORACLE_MAX_ITER,
+) -> list:
+    """The oracle's :class:`FixedPointSet` of each game, in order.
+
+    The games must share one interference matrix. Whole start grids of
+    consecutive games go through one stacked Newton solve, as many as
+    fit in ``_STACK_STARTS`` starts (at least one), and the starts and
+    rates of one stack are built only when it runs.
+    """
+    if not games:
+        return []
+    n = games[0].n
+    if n > ORACLE_MAX_PLAYERS:
+        raise ValueError(
+            f"oracle limited to {ORACLE_MAX_PLAYERS} players (got {n}); "
+            "the start grid grows exponentially"
+        )
+    if starts_per_axis < 1:
+        raise ValueError("starts_per_axis must be at least 1")
+    centers = (np.arange(starts_per_axis) + 0.5) / starts_per_axis
+    grid = np.stack(np.meshgrid(*([centers] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    per_stack = max(1, _STACK_STARTS // len(grid))
+
+    sets = []
+    for first in range(0, len(games), per_stack):
+        stack = games[first : first + per_stack]
+        starts = np.tile(grid, (len(stack), 1))
+        rates = np.repeat([g.rates for g in stack], len(grid), axis=0)
+        q, done = _newton_from_grid(stack[0].matrix, rates, starts, DEFAULT_TOL, max_iter)
+        q, done = q.reshape(len(stack), len(grid), n), done.reshape(len(stack), len(grid))
+        sets.extend(_root_set(game, q_k[done_k]) for game, q_k, done_k in zip(stack, q, done))
+    return sets
+
+
+def multistart_fixed_points(
+    game: Game,
+    starts_per_axis: int = _ORACLE_STARTS_PER_AXIS,
+    max_iter: int = _ORACLE_MAX_ITER,
+) -> FixedPointSet:
+    """Enumerate fixed points on a small instance by gridded Newton runs.
+
+    Solves the unclipped stationarity system rates_i = q_i * prod_i from
+    ``starts_per_axis ** n`` interior grid starts, keeps the converged
+    roots that land inside [0, 1]^n, and deduplicates them. Roots of the
+    polynomial system outside the box (transmission "probabilities"
+    above 1) are discarded as infeasible. The clipping-induced all-ones
+    point is reported through ``includes_extraneous`` whenever every
+    target rate is positive.
+
+    This is the one-game case of the stacked solve that
+    :func:`~alohagame.experiments.bifurcation_sweep` runs over many
+    rate vectors at once; each start's iterates depend on its own
+    point only, so the roots are the same either way.
+    """
+    (fps,) = _fixed_point_sets([game], starts_per_axis, max_iter)
+    return fps
 
 
 def least_of(fps: FixedPointSet, tol: float = 0.0) -> np.ndarray:

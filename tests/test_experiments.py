@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from alohagame import (
+    BifurcationBranch,
+    BranchPoint,
     Game,
     achieved_rate,
     bifurcation_sweep,
@@ -18,11 +20,14 @@ from alohagame import (
     max_common_rate,
     max_demand_scale,
     max_probability_scale,
+    multistart_fixed_points,
     random_topology,
     side_for_density,
     size_sweep,
     write_records_csv,
 )
+from alohagame import solver
+from conftest import instance_rng, random_game
 
 CHAIN = chain_matrix(3)
 
@@ -63,6 +68,105 @@ class TestBifurcation:
             rows = list(csv.reader(fh))
         assert rows[0] == ["y2", "branch_id", "q1", "q2", "q3", "stable"]
         assert rows[1][1] == "0" and rows[1][5] in ("true", "false")
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_varying_index_must_name_a_player(self, index):
+        with pytest.raises(ValueError, match="varying_index"):
+            bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], index, (0.0, 0.01), 0.005)
+
+    def test_empty_range_gives_an_empty_branch(self):
+        branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.2, 0.1), 0.005)
+        assert branch.parameter_values.size == 0
+        assert branch.branches == []
+        assert branch.critical_value is None and branch.critical_point is None
+
+    def test_oracle_size_limit_raises_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before the size check")
+
+        monkeypatch.setattr(solver, "_newton_from_grid", no_solve)
+        with pytest.raises(ValueError, match="oracle"):
+            bifurcation_sweep(np.zeros((9, 9)), np.full(9, 0.1), 0, (0.0, 0.01), 0.005)
+
+
+def _sweep_one_value_at_a_time(matrix, fixed_rates, varying_index, value_range, step):
+    """Reference sweep: one oracle call and one verdict per value."""
+    lo, hi = value_range
+    values = np.array([round(v, 12) for v in np.arange(round(lo, 12), hi + step / 2, step)])
+    branches = []
+    critical_value = critical_point = None
+    for value in values:
+        rates = np.asarray(fixed_rates, dtype=float).copy()
+        rates[varying_index] = value
+        game = Game(matrix, rates)
+        pts = sorted(multistart_fixed_points(game).points, key=lambda p: (float(p.sum()), tuple(p)))
+        row = []
+        for p in pts:
+            try:
+                verdict = krasovskii_verdict(p, game, fp_tol=1e-6)
+                row.append(BranchPoint(p, verdict.stable, verdict.classification))
+            except ValueError:
+                row.append(BranchPoint(p, False, "singular"))
+        branches.append(row)
+        interior = [p for p in pts if (p > 0.0).all() and (p < 1.0).all()]
+        if len(interior) >= 2:
+            critical_value = float(value)
+            gaps = [
+                (float(np.abs(interior[i] - interior[j]).max()), i, j)
+                for i in range(len(interior))
+                for j in range(i + 1, len(interior))
+            ]
+            _, i, j = min(gaps)
+            critical_point = (interior[i] + interior[j]) / 2.0
+    return BifurcationBranch(varying_index, values, branches, critical_value, critical_point)
+
+
+def _assert_same_branch(got, ref):
+    assert np.array_equal(got.parameter_values, ref.parameter_values)
+    assert len(got.branches) == len(ref.branches)
+    for row, ref_row in zip(got.branches, ref.branches):
+        assert len(row) == len(ref_row)
+        for bp, ref_bp in zip(row, ref_row):
+            assert np.array_equal(bp.point, ref_bp.point)
+            assert (bp.stable, bp.classification) == (ref_bp.stable, ref_bp.classification)
+    assert got.critical_value == ref.critical_value
+    if ref.critical_point is None:
+        assert got.critical_point is None
+    else:
+        assert np.array_equal(got.critical_point, ref.critical_point)
+
+
+class TestStackedSweep:
+    """The stacked oracle gives every value the roots and verdicts that
+    one oracle call per value gives, bit for bit."""
+
+    @pytest.mark.parametrize("value_range, step", [((0.0, 0.30), 0.005), ((0.24, 0.26), 0.001)])
+    def test_chain_matches_one_value_at_a_time(self, value_range, step):
+        args = (CHAIN, [0.15, 0.15, 0.15], 1, value_range, step)
+        got = bifurcation_sweep(*args)
+        assert got.critical_value is not None
+        _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
+
+    def test_random_games_match_one_value_at_a_time(self):
+        # Each player of each game is swept over 1 value, exactly one
+        # stack's worth of values, and one value more than a stack.
+        games = [random_game(instance_rng(909, i)) for i in range(20)]
+        assert {g.n for g in games} == {1, 2, 3, 4}
+        assert any((g.rates == 0.0).any() for g in games)
+        assert any((g.matrix != g.matrix.T).any() for g in games)
+        counts_seen = set()
+        for i, game in enumerate(games):
+            per_stack = max(1, solver._STACK_STARTS // 5**game.n)
+            for index in range(game.n):
+                count = (1, per_stack, per_stack + 1)[(i + index) % 3]
+                counts_seen.add((game.n, count == per_stack + 1))
+                step = 0.002
+                lo = round(float(instance_rng(910, i).uniform(0.0, 0.09)), 3)
+                args = (game.matrix, game.rates, index, (lo, lo + (count - 1) * step), step)
+                got = bifurcation_sweep(*args)
+                assert got.parameter_values.size == count
+                _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
+        assert {(n, True) for n in range(1, 5)} <= counts_seen
 
 
 class TestMaxCommonRate:

@@ -206,6 +206,27 @@ class TestMultistartOracle:
             for q in fps.points[i + 1 :]:
                 assert np.abs(p - q).max() > 1e-6
 
+    def test_dedup_keeps_the_points_a_greedy_pass_keeps(self):
+        def greedy(points, radius):
+            kept = []
+            for p in points[np.lexsort(points.T[::-1])]:
+                if all(np.abs(p - k).max() > radius for k in kept):
+                    kept.append(p)
+            return kept
+
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            centres = rng.random((int(rng.integers(1, 6)), n))
+            points = centres[rng.integers(0, len(centres), int(rng.integers(0, 40)))]
+            # jitter of twice the radius: clusters where the kept point
+            # depends on the order in which points are visited
+            points = points + rng.uniform(-2e-6, 2e-6, points.shape)
+            got = solver._dedup(points, 1e-6)
+            want = greedy(points, 1e-6)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
+
 
 # The oracle settings in use: the default, and the property batches'.
 ORACLE_SETTINGS = [(5, 80), (4, 50)]
@@ -219,7 +240,7 @@ def _grid_starts(n, starts_per_axis):
 def _halving_newton(game, starts, tol, max_iter):
     """The oracle's damped Newton with one residual evaluation per halving."""
     q = starts.astype(float).copy()
-    h, raw = solver._stationarity(q, game)
+    h, raw = solver._stationarity(q, game.matrix, game.rates)
     hnorm = np.abs(h).max(axis=1)
     alive = np.isfinite(hnorm)
     hnorm[~alive] = np.inf
@@ -228,7 +249,7 @@ def _halving_newton(game, starts, tol, max_iter):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        jac = solver._stationarity_jacobian(q[idx], raw[idx], game)
+        jac = solver._stationarity_jacobian(q[idx], raw[idx], game.matrix)
         ok = np.isfinite(jac).all(axis=(1, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             det = np.where(ok, np.linalg.det(np.where(np.isfinite(jac), jac, 0.0)), 0.0)
@@ -248,7 +269,7 @@ def _halving_newton(game, starts, tol, max_iter):
             if not pending.any():
                 break
             cand = q[idx[pending]] + lam[pending, np.newaxis] * step[pending]
-            cand_h, cand_raw = solver._stationarity(cand, game)
+            cand_h, cand_raw = solver._stationarity(cand, game.matrix, game.rates)
             cand_norm = np.abs(cand_h).max(axis=1)
             better = np.isfinite(cand_norm) & (cand_norm <= hnorm[idx[pending]])
             sub = np.flatnonzero(pending)
@@ -280,6 +301,25 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
+def _newton(game, starts, tol, max_iter):
+    """The oracle's converged iterates for one game."""
+    q, done = solver._newton_from_grid(game.matrix, game.rates, starts, tol, max_iter)
+    return q[done]
+
+
+def _stacked_newton(games, starts, tol, max_iter):
+    """One stacked solve over the start grid of every game (one matrix);
+    returns each game's converged iterates."""
+    rates = np.repeat([g.rates for g in games], len(starts), axis=0)
+    q, done = solver._newton_from_grid(games[0].matrix, rates, np.tile(starts, (len(games), 1)), tol, max_iter)
+    shape = (len(games), len(starts))
+    return [q_k[done_k] for q_k, done_k in zip(q.reshape(*shape, -1), done.reshape(shape))]
+
+
+def _chain_sweep_games():
+    return [Game(chain_matrix(3), [0.15, y2, 0.15]) for y2 in np.append(np.linspace(0.0, 0.30, 16), [0.245, 0.246])]
+
+
 class TestOracleLineSearch:
     """The blocked line search accepts the factor that halving one at a
     time does, so the oracle's iterates are unchanged bit for bit."""
@@ -287,9 +327,8 @@ class TestOracleLineSearch:
     @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
     def test_chain_sweep_matches_halving_loop(self, starts_per_axis, max_iter):
         starts = _grid_starts(3, starts_per_axis)
-        for y2 in np.append(np.linspace(0.0, 0.30, 16), [0.245, 0.246]):
-            game = Game(chain_matrix(3), [0.15, y2, 0.15])
-            got = solver._newton_from_grid(game, starts, solver.DEFAULT_TOL, max_iter)
+        for game in _chain_sweep_games():
+            got = _newton(game, starts, solver.DEFAULT_TOL, max_iter)
             assert np.array_equal(got, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
 
     @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
@@ -300,17 +339,43 @@ class TestOracleLineSearch:
         assert any((g.matrix != g.matrix.T).any() for g in games)
         for game in games:
             starts = _grid_starts(game.n, starts_per_axis)
-            got = solver._newton_from_grid(game, starts, solver.DEFAULT_TOL, max_iter)
+            got = _newton(game, starts, solver.DEFAULT_TOL, max_iter)
             assert np.array_equal(got, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
+
+    @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
+    def test_stacked_games_match_halving_loop_per_game(self, starts_per_axis, max_iter):
+        # Stacks of one matrix under several rate vectors: the chain
+        # sweep, and each random topology with rates scaled, redrawn and
+        # one silenced.
+        stacks = [[Game(chain_matrix(3), [0.15, y2, 0.15]) for y2 in (0.0, 0.1, 0.2, 0.245, 0.246, 0.3)]]
+        for i in range(8):
+            game = random_game(instance_rng(809, i))
+            rng = instance_rng(810, i)
+            silenced = game.rates.copy()
+            silenced[0] = 0.0
+            redrawn = rng.uniform(0.0, 0.3, game.n)
+            stacks.append([Game(game.matrix, y) for y in (game.rates, 0.5 * game.rates, redrawn, silenced)])
+        assert {stack[0].n for stack in stacks} == {1, 2, 3, 4}
+        for games in stacks:
+            starts = _grid_starts(games[0].n, starts_per_axis)
+            got = _stacked_newton(games, starts, solver.DEFAULT_TOL, max_iter)
+            for game, rows in zip(games, got):
+                assert np.array_equal(rows, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
 
     def test_at_most_four_residual_evaluations_per_step(self, chain3, monkeypatch):
         calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
-        solver._newton_from_grid(chain3, _grid_starts(3, 5), solver.DEFAULT_TOL, 80)
+        _newton(chain3, _grid_starts(3, 5), solver.DEFAULT_TOL, 80)
+        assert calls["_stationarity_jacobian"] > 0
+        assert calls["_stationarity"] <= 1 + 4 * calls["_stationarity_jacobian"]
+
+    def test_at_most_four_residual_evaluations_per_stacked_step(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
+        _stacked_newton(_chain_sweep_games(), _grid_starts(3, 5), solver.DEFAULT_TOL, 80)
         assert calls["_stationarity_jacobian"] > 0
         assert calls["_stationarity"] <= 1 + 4 * calls["_stationarity_jacobian"]
 
     def test_polish_evaluates_each_residual_once(self, chain3, monkeypatch):
-        root = solver._newton_from_grid(chain3, _grid_starts(3, 5), 1e-6, 80)[0]
+        root = _newton(chain3, _grid_starts(3, 5), 1e-6, 80)[0]
         calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
         solver._polish(chain3, root)
         assert calls["_stationarity_jacobian"] > 0
