@@ -17,7 +17,7 @@ import numpy as np
 # best_response is unused here but stays a module attribute: the
 # benchmark tests check that tracing rebinds it in every module.
 from .game import Game, achieved_rate, best_response  # noqa: F401
-from .solver import _fixed_point_sets, newton_lfp
+from .solver import multistart_fixed_points, newton_lfp
 from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd, diag_dominant
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
@@ -150,14 +150,10 @@ def bifurcation_sweep(
 ) -> BifurcationBranch:
     """Track the fixed points while rate ``varying_index`` sweeps a range.
 
-    Runs the multistart oracle at every parameter value (so the
-    instance must respect the oracle's size limit) and classifies each
-    root with the Krasovskii certificate. The oracle's Newton starts
-    for consecutive values step together in stacked solves of at most
-    ``solver._STACK_STARTS`` starts, so memory does not grow with the
-    number of values; each value gets the roots that
-    :func:`multistart_fixed_points` would find for it alone.
-    ``varying_index`` must name a player, 0..n-1.
+    Runs the box-exclusion oracle, :func:`multistart_fixed_points`, at
+    every parameter value (so the instance must respect the oracle's
+    size limit) and classifies each root with the Krasovskii
+    certificate. ``varying_index`` must name a player, 0..n-1.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -170,15 +166,14 @@ def bifurcation_sweep(
     values = np.array([_grid(v, step) for v in values])
 
     base = np.asarray(fixed_rates, dtype=float)
-    games = []
-    for value in values:
-        rates = base.copy()
-        rates[varying_index] = value
-        games.append(Game(a, rates))
     branches = []
     critical_value = None
     critical_point = None
-    for value, game, fps in zip(values, games, _fixed_point_sets(games)):
+    for value in values:
+        rates = base.copy()
+        rates[varying_index] = value
+        game = Game(a, rates)
+        fps = multistart_fixed_points(game)
         pts = sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
         row = []
         for p in pts:

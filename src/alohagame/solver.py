@@ -11,22 +11,14 @@ Three routes to the fixed points of the best-response map:
   iterates stay below the least fixed point and converge to it
   monotonically, in a handful of steps where the ascent needs hundreds.
   It serves the rate searches, which only need interior equilibria.
-* :func:`multistart_fixed_points` is a brute-force oracle: damped
-  Newton on the unclipped stationarity system from a uniform grid of
-  starting points. It enumerates the fixed points on small instances
-  and is used to cross-check the iterative solver. Each step takes the
-  first of the factors 1, 1/2, ..., 2^-29 that does not raise the
-  residual. The factors are tried in four blocks, each one residual
-  evaluation over all starts still searching: the full step, then
-  2^-1 ... 2^-8, 2^-9 ... 2^-16 and 2^-17 ... 2^-29. That accepts the
-  same factor as halving one at a time, with at most four evaluations
-  per step instead of up to thirty. Games that share a matrix, such as
-  the values of a bifurcation sweep, are solved in stacks: each start
-  carries its own game's rates, and the whole start grids of
-  consecutive games step together, at most ``_STACK_STARTS`` starts
-  per stack, so the working memory is bounded whatever the number of
-  games. Every start's iterates depend on its own point and rates
-  only, so each game gets the roots it would get alone.
+* :func:`multistart_fixed_points` is an exhaustive oracle for small
+  instances. Each success product is monotone in every coordinate, so
+  over a box of [0, 1]^n the range of q_i * prod_i is exact at the
+  box's corners, and a box whose range misses the target rate holds no
+  fixed point. The oracle contracts and bisects the boxes that
+  survive, polishes a root from each small leaf by Newton's method on
+  the polynomial form, and keeps the genuine fixed points. It is used
+  to cross-check the iterative solvers.
 """
 
 from __future__ import annotations
@@ -47,9 +39,9 @@ __all__ = [
     "ORACLE_MAX_PLAYERS",
 ]
 
-# The oracle grids [0,1]^n with starts_per_axis**n Newton starts; past
-# eight players the grid explodes and exhaustive enumeration is off the
-# table anyway.
+# The oracle enumerates boxes of [0,1]^n, a number that grows
+# exponentially with the players; past eight, exhaustive enumeration is
+# off the table.
 ORACLE_MAX_PLAYERS = 8
 
 DEFAULT_TOL = 1e-10
@@ -58,20 +50,15 @@ DEFAULT_MAX_ITER = 100_000
 # Oracle roots closer than this (infinity norm) are one root.
 DEDUP_RADIUS = 1e-6
 
-# The oracle's damping factors 1, 2^-1, ..., 2^-29, in the blocks that
-# share one residual evaluation. About a quarter of the steps take the
-# full step, which goes alone; most others need 10 to 16 halvings and
-# end in the third block.
-_DAMPING_BLOCKS = np.split(np.ldexp(1.0, -np.arange(30)), [1, 9, 17])
+# The oracle bisects boxes down to this width (infinity norm) and
+# contracts each box this many times per bisection.
+_LEAF_WIDTH = 1e-3
+_CONTRACT_ROUNDS = 3
 
-# The oracle's default start grid (per axis) and Newton step budget.
-_ORACLE_STARTS_PER_AXIS = 5
-_ORACLE_MAX_ITER = 80
-
-# Starts per stacked oracle solve. Whole start grids of games that share
-# a matrix are solved together up to this many starts, which bounds the
-# stack's working memory whatever the number of games.
-_STACK_STARTS = 500
+# Relative outward rounding of contracted bounds. It covers the
+# rounding of a success product of up to seven factors and of one
+# quotient, so rounding cannot drop a root on a box face.
+_OUTWARD = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -232,119 +219,103 @@ def newton_lfp(
 
 
 # ---------------------------------------------------------------------------
-# Multistart Newton oracle
+# Box-exclusion oracle
 # ---------------------------------------------------------------------------
 
 
-def _stationarity(q, matrix, rates):
-    """Unclipped stationarity residual rates/prod - q, batched over rows of q.
+def _contract(lo, hi, game: Game):
+    """One round of the monotone interval map over the boxes [lo, hi].
 
-    ``rates`` broadcasts against ``q``: one target-rate vector for every
-    row, or one per row. Well defined wherever no success product
-    vanishes; entries where it does are returned as +/-inf so callers
-    can drop those iterates.
+    Over a box the success product P_i ranges over [P_i(hi), P_i(lo)],
+    so every root q_i = y_i / P_i(q) in it lies in
+    [y_i / P_i(lo), y_i / P_i(hi)]. Each box is cut to that range,
+    rounded outward by ``_OUTWARD``, and boxes left empty are dropped:
+    they hold no root. A zero product gives an infinite bound (or none,
+    for a silent player), which the fmax/fmin pair handles.
     """
-    prod = success_product(q, matrix)
-    raw = np.divide(rates, prod, out=np.full_like(prod, np.inf), where=prod != 0.0)
-    return raw - q, raw
-
-
-def _stationarity_jacobian(q, raw, matrix):
-    """Jacobian of the unclipped stationarity map at each row of q."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        jac = matrix * raw[:, :, np.newaxis] / (1.0 - q[:, np.newaxis, :])
-    jac -= np.eye(q.shape[-1])
-    return jac
+        bounds = game.rates / success_product(np.stack([lo, hi]), game.matrix)
+    lo = np.fmax(lo, bounds[0] * (1.0 - _OUTWARD))
+    hi = np.fmin(hi, bounds[1] * (1.0 + _OUTWARD))
+    keep = (lo <= hi).all(axis=1)
+    return lo[keep], hi[keep]
 
 
-def _newton_from_grid(matrix, rates, starts: np.ndarray, tol: float, max_iter: int):
-    """Damped Newton from every start at once.
+def _leaf_centres(game: Game, cells_per_axis: int) -> np.ndarray:
+    """Centres of the boxes no exclusion removes, bisected to ``_LEAF_WIDTH``.
 
-    ``rates`` broadcasts against ``starts``, so each start can carry the
-    target rates of its own game; all share the interference matrix.
-    Returns the final iterates and a mask of the converged ones.
-
-    Each start moves by the first of 1, 1/2, ..., 2^-29 times its Newton
-    step at which the residual is finite and no larger than before. The
-    factors are tried block by block (``_DAMPING_BLOCKS``): the full
-    step for every active start in one residual evaluation, then the
-    halved factors for the starts it did not improve, in at most three
-    more, each over all factors of a block and all starts still pending.
-    Every residual row depends on its own point and rates only, so this
-    accepts the factor that halving one at a time would, whatever else
-    is in the stack. Starts that no factor improves, or whose Jacobian
-    is singular or not finite, are dropped silently.
+    Starts from ``cells_per_axis`` cells per axis over [0, 1]^n. A
+    silent player's axis is [0, 0] from the start: a zero rate forces
+    q_i = 0 at every fixed point of the clipped map. Each round
+    contracts every box ``_CONTRACT_ROUNDS`` times, keeps those at most
+    ``_LEAF_WIDTH`` wide as leaves and splits the rest in half along
+    their widest side.
     """
-    q = starts.astype(float).copy()
-    rates = np.broadcast_to(rates, q.shape)
-    h, raw = _stationarity(q, matrix, rates)
-    hnorm = np.abs(h).max(axis=1)
-    alive = np.isfinite(hnorm)
-    hnorm[~alive] = np.inf
+    edges = np.linspace(0.0, 1.0, cells_per_axis + 1)
+    axes = [edges if y > 0.0 else np.zeros(2) for y in game.rates]
 
+    def corners(ends):
+        return np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1).reshape(-1, game.n)
+
+    lo, hi = corners([ax[:-1] for ax in axes]), corners([ax[1:] for ax in axes])
+    leaves = []
+    while len(lo):
+        for _ in range(_CONTRACT_ROUNDS):
+            lo, hi = _contract(lo, hi, game)
+        width = hi - lo
+        leaf = width.max(axis=1) <= _LEAF_WIDTH
+        leaves.append((lo[leaf] + hi[leaf]) / 2.0)
+        lo, hi, width = lo[~leaf], hi[~leaf], width[~leaf]
+        rows, axis = np.arange(len(lo)), width.argmax(axis=1)
+        mid = (lo[rows, axis] + hi[rows, axis]) / 2.0
+        upper_lo, lower_hi = lo.copy(), hi.copy()
+        upper_lo[rows, axis] = mid
+        lower_hi[rows, axis] = mid
+        lo, hi = np.concatenate([lo, upper_lo]), np.concatenate([lower_hi, hi])
+    return np.concatenate(leaves)
+
+
+def _polynomial(q, game: Game):
+    """Residual q * P(q) - y and its Jacobian, batched over rows of q.
+
+    The products of all factors but one come from prefix and suffix
+    products, so the Jacobian has no pole where some q_j = 1.
+    """
+    factors = np.where(game.matrix.astype(bool), 1.0 - q[:, np.newaxis, :], 1.0)
+    ones = np.ones_like(factors[..., :1])
+    before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    prod = before[..., -1] * factors[..., -1]
+    jac = -game.matrix * q[..., np.newaxis] * (before * after)
+    jac[:, np.arange(game.n), np.arange(game.n)] = prod
+    return q * prod - game.rates, jac
+
+
+def _polish(game: Game, starts: np.ndarray, max_iter: int) -> np.ndarray:
+    """The best-residual iterate of full Newton steps from each start.
+
+    A start stops at its first step that does not lower the residual,
+    or whose Jacobian is singular or not finite, and otherwise after
+    ``max_iter`` steps.
+    """
+    best = starts.copy()
+    h, jac = _polynomial(best, game)
+    best_norm = np.abs(h).max(axis=1)
+    rows = np.arange(len(best))
     for _ in range(max_iter):
-        active = alive & (hnorm > tol)
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        jac = _stationarity_jacobian(q[idx], raw[idx], matrix)
-        ok = np.isfinite(jac).all(axis=(1, 2))
         with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.isfinite(jac).all(axis=(1, 2))
             ok[ok] = np.abs(np.linalg.det(jac[ok])) > 1e-300
-        alive[idx[~ok]] = False
-        idx = idx[ok]
-        if idx.size == 0:
-            continue
-        step = np.linalg.solve(jac[ok], -h[idx][..., np.newaxis])[..., 0]
-
-        rows = idx
-        for factors in _DAMPING_BLOCKS:
-            cand = q[rows] + factors[:, np.newaxis, np.newaxis] * step
-            cand_h, cand_raw = _stationarity(cand, matrix, rates[rows])
-            cand_norm = np.abs(cand_h).max(axis=2)
-            better = np.isfinite(cand_norm) & (cand_norm <= hnorm[rows])
-            hit = better.any(axis=0)
-            # first improving factor of each start that has one
-            take = better.argmax(axis=0)[hit], np.flatnonzero(hit)
-            moved = rows[hit]
-            q[moved] = cand[take]
-            h[moved] = cand_h[take]
-            raw[moved] = cand_raw[take]
-            hnorm[moved] = cand_norm[take]
-            rows, step = rows[~hit], step[~hit]
-            if rows.size == 0:
-                break
-        alive[rows] = False
-
-    return q, alive & (hnorm <= tol)
-
-
-def _polish(game: Game, q: np.ndarray, max_iter: int = 8) -> np.ndarray:
-    """Full Newton steps to push a root's residual toward machine precision.
-
-    Near a fold the stationarity Jacobian is almost singular and a
-    merely tol-accurate root can sit noticeably off the true fixed
-    point; a few undamped steps remove that amplification.
-    """
-    h, raw = _stationarity(q[np.newaxis, :], game.matrix, game.rates)
-    if not np.isfinite(h).all():
-        return q
-    norm = np.abs(h).max()
-    for _ in range(max_iter):
-        if norm < 1e-15:
+        rows, h, jac = rows[ok], h[ok], jac[ok]
+        if not len(rows):
             break
-        jac = _stationarity_jacobian(q[np.newaxis, :], raw, game.matrix)[0]
-        try:
-            step = np.linalg.solve(jac, -h[0])
-        except np.linalg.LinAlgError:
-            break
-        cand = q + step
-        cand_h, cand_raw = _stationarity(cand[np.newaxis, :], game.matrix, game.rates)
-        cand_norm = np.abs(cand_h).max()
-        if not (np.isfinite(cand_h).all() and cand_norm < norm):
-            break
-        q, h, raw, norm = cand, cand_h, cand_raw, cand_norm
-    return q
+        q = best[rows] - np.linalg.solve(jac, h[..., np.newaxis])[..., 0]
+        h, jac = _polynomial(q, game)
+        norm = np.abs(h).max(axis=1)
+        better = norm < best_norm[rows]
+        rows, q, h, jac = rows[better], q[better], h[better], jac[better]
+        best[rows], best_norm[rows] = q, norm[better]
+    return best
 
 
 def _dedup(points: np.ndarray, radius: float) -> list:
@@ -364,81 +335,48 @@ def _dedup(points: np.ndarray, radius: float) -> list:
     return kept
 
 
-def _root_set(game: Game, roots: np.ndarray) -> FixedPointSet:
-    """Polished, deduplicated roots of one game inside [0, 1]^n."""
-    reps = [_polish(game, r) for r in _dedup(roots, DEDUP_RADIUS)]
-    slack = 1e-9
-    kept = [
-        np.clip(r, 0.0, 1.0)
-        for r in reps
-        if (r >= -slack).all() and (r <= 1.0 + slack).all()
-    ]
-    # Enforce the advertised guarantee against the clipped map as well.
-    kept = [r for r in kept if is_fixed_point(r, game, 10.0 * DEFAULT_TOL)]
+def multistart_fixed_points(
+    game: Game,
+    starts_per_axis: int = 1,
+    max_iter: int = 50,
+) -> FixedPointSet:
+    """Enumerate the fixed points of a small instance by box exclusion.
 
-    points = _dedup(np.asarray(kept) if kept else np.empty((0, game.n)), DEDUP_RADIUS)
-    return FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all()))
+    Finds the roots in [0, 1]^n of the polynomial system
+    q_i * prod_{j in N(i)} (1 - q_j) = rates_i. Each success product is
+    monotone in every coordinate, so over a box [l, u] the exact range
+    of q_i * prod_i is [l_i * prod_i(u), u_i * prod_i(l)]; boxes whose
+    range misses a rate hold no root and are dropped. The survivors
+    are contracted and bisected down to small leaves, and Newton on the
+    polynomial form from each leaf centre polishes them to roots. The
+    roots that are fixed points of the clipped map at 1e-9 are kept and
+    deduplicated. The clipping-induced all-ones point is reported
+    through ``includes_extraneous`` whenever every target rate is
+    positive.
 
-
-def _fixed_point_sets(
-    games: list,
-    starts_per_axis: int = _ORACLE_STARTS_PER_AXIS,
-    max_iter: int = _ORACLE_MAX_ITER,
-) -> list:
-    """The oracle's :class:`FixedPointSet` of each game, in order.
-
-    The games must share one interference matrix. Whole start grids of
-    consecutive games go through one stacked Newton solve, as many as
-    fit in ``_STACK_STARTS`` starts (at least one), and the starts and
-    rates of one stack are built only when it runs.
+    ``starts_per_axis`` is the number of cells per axis of the initial
+    partition, and ``max_iter`` caps the Newton steps from each leaf,
+    which stop earlier at the first step that does not lower the
+    residual. Neither changes which boxes are excluded, only the cost;
+    at a double root, where Newton converges linearly, too small a cap
+    leaves several nearby points instead of one.
     """
-    if not games:
-        return []
-    n = games[0].n
+    n = game.n
     if n > ORACLE_MAX_PLAYERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_PLAYERS} players (got {n}); "
-            "the start grid grows exponentially"
+            "the box enumeration grows exponentially"
         )
     if starts_per_axis < 1:
         raise ValueError("starts_per_axis must be at least 1")
-    centers = (np.arange(starts_per_axis) + 0.5) / starts_per_axis
-    grid = np.stack(np.meshgrid(*([centers] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    per_stack = max(1, _STACK_STARTS // len(grid))
-
-    sets = []
-    for first in range(0, len(games), per_stack):
-        stack = games[first : first + per_stack]
-        starts = np.tile(grid, (len(stack), 1))
-        rates = np.repeat([g.rates for g in stack], len(grid), axis=0)
-        q, done = _newton_from_grid(stack[0].matrix, rates, starts, DEFAULT_TOL, max_iter)
-        q, done = q.reshape(len(stack), len(grid), n), done.reshape(len(stack), len(grid))
-        sets.extend(_root_set(game, q_k[done_k]) for game, q_k, done_k in zip(stack, q, done))
-    return sets
-
-
-def multistart_fixed_points(
-    game: Game,
-    starts_per_axis: int = _ORACLE_STARTS_PER_AXIS,
-    max_iter: int = _ORACLE_MAX_ITER,
-) -> FixedPointSet:
-    """Enumerate fixed points on a small instance by gridded Newton runs.
-
-    Solves the unclipped stationarity system rates_i = q_i * prod_i from
-    ``starts_per_axis ** n`` interior grid starts, keeps the converged
-    roots that land inside [0, 1]^n, and deduplicates them. Roots of the
-    polynomial system outside the box (transmission "probabilities"
-    above 1) are discarded as infeasible. The clipping-induced all-ones
-    point is reported through ``includes_extraneous`` whenever every
-    target rate is positive.
-
-    This is the one-game case of the stacked solve that
-    :func:`~alohagame.experiments.bifurcation_sweep` runs over many
-    rate vectors at once; each start's iterates depend on its own
-    point only, so the roots are the same either way.
-    """
-    (fps,) = _fixed_point_sets([game], starts_per_axis, max_iter)
-    return fps
+    roots = _polish(game, _leaf_centres(game, starts_per_axis), max_iter)
+    # Exact, as for the leaves: a zero rate forces q_i = 0.
+    roots[:, game.rates == 0.0] = 0.0
+    slack = 1e-9
+    inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
+    kept = [r for r in np.clip(roots[inside], 0.0, 1.0) if is_fixed_point(r, game, 10.0 * DEFAULT_TOL)]
+    points = _dedup(np.asarray(kept) if kept else np.empty((0, n)), DEDUP_RADIUS)
+    return FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all()))
 
 
 def least_of(fps: FixedPointSet, tol: float = 0.0) -> np.ndarray:

@@ -84,7 +84,7 @@ class TestBifurcation:
         def no_solve(*args):
             raise AssertionError("solved before the size check")
 
-        monkeypatch.setattr(solver, "_newton_from_grid", no_solve)
+        monkeypatch.setattr(solver, "_leaf_centres", no_solve)
         with pytest.raises(ValueError, match="oracle"):
             bifurcation_sweep(np.zeros((9, 9)), np.full(9, 0.1), 0, (0.0, 0.01), 0.005)
 
@@ -137,8 +137,8 @@ def _assert_same_branch(got, ref):
 
 
 class TestStackedSweep:
-    """The stacked oracle gives every value the roots and verdicts that
-    one oracle call per value gives, bit for bit."""
+    """The sweep gives every value the roots and verdicts that one
+    oracle call per value gives, bit for bit."""
 
     @pytest.mark.parametrize("value_range, step", [((0.0, 0.30), 0.005), ((0.24, 0.26), 0.001)])
     def test_chain_matches_one_value_at_a_time(self, value_range, step):
@@ -148,18 +148,16 @@ class TestStackedSweep:
         _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
 
     def test_random_games_match_one_value_at_a_time(self):
-        # Each player of each game is swept over 1 value, exactly one
-        # stack's worth of values, and one value more than a stack.
+        # Each player of each game is swept over 1, 4 or 5 values.
         games = [random_game(instance_rng(909, i)) for i in range(20)]
         assert {g.n for g in games} == {1, 2, 3, 4}
         assert any((g.rates == 0.0).any() for g in games)
         assert any((g.matrix != g.matrix.T).any() for g in games)
         counts_seen = set()
         for i, game in enumerate(games):
-            per_stack = max(1, solver._STACK_STARTS // 5**game.n)
             for index in range(game.n):
-                count = (1, per_stack, per_stack + 1)[(i + index) % 3]
-                counts_seen.add((game.n, count == per_stack + 1))
+                count = (1, 4, 5)[(i + index) % 3]
+                counts_seen.add((game.n, count == 5))
                 step = 0.002
                 lo = round(float(instance_rng(910, i).uniform(0.0, 0.09)), 3)
                 args = (game.matrix, game.rates, index, (lo, lo + (count - 1) * step), step)

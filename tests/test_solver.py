@@ -4,6 +4,7 @@ import pytest
 from alohagame import (
     FixedPointSet,
     Game,
+    achieved_rate,
     best_response,
     chain_matrix,
     fully_connected_matrix,
@@ -16,6 +17,7 @@ from alohagame import (
     newton_lfp,
 )
 from alohagame import solver
+from alohagame.game import success_product
 from conftest import P_SADDLE, Q_STAR, instance_rng, random_game
 from test_game import two_player_root
 
@@ -206,6 +208,55 @@ class TestMultistartOracle:
             for q in fps.points[i + 1 :]:
                 assert np.abs(p - q).max() > 1e-6
 
+    def test_every_closed_form_pair_root_is_found(self):
+        # q1 (1 - q2) = y1 and q2 (1 - q1) = y2 give q2 = q1 - (y1 - y2)
+        # and a quadratic in q1. Squared draws put many rates near 0,
+        # where the upper root sits near the all-ones corner.
+        rng = np.random.default_rng(2013)
+        checked = 0
+        for _ in range(500):
+            y1, y2 = rng.uniform(0.0, 0.3) * rng.uniform(0.0, 1.0, 2) ** 2
+            game = Game(chain_matrix(2), [y1, y2])
+            points = multistart_fixed_points(game).points
+            d = y1 - y2
+            disc = (1.0 + d) ** 2 - 4.0 * y1
+            for sign in (-1.0, 1.0):
+                q1 = (1.0 + d + sign * np.sqrt(max(disc, 0.0))) / 2.0
+                root = np.array([q1, q1 - d])
+                if not ((root >= 0.0).all() and (root <= 1.0).all() and is_fixed_point(root, game, 1e-9)):
+                    continue
+                checked += 1
+                assert min(np.abs(p - root).max() for p in points) <= 1e-8, (y1, y2, root)
+        assert checked >= 900
+
+    @pytest.mark.parametrize(
+        "index, corner_root",
+        [(24, [0.99917778, 0.95799709]), (952, [0.97429516, 0.0, 0.99995847])],
+    )
+    def test_corner_roots_of_property_games(self, index, corner_root):
+        # Games of the property batch (master 20240) with a genuine root
+        # near the all-ones corner.
+        game = random_game(instance_rng(20240, index))
+        for starts_per_axis, max_iter in [(1, 50), (4, 50)]:
+            fps = multistart_fixed_points(game, starts_per_axis=starts_per_axis, max_iter=max_iter)
+            assert fps.n_points == 2
+            assert np.abs(fps.points[1] - corner_root).max() <= 1e-8
+
+    def test_silent_player_on_the_jammed_face(self):
+        # q = (t, 1) solves the polynomial system for every t, but the
+        # clipped map sends a silent player to 0.
+        fps = multistart_fixed_points(Game([[0, 1], [0, 0]], [0.0, 1.0]))
+        assert fps.n_points == 1
+        assert np.array_equal(fps.points[0], [0.0, 1.0])
+
+    def test_chain_past_the_fold_has_no_roots(self):
+        assert multistart_fixed_points(Game(chain_matrix(3), [0.15, 0.26, 0.15])).n_points == 0
+
+    def test_pair_double_root_is_one_point(self):
+        fps = multistart_fixed_points(Game(chain_matrix(2), [0.25, 0.25]))
+        assert fps.n_points == 1
+        assert np.abs(fps.points[0] - 0.5).max() <= 1e-6
+
     def test_dedup_keeps_the_points_a_greedy_pass_keeps(self):
         def greedy(points, radius):
             kept = []
@@ -228,158 +279,33 @@ class TestMultistartOracle:
             assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
 
 
-# The oracle settings in use: the default, and the property batches'.
-ORACLE_SETTINGS = [(5, 80), (4, 50)]
-
-
-def _grid_starts(n, starts_per_axis):
-    centers = (np.arange(starts_per_axis) + 0.5) / starts_per_axis
-    return np.stack(np.meshgrid(*([centers] * n), indexing="ij"), axis=-1).reshape(-1, n)
-
-
-def _halving_newton(game, starts, tol, max_iter):
-    """The oracle's damped Newton with one residual evaluation per halving."""
-    q = starts.astype(float).copy()
-    h, raw = solver._stationarity(q, game.matrix, game.rates)
-    hnorm = np.abs(h).max(axis=1)
-    alive = np.isfinite(hnorm)
-    hnorm[~alive] = np.inf
-    for _ in range(max_iter):
-        active = alive & (hnorm > tol)
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        jac = solver._stationarity_jacobian(q[idx], raw[idx], game.matrix)
-        ok = np.isfinite(jac).all(axis=(1, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = np.where(ok, np.linalg.det(np.where(np.isfinite(jac), jac, 0.0)), 0.0)
-        ok &= np.abs(det) > 1e-300
-        alive[idx[~ok]] = False
-        idx = idx[ok]
-        if idx.size == 0:
-            continue
-        step = np.linalg.solve(jac[ok], -h[idx][..., np.newaxis])[..., 0]
-        lam = np.ones(idx.size)
-        improved = np.zeros(idx.size, dtype=bool)
-        trial = np.empty_like(q[idx])
-        trial_h = np.empty_like(trial)
-        trial_raw = np.empty_like(trial)
-        for _damp in range(30):
-            pending = ~improved
-            if not pending.any():
-                break
-            cand = q[idx[pending]] + lam[pending, np.newaxis] * step[pending]
-            cand_h, cand_raw = solver._stationarity(cand, game.matrix, game.rates)
-            cand_norm = np.abs(cand_h).max(axis=1)
-            better = np.isfinite(cand_norm) & (cand_norm <= hnorm[idx[pending]])
-            sub = np.flatnonzero(pending)
-            trial[sub[better]] = cand[better]
-            trial_h[sub[better]] = cand_h[better]
-            trial_raw[sub[better]] = cand_raw[better]
-            improved[sub[better]] = True
-            lam[sub[~better]] *= 0.5
-        alive[idx[~improved]] = False
-        keep = idx[improved]
-        q[keep] = trial[improved]
-        h[keep] = trial_h[improved]
-        raw[keep] = trial_raw[improved]
-        hnorm[keep] = np.abs(trial_h[improved]).max(axis=1)
-    return q[alive & (hnorm <= tol)]
-
-
-def _count_calls(monkeypatch, *names):
-    """Count the calls of the named ``solver`` functions from here on."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(solver, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(solver, name, counted)
-    return calls
-
-
-def _newton(game, starts, tol, max_iter):
-    """The oracle's converged iterates for one game."""
-    q, done = solver._newton_from_grid(game.matrix, game.rates, starts, tol, max_iter)
-    return q[done]
-
-
-def _stacked_newton(games, starts, tol, max_iter):
-    """One stacked solve over the start grid of every game (one matrix);
-    returns each game's converged iterates."""
-    rates = np.repeat([g.rates for g in games], len(starts), axis=0)
-    q, done = solver._newton_from_grid(games[0].matrix, rates, np.tile(starts, (len(games), 1)), tol, max_iter)
-    shape = (len(games), len(starts))
-    return [q_k[done_k] for q_k, done_k in zip(q.reshape(*shape, -1), done.reshape(shape))]
-
-
-def _chain_sweep_games():
-    return [Game(chain_matrix(3), [0.15, y2, 0.15]) for y2 in np.append(np.linspace(0.0, 0.30, 16), [0.245, 0.246])]
-
-
-class TestOracleLineSearch:
-    """The blocked line search accepts the factor that halving one at a
-    time does, so the oracle's iterates are unchanged bit for bit."""
-
-    @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
-    def test_chain_sweep_matches_halving_loop(self, starts_per_axis, max_iter):
-        starts = _grid_starts(3, starts_per_axis)
-        for game in _chain_sweep_games():
-            got = _newton(game, starts, solver.DEFAULT_TOL, max_iter)
-            assert np.array_equal(got, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
-
-    @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
-    def test_random_games_match_halving_loop(self, starts_per_axis, max_iter):
-        games = [random_game(instance_rng(808, i)) for i in range(40)]
-        assert {g.n for g in games} == {1, 2, 3, 4}
-        assert any((g.rates == 0.0).any() for g in games)
-        assert any((g.matrix != g.matrix.T).any() for g in games)
-        for game in games:
-            starts = _grid_starts(game.n, starts_per_axis)
-            got = _newton(game, starts, solver.DEFAULT_TOL, max_iter)
-            assert np.array_equal(got, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
-
-    @pytest.mark.parametrize("starts_per_axis, max_iter", ORACLE_SETTINGS)
-    def test_stacked_games_match_halving_loop_per_game(self, starts_per_axis, max_iter):
-        # Stacks of one matrix under several rate vectors: the chain
-        # sweep, and each random topology with rates scaled, redrawn and
-        # one silenced.
-        stacks = [[Game(chain_matrix(3), [0.15, y2, 0.15]) for y2 in (0.0, 0.1, 0.2, 0.245, 0.246, 0.3)]]
-        for i in range(8):
-            game = random_game(instance_rng(809, i))
-            rng = instance_rng(810, i)
-            silenced = game.rates.copy()
-            silenced[0] = 0.0
-            redrawn = rng.uniform(0.0, 0.3, game.n)
-            stacks.append([Game(game.matrix, y) for y in (game.rates, 0.5 * game.rates, redrawn, silenced)])
-        assert {stack[0].n for stack in stacks} == {1, 2, 3, 4}
-        for games in stacks:
-            starts = _grid_starts(games[0].n, starts_per_axis)
-            got = _stacked_newton(games, starts, solver.DEFAULT_TOL, max_iter)
-            for game, rows in zip(games, got):
-                assert np.array_equal(rows, _halving_newton(game, starts, solver.DEFAULT_TOL, max_iter))
-
-    def test_at_most_four_residual_evaluations_per_step(self, chain3, monkeypatch):
-        calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
-        _newton(chain3, _grid_starts(3, 5), solver.DEFAULT_TOL, 80)
-        assert calls["_stationarity_jacobian"] > 0
-        assert calls["_stationarity"] <= 1 + 4 * calls["_stationarity_jacobian"]
-
-    def test_at_most_four_residual_evaluations_per_stacked_step(self, monkeypatch):
-        calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
-        _stacked_newton(_chain_sweep_games(), _grid_starts(3, 5), solver.DEFAULT_TOL, 80)
-        assert calls["_stationarity_jacobian"] > 0
-        assert calls["_stationarity"] <= 1 + 4 * calls["_stationarity_jacobian"]
-
-    def test_polish_evaluates_each_residual_once(self, chain3, monkeypatch):
-        root = _newton(chain3, _grid_starts(3, 5), 1e-6, 80)[0]
-        calls = _count_calls(monkeypatch, "_stationarity", "_stationarity_jacobian")
-        solver._polish(chain3, root)
-        assert calls["_stationarity_jacobian"] > 0
-        assert calls["_stationarity"] == 1 + calls["_stationarity_jacobian"]
+class TestBoxExclusion:
+    def test_range_and_contraction_keep_every_root(self):
+        # Random boxes, faces at 0 and 1 included, and a point in each.
+        # Rates y = q * P(q) make the point a root; a player whose rate
+        # is zero is put at 0, as at every fixed point of the clipped map.
+        rng = np.random.default_rng(77)
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            a = (rng.random((n, n)) < rng.uniform(0.2, 1.0)).astype(int)
+            np.fill_diagonal(a, 0)
+            lo, hi = np.sort(rng.random((2, n)), axis=0)
+            lo[rng.random(n) < 0.2] = 0.0
+            hi[rng.random(n) < 0.2] = 1.0
+            q = rng.uniform(lo, hi)
+            on_face = rng.random(n) < 0.2
+            q[on_face] = np.where(rng.random(n) < 0.5, lo, hi)[on_face]
+            silent = rng.random(n) < 0.15
+            q[silent] = lo[silent] = 0.0
+            q[achieved_rate(q, a) == 0.0] = 0.0
+            lo = np.minimum(lo, q)
+            game = Game(a, achieved_rate(q, a))
+            y = game.rates
+            assert (lo * success_product(hi, a) <= y).all()
+            assert (y <= hi * success_product(lo, a)).all()
+            box_lo, box_hi = solver._contract(lo[np.newaxis], hi[np.newaxis], game)
+            assert len(box_lo) == 1
+            assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
 
 
 class TestLeastOf:
