@@ -17,7 +17,7 @@ import numpy as np
 # best_response is unused here but stays a module attribute: the
 # benchmark tests check that tracing rebinds it in every module.
 from .game import Game, achieved_rate, best_response  # noqa: F401
-from .solver import multistart_fixed_points, newton_lfp
+from .solver import _fixed_point_sets, newton_lfp
 from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd, diag_dominant
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
@@ -150,30 +150,30 @@ def bifurcation_sweep(
 ) -> BifurcationBranch:
     """Track the fixed points while rate ``varying_index`` sweeps a range.
 
-    Runs the box-exclusion oracle, :func:`multistart_fixed_points`, at
-    every parameter value (so the instance must respect the oracle's
-    size limit) and classifies each root with the Krasovskii
-    certificate. ``varying_index`` must name a player, 0..n-1.
+    Finds every parameter value's roots with the box-exclusion oracle
+    of :func:`multistart_fixed_points` (so the instance must respect the
+    oracle's size limit), in one enumeration whose boxes for all values
+    contract and bisect together, and classifies each root with the
+    Krasovskii certificate. ``varying_index`` must name a player,
+    0..n-1. Every value's rates are validated before any solve.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    lo, hi = value_range
+    if not (np.isfinite([step, lo, hi]).all() and step > 0.0):
+        raise ValueError("step must be positive, and step and value_range finite")
     a = np.asarray(matrix)
     n = a.shape[0]
     if not 0 <= varying_index < n:
         raise ValueError(f"varying_index must be in 0..{n - 1}, got {varying_index}")
-    lo, hi = value_range
     values = np.arange(_grid(lo, step), hi + step / 2, step)
     values = np.array([_grid(v, step) for v in values])
 
-    base = np.asarray(fixed_rates, dtype=float)
+    rates = np.repeat(np.asarray(fixed_rates, dtype=float)[np.newaxis], len(values), axis=0)
+    rates[:, varying_index] = values
+    games = [Game(a, y) for y in rates]
     branches = []
     critical_value = None
     critical_point = None
-    for value in values:
-        rates = base.copy()
-        rates[varying_index] = value
-        game = Game(a, rates)
-        fps = multistart_fixed_points(game)
+    for value, game, fps in zip(values, games, _fixed_point_sets(games) if games else []):
         pts = sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
         row = []
         for p in pts:

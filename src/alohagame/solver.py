@@ -18,7 +18,10 @@ Three routes to the fixed points of the best-response map:
   fixed point. The oracle contracts and bisects the boxes that
   survive, polishes a root from each small leaf by Newton's method on
   the polynomial form, and keeps the genuine fixed points. It is used
-  to cross-check the iterative solvers.
+  to cross-check the iterative solvers. Games that share a topology
+  are enumerated together, their boxes contracted and split in the
+  same rounds: a bifurcation sweep finds every parameter value's roots
+  in one enumeration.
 """
 
 from __future__ import annotations
@@ -223,83 +226,90 @@ def newton_lfp(
 # ---------------------------------------------------------------------------
 
 
-def _contract(lo, hi, game: Game):
+def _contract(lo, hi, row, rates, mask):
     """One round of the monotone interval map over the boxes [lo, hi].
 
-    Over a box the success product P_i ranges over [P_i(hi), P_i(lo)],
-    so every root q_i = y_i / P_i(q) in it lies in
-    [y_i / P_i(lo), y_i / P_i(hi)]. Each box is cut to that range,
-    rounded outward by ``_OUTWARD``, and boxes left empty are dropped:
-    they hold no root. A zero product gives an infinite bound (or none,
-    for a silent player), which the fmax/fmin pair handles.
+    Box k belongs to the game whose target rates are ``rates[row[k]]``;
+    ``mask`` is the games' interference matrix as booleans. Over a box
+    the success product P_i ranges over [P_i(hi), P_i(lo)], so every
+    root q_i = y_i / P_i(q) in it lies in [y_i / P_i(lo), y_i / P_i(hi)].
+    Each box is cut to that range, rounded outward by ``_OUTWARD``, and
+    boxes left empty are dropped: they hold no root. A zero product
+    gives an infinite bound (or none, for a silent player), which the
+    fmax/fmin pair handles; the caller silences the division warnings.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = game.rates / success_product(np.stack([lo, hi]), game.matrix)
+    bounds = rates[row] / success_product(np.concatenate([lo, hi]), mask).reshape(2, *lo.shape)
     lo = np.fmax(lo, bounds[0] * (1.0 - _OUTWARD))
     hi = np.fmin(hi, bounds[1] * (1.0 + _OUTWARD))
     keep = (lo <= hi).all(axis=1)
-    return lo[keep], hi[keep]
+    return lo[keep], hi[keep], row[keep]
 
 
-def _leaf_centres(game: Game, cells_per_axis: int) -> np.ndarray:
+def _leaf_centres(rates, mask, cells_per_axis: int):
     """Centres of the boxes no exclusion removes, bisected to ``_LEAF_WIDTH``.
 
-    Starts from ``cells_per_axis`` cells per axis over [0, 1]^n. A
+    Enumerates the games whose target rates are the rows of ``rates``
+    and whose interference matrix is ``mask``, all in the same rounds,
+    and returns the leaf centres with the rate row of each. Every game
+    starts from ``cells_per_axis`` cells per axis over [0, 1]^n. A
     silent player's axis is [0, 0] from the start: a zero rate forces
     q_i = 0 at every fixed point of the clipped map. Each round
     contracts every box ``_CONTRACT_ROUNDS`` times, keeps those at most
     ``_LEAF_WIDTH`` wide as leaves and splits the rest in half along
     their widest side.
     """
+    n = rates.shape[1]
     edges = np.linspace(0.0, 1.0, cells_per_axis + 1)
-    axes = [edges if y > 0.0 else np.zeros(2) for y in game.rates]
+    cells = np.stack(np.meshgrid(*[np.arange(cells_per_axis)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    silent = rates == 0.0
+    row, box = np.nonzero(~(silent[:, np.newaxis] & (cells > 0)).any(axis=-1))
+    lo, hi = edges[cells[box]], np.where(silent[row], 0.0, edges[cells[box] + 1])
+    leaves, owners = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(lo):
+            for _ in range(_CONTRACT_ROUNDS):
+                lo, hi, row = _contract(lo, hi, row, rates, mask)
+            width = hi - lo
+            leaf = width.max(axis=1) <= _LEAF_WIDTH
+            leaves.append((lo[leaf] + hi[leaf]) / 2.0)
+            owners.append(row[leaf])
+            split = ~leaf
+            lo, hi, row, width = lo[split], hi[split], row[split], width[split]
+            boxes, axis = np.arange(len(lo)), width.argmax(axis=1)
+            mid = (lo[boxes, axis] + hi[boxes, axis]) / 2.0
+            # Lower halves first, then upper halves.
+            lo, hi, row = np.concatenate([lo, lo]), np.concatenate([hi, hi]), np.concatenate([row, row])
+            hi[boxes, axis] = lo[len(boxes) + boxes, axis] = mid
+    return np.concatenate(leaves), np.concatenate(owners)
 
-    def corners(ends):
-        return np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1).reshape(-1, game.n)
 
-    lo, hi = corners([ax[:-1] for ax in axes]), corners([ax[1:] for ax in axes])
-    leaves = []
-    while len(lo):
-        for _ in range(_CONTRACT_ROUNDS):
-            lo, hi = _contract(lo, hi, game)
-        width = hi - lo
-        leaf = width.max(axis=1) <= _LEAF_WIDTH
-        leaves.append((lo[leaf] + hi[leaf]) / 2.0)
-        lo, hi, width = lo[~leaf], hi[~leaf], width[~leaf]
-        rows, axis = np.arange(len(lo)), width.argmax(axis=1)
-        mid = (lo[rows, axis] + hi[rows, axis]) / 2.0
-        upper_lo, lower_hi = lo.copy(), hi.copy()
-        upper_lo[rows, axis] = mid
-        lower_hi[rows, axis] = mid
-        lo, hi = np.concatenate([lo, upper_lo]), np.concatenate([lower_hi, hi])
-    return np.concatenate(leaves)
-
-
-def _polynomial(q, game: Game):
+def _polynomial(q, rates, matrix):
     """Residual q * P(q) - y and its Jacobian, batched over rows of q.
 
-    The products of all factors but one come from prefix and suffix
-    products, so the Jacobian has no pole where some q_j = 1.
+    Row k of ``q`` is a point of the game whose target rates are row k
+    of ``rates``. The products of all factors but one come from prefix
+    and suffix products, so the Jacobian has no pole where some q_j = 1.
     """
-    factors = np.where(game.matrix.astype(bool), 1.0 - q[:, np.newaxis, :], 1.0)
+    factors = np.where(matrix.astype(bool), 1.0 - q[:, np.newaxis, :], 1.0)
     ones = np.ones_like(factors[..., :1])
     before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
     after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
     prod = before[..., -1] * factors[..., -1]
-    jac = -game.matrix * q[..., np.newaxis] * (before * after)
-    jac[:, np.arange(game.n), np.arange(game.n)] = prod
-    return q * prod - game.rates, jac
+    jac = -matrix * q[..., np.newaxis] * (before * after)
+    jac[:, np.arange(len(matrix)), np.arange(len(matrix))] = prod
+    return q * prod - rates, jac
 
 
-def _polish(game: Game, starts: np.ndarray, max_iter: int) -> np.ndarray:
+def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
     """The best-residual iterate of full Newton steps from each start.
 
-    A start stops at its first step that does not lower the residual,
-    or whose Jacobian is singular or not finite, and otherwise after
-    ``max_iter`` steps.
+    Start k solves the system of the game whose target rates are row k
+    of ``rates``. A start stops at its first step that does not lower
+    the residual, or whose Jacobian is singular or not finite, and
+    otherwise after ``max_iter`` steps.
     """
     best = starts.copy()
-    h, jac = _polynomial(best, game)
+    h, jac = _polynomial(best, rates, matrix)
     best_norm = np.abs(h).max(axis=1)
     rows = np.arange(len(best))
     for _ in range(max_iter):
@@ -310,7 +320,7 @@ def _polish(game: Game, starts: np.ndarray, max_iter: int) -> np.ndarray:
         if not len(rows):
             break
         q = best[rows] - np.linalg.solve(jac, h[..., np.newaxis])[..., 0]
-        h, jac = _polynomial(q, game)
+        h, jac = _polynomial(q, rates[rows], matrix)
         norm = np.abs(h).max(axis=1)
         better = norm < best_norm[rows]
         rows, q, h, jac = rows[better], q[better], h[better], jac[better]
@@ -333,6 +343,39 @@ def _dedup(points: np.ndarray, radius: float) -> list:
         p.flags.writeable = False
         kept.append(p)
     return kept
+
+
+def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> list:
+    """:func:`multistart_fixed_points` of each game, in one enumeration.
+
+    The games share one interference matrix. Their boxes contract,
+    split and polish together, each against its own target rates, so
+    every game gets the fixed points it would get alone.
+    """
+    n = games[0].n
+    if n > ORACLE_MAX_PLAYERS:
+        raise ValueError(
+            f"oracle limited to {ORACLE_MAX_PLAYERS} players (got {n}); "
+            "the box enumeration grows exponentially"
+        )
+    if starts_per_axis < 1:
+        raise ValueError("starts_per_axis must be at least 1")
+    matrix = games[0].matrix
+    rates = np.stack([g.rates for g in games])
+    centres, owner = _leaf_centres(rates, matrix.astype(bool), starts_per_axis)
+    leaf_rates = rates[owner]
+    roots = _polish(centres, leaf_rates, matrix, max_iter)
+    # Exact, as for the leaves: a zero rate forces q_i = 0.
+    roots[leaf_rates == 0.0] = 0.0
+    slack = 1e-9
+    inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
+    sets = []
+    for k, game in enumerate(games):
+        mine = np.clip(roots[inside & (owner == k)], 0.0, 1.0)
+        kept = [r for r in mine if is_fixed_point(r, game, 10.0 * DEFAULT_TOL)]
+        points = _dedup(np.asarray(kept) if kept else np.empty((0, n)), DEDUP_RADIUS)
+        sets.append(FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all())))
+    return sets
 
 
 def multistart_fixed_points(
@@ -361,22 +404,7 @@ def multistart_fixed_points(
     at a double root, where Newton converges linearly, too small a cap
     leaves several nearby points instead of one.
     """
-    n = game.n
-    if n > ORACLE_MAX_PLAYERS:
-        raise ValueError(
-            f"oracle limited to {ORACLE_MAX_PLAYERS} players (got {n}); "
-            "the box enumeration grows exponentially"
-        )
-    if starts_per_axis < 1:
-        raise ValueError("starts_per_axis must be at least 1")
-    roots = _polish(game, _leaf_centres(game, starts_per_axis), max_iter)
-    # Exact, as for the leaves: a zero rate forces q_i = 0.
-    roots[:, game.rates == 0.0] = 0.0
-    slack = 1e-9
-    inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
-    kept = [r for r in np.clip(roots[inside], 0.0, 1.0) if is_fixed_point(r, game, 10.0 * DEFAULT_TOL)]
-    points = _dedup(np.asarray(kept) if kept else np.empty((0, n)), DEDUP_RADIUS)
-    return FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all()))
+    return _fixed_point_sets([game], starts_per_axis, max_iter)[0]
 
 
 def least_of(fps: FixedPointSet, tol: float = 0.0) -> np.ndarray:

@@ -88,6 +88,23 @@ class TestBifurcation:
         with pytest.raises(ValueError, match="oracle"):
             bifurcation_sweep(np.zeros((9, 9)), np.full(9, 0.1), 0, (0.0, 0.01), 0.005)
 
+    @pytest.mark.parametrize(
+        "value_range, step, message",
+        [
+            ((0.99, 1.02), 0.01, "target rates"),
+            ((0.0, 0.30), float("nan"), "step"),
+            ((0.0, float("inf")), 0.01, "finite"),
+            ((float("nan"), 0.30), 0.01, "finite"),
+        ],
+    )
+    def test_invalid_values_raise_before_any_solve(self, monkeypatch, value_range, step, message):
+        def no_solve(*args):
+            raise AssertionError("solved before the values were validated")
+
+        monkeypatch.setattr(solver, "_leaf_centres", no_solve)
+        with pytest.raises(ValueError, match=message):
+            bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, value_range, step)
+
 
 def _sweep_one_value_at_a_time(matrix, fixed_rates, varying_index, value_range, step):
     """Reference sweep: one oracle call and one verdict per value."""
@@ -165,6 +182,39 @@ class TestStackedSweep:
                 assert got.parameter_values.size == count
                 _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
         assert {(n, True) for n in range(1, 5)} <= counts_seen
+
+
+class TestOneEnumeration:
+    """The boxes of every parameter value contract and bisect in the same
+    rounds, and each value still gets its own roots bit for bit."""
+
+    @pytest.mark.parametrize("value_range", [(0.284, 0.304), (0.304, 0.284)])
+    def test_largest_oracle_instance_matches_one_value_at_a_time(self, value_range):
+        n = solver.ORACLE_MAX_PLAYERS
+        args = (chain_matrix(n), np.full(n, 0.1), 3, value_range, 0.004)
+        got = bifurcation_sweep(*args)
+        if value_range[0] < value_range[1]:
+            # The fold lies inside the range.
+            assert got.parameter_values.size == 6
+            assert got.critical_value is not None and got.critical_value < value_range[1]
+        else:
+            assert got.parameter_values.size == 0 and got.branches == []
+        _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
+
+    def test_one_sweep_is_one_round_sequence(self, monkeypatch):
+        # An enumeration per value makes 3,945 contractions here, one
+        # enumeration for all 61 values 93.
+        calls = []
+        contract = solver._contract
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return contract(*args)
+
+        monkeypatch.setattr(solver, "_contract", counting)
+        branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), 0.005)
+        assert branch.parameter_values.size == 61
+        assert len(calls) <= 100
 
 
 class TestMaxCommonRate:

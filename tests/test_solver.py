@@ -303,7 +303,10 @@ class TestBoxExclusion:
             y = game.rates
             assert (lo * success_product(hi, a) <= y).all()
             assert (y <= hi * success_product(lo, a)).all()
-            box_lo, box_hi = solver._contract(lo[np.newaxis], hi[np.newaxis], game)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                box_lo, box_hi, _ = solver._contract(
+                    lo[np.newaxis], hi[np.newaxis], np.zeros(1, int), y[np.newaxis], a.astype(bool)
+                )
             assert len(box_lo) == 1
             assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
 
