@@ -47,9 +47,11 @@ def _grid(value: float, step: float) -> float:
     return float(round(value, 12))
 
 
-def _interior_stable_lfp(game: Game, warm_start):
+def _interior_stable_lfp(matrix, rates, warm_start):
     """Least fixed point if it is interior and Sylvester-stable, else None.
 
+    Solves the game with interference ``matrix`` and target ``rates``;
+    rates above 1 lie past the end of every search grid and give None.
     ``warm_start`` must be a point known to sit below the least fixed
     point (zeros, or the least fixed point of the same topology at
     lower rates). The solve is :func:`newton_lfp`, which gives up as
@@ -59,6 +61,10 @@ def _interior_stable_lfp(game: Game, warm_start):
     unstable: boundary points are excluded, which keeps rate searches
     conservative.
     """
+    rates = np.asarray(rates, dtype=float)
+    if (rates > 1.0).any():
+        return None
+    game = Game(matrix, rates)
     res = newton_lfp(game, warm_start)
     if not res.converged:
         return None
@@ -223,10 +229,7 @@ def max_common_rate(matrix, step: float = RATE_STEP):
     n = a.shape[0]
 
     def probe(k, warm):
-        y = _grid(k * step, step)
-        if y > 1.0:
-            return None
-        return _interior_stable_lfp(Game(a, np.full(n, y)), warm)
+        return _interior_stable_lfp(a, np.full(n, _grid(k * step, step)), warm)
 
     k, point = _last_passing(probe, 1.0 / step, np.zeros(n))
     return _grid(k * step, step), point
@@ -248,19 +251,18 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
         raise ValueError("feasible_contour expects a 3-player topology")
     y1_values = np.asarray(y1_values, dtype=float)
     y3_values = np.asarray(y3_values, dtype=float)
+    if not all(((v >= 0.0) & (v <= 1.0)).all() for v in (y1_values, y3_values)):
+        raise ValueError("outer target rates must lie in [0, 1]")
     surface = np.zeros((len(y1_values), len(y3_values)))
     for i, y1 in enumerate(y1_values):
         for j, y3 in enumerate(y3_values):
-            base = _interior_stable_lfp(Game(a, [y1, 0.0, y3]), np.zeros(3))
+            base = _interior_stable_lfp(a, [y1, 0.0, y3], np.zeros(3))
             if base is None:
                 surface[i, j] = np.nan
                 continue
 
             def probe(k, warm):
-                y2 = _grid(k * step, step)
-                if y2 > 1.0:
-                    return None
-                return _interior_stable_lfp(Game(a, [y1, y2, y3]), warm)
+                return _interior_stable_lfp(a, [y1, _grid(k * step, step), y3], warm)
 
             k, _ = _last_passing(probe, 1.0 / step, base)
             surface[i, j] = _grid(k * step, step)
@@ -288,7 +290,7 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    base_point = _interior_stable_lfp(game, np.zeros(game.n))
+    base_point = _interior_stable_lfp(game.matrix, game.rates, np.zeros(game.n))
     if base_point is None:
         raise ValueError("base rates admit no stable interior equilibrium")
     top = float(game.rates.max())
@@ -296,10 +298,7 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
         raise ValueError("all base rates are zero: the demand scale is unbounded")
 
     def probe(m, warm):
-        rates = _grid(1.0 + m * step, step) * game.rates
-        if (rates > 1.0).any():
-            return None
-        return _interior_stable_lfp(Game(game.matrix, rates), warm)
+        return _interior_stable_lfp(game.matrix, _grid(1.0 + m * step, step) * game.rates, warm)
 
     m, point = _last_passing(probe, (1.0 / top - 1.0) / step, base_point)
     factor = _grid(1.0 + m * step, step)
@@ -363,6 +362,10 @@ class SweepRecord:
         return float(self.point.mean())
 
 
+# SweepRecord fields a sweep summary averages, each as key "mean_<field>".
+_SUMMARY_MEANS = ("connectivity", "max_common_rate", "total_throughput", "avg_q")
+
+
 def _trial_seed(master_seed: int, setting_index: int, trial_index: int) -> int:
     seq = np.random.SeedSequence([int(master_seed), setting_index, trial_index])
     return int(seq.generate_state(1)[0])
@@ -388,20 +391,22 @@ def _run_trial(matrix, seed, n, side, step) -> SweepRecord:
     )
 
 
-def _random_trial(n, side, seed, step, edge_rule) -> SweepRecord:
-    _, matrix = random_topology(n, side, seed, edge_rule=edge_rule)
-    return _run_trial(matrix, seed, n, side, step)
-
-
-def _summarize(records, **labels):
-    return {
-        **labels,
-        "trials": len(records),
-        "mean_connectivity": float(np.mean([r.connectivity for r in records])),
-        "mean_max_common_rate": float(np.mean([r.max_common_rate for r in records])),
-        "mean_total_throughput": float(np.mean([r.total_throughput for r in records])),
-        "mean_avg_q": float(np.mean([r.avg_q for r in records])),
-    }
+def _sweep(settings, trials, step, seed, edge_rule):
+    """Records of ``trials`` seeded topologies per (n, density) setting, and one summary per setting."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    records = []
+    summaries = []
+    for s_idx, (n, density) in enumerate(settings):
+        side = side_for_density(n, density)
+        for t in range(trials):
+            trial_seed = _trial_seed(seed, s_idx, t)
+            _, matrix = random_topology(n, side, trial_seed, edge_rule=edge_rule)
+            records.append(_run_trial(matrix, trial_seed, n, side, step))
+        batch = records[-trials:]
+        means = {f"mean_{key}": float(np.mean([getattr(r, key) for r in batch])) for key in _SUMMARY_MEANS}
+        summaries.append({"n": int(n), "density": float(density), "side": side, "trials": trials, **means})
+    return records, summaries
 
 
 def density_sweep(
@@ -419,19 +424,7 @@ def density_sweep(
     stable common rate of each. Returns ``(records, summaries)`` with
     one summary row per density.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    records = []
-    summaries = []
-    for d_idx, density in enumerate(densities):
-        side = side_for_density(n, density)
-        batch = [
-            _random_trial(n, side, _trial_seed(seed, d_idx, t), step, edge_rule)
-            for t in range(trials)
-        ]
-        records.extend(batch)
-        summaries.append(_summarize(batch, density=float(density), n=n, side=side))
-    return records, summaries
+    return _sweep([(n, d) for d in densities], trials, step, seed, edge_rule)
 
 
 def size_sweep(
@@ -451,21 +444,12 @@ def size_sweep(
     baseline's total throughput n * y_max: at step 0.001, n = 100 gives
     0.30.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    records = []
-    baselines = []
-    summaries = []
-    for s_idx, n in enumerate(n_values):
-        side = side_for_density(n, density)
-        batch = [
-            _random_trial(n, side, _trial_seed(seed, s_idx, t), step, edge_rule)
-            for t in range(trials)
-        ]
-        records.extend(batch)
-        summaries.append(_summarize(batch, n=int(n), density=float(density), side=side))
-        if include_fully_connected and n >= 2:
-            baselines.append(_run_trial(fully_connected_matrix(n), 0, int(n), 0.0, step))
+    records, summaries = _sweep([(n, density) for n in n_values], trials, step, seed, edge_rule)
+    baselines = [
+        _run_trial(fully_connected_matrix(n), 0, int(n), 0.0, step)
+        for n in n_values
+        if include_fully_connected and n >= 2
+    ]
     return records, baselines, summaries
 
 

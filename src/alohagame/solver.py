@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import Game, best_response, is_fixed_point, leq, success_product
+from .game import Game, best_response, leq, residual, success_product
 
 __all__ = [
     "LfpResult",
@@ -164,12 +164,7 @@ def kleene_lfp(
     return _result(game, q, iterations, converged, res_norm, tol)
 
 
-def newton_lfp(
-    game: Game,
-    q0=None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> LfpResult:
+def newton_lfp(game: Game, q0=None, max_iter: int = DEFAULT_MAX_ITER) -> LfpResult:
     """Interior least fixed point by monotone Newton from below.
 
     ``q0`` must lie below the least fixed point: zeros (``None``), a
@@ -177,21 +172,19 @@ def newton_lfp(
     at componentwise lower rates. Each step solves
     (I - F'(q)) d = F(q) - q, with F'_ij = a_ij F_i(q) / (1 - q_j), and
     moves to max(q + d, F(q)). Iteration stops at the first iterate
-    whose residual infinity-norm is at most ``tol`` and returns its
-    image F(q).
+    whose residual infinity-norm is at most ``DEFAULT_TOL`` and returns
+    its image F(q).
 
     The solve stops early, flagged ``infeasible``, when some component
     of F(q) or of the next iterate reaches 1 (the least fixed point is
     not interior), or when a step is not finite or has a component
-    below -tol. Below the least fixed point every step is nonnegative
-    while the spectral radius of F'(q) is under 1, so a negative step
+    below -``DEFAULT_TOL``. Below the least fixed point every step is
+    nonnegative while the spectral radius of F'(q) is under 1, so a negative step
     shows the radius is at least 1; it only grows on the way up to the
     least fixed point, where the certificate 2I - F' - F'^T then cannot
     be positive definite. The tolerance absorbs round-off: isolated
     players leave residuals of about +-1e-17.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     q = np.zeros(game.n) if q0 is None else np.asarray(q0, dtype=float)
@@ -206,18 +199,18 @@ def newton_lfp(
         r = f - q
         res_norm = float(np.abs(r).max())
         if (f >= 1.0).any():
-            return _result(game, q, it, False, res_norm, tol, infeasible=True)
-        if res_norm <= tol:
-            return _result(game, f, it, True, res_norm, tol)
+            return _result(game, q, it, False, res_norm, DEFAULT_TOL, infeasible=True)
+        if res_norm <= DEFAULT_TOL:
+            return _result(game, f, it, True, res_norm, DEFAULT_TOL)
         if it == max_iter:
-            return _result(game, q, max_iter, False, res_norm, tol)
+            return _result(game, q, max_iter, False, res_norm, DEFAULT_TOL)
         try:
             d = np.linalg.solve(eye - a * (f[:, np.newaxis] / (1.0 - q)), r)
         except np.linalg.LinAlgError:
             d = np.full(game.n, np.nan)
         nxt = np.maximum(q + d, f)
-        if not np.isfinite(d).all() or (d < -tol).any() or (nxt >= 1.0).any():
-            return _result(game, q, it, False, res_norm, tol, infeasible=True)
+        if not np.isfinite(d).all() or (d < -DEFAULT_TOL).any() or (nxt >= 1.0).any():
+            return _result(game, q, it, False, res_norm, DEFAULT_TOL, infeasible=True)
         q = nxt
 
 
@@ -372,8 +365,8 @@ def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> li
     sets = []
     for k, game in enumerate(games):
         mine = np.clip(roots[inside & (owner == k)], 0.0, 1.0)
-        kept = [r for r in mine if is_fixed_point(r, game, 10.0 * DEFAULT_TOL)]
-        points = _dedup(np.asarray(kept) if kept else np.empty((0, n)), DEDUP_RADIUS)
+        fixed = np.abs(residual(mine, game)).max(axis=1) <= 10.0 * DEFAULT_TOL
+        points = _dedup(mine[fixed], DEDUP_RADIUS)
         sets.append(FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all())))
     return sets
 

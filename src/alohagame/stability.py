@@ -9,7 +9,8 @@ the leading principal minors and, as a cheaper sufficient condition,
 through diagonal dominance. The Jacobian, the certificate matrix and
 the minor test take stacks of points or matrices as well as single
 ones, and the region-of-attraction grid goes through them one slab of
-cells at a time.
+cells at a time. The region estimate grows from the equilibrium's cell
+through face-adjacent positive-definite cells, in numpy alone.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .game import Game, is_fixed_point, residual, success_product
+from .game import Game, best_response, is_fixed_point, residual
 from .solver import FixedPointSet, least_of
 
 __all__ = [
@@ -71,12 +71,6 @@ class StabilityVerdict:
         return self.positive_definite
 
 
-def _quotient(q, game: Game) -> np.ndarray:
-    """Unclipped response rates / prod; +inf where the product vanishes."""
-    prod = success_product(q, game.matrix)
-    return np.divide(game.rates, prod, out=np.full_like(prod, np.inf), where=prod > 0.0)
-
-
 def residual_jacobian(q, game: Game) -> np.ndarray:
     """Jacobian of the drift F(q) - q at q.
 
@@ -89,13 +83,13 @@ def residual_jacobian(q, game: Game) -> np.ndarray:
     is singular.
     """
     q = np.asarray(q, dtype=float)
-    raw = _quotient(q, game)
     mask = np.asarray(game.matrix, dtype=bool)
     if (mask & (q[..., np.newaxis, :] >= 1.0)).any():
         raise ValueError("Jacobian is singular: a neighbour coordinate equals 1")
-    # flat rows: saturated and jammed ones have raw >= 1, and a rate of
-    # 0 gives raw 0
-    f = np.where(raw >= 1.0, 0.0, raw)
+    # flat rows: saturated and jammed responses are 1, and a rate of 0
+    # gives a response of 0
+    f = best_response(q, game)
+    f = np.where(f >= 1.0, 0.0, f)
     # a coordinate at 1 can only survive the check above in an all-zero
     # column, where the quotient is masked out anyway
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,7 +174,7 @@ def krasovskii_verdict(
         positive_definite=pd,
         diag_dominant=diag_dominant(q, game),
         classification=_classify(minors),
-        clipped=bool(((_quotient(q, game) >= 1.0) & (game.rates > 0.0)).any()),
+        clipped=bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any()),
     )
 
 
@@ -195,14 +189,38 @@ def lyapunov_value(q, game: Game) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _cell_of(q, resolution: int) -> tuple:
+    """Grid index of the cell holding q; the upper face q_i = 1 joins the last cell."""
+    return tuple(np.minimum((np.asarray(q, dtype=float) * resolution).astype(int), resolution - 1))
+
+
+def _component(pd_mask: np.ndarray, cell: tuple) -> np.ndarray:
+    """Face-connected component of ``pd_mask`` holding ``cell``; empty when the cell is not in it.
+
+    Dilates one step along each axis in turn, inside ``pd_mask``, until
+    a pass over every axis adds no cell.
+    """
+    mask = np.zeros_like(pd_mask)
+    mask[cell] = pd_mask[cell]
+    while True:
+        size = np.count_nonzero(mask)
+        for axis in range(mask.ndim):
+            grown, allowed = np.moveaxis(mask, axis, 0), np.moveaxis(pd_mask, axis, 0)
+            grown[1:] |= grown[:-1] & allowed[1:]
+            grown[:-1] |= grown[1:] & allowed[:-1]
+        if np.count_nonzero(mask) == size:
+            return mask
+
+
 @dataclass(frozen=True)
 class RoaEstimate:
     """Grid certificate for the region of attraction around an equilibrium.
 
     ``pd_mask[i1, ..., in]`` says C is positive definite at the cell
     center ((i+0.5)/resolution per axis); ``mask`` keeps only the
-    connected component of cells containing the equilibrium, which is
-    the certified estimate.
+    face-connected component of those cells containing the equilibrium,
+    which is the certified estimate. ``mask`` is empty when the
+    equilibrium's own cell center is not positive definite.
     """
 
     resolution: int
@@ -215,8 +233,7 @@ class RoaEstimate:
         return (np.arange(self.resolution) + 0.5) / self.resolution
 
     def cell_of(self, q) -> tuple:
-        idx = np.minimum((np.asarray(q, dtype=float) * self.resolution).astype(int), self.resolution - 1)
-        return tuple(idx)
+        return _cell_of(q, self.resolution)
 
     def contains(self, q) -> bool:
         """Whether q's cell belongs to the certified component."""
@@ -232,9 +249,9 @@ def roa_estimate(
     """Estimate the region of attraction of a stable equilibrium.
 
     Evaluates C on a uniform grid of cell centers over [0, 1)^n, marks
-    the positive-definite cells, and returns the connected component
-    containing the equilibrium. The certificate is conservative: the
-    true attraction region is typically larger.
+    the positive-definite cells, and returns the face-connected
+    component containing the equilibrium's cell. The certificate is
+    conservative: the true attraction region is typically larger.
 
     Refuses more than four players (the grid is exponential in n).
     """
@@ -255,13 +272,8 @@ def roa_estimate(
         slab = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[0]
         pd_mask[i], _ = sylvester_pd(krasovskii_matrix(slab, game))
 
-    labels, _ = ndimage.label(pd_mask)
-    q_star = np.asarray(q_star, dtype=float)
-    cell = tuple(np.minimum((q_star * resolution).astype(int), resolution - 1))
-    star_label = labels[cell]
-    mask = labels == star_label if star_label != 0 else np.zeros_like(pd_mask)
-
-    q_star = q_star.copy()
+    q_star = np.array(q_star, dtype=float)
+    mask = _component(pd_mask, _cell_of(q_star, resolution))
     for arr in (mask, pd_mask, q_star):
         arr.flags.writeable = False
     return RoaEstimate(resolution=resolution, mask=mask, pd_mask=pd_mask, q_star=q_star)

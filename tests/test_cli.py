@@ -282,3 +282,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("NE=[0.2764,0.2764]")
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency: the library and the CLI run on numpy alone
+        code = "import sys, alohagame.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

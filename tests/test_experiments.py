@@ -338,6 +338,11 @@ class TestFeasibleContour:
         with pytest.raises(ValueError, match="3-player"):
             feasible_contour(fully_connected_matrix(2), [0.1], [0.1])
 
+    @pytest.mark.parametrize("y1, y3", [([1.5], [0.1]), ([0.1], [-0.1]), ([0.1, np.nan], [0.1])])
+    def test_outer_rates_outside_the_unit_interval_raise(self, y1, y3):
+        with pytest.raises(ValueError, match="rates must lie in"):
+            feasible_contour(CHAIN, y1, y3)
+
 
 class TestDemandScaling:
     def test_chain_reference_values(self, chain3):

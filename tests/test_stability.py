@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from alohagame import (
     Game,
@@ -19,6 +20,7 @@ from alohagame import (
     sylvester_pd,
 )
 from alohagame.game import success_product
+from alohagame.stability import _component
 from conftest import P_SADDLE, Q_STAR
 
 CHAIN = chain_matrix(3)
@@ -249,6 +251,18 @@ class TestRoaEstimate:
         roa = roa_estimate(g, kleene_lfp(g).point, resolution=11)
         assert roa.mask.all()
 
+    def test_empty_when_the_equilibrium_cell_is_not_certified(self):
+        # q* = (0.224, 0.554) is stable, but the center (0.25, 0.75) of
+        # its cell at resolution 2 is not positive definite
+        g = Game(chain_matrix(2), [0.1, 0.43])
+        q_star = kleene_lfp(g).point
+        assert krasovskii_verdict(q_star, g).stable
+        roa = roa_estimate(g, q_star, resolution=2)
+        assert roa.cell_of(q_star) == (0, 1)
+        assert roa.pd_mask.any() and not roa.pd_mask[0, 1]
+        assert roa.mask.dtype == bool and not roa.mask.any()
+        assert not roa.contains(q_star)
+
     def test_unstable_point_rejected(self, chain3):
         with pytest.raises(ValueError, match="stable"):
             roa_estimate(chain3, P_SADDLE, fp_tol=1e-3)
@@ -273,6 +287,59 @@ class TestRoaEstimate:
         for idx in np.ndindex(roa.pd_mask.shape):
             pd, _ = sylvester_pd(krasovskii_matrix(centers[list(idx)], game))
             assert roa.pd_mask[idx] == pd, idx
+
+
+def _labelled_component(pd_mask, cell):
+    """Reference: the component scipy's face-connectivity labeller gives."""
+    labels, _ = ndimage.label(pd_mask)
+    return labels == labels[cell] if labels[cell] else np.zeros_like(pd_mask)
+
+
+class TestRoaComponent:
+    def test_random_masks(self):
+        rng = np.random.default_rng(8)
+        max_side = {1: 60, 2: 25, 3: 10, 4: 6}
+        for _ in range(3000):
+            n = int(rng.integers(1, 5))
+            side = int(rng.integers(2, max_side[n] + 1))
+            pd_mask = rng.random((side,) * n) < rng.uniform(0.2, 0.9)
+            cell = tuple(int(i) for i in rng.integers(0, side, n))
+            got = _component(pd_mask, cell)
+            assert got.dtype == bool
+            assert np.array_equal(got, _labelled_component(pd_mask, cell)), (pd_mask, cell)
+
+    @pytest.mark.parametrize("side", [5, 12, 21])
+    def test_winding_masks(self, side):
+        # a serpentine corridor, alone and stacked on its transpose
+        snake = np.ones((side, side), dtype=bool)
+        snake[1::2] = False
+        snake[1::4, -1] = True
+        snake[3::4, 0] = True
+        layers = np.zeros((2, side, side), dtype=bool)
+        layers[0], layers[1] = snake, snake.T
+        for pd_mask in (snake, layers):
+            # starts along a diagonal: corridor and wall cells
+            for cell in (tuple(i % d for d in pd_mask.shape) for i in range(side)):
+                want = _labelled_component(pd_mask, cell)
+                assert np.array_equal(_component(pd_mask, cell), want), cell
+        assert _component(snake, (0, 0)).all(axis=1)[::2].all()
+
+    def test_estimates_match_the_labeller(self, chain3):
+        rng = np.random.default_rng(41)
+        a = (rng.random((4, 4)) < 0.5).astype(int)
+        np.fill_diagonal(a, 0)
+        cases = [
+            (chain3, 21),
+            (chain3, 41),
+            (Game(a, rng.uniform(0.02, 0.15, 4)), 9),
+            (Game(chain_matrix(4), np.full(4, 0.12)), 21),
+            (Game(np.zeros((2, 2)), [0.3, 0.3]), 11),
+            (Game(chain_matrix(2), [0.1, 0.43]), 2),
+        ]
+        for game, resolution in cases:
+            q_star = kleene_lfp(game).point
+            roa = roa_estimate(game, q_star, resolution=resolution)
+            assert np.array_equal(roa.mask, _labelled_component(roa.pd_mask, roa.cell_of(q_star)))
 
 
 class TestConsistency:
