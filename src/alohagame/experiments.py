@@ -18,7 +18,7 @@ import numpy as np
 # benchmark tests check that tracing rebinds it in every module.
 from .game import Game, achieved_rate, best_response  # noqa: F401
 from .solver import _fixed_point_sets, newton_lfp
-from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd, diag_dominant
+from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
@@ -178,28 +178,29 @@ def bifurcation_sweep(
     games = [Game(a, y) for y in rates]
     branches = []
     critical_value = None
-    critical_point = None
+    last_interior = None
     for value, game, fps in zip(values, games, _fixed_point_sets(games) if games else []):
         pts = sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
         row = []
         for p in pts:
             try:
-                verdict = krasovskii_verdict(p, game, fp_tol=1e-6)
+                verdict = krasovskii_verdict(p, game)
                 row.append(BranchPoint(p, verdict.stable, verdict.classification))
             except ValueError:
                 row.append(BranchPoint(p, False, "singular"))
         branches.append(row)
         interior = [p for p in pts if (p > 0.0).all() and (p < 1.0).all()]
         if len(interior) >= 2:
-            critical_value = float(value)
-            gaps = [
-                (float(np.abs(interior[i] - interior[j]).max()), i, j)
-                for i in range(len(interior))
-                for j in range(i + 1, len(interior))
-            ]
-            _, i, j = min(gaps)
-            critical_point = (interior[i] + interior[j]) / 2.0
-    if critical_point is not None:
+            critical_value, last_interior = float(value), interior
+    critical_point = None
+    if last_interior is not None:
+        gaps = [
+            (float(np.abs(last_interior[i] - last_interior[j]).max()), i, j)
+            for i in range(len(last_interior))
+            for j in range(i + 1, len(last_interior))
+        ]
+        _, i, j = min(gaps)
+        critical_point = (last_interior[i] + last_interior[j]) / 2.0
         critical_point.flags.writeable = False
     return BifurcationBranch(
         varying_index=varying_index,
@@ -319,7 +320,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     if step <= 0.0:
         raise ValueError("step must be positive")
     q_star = np.asarray(q_star, dtype=float)
-    if not krasovskii_verdict(q_star, game, fp_tol=1e-6).stable:
+    if not krasovskii_verdict(q_star, game).stable:
         raise ValueError("q_star must be a stable equilibrium of the base game")
     top = float(q_star.max())
     if top == 0.0:
@@ -355,7 +356,6 @@ class SweepRecord:
     max_common_rate: float
     point: np.ndarray
     total_throughput: float
-    diag_dominant: bool
 
     @property
     def avg_q(self) -> float:
@@ -373,21 +373,14 @@ def _trial_seed(master_seed: int, setting_index: int, trial_index: int) -> int:
 
 def _run_trial(matrix, seed, n, side, step) -> SweepRecord:
     y_max, point = max_common_rate(matrix, step=step)
-    conn = connectivity(matrix) if n >= 2 else 0.0
-    dd = (
-        diag_dominant(point, Game(matrix, np.full(n, y_max)))
-        if y_max > 0.0
-        else True
-    )
     return SweepRecord(
         seed=seed,
         n=n,
         side=side,
-        connectivity=conn,
+        connectivity=connectivity(matrix) if n >= 2 else 0.0,
         max_common_rate=y_max,
         point=point,
         total_throughput=n * y_max,
-        diag_dominant=dd,
     )
 
 

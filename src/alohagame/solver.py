@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import Game, best_response, leq, residual, success_product
+from .game import FIXED_POINT_TOL, Game, best_response, leq, residual, success_product
 
 __all__ = [
     "LfpResult",
@@ -365,7 +365,7 @@ def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> li
     sets = []
     for k, game in enumerate(games):
         mine = np.clip(roots[inside & (owner == k)], 0.0, 1.0)
-        fixed = np.abs(residual(mine, game)).max(axis=1) <= 10.0 * DEFAULT_TOL
+        fixed = np.abs(residual(mine, game)).max(axis=1) <= FIXED_POINT_TOL
         points = _dedup(mine[fixed], DEDUP_RADIUS)
         sets.append(FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all())))
     return sets

@@ -6,10 +6,12 @@ when the symmetrized negated Jacobian C(q) = -(J(q) + J(q)^T) is
 positive definite near it; the squared residual then acts as a
 Lyapunov function. Positive definiteness is decided exactly through
 the leading principal minors and, as a cheaper sufficient condition,
-through diagonal dominance. The Jacobian, the certificate matrix and
-the minor test take stacks of points or matrices as well as single
-ones, and the region-of-attraction grid goes through them one slab of
-cells at a time. The region estimate grows from the equilibrium's cell
+through diagonal dominance. A verdict evaluates the response map once:
+its membership test, Jacobian and clipping flag all read that one
+evaluation. The Jacobian, the certificate matrix and the minor test
+take stacks of points or matrices as well as single ones, and the
+region-of-attraction grid goes through them one slab of cells at a
+time. The region estimate grows from the equilibrium's cell
 through face-adjacent positive-definite cells, in numpy alone.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, best_response, is_fixed_point, residual
+from .game import Game, best_response, residual
 from .solver import FixedPointSet, least_of
 
 __all__ = [
@@ -47,14 +49,6 @@ ROA_MAX_PLAYERS = 4
 ROA_DEFAULT_RESOLUTION = 41
 
 
-def _classify(minors: np.ndarray) -> str:
-    if (minors > PD_TOL).all():
-        return "stable"
-    if (minors > -PD_TOL).all():
-        return "critical"
-    return "unstable"
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Krasovskii certificate at one point."""
@@ -71,6 +65,24 @@ class StabilityVerdict:
         return self.positive_definite
 
 
+def _jacobian(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
+    """:func:`residual_jacobian` at q from the response ``f = best_response(q)``."""
+    mask = np.asarray(matrix, dtype=bool)
+    if (mask & (q[..., np.newaxis, :] >= 1.0)).any():
+        raise ValueError("Jacobian is singular: a neighbour coordinate equals 1")
+    # flat rows: saturated and jammed responses are 1, and a rate of 0
+    # gives a response of 0
+    f = np.where(f >= 1.0, 0.0, f)
+    # a coordinate at 1 can only survive the check above in an all-zero
+    # column, where the quotient is masked out anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = f[..., :, np.newaxis] / (1.0 - q)[..., np.newaxis, :]
+    jac = np.where(mask, ratio, 0.0)
+    diag = np.arange(mask.shape[0])
+    jac[..., diag, diag] = -1.0
+    return jac
+
+
 def residual_jacobian(q, game: Game) -> np.ndarray:
     """Jacobian of the drift F(q) - q at q.
 
@@ -83,21 +95,7 @@ def residual_jacobian(q, game: Game) -> np.ndarray:
     is singular.
     """
     q = np.asarray(q, dtype=float)
-    mask = np.asarray(game.matrix, dtype=bool)
-    if (mask & (q[..., np.newaxis, :] >= 1.0)).any():
-        raise ValueError("Jacobian is singular: a neighbour coordinate equals 1")
-    # flat rows: saturated and jammed responses are 1, and a rate of 0
-    # gives a response of 0
-    f = best_response(q, game)
-    f = np.where(f >= 1.0, 0.0, f)
-    # a coordinate at 1 can only survive the check above in an all-zero
-    # column, where the quotient is masked out anyway
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = f[..., :, np.newaxis] / (1.0 - q)[..., np.newaxis, :]
-    jac = np.where(mask, ratio, 0.0)
-    diag = np.arange(game.n)
-    jac[..., diag, diag] = -1.0
-    return jac
+    return _jacobian(q, best_response(q, game), game.matrix)
 
 
 def krasovskii_matrix(q, game: Game) -> np.ndarray:
@@ -160,11 +158,14 @@ def krasovskii_verdict(
     unclipped neighbourhood, so read those with care.
     """
     q = np.asarray(q_s, dtype=float)
-    if not is_fixed_point(q, game, fp_tol):
-        res = float(np.abs(residual(q, game)).max())
-        raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {res:.3e})")
-    c = krasovskii_matrix(q, game)
-    pd, minors = sylvester_pd(c)
+    if fp_tol <= 0.0:
+        raise ValueError("tol must be positive")
+    f = best_response(q, game)
+    res = np.abs(f - q).max()
+    if not res <= fp_tol:
+        raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {float(res):.3e})")
+    jac = _jacobian(q, f, game.matrix)
+    pd, minors = sylvester_pd(-(jac + np.swapaxes(jac, -1, -2)))
     point = q.copy()
     point.flags.writeable = False
     minors.flags.writeable = False
@@ -173,8 +174,8 @@ def krasovskii_verdict(
         leading_minors=minors,
         positive_definite=pd,
         diag_dominant=diag_dominant(q, game),
-        classification=_classify(minors),
-        clipped=bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any()),
+        classification="stable" if pd else "critical" if (minors > -PD_TOL).all() else "unstable",
+        clipped=bool(((f >= 1.0) & (game.rates > 0.0)).any()),
     )
 
 
@@ -244,7 +245,6 @@ def roa_estimate(
     game: Game,
     q_star,
     resolution: int = ROA_DEFAULT_RESOLUTION,
-    fp_tol: float = 1e-6,
 ) -> RoaEstimate:
     """Estimate the region of attraction of a stable equilibrium.
 
@@ -259,7 +259,7 @@ def roa_estimate(
         raise ValueError(f"grid estimate limited to {ROA_MAX_PLAYERS} players (got {game.n})")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    verdict = krasovskii_verdict(q_star, game, fp_tol=fp_tol)
+    verdict = krasovskii_verdict(q_star, game)
     if not verdict.stable:
         raise ValueError("equilibrium is not certified stable; no attraction region to estimate")
 
@@ -304,10 +304,9 @@ def stability_consistency(fps: FixedPointSet, game: Game) -> ConsistencyReport:
     interior = fps.interior_points()
     if not interior:
         return ConsistencyReport(verdicts=[], least_point=None, least_stable=None, violation=False)
-    verdicts = [krasovskii_verdict(p, game, fp_tol=1e-6) for p in interior]
+    verdicts = [krasovskii_verdict(p, game) for p in interior]
     least = least_of(FixedPointSet(points=interior), tol=1e-9)
-    by_key = {tuple(v.point): v for v in verdicts}
-    least_verdict = by_key[tuple(np.asarray(least))]
+    least_verdict = next(v for p, v in zip(interior, verdicts) if p is least)
     violation = (not least_verdict.stable) and any(
         v.stable for v in verdicts if v is not least_verdict
     )

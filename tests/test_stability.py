@@ -1,11 +1,19 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import alohagame
 from alohagame import (
+    PD_TOL,
     Game,
+    StabilityVerdict,
     FixedPointSet,
     best_response,
+    bifurcation_sweep,
     chain_matrix,
     diag_dominant,
     kleene_lfp,
@@ -14,14 +22,15 @@ from alohagame import (
     leading_minors,
     lyapunov_value,
     multistart_fixed_points,
+    residual,
     residual_jacobian,
     roa_estimate,
     stability_consistency,
     sylvester_pd,
 )
-from alohagame.game import success_product
+from alohagame.game import is_fixed_point, success_product
 from alohagame.stability import _component
-from conftest import P_SADDLE, Q_STAR
+from conftest import P_SADDLE, Q_STAR, random_game
 
 CHAIN = chain_matrix(3)
 
@@ -223,6 +232,116 @@ class TestVerdict:
             krasovskii_verdict(np.ones(3), chain3, fp_tol=1e-9)
 
 
+def _count_best_response(monkeypatch) -> list:
+    """Rebind ``best_response`` in every package module to a counting wrapper; returns the counter."""
+    calls = [0]
+
+    def counted(q, game):
+        calls[0] += 1
+        return best_response(q, game)
+
+    for info in pkgutil.iter_modules(alohagame.__path__):
+        module = importlib.import_module(f"alohagame.{info.name}")
+        if getattr(module, "best_response", None) is best_response:
+            monkeypatch.setattr(module, "best_response", counted)
+    return calls
+
+
+class TestVerdictEvaluations:
+    def test_one_response_evaluation_per_verdict(self, monkeypatch, chain3):
+        calls = _count_best_response(monkeypatch)
+        verdict = krasovskii_verdict(multistart_fixed_points(chain3).points[0], chain3)
+        calls[0] = 0
+        krasovskii_verdict(verdict.point, chain3)
+        assert calls[0] == 1
+
+    def test_fold_sweep_response_evaluations(self, monkeypatch):
+        calls = _count_best_response(monkeypatch)
+        bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), 0.005)
+        assert calls[0] <= 160
+
+
+def _reference_verdict(q_s, game, fp_tol):
+    """The certificate as three separate evaluations of the response map give it."""
+    q = np.asarray(q_s, dtype=float)
+    if not is_fixed_point(q, game, fp_tol):
+        res = float(np.abs(residual(q, game)).max())
+        raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {res:.3e})")
+    pd, minors = sylvester_pd(krasovskii_matrix(q, game))
+    if (minors > PD_TOL).all():
+        classification = "stable"
+    elif (minors > -PD_TOL).all():
+        classification = "critical"
+    else:
+        classification = "unstable"
+    return StabilityVerdict(
+        point=q.copy(),
+        leading_minors=minors,
+        positive_definite=pd,
+        diag_dominant=diag_dominant(q, game),
+        classification=classification,
+        clipped=bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any()),
+    )
+
+
+def _outcome(verdict, *args) -> dict:
+    """Every field of the verdict, arrays as (dtype, shape, bytes) so NaN and -0.0 compare bitwise; or the error."""
+    try:
+        got = verdict(*args)
+    except ValueError as exc:
+        return {"raised": str(exc)}
+    values = {f.name: getattr(got, f.name) for f in dataclasses.fields(got)}
+    return {
+        name: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (type(v), v)
+        for name, v in values.items()
+    }
+
+
+def _reference_cases():
+    """Random games (n 1-4) with points that exercise every branch of the verdict."""
+    rng = np.random.default_rng(1931)
+    for _ in range(180):
+        game = random_game(rng)
+        if rng.random() < 0.2:
+            # silent players: rates of 0
+            y = game.rates.copy()
+            y[rng.random(game.n) < 0.5] = 0.0
+            game = Game(game.matrix, y)
+        points = list(multistart_fixed_points(game).points)
+        points += [rng.uniform(0.0, 0.95, game.n), rng.uniform(0.0, 0.95, game.n)]
+        points += [np.ones(game.n), game.rates.copy(), np.full(game.n, np.nan)]
+        # a neighbour close to 1 saturates the rows it interferes with
+        crowded = rng.uniform(0.0, 0.3, game.n)
+        crowded[int(rng.integers(0, game.n))] = 0.99
+        points.append(crowded)
+        for q in points:
+            yield game, q
+    # the pair's fold point, where the certificate's minors are exactly [2, 0]
+    yield Game(chain_matrix(2), [0.25, 0.25]), np.array([0.5, 0.5])
+
+
+class TestVerdictReference:
+    def test_matches_separate_evaluations(self):
+        cases = list(_reference_cases())
+        saturated = silent = 0
+        seen = set()
+        for game, q in cases:
+            saturated += bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any())
+            silent += bool((game.rates == 0.0).any())
+            for fp_tol in (1e-6, 1e-3, 1.0):
+                want = _outcome(_reference_verdict, q, game, fp_tol)
+                assert _outcome(krasovskii_verdict, q, game, fp_tol) == want, (game, q, fp_tol)
+                seen.add(want["raised"].split()[0] if "raised" in want else want["classification"][1])
+        assert 3 * len(cases) >= 3000
+        assert seen == {"not", "Jacobian", "stable", "critical", "unstable"}
+        assert saturated > 100 and silent > 50
+
+    @pytest.mark.parametrize("fp_tol", [0.0, -1e-6])
+    def test_non_positive_tolerance_rejected(self, chain3, fp_tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            krasovskii_verdict(multistart_fixed_points(chain3).points[0], chain3, fp_tol=fp_tol)
+
+
 class TestLyapunov:
     def test_zero_at_fixed_point(self, chain3):
         point = kleene_lfp(chain3, tol=1e-13).point
@@ -264,8 +383,10 @@ class TestRoaEstimate:
         assert not roa.contains(q_star)
 
     def test_unstable_point_rejected(self, chain3):
+        saddle = multistart_fixed_points(chain3).points[1]
+        assert np.abs(saddle - P_SADDLE).max() < 1e-4
         with pytest.raises(ValueError, match="stable"):
-            roa_estimate(chain3, P_SADDLE, fp_tol=1e-3)
+            roa_estimate(chain3, saddle)
 
     def test_size_limit(self):
         g = Game(np.zeros((5, 5)), np.full(5, 0.1))
