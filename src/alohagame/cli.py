@@ -60,9 +60,12 @@ def _parse_floats(text: str) -> list:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Either 'start:stop:step' or a comma list."""
+    """Either 'start:stop:step' with a positive finite step, or a comma list."""
     if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
+        parts = [float(p) for p in text.split(":")]
+        if len(parts) != 3 or not (parts[2] > 0.0 and np.isfinite(parts[2])):
+            raise ValueError(f"expected start:stop:step with a positive finite step, got {text!r}")
+        start, stop, step = parts
         return np.arange(start, stop + step / 2, step)
     return np.asarray(_parse_floats(text))
 

@@ -89,7 +89,7 @@ def detect_cycle(states) -> int | None:
     constant tail matches lag 1 and reports None: standing still is
     convergence, not a cycle. Needs at least 4 states to say anything.
     """
-    states = np.asarray(states, dtype=float)
+    states = np.asarray(states[-2 * MAX_PERIOD :], dtype=float)
     m = len(states)
     if m < 4:
         return None
@@ -124,7 +124,7 @@ def iterate_game(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     q = np.clip(np.asarray(q0, dtype=float) + perturb, 0.0, 1.0)
     if q.shape != (game.n,):

@@ -42,9 +42,14 @@ RATE_STEP = 0.001
 SCALE_STEP = 0.01
 
 
-def _grid(value: float, step: float) -> float:
+def _grid(value: float) -> float:
     """Clean up k*step accumulation noise."""
     return float(round(value, 12))
+
+
+def _check_step(step: float) -> None:
+    if not (step > 0.0 and np.isfinite(step)):
+        raise ValueError("step must be positive and finite")
 
 
 def _interior_stable_lfp(matrix, rates, warm_start):
@@ -72,32 +77,32 @@ def _interior_stable_lfp(matrix, rates, warm_start):
     return res.point if pd else None
 
 
-def _last_passing(probe, bound: float, start):
-    """Bisect the step grid for the last index whose probe passes.
+def _last_passing(probe, start, step: float, origin: float = 0.0, limit: float = 1.0):
+    """Bisect the grid ``origin + k*step`` for its last passing value.
 
-    ``probe(k, warm)`` returns the solution at grid index k, or None
-    when k fails; index 0 passes with solution ``start``, and no index
-    above ``bound`` passes, give or take the grid's rounding. Returns
-    ``(k, solution)`` for the largest passing k. Each probe warm-starts
-    from the solution at the last passing index, which lies below the
-    solution at any higher one.
+    ``probe(value, warm)`` returns the solution at a grid value, or
+    None when the value fails; ``origin`` passes with solution
+    ``start``, and no value above ``limit`` passes, give or take the
+    grid's rounding. Returns ``(value, solution)`` for the largest
+    passing value. Each probe warm-starts from the solution at the last
+    passing value, which lies below the solution at any higher one.
 
-    Bisection finds the same k as walking up the grid because the
-    passing indices form an interval [0, k]: along a componentwise
+    Bisection finds the same value as walking up the grid because the
+    passing values form an interval: along a componentwise
     increasing rate path the least fixed point grows, the certificate's
     off-diagonal entries q_i / (1 - q_j) grow with it, and by
     Perron-Frobenius so does the largest eigenvalue of their symmetric
     part, so once the certificate fails it stays failed.
     """
-    lo, hi, best = 0, int(bound) + 2, start
+    lo, hi, best = 0, int((limit - origin) / step) + 2, start
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        got = probe(mid, best)
+        got = probe(_grid(origin + mid * step), best)
         if got is None:
             hi = mid
         else:
             lo, best = mid, got
-    return lo, best
+    return _grid(origin + lo * step), best
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +168,16 @@ def bifurcation_sweep(
     Krasovskii certificate. ``varying_index`` must name a player,
     0..n-1. Every value's rates are validated before any solve.
     """
+    _check_step(step)
     lo, hi = value_range
-    if not (np.isfinite([step, lo, hi]).all() and step > 0.0):
-        raise ValueError("step must be positive, and step and value_range finite")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("value_range must be finite")
     a = np.asarray(matrix)
     n = a.shape[0]
     if not 0 <= varying_index < n:
         raise ValueError(f"varying_index must be in 0..{n - 1}, got {varying_index}")
-    values = np.arange(_grid(lo, step), hi + step / 2, step)
-    values = np.array([_grid(v, step) for v in values])
+    values = np.arange(_grid(lo), hi + step / 2, step)
+    values = np.array([_grid(v) for v in values])
 
     rates = np.repeat(np.asarray(fixed_rates, dtype=float)[np.newaxis], len(values), axis=0)
     rates[:, varying_index] = values
@@ -224,16 +230,10 @@ def max_common_rate(matrix, step: float = RATE_STEP):
     Sylvester-stable, found by bisection over the step grid; (0.0,
     zeros) when even the first step fails.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _check_step(step)
     a = np.asarray(matrix)
     n = a.shape[0]
-
-    def probe(k, warm):
-        return _interior_stable_lfp(a, np.full(n, _grid(k * step, step)), warm)
-
-    k, point = _last_passing(probe, 1.0 / step, np.zeros(n))
-    return _grid(k * step, step), point
+    return _last_passing(lambda y, warm: _interior_stable_lfp(a, np.full(n, y), warm), np.zeros(n), step)
 
 
 def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
@@ -247,6 +247,7 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     resulting region is the set of rate combinations with nothing left
     to give away.
     """
+    _check_step(step)
     a = np.asarray(matrix)
     if a.shape[0] != 3:
         raise ValueError("feasible_contour expects a 3-player topology")
@@ -261,12 +262,7 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
             if base is None:
                 surface[i, j] = np.nan
                 continue
-
-            def probe(k, warm):
-                return _interior_stable_lfp(a, [y1, _grid(k * step, step), y3], warm)
-
-            k, _ = _last_passing(probe, 1.0 / step, base)
-            surface[i, j] = _grid(k * step, step)
+            surface[i, j], _ = _last_passing(lambda y2, warm: _interior_stable_lfp(a, [y1, y2, y3], warm), base, step)
     return surface
 
 
@@ -289,20 +285,20 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     stable-feasible, and at least one must be positive (otherwise every
     factor works).
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _check_step(step)
     base_point = _interior_stable_lfp(game.matrix, game.rates, np.zeros(game.n))
     if base_point is None:
         raise ValueError("base rates admit no stable interior equilibrium")
     top = float(game.rates.max())
     if top == 0.0:
         raise ValueError("all base rates are zero: the demand scale is unbounded")
-
-    def probe(m, warm):
-        return _interior_stable_lfp(game.matrix, _grid(1.0 + m * step, step) * game.rates, warm)
-
-    m, point = _last_passing(probe, (1.0 / top - 1.0) / step, base_point)
-    factor = _grid(1.0 + m * step, step)
+    factor, point = _last_passing(
+        lambda k, warm: _interior_stable_lfp(game.matrix, k * game.rates, warm),
+        base_point,
+        step,
+        origin=1.0,
+        limit=1.0 / top,
+    )
     rates = factor * game.rates
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
 
@@ -317,8 +313,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     which is what ``rates`` reports. ``q_star`` must be a stable
     equilibrium of the base game with some positive component.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _check_step(step)
     q_star = np.asarray(q_star, dtype=float)
     if not krasovskii_verdict(q_star, game).stable:
         raise ValueError("q_star must be a stable equilibrium of the base game")
@@ -326,8 +321,8 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     if top == 0.0:
         raise ValueError("q_star is zero: the probability scale is unbounded")
 
-    def probe(m, _warm):
-        q = _grid(1.0 + m * step, step) * q_star
+    def probe(factor, _warm):
+        q = factor * q_star
         if (q >= 1.0).any():
             return None
         induced = achieved_rate(q, game.matrix)
@@ -335,8 +330,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
         return (q, induced) if pd else None
 
     base = (q_star, achieved_rate(q_star, game.matrix))
-    m, (point, rates) = _last_passing(probe, (1.0 / top - 1.0) / step, base)
-    factor = _grid(1.0 + m * step, step)
+    factor, (point, rates) = _last_passing(probe, base, step, origin=1.0, limit=1.0 / top)
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
 
 

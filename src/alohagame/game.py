@@ -134,6 +134,6 @@ def leq(a, b) -> bool:
 
 def is_fixed_point(q, game: Game, tol: float = FIXED_POINT_TOL) -> bool:
     """True when the infinity norm of the residual is at most tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     return bool(np.abs(residual(q, game)).max() <= tol)

@@ -149,7 +149,7 @@ def kleene_lfp(
     ``extraneous``: the network cannot support the requested rates and
     the iteration escalated to everyone always transmitting.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

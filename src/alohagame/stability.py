@@ -158,7 +158,7 @@ def krasovskii_verdict(
     unclipped neighbourhood, so read those with care.
     """
     q = np.asarray(q_s, dtype=float)
-    if fp_tol <= 0.0:
+    if not fp_tol > 0.0:
         raise ValueError("tol must be positive")
     f = best_response(q, game)
     res = np.abs(f - q).max()

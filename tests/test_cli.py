@@ -48,6 +48,11 @@ class TestSolve:
         assert rows[0] == ["step", "q_1", "q_2", "q_3"]
         assert len(rows) > 2
 
+    def test_nan_tolerance_is_an_error(self, chain_file, capsys):
+        code = main(["solve", "--topology", chain_file, "--rates", "0.15", "--tol", "nan"])
+        assert code == 1
+        assert "tol must be positive" in capsys.readouterr().err
+
     def test_rate_count_mismatch_is_an_error(self, chain_file, capsys):
         code = main(["solve", "--topology", chain_file, "--rates", "0.1,0.1"])
         assert code == 1
@@ -201,6 +206,19 @@ class TestFeasible:
             rows = list(csv.reader(fh))
         assert rows[0] == ["y1", "y3", "max_y2"]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
+    def test_invalid_search_step_is_an_error(self, chain_file, step, capsys):
+        code = main(["feasible", "--topology", chain_file, "--y1", "0.1", "--y3", "0.1", "--step", step])
+        assert code == 1
+        assert "step must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:0.3:0", "0:0.3:-0.05", "0:0.3:nan", "0:0.3", "0:0.1:0.05:1"])
+    @pytest.mark.parametrize("option", ["--y1", "--y3"])
+    def test_invalid_grid_is_an_error(self, chain_file, option, grid, capsys):
+        code = main(["feasible", "--topology", chain_file, option, grid])
+        assert code == 1
+        assert repr(grid) in capsys.readouterr().err
 
 
 class TestSweepAndFit:

@@ -1,4 +1,5 @@
 import csv
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ class TestIterateGame:
         traj = iterate_game(point, chain3)
         assert traj.outcome == CONVERGED
         assert len(traj.states) == 1
+
+    def test_nan_tolerance_rejected(self, chain3):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            iterate_game(np.zeros(3), chain3, tol=float("nan"))
+
+    def test_long_run_at_the_pair_fold(self):
+        # the plain update creeps up to the fold point (0.5, 0.5) for
+        # about 70k steps; the cycle scans must not grow with the run
+        start = time.perf_counter()
+        traj = iterate_game(np.zeros(2), Game(chain_matrix(2), [0.25, 0.25]), tol=1e-10)
+        elapsed = time.perf_counter() - start
+        assert traj.outcome == CONVERGED
+        assert len(traj.states) == 70_711
+        assert elapsed < 5.0
 
     def test_saddle_escape_locks_into_two_cycle(self, chain3):
         traj = iterate_game(P_SADDLE, chain3, perturb=1e-6)
@@ -127,6 +142,16 @@ class TestDetectCycle:
     def test_longer_period(self):
         block = [np.array([v]) for v in (0.1, 0.5, 0.9)]
         assert detect_cycle(block * 5) == 3
+
+    @pytest.mark.parametrize("period", [1, 2, 5, None])
+    def test_only_the_last_two_max_periods_matter(self, period):
+        rng = np.random.default_rng(7)
+        states = rng.uniform(0, 1, size=(300, 3))
+        if period is not None:
+            states[100:] = np.tile(states[:period], (200 // period + 1, 1))[:200]
+        assert detect_cycle(states) == (None if period in (1, None) else period)
+        assert detect_cycle(states) == detect_cycle(states[-128:])
+        assert detect_cycle(list(states)) == detect_cycle(states[-128:])
 
     def test_tolerance_respected(self):
         rng = np.random.default_rng(4)

@@ -26,8 +26,8 @@ from alohagame import (
     size_sweep,
     write_records_csv,
 )
-from alohagame import solver
-from conftest import instance_rng, random_game
+from alohagame import experiments, solver
+from conftest import Q_STAR, instance_rng, random_game
 
 CHAIN = chain_matrix(3)
 
@@ -294,6 +294,27 @@ class TestSearchEquivalence:
                         assert np.abs(point - kleene_lfp(game, tol=1e-13).point).max() <= 1e-6
                     compared += 1
         assert compared >= 25
+
+
+_SEARCHES = {
+    "max_common_rate": lambda step: max_common_rate(CHAIN, step=step),
+    "feasible_contour": lambda step: feasible_contour(CHAIN, [0.15], [0.15], step=step),
+    "max_demand_scale": lambda step: max_demand_scale(Game(CHAIN, [0.15] * 3), step=step),
+    "max_probability_scale": lambda step: max_probability_scale(Game(CHAIN, [0.15] * 3), Q_STAR, step=step),
+}
+
+
+class TestSearchStep:
+    @pytest.mark.parametrize("search", sorted(_SEARCHES))
+    @pytest.mark.parametrize("step", [0.0, -0.001, float("nan"), float("inf")])
+    def test_invalid_step_raises_before_any_solve(self, monkeypatch, search, step):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the step was validated")
+
+        monkeypatch.setattr(experiments, "_interior_stable_lfp", no_solve)
+        monkeypatch.setattr(experiments, "krasovskii_verdict", no_solve)
+        with pytest.raises(ValueError, match="step"):
+            _SEARCHES[search](step)
 
 
 class TestFeasibleContour:

@@ -152,6 +152,10 @@ class TestIsFixedPoint:
         with pytest.raises(ValueError):
             is_fixed_point(Q_STAR, chain3, tol=0.0)
 
+    def test_nan_tolerance_rejected(self, chain3):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            is_fixed_point(Q_STAR, chain3, tol=float("nan"))
+
     def test_achieved_rate_matches_targets_at_interior_fixed_point(self, chain3):
         from alohagame import kleene_lfp
 

@@ -28,6 +28,10 @@ class TestKleene:
         assert res.converged and res.interior and not res.extraneous
         assert np.abs(res.point - Q_STAR).max() <= 5e-4
 
+    def test_nan_tolerance_rejected(self, chain3):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            kleene_lfp(chain3, tol=float("nan"))
+
     def test_edgeless_topology_converges_in_one_step(self):
         g = Game(np.zeros((3, 3)), [0.2, 0.5, 0.9])
         res = kleene_lfp(g)

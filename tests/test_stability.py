@@ -341,6 +341,10 @@ class TestVerdictReference:
         with pytest.raises(ValueError, match="tol must be positive"):
             krasovskii_verdict(multistart_fixed_points(chain3).points[0], chain3, fp_tol=fp_tol)
 
+    def test_nan_tolerance_rejected(self, chain3):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            krasovskii_verdict(Q_STAR, chain3, fp_tol=float("nan"))
+
 
 class TestLyapunov:
     def test_zero_at_fixed_point(self, chain3):
