@@ -9,137 +9,23 @@ topology generators and experiment drivers for bifurcation, feasible
 region, and connectivity-versus-throughput studies.
 """
 
-from .game import (
-    FIXED_POINT_TOL,
-    Game,
-    achieved_rate,
-    best_response,
-    is_fixed_point,
-    leq,
-    residual,
-)
-from .solver import (
-    FixedPointSet,
-    LfpResult,
-    kleene_lfp,
-    least_of,
-    newton_lfp,
-    multistart_fixed_points,
-)
-from .stability import (
-    PD_TOL,
-    ConsistencyReport,
-    RoaEstimate,
-    StabilityVerdict,
-    diag_dominant,
-    krasovskii_matrix,
-    krasovskii_verdict,
-    leading_minors,
-    lyapunov_value,
-    residual_jacobian,
-    roa_estimate,
-    stability_consistency,
-    sylvester_pd,
-)
-from .dynamics import (
-    BUDGET_EXHAUSTED,
-    CONVERGED,
-    CYCLE,
-    Trajectory,
-    detect_cycle,
-    integrate_ode,
-    iterate_game,
-)
-from .topology import (
-    RANGE_LONG,
-    RANGE_SHORT,
-    NodePlacement,
-    chain_matrix,
-    connected_components,
-    connectivity,
-    fully_connected_matrix,
-    load_topology,
-    random_topology,
-    save_topology,
-    side_for_density,
-)
-from .experiments import (
-    BifurcationBranch,
-    BranchPoint,
-    PowerLawFit,
-    ScaleResult,
-    SweepRecord,
-    bifurcation_sweep,
-    density_sweep,
-    feasible_contour,
-    fit_power_law,
-    max_common_rate,
-    max_demand_scale,
-    max_probability_scale,
-    size_sweep,
-    write_records_csv,
-)
+from . import dynamics, experiments, game, solver, stability, topology
+from .dynamics import *
+from .experiments import *
+from .game import *
+from .solver import *
+from .stability import *
+from .topology import *
 
 __version__ = "0.1.0"
 
+# Each public name is declared once, in its submodule's __all__.
 __all__ = [
-    "Game",
-    "achieved_rate",
-    "best_response",
-    "residual",
-    "leq",
-    "is_fixed_point",
-    "FIXED_POINT_TOL",
-    "LfpResult",
-    "FixedPointSet",
-    "kleene_lfp",
-    "newton_lfp",
-    "multistart_fixed_points",
-    "least_of",
-    "PD_TOL",
-    "StabilityVerdict",
-    "RoaEstimate",
-    "ConsistencyReport",
-    "residual_jacobian",
-    "krasovskii_matrix",
-    "leading_minors",
-    "sylvester_pd",
-    "diag_dominant",
-    "krasovskii_verdict",
-    "lyapunov_value",
-    "roa_estimate",
-    "stability_consistency",
-    "Trajectory",
-    "iterate_game",
-    "integrate_ode",
-    "detect_cycle",
-    "CONVERGED",
-    "CYCLE",
-    "BUDGET_EXHAUSTED",
-    "NodePlacement",
-    "RANGE_LONG",
-    "RANGE_SHORT",
-    "chain_matrix",
-    "fully_connected_matrix",
-    "random_topology",
-    "side_for_density",
-    "connectivity",
-    "connected_components",
-    "save_topology",
-    "load_topology",
-    "BranchPoint",
-    "BifurcationBranch",
-    "bifurcation_sweep",
-    "max_common_rate",
-    "feasible_contour",
-    "ScaleResult",
-    "max_demand_scale",
-    "max_probability_scale",
-    "SweepRecord",
-    "density_sweep",
-    "size_sweep",
-    "write_records_csv",
-    "PowerLawFit",
-    "fit_power_law",
+    *game.__all__,
+    *solver.__all__,
+    *stability.__all__,
+    *dynamics.__all__,
+    *topology.__all__,
+    *experiments.__all__,
     "__version__",
 ]

@@ -18,9 +18,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics, solver
 from .dynamics import CONVERGED, integrate_ode, iterate_game
 from .experiments import (
+    RATE_STEP,
     bifurcation_sweep,
     density_sweep,
     feasible_contour,
@@ -28,7 +29,7 @@ from .experiments import (
     size_sweep,
     write_records_csv,
 )
-from .game import Game
+from .game import Game, _write_csv
 from .solver import kleene_lfp
 from .stability import krasovskii_verdict
 from .topology import load_topology, random_topology, side_for_density
@@ -118,8 +119,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = subs.add_parser("solve", formatter_class=fmt, help="least fixed point and its stability")
     _add_topology_args(p)
     _add_rate_args(p)
-    p.add_argument("--tol", type=float, default=1e-10, help="fixed-point tolerance")
-    p.add_argument("--max-iter", type=int, default=100_000, help="iteration budget")
+    p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL, help="fixed-point tolerance")
+    p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER, help="iteration budget")
     p.add_argument("--output", metavar="CSV", help="write the iterate trajectory")
 
     p = subs.add_parser("stability", formatter_class=fmt, help="stability certificate at a point")
@@ -134,11 +135,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--q0", default="rates", help="start point: 'zeros', 'rates', or a comma list")
     p.add_argument("--epsilon", type=float, default=1.0, help="relaxation factor in (0, 1]")
     p.add_argument("--perturb", type=float, default=0.0, help="added to every start component")
-    p.add_argument("--tol", type=float, default=1e-9, help="step-size stop tolerance")
-    p.add_argument("--max-iter", type=int, default=100_000, help="iteration budget")
+    p.add_argument("--tol", type=float, default=dynamics.DEFAULT_TOL, help="step-size stop tolerance")
+    p.add_argument("--max-iter", type=int, default=dynamics.DEFAULT_MAX_ITER, help="iteration budget")
     p.add_argument("--ode", action="store_true", help="integrate the continuous flow instead")
-    p.add_argument("--dt", type=float, default=0.01, help="integrator step (with --ode)")
-    p.add_argument("--t-end", type=float, default=200.0, help="integration horizon (with --ode)")
+    p.add_argument("--dt", type=float, default=dynamics.DEFAULT_DT, help="integrator step (with --ode)")
+    p.add_argument("--t-end", type=float, default=dynamics.DEFAULT_T_END, help="integration horizon (with --ode)")
     p.add_argument("--output", metavar="CSV", help="write the trajectory")
 
     p = subs.add_parser("bifurcate", formatter_class=fmt, help="sweep one rate and track the fixed points")
@@ -147,21 +148,21 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--vary", type=int, default=2, help="1-based index of the swept player")
     p.add_argument("--min", dest="lo", type=float, default=0.0, help="sweep start")
     p.add_argument("--max", dest="hi", type=float, default=0.3, help="sweep end")
-    p.add_argument("--step", type=float, default=0.001, help="sweep step")
+    p.add_argument("--step", type=float, default=RATE_STEP, help="sweep step")
     p.add_argument("--output", metavar="CSV", help="write the branch table")
 
     p = subs.add_parser("feasible", formatter_class=fmt, help="max middle rate over outer-rate grid (3 players)")
     _add_topology_args(p)
     p.add_argument("--y1", default="0:0.3:0.05", help="grid for player 1: start:stop:step or comma list")
     p.add_argument("--y3", default="0:0.3:0.05", help="grid for player 3")
-    p.add_argument("--step", type=float, default=0.001, help="rate search step")
+    p.add_argument("--step", type=float, default=RATE_STEP, help="rate search step")
     p.add_argument("--output", metavar="CSV", help="write y1,y3,max_y2 rows")
 
     p = subs.add_parser("sweep", formatter_class=fmt, help="max common rate over random topologies")
     p.add_argument("--n", default="20", help="player count(s), comma-separated")
     p.add_argument("--density", default="0.1", help="player density(ies), comma-separated")
     p.add_argument("--trials", type=int, default=100, help="random topologies per setting")
-    p.add_argument("--step", type=float, default=0.001, help="rate search step")
+    p.add_argument("--step", type=float, default=RATE_STEP, help="rate search step")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--edge-rule", choices=("min", "max"), default="min")
     p.add_argument(
@@ -214,14 +215,24 @@ def _load_rates(args, n: int) -> np.ndarray:
 def _cmd_solve(args) -> int:
     matrix = _load_matrix(args)
     game = Game(matrix, _load_rates(args, matrix.shape[0]))
-    result = kleene_lfp(game, tol=args.tol, max_iter=args.max_iter)
     if args.output:
-        iterate_game(np.zeros(game.n), game, tol=args.tol, max_iter=args.max_iter).to_csv(args.output)
-    if not result.interior:
+        # The game iteration from zeros is kleene_lfp's ascent, recorded.
+        # A monotone ascent matches lag 1 before any longer period, so it
+        # never ends in a cycle.
+        if args.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        traj = iterate_game(np.zeros(game.n), game, tol=args.tol, max_iter=args.max_iter)
+        traj.to_csv(args.output)
+        point = traj.final
+        interior = traj.outcome == CONVERGED and bool((point < 1.0).all())
+    else:
+        result = kleene_lfp(game, tol=args.tol, max_iter=args.max_iter)
+        point, interior = result.point, result.interior
+    if not interior:
         print("infeasible")
         return 2
-    verdict = krasovskii_verdict(result.point, game, fp_tol=max(10 * args.tol, 1e-8))
-    print(f"NE={_fmt_vec(result.point)} stable={str(verdict.stable).lower()}")
+    verdict = krasovskii_verdict(point, game, fp_tol=max(10 * args.tol, 1e-8))
+    print(f"NE={_fmt_vec(point)} stable={str(verdict.stable).lower()}")
     return 0 if verdict.stable else 2
 
 
@@ -301,19 +312,18 @@ def _cmd_feasible(args) -> int:
     y3 = _parse_grid(args.y3)
     surface = feasible_contour(matrix, y1, y3, step=args.step)
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y1", "y3", "max_y2"])
-            for i, a in enumerate(y1):
-                for j, b in enumerate(y3):
-                    writer.writerow([f"{a:.12g}", f"{b:.12g}", f"{surface[i, j]:.12g}"])
+        rows = ([a, b, surface[i, j]] for i, a in enumerate(y1) for j, b in enumerate(y3))
+        _write_csv(args.output, ["y1", "y3", "max_y2"], rows)
     top = np.nanmax(surface)
     print(f"grid={len(y1)}x{len(y3)} max_y2_range=[{_fmt(np.nanmin(surface))},{_fmt(top)}]")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    ns = [int(v) for v in _parse_floats(args.n)]
+    counts = _parse_floats(args.n)
+    if not all(v.is_integer() for v in counts):
+        raise ValueError(f"--n expects whole player counts, got {args.n!r}")
+    ns = [int(v) for v in counts]
     densities = _parse_floats(args.density)
     if len(ns) > 1 and len(densities) > 1:
         raise ValueError("vary either --n or --density, not both")

@@ -10,12 +10,11 @@ ran out of budget.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, best_response, residual
+from .game import Game, _write_csv, best_response, residual
 
 __all__ = [
     "Trajectory",
@@ -73,12 +72,8 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write the states as CSV with header step,q_1,...,q_n."""
-        n = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + [f"q_{i + 1}" for i in range(n)])
-            for step, state in enumerate(self.states):
-                writer.writerow([step] + [f"{v:.12g}" for v in state])
+        header = ["step"] + [f"q_{i + 1}" for i in range(self.states.shape[1])]
+        _write_csv(path, header, ([step, *state] for step, state in enumerate(self.states)))
 
 
 def detect_cycle(states) -> int | None:
@@ -126,9 +121,12 @@ def iterate_game(
         raise ValueError("epsilon must be in (0, 1]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    q = np.clip(np.asarray(q0, dtype=float) + perturb, 0.0, 1.0)
+    q = np.asarray(q0, dtype=float) + perturb
     if q.shape != (game.n,):
         raise ValueError(f"q0 must have shape ({game.n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("q0 + perturb must be finite")
+    q = np.clip(q, 0.0, 1.0)
 
     states = [q]
     outcome = BUDGET_EXHAUSTED
@@ -167,11 +165,17 @@ def integrate_ode(
     States are clipped to [0, 1]^n after every step; integration stops
     early once the drift's infinity norm falls to ``tol``.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    if not (t_end >= 0.0 and np.isfinite(t_end)):
+        raise ValueError("t_end must be nonnegative and finite")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     q = np.asarray(q0, dtype=float)
     if q.shape != (game.n,):
         raise ValueError(f"q0 must have shape ({game.n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("q0 must be finite")
 
     def drift(p):
         return residual(np.clip(p, 0.0, 1.0), game)

@@ -2,21 +2,20 @@
 
 Everything here is deterministic given its arguments: random trials
 derive their generator seeds from (master seed, setting index, trial
-index), trials run and are reduced in a fixed order, and CSV emission
-uses a fixed number format, so identical calls produce byte-identical
-files.
+index), trials run and are reduced in a fixed order, and CSVs are
+written through :func:`alohagame.game._write_csv`, which fixes the
+number format, so identical calls produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 # best_response is unused here but stays a module attribute: the
 # benchmark tests check that tracing rebinds it in every module.
-from .game import Game, achieved_rate, best_response  # noqa: F401
+from .game import Game, _write_csv, achieved_rate, best_response  # noqa: F401
 from .solver import _fixed_point_sets, newton_lfp
 from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
@@ -136,20 +135,13 @@ class BifurcationBranch:
 
     def to_csv(self, path) -> None:
         n = next((len(row[0].point) for row in self.branches if row), 0)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"y{self.varying_index + 1}", "branch_id"]
-                + [f"q{i + 1}" for i in range(n)]
-                + ["stable"]
-            )
-            for value, row in zip(self.parameter_values, self.branches):
-                for branch_id, bp in enumerate(row):
-                    writer.writerow(
-                        [f"{value:.12g}", branch_id]
-                        + [f"{v:.12g}" for v in bp.point]
-                        + [str(bp.stable).lower()]
-                    )
+        header = [f"y{self.varying_index + 1}", "branch_id"] + [f"q{i + 1}" for i in range(n)] + ["stable"]
+        rows = (
+            [value, branch_id, *bp.point, str(bp.stable).lower()]
+            for value, row in zip(self.parameter_values, self.branches)
+            for branch_id, bp in enumerate(row)
+        )
+        _write_csv(path, header, rows)
 
 
 def bifurcation_sweep(
@@ -442,21 +434,11 @@ def size_sweep(
 
 def write_records_csv(path, records) -> None:
     """Sweep records as CSV: seed,n,side,connectivity,y_max,total_throughput,avg_q."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "n", "side", "connectivity", "y_max", "total_throughput", "avg_q"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.seed,
-                    r.n,
-                    f"{r.side:.12g}",
-                    f"{r.connectivity:.12g}",
-                    f"{r.max_common_rate:.12g}",
-                    f"{r.total_throughput:.12g}",
-                    f"{r.avg_q:.12g}",
-                ]
-            )
+    _write_csv(
+        path,
+        ["seed", "n", "side", "connectivity", "y_max", "total_throughput", "avg_q"],
+        ([r.seed, r.n, r.side, r.connectivity, r.max_common_rate, r.total_throughput, r.avg_q] for r in records),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +498,8 @@ def fit_power_law(x, y, break_x: float = 0.1) -> PowerLawFit:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if (x <= 0.0).any() or (y <= 0.0).any():
         raise ValueError("power-law fit needs strictly positive values")
+    if np.isnan(break_x):
+        raise ValueError("break_x must not be NaN")
     low = x < break_x
     high = ~low
     n_low, n_high = int(low.sum()), int(high.sum())

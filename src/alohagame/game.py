@@ -15,6 +15,7 @@ partial order, which is what the solver module exploits.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,3 +138,16 @@ def is_fixed_point(q, game: Game, tol: float = FIXED_POINT_TOL) -> bool:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     return bool(np.abs(residual(q, game)).max() <= tol)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as CSV.
+
+    Floats are written with ``.12g`` and every other value with ``str``,
+    so identical results give byte-identical files. Every CSV the
+    package writes goes through here.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)

@@ -39,7 +39,6 @@ __all__ = [
     "newton_lfp",
     "multistart_fixed_points",
     "least_of",
-    "ORACLE_MAX_PLAYERS",
 ]
 
 # The oracle enumerates boxes of [0,1]^n, a number that grows

@@ -82,8 +82,8 @@ def fully_connected_matrix(n: int) -> np.ndarray:
 
 def side_for_density(n: int, density: float) -> float:
     """Square side giving ``density`` players per unit area."""
-    if density <= 0.0:
-        raise ValueError("density must be positive")
+    if not (density > 0.0 and np.isfinite(density)):
+        raise ValueError("density must be positive and finite")
     return math.sqrt(n / density)
 
 
@@ -101,8 +101,8 @@ def random_topology(n: int, side: float, seed, edge_rule: str = "min"):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if side <= 0.0:
-        raise ValueError("side must be positive")
+    if not (side > 0.0 and np.isfinite(side)):
+        raise ValueError("side must be positive and finite")
     if edge_rule not in ("min", "max"):
         raise ValueError(f"edge_rule must be 'min' or 'max', got {edge_rule!r}")
     rng = np.random.default_rng(seed)

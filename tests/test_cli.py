@@ -6,8 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from alohagame import chain_matrix, fully_connected_matrix, save_topology
-from alohagame.cli import main
+from alohagame import (
+    Game,
+    chain_matrix,
+    cli,
+    dynamics,
+    experiments,
+    fully_connected_matrix,
+    iterate_game,
+    save_topology,
+    solver,
+)
+from alohagame.cli import main, parse_args
 
 
 @pytest.fixture
@@ -47,6 +57,47 @@ class TestSolve:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "q_1", "q_2", "q_3"]
         assert len(rows) > 2
+
+    def test_output_runs_the_ascent_once(self, chain_file, tmp_path, capsys, monkeypatch):
+        def second_ascent(*args, **kwargs):
+            raise AssertionError("solve --output ran kleene_lfp as well as the recorded ascent")
+
+        monkeypatch.setattr(cli, "kleene_lfp", second_ascent)
+        out_csv = tmp_path / "run.csv"
+        code = main(["solve", "--topology", chain_file, "--rates", "0.15", "--output", str(out_csv)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "NE=[0.1952,0.2316,0.1952] stable=true"
+        expected = tmp_path / "expected.csv"
+        iterate_game(np.zeros(3), Game(chain_matrix(3), [0.15] * 3), tol=solver.DEFAULT_TOL).to_csv(expected)
+        assert out_csv.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("args", [["--rates", "0.15,0.30,0.15"], ["--rates", "0.15", "--max-iter", "5"]])
+    def test_output_keeps_the_infeasible_verdict(self, chain_file, tmp_path, args, capsys):
+        # an escalation to all-ones and an exhausted budget, with and without the trajectory
+        plain = main(["solve", "--topology", chain_file, *args])
+        assert (plain, capsys.readouterr().out) == (2, "infeasible\n")
+        code = main(["solve", "--topology", chain_file, *args, "--output", str(tmp_path / "run.csv")])
+        assert (code, capsys.readouterr().out) == (2, "infeasible\n")
+
+    def test_zero_budget_with_output_writes_nothing(self, chain_file, tmp_path, capsys):
+        out_csv = tmp_path / "run.csv"
+        code = main(["solve", "--topology", chain_file, "--rates", "0.15", "--max-iter", "0", "--output", str(out_csv)])
+        assert code == 1
+        assert "max_iter must be at least 1" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            (["--side", "nan"], "side must be positive and finite"),
+            (["--side", "inf"], "side must be positive and finite"),
+            (["--density", "nan"], "density must be positive and finite"),
+        ],
+    )
+    def test_nonfinite_geometry_is_an_error(self, geometry, message, capsys):
+        code = main(["solve", "--n", "5", *geometry, "--rates", "0.1"])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_nan_tolerance_is_an_error(self, chain_file, capsys):
         code = main(["solve", "--topology", chain_file, "--rates", "0.15", "--tol", "nan"])
@@ -93,6 +144,34 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "usage" in out
         assert "default" in out
+
+
+class TestDefaults:
+    # the shortest argument list each command accepts; parsing reads no file
+    ARGV = {
+        "solve": ["solve", "--topology", "t.txt", "--rates", "0.1"],
+        "simulate": ["simulate", "--topology", "t.txt", "--rates", "0.1"],
+        "bifurcate": ["bifurcate", "--topology", "t.txt", "--rates", "0.1"],
+        "feasible": ["feasible", "--topology", "t.txt"],
+        "sweep": ["sweep"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, dest, constant",
+        [
+            ("solve", "tol", solver.DEFAULT_TOL),
+            ("solve", "max_iter", solver.DEFAULT_MAX_ITER),
+            ("simulate", "tol", dynamics.DEFAULT_TOL),
+            ("simulate", "max_iter", dynamics.DEFAULT_MAX_ITER),
+            ("simulate", "dt", dynamics.DEFAULT_DT),
+            ("simulate", "t_end", dynamics.DEFAULT_T_END),
+            ("bifurcate", "step", experiments.RATE_STEP),
+            ("feasible", "step", experiments.RATE_STEP),
+            ("sweep", "step", experiments.RATE_STEP),
+        ],
+    )
+    def test_default_is_the_library_constant(self, command, dest, constant):
+        assert getattr(parse_args(self.ARGV[command]), dest) == constant
 
 
 class TestStability:
@@ -152,6 +231,22 @@ class TestSimulate:
         code = main(["simulate", "--topology", chain_file, "--rates", "0.15", "--q0", "zeros", "--ode"])
         assert code == 0
         assert "outcome=converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--ode", "--t-end", "inf"], "t_end must be nonnegative and finite"),
+            (["--ode", "--dt", "nan"], "dt must be positive and finite"),
+            (["--ode", "--q0", "nan,0,0"], "q0 must be finite"),
+            (["--ode", "--tol", "nan"], "tol must be positive"),
+            (["--perturb", "nan"], "q0 + perturb must be finite"),
+            (["--q0", "nan,0,0"], "q0 + perturb must be finite"),
+        ],
+    )
+    def test_nonfinite_input_is_an_error(self, chain_file, args, message, capsys):
+        code = main(["simulate", "--topology", chain_file, "--rates", "0.15", *args])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 class TestBifurcate:
@@ -259,6 +354,11 @@ class TestSweepAndFit:
     def test_varying_both_axes_rejected(self, capsys):
         assert main(["sweep", "--n", "4,6", "--density", "0.2,0.3", "--trials", "1"]) == 1
 
+    @pytest.mark.parametrize("counts", ["2.7", "4,6.5", "inf", "nan"])
+    def test_non_integer_player_count_rejected(self, counts, capsys):
+        assert main(["sweep", "--n", counts, "--trials", "1"]) == 1
+        assert "--n expects whole player counts" in capsys.readouterr().err
+
     def test_fit_round_trip(self, tmp_path, capsys):
         records = tmp_path / "rec.csv"
         main(["sweep", "--n", "8", "--density", "0.2,0.8,3.0", "--trials", "4", "--seed", "2", "--output", str(records)])
@@ -280,6 +380,12 @@ class TestSweepAndFit:
         assert code == 0
         assert "low: c=2.0000 e=-1.0000" in out
         assert "high: c=2.0000 e=-1.0000" in out
+
+    def test_fit_nan_break_rejected(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("connectivity,total_throughput\n0.05,1\n0.2,2\n0.5,3\n")
+        assert main(["fit", "--input", str(path), "--break-x", "nan"]) == 1
+        assert "break_x must not be NaN" in capsys.readouterr().err
 
     def test_fit_missing_column(self, tmp_path, capsys):
         path = tmp_path / "points.csv"

@@ -25,7 +25,8 @@ def test_demo_runs(name, tmp_path):
     script = tmp_path / name
     shutil.copy(DEMOS / name, script)
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        # -W error, like the suite's filterwarnings setting
+        [sys.executable, "-W", "error", str(script)],
         capture_output=True,
         text=True,
         cwd=tmp_path,

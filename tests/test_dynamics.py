@@ -39,6 +39,12 @@ class TestIterateGame:
         with pytest.raises(ValueError, match="tol must be positive"):
             iterate_game(np.zeros(3), chain3, tol=float("nan"))
 
+    @pytest.mark.parametrize("q0, perturb", [([np.nan, 0.0, 0.0], 0.0), (np.zeros(3), np.nan), (np.zeros(3), np.inf)])
+    def test_nonfinite_start_rejected(self, chain3, q0, perturb):
+        # clipping would turn inf into 1 and carry NaN into a bogus outcome
+        with pytest.raises(ValueError, match=r"q0 \+ perturb must be finite"):
+            iterate_game(q0, chain3, perturb=perturb)
+
     def test_long_run_at_the_pair_fold(self):
         # the plain update creeps up to the fold point (0.5, 0.5) for
         # about 70k steps; the cycle scans must not grow with the run
@@ -120,6 +126,29 @@ class TestIntegrateOde:
     def test_dt_validated(self, chain3):
         with pytest.raises(ValueError):
             integrate_ode(np.zeros(3), chain3, dt=0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_nonfinite_dt_rejected(self, chain3, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate_ode(np.zeros(3), chain3, dt=dt)
+
+    @pytest.mark.parametrize("t_end", [-1.0, np.nan, np.inf])
+    def test_t_end_validated(self, chain3, t_end):
+        with pytest.raises(ValueError, match="t_end must be nonnegative and finite"):
+            integrate_ode(np.zeros(3), chain3, t_end=t_end)
+
+    def test_nan_tolerance_rejected(self, chain3):
+        # a NaN tolerance stops nothing: the flow ran to the horizon at the equilibrium
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_ode(np.zeros(3), chain3, tol=np.nan)
+
+    def test_zero_horizon_keeps_the_start(self, chain3):
+        traj = integrate_ode(np.zeros(3), chain3, t_end=0.0)
+        assert traj.outcome == BUDGET_EXHAUSTED and len(traj.states) == 1
+
+    def test_nonfinite_start_rejected(self, chain3):
+        with pytest.raises(ValueError, match="q0 must be finite"):
+            integrate_ode([np.nan, 0.0, 0.0], chain3)
 
 
 class TestDetectCycle:

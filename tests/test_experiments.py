@@ -530,6 +530,11 @@ class TestPowerLawFit:
         with pytest.raises(ValueError, match="2 points"):
             fit_power_law([0.05], [1.0])
 
+    def test_rejects_nan_break(self):
+        # every comparison with NaN is false, so all points would land in "high"
+        with pytest.raises(ValueError, match="break_x must not be NaN"):
+            fit_power_law([0.05, 0.2, 0.5], [1.0, 2.0, 3.0], break_x=np.nan)
+
     def test_predict_uses_the_right_segment(self):
         x = np.array([0.01, 0.02, 0.05, 0.2, 0.5, 1.0])
         y = np.where(x < 0.1, 1.0 * x**-0.5, 0.4 * x**-0.8)

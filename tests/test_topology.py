@@ -70,6 +70,16 @@ class TestGenerators:
     def test_side_for_density(self):
         assert side_for_density(20, 0.1) == pytest.approx(math.sqrt(200.0), abs=1e-12)
 
+    @pytest.mark.parametrize("density", [0.0, -0.1, np.nan, np.inf])
+    def test_side_for_density_rejects_bad_density(self, density):
+        with pytest.raises(ValueError, match="density must be positive and finite"):
+            side_for_density(20, density)
+
+    @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
+    def test_random_topology_rejects_bad_side(self, side):
+        with pytest.raises(ValueError, match="side must be positive and finite"):
+            random_topology(5, side, seed=0)
+
     def test_expected_connectivity_shrinks_with_side(self):
         means = []
         for side in (8.0, 16.0, 32.0):
