@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, dynamics, solver
 from .dynamics import CONVERGED, integrate_ode, iterate_game
 from .experiments import (
+    DEFAULT_BREAK_X,
     RATE_STEP,
     bifurcation_sweep,
     density_sweep,
@@ -29,9 +30,9 @@ from .experiments import (
     size_sweep,
     write_records_csv,
 )
-from .game import Game, _write_csv
+from .game import Game, _positive_finite, _write_csv
 from .solver import kleene_lfp
-from .stability import krasovskii_verdict
+from .stability import DEFAULT_FP_TOL, krasovskii_verdict
 from .topology import load_topology, random_topology, side_for_density
 
 __all__ = ["main", "parse_args", "run"]
@@ -127,7 +128,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_topology_args(p)
     _add_rate_args(p)
     p.add_argument("--point", help="comma-separated point to certify (default: the solved equilibrium)")
-    p.add_argument("--fp-tol", type=float, default=1e-6, help="fixed-point membership tolerance")
+    p.add_argument("--fp-tol", type=float, default=DEFAULT_FP_TOL, help="fixed-point membership tolerance")
 
     p = subs.add_parser("simulate", formatter_class=fmt, help="run the game dynamics")
     _add_topology_args(p)
@@ -177,7 +178,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--input", required=True, metavar="CSV", help="records file")
     p.add_argument("--x-col", default="connectivity", help="abscissa column")
     p.add_argument("--y-col", default="total_throughput", help="ordinate column")
-    p.add_argument("--break-x", type=float, default=0.1, help="segment break")
+    p.add_argument("--break-x", type=float, default=DEFAULT_BREAK_X, help="segment break")
 
     args = parser.parse_args(argv)
     if args.command in ("solve", "stability", "simulate", "bifurcate", "feasible"):
@@ -219,8 +220,6 @@ def _cmd_solve(args) -> int:
         # The game iteration from zeros is kleene_lfp's ascent, recorded.
         # A monotone ascent matches lag 1 before any longer period, so it
         # never ends in a cycle.
-        if args.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         traj = iterate_game(np.zeros(game.n), game, tol=args.tol, max_iter=args.max_iter)
         traj.to_csv(args.output)
         point = traj.final
@@ -374,18 +373,12 @@ def _cmd_fit(args) -> int:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or args.x_col not in reader.fieldnames or args.y_col not in reader.fieldnames:
             raise ValueError(f"{args.input}: need columns {args.x_col!r} and {args.y_col!r}")
-        xs, ys = [], []
-        dropped = 0
-        for row in reader:
-            x, y = float(row[args.x_col]), float(row[args.y_col])
-            if x > 0.0 and y > 0.0:
-                xs.append(x)
-                ys.append(y)
-            else:
-                dropped += 1
-    if dropped:
-        print(f"dropped {dropped} nonpositive rows", file=sys.stderr)
-    fit = fit_power_law(np.asarray(xs), np.asarray(ys), break_x=args.break_x)
+        rows = np.array([(float(row[args.x_col]), float(row[args.y_col])) for row in reader]).reshape(-1, 2)
+    # drop the rows fit_power_law would reject
+    keep = _positive_finite(rows).all(axis=1)
+    if not keep.all():
+        print(f"dropped {np.count_nonzero(~keep)} nonpositive or nonfinite rows", file=sys.stderr)
+    fit = fit_power_law(*rows[keep].T, break_x=args.break_x)
     for name, c, e, count in (
         ("low", fit.c_low, fit.e_low, fit.n_low),
         ("high", fit.c_high, fit.e_high, fit.n_high),

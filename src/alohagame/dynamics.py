@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import Game, _write_csv, best_response, residual
+from .game import _check_count, _check_positive_finite, _check_start
 
 __all__ = [
     "Trajectory",
@@ -119,13 +120,9 @@ def iterate_game(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    q = np.asarray(q0, dtype=float) + perturb
-    if q.shape != (game.n,):
-        raise ValueError(f"q0 must have shape ({game.n},), got {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValueError("q0 + perturb must be finite")
+    _check_positive_finite(tol, "tol")
+    _check_count(max_iter, "max_iter")
+    q = _check_start(np.asarray(q0, dtype=float) + perturb, game.n, "q0 + perturb")
     q = np.clip(q, 0.0, 1.0)
 
     states = [q]
@@ -165,17 +162,11 @@ def integrate_ode(
     States are clipped to [0, 1]^n after every step; integration stops
     early once the drift's infinity norm falls to ``tol``.
     """
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
+    _check_positive_finite(dt, "dt")
     if not (t_end >= 0.0 and np.isfinite(t_end)):
         raise ValueError("t_end must be nonnegative and finite")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    q = np.asarray(q0, dtype=float)
-    if q.shape != (game.n,):
-        raise ValueError(f"q0 must have shape ({game.n},), got {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValueError("q0 must be finite")
+    _check_positive_finite(tol, "tol")
+    q = _check_start(q0, game.n, "q0")
 
     def drift(p):
         return residual(np.clip(p, 0.0, 1.0), game)

@@ -15,7 +15,7 @@ import numpy as np
 
 # best_response is unused here but stays a module attribute: the
 # benchmark tests check that tracing rebinds it in every module.
-from .game import Game, _write_csv, achieved_rate, best_response  # noqa: F401
+from .game import Game, _check_count, _check_positive_finite, _write_csv, achieved_rate, best_response  # noqa: F401
 from .solver import _fixed_point_sets, newton_lfp
 from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
@@ -39,16 +39,12 @@ __all__ = [
 
 RATE_STEP = 0.001
 SCALE_STEP = 0.01
+DEFAULT_BREAK_X = 0.1
 
 
 def _grid(value: float) -> float:
     """Clean up k*step accumulation noise."""
     return float(round(value, 12))
-
-
-def _check_step(step: float) -> None:
-    if not (step > 0.0 and np.isfinite(step)):
-        raise ValueError("step must be positive and finite")
 
 
 def _interior_stable_lfp(matrix, rates, warm_start):
@@ -160,7 +156,7 @@ def bifurcation_sweep(
     Krasovskii certificate. ``varying_index`` must name a player,
     0..n-1. Every value's rates are validated before any solve.
     """
-    _check_step(step)
+    _check_positive_finite(step, "step")
     lo, hi = value_range
     if not np.isfinite([lo, hi]).all():
         raise ValueError("value_range must be finite")
@@ -222,7 +218,7 @@ def max_common_rate(matrix, step: float = RATE_STEP):
     Sylvester-stable, found by bisection over the step grid; (0.0,
     zeros) when even the first step fails.
     """
-    _check_step(step)
+    _check_positive_finite(step, "step")
     a = np.asarray(matrix)
     n = a.shape[0]
     return _last_passing(lambda y, warm: _interior_stable_lfp(a, np.full(n, y), warm), np.zeros(n), step)
@@ -239,7 +235,7 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     resulting region is the set of rate combinations with nothing left
     to give away.
     """
-    _check_step(step)
+    _check_positive_finite(step, "step")
     a = np.asarray(matrix)
     if a.shape[0] != 3:
         raise ValueError("feasible_contour expects a 3-player topology")
@@ -277,7 +273,7 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     stable-feasible, and at least one must be positive (otherwise every
     factor works).
     """
-    _check_step(step)
+    _check_positive_finite(step, "step")
     base_point = _interior_stable_lfp(game.matrix, game.rates, np.zeros(game.n))
     if base_point is None:
         raise ValueError("base rates admit no stable interior equilibrium")
@@ -305,7 +301,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     which is what ``rates`` reports. ``q_star`` must be a stable
     equilibrium of the base game with some positive component.
     """
-    _check_step(step)
+    _check_positive_finite(step, "step")
     q_star = np.asarray(q_star, dtype=float)
     if not krasovskii_verdict(q_star, game).stable:
         raise ValueError("q_star must be a stable equilibrium of the base game")
@@ -372,8 +368,7 @@ def _run_trial(matrix, seed, n, side, step) -> SweepRecord:
 
 def _sweep(settings, trials, step, seed, edge_rule):
     """Records of ``trials`` seeded topologies per (n, density) setting, and one summary per setting."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count(trials, "trials")
     records = []
     summaries = []
     for s_idx, (n, density) in enumerate(settings):
@@ -485,10 +480,10 @@ def _fit_segment(x, y):
     return float(np.exp(intercept)), float(slope), rms
 
 
-def fit_power_law(x, y, break_x: float = 0.1) -> PowerLawFit:
+def fit_power_law(x, y, break_x: float = DEFAULT_BREAK_X) -> PowerLawFit:
     """Two-segment least-squares power law in log-log coordinates.
 
-    All inputs must be strictly positive; at least one side of
+    All inputs must be positive and finite; at least one side of
     ``break_x`` needs two or more points, and a side without them is
     reported unfitted rather than extrapolated.
     """
@@ -496,8 +491,8 @@ def fit_power_law(x, y, break_x: float = 0.1) -> PowerLawFit:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D arrays of equal length")
-    if (x <= 0.0).any() or (y <= 0.0).any():
-        raise ValueError("power-law fit needs strictly positive values")
+    _check_positive_finite(x, "x")
+    _check_positive_finite(y, "y")
     if np.isnan(break_x):
         raise ValueError("break_x must not be NaN")
     low = x < break_x

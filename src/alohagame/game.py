@@ -80,6 +80,35 @@ class Game:
         return self.matrix.shape[0]
 
 
+# The input contract, checked by every entry point before it evaluates
+# the response map: tolerances, steps and geometry positive and finite,
+# budgets and counts at least 1, starts finite vectors of the game's size.
+def _positive_finite(value) -> np.ndarray:
+    """Elementwise ``value > 0`` and finite; NaN fails."""
+    v = np.asarray(value, dtype=float)
+    return (v > 0.0) & np.isfinite(v)
+
+
+def _check_positive_finite(value, name: str) -> None:
+    if not _positive_finite(value).all():
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _check_count(value, name: str) -> None:
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def _check_start(q, n: int, name: str) -> np.ndarray:
+    """``q`` as a float array, checked to be a finite vector of length ``n``."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError(f"{name} must be finite")
+    return q
+
+
 def _check_vector(q, n: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != n:
@@ -135,8 +164,7 @@ def leq(a, b) -> bool:
 
 def is_fixed_point(q, game: Game, tol: float = FIXED_POINT_TOL) -> bool:
     """True when the infinity norm of the residual is at most tol."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_positive_finite(tol, "tol")
     return bool(np.abs(residual(q, game)).max() <= tol)
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import FIXED_POINT_TOL, Game, best_response, leq, residual, success_product
+from .game import _check_count, _check_positive_finite, _check_start
 
 __all__ = [
     "LfpResult",
@@ -148,15 +149,9 @@ def kleene_lfp(
     ``extraneous``: the network cannot support the requested rates and
     the iteration escalated to everyone always transmitting.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if q0 is None:
-        q0 = np.zeros(game.n)
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (game.n,):
-        raise ValueError(f"q0 must have shape ({game.n},), got {q0.shape}")
+    _check_positive_finite(tol, "tol")
+    _check_count(max_iter, "max_iter")
+    q0 = _check_start(np.zeros(game.n) if q0 is None else q0, game.n, "q0")
     if (q0 < 0.0).any() or not leq(q0, game.rates):
         raise ValueError("q0 must lie in the box [0, rates] (start region for the ascent)")
     q, iterations, converged, res_norm = _ascend(game, q0, tol, max_iter)
@@ -184,11 +179,8 @@ def newton_lfp(game: Game, q0=None, max_iter: int = DEFAULT_MAX_ITER) -> LfpResu
     be positive definite. The tolerance absorbs round-off: isolated
     players leave residuals of about +-1e-17.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    q = np.zeros(game.n) if q0 is None else np.asarray(q0, dtype=float)
-    if q.shape != (game.n,):
-        raise ValueError(f"q0 must have shape ({game.n},), got {q.shape}")
+    _check_count(max_iter, "max_iter")
+    q = _check_start(np.zeros(game.n) if q0 is None else q0, game.n, "q0")
     if (q < 0.0).any() or (q >= 1.0).any():
         raise ValueError("q0 must lie in [0, 1)^n, below the least fixed point")
     a = np.asarray(game.matrix, dtype=float)
@@ -350,8 +342,8 @@ def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> li
             f"oracle limited to {ORACLE_MAX_PLAYERS} players (got {n}); "
             "the box enumeration grows exponentially"
         )
-    if starts_per_axis < 1:
-        raise ValueError("starts_per_axis must be at least 1")
+    _check_count(starts_per_axis, "starts_per_axis")
+    _check_count(max_iter, "max_iter")
     matrix = games[0].matrix
     rates = np.stack([g.rates for g in games])
     centres, owner = _leaf_centres(rates, matrix.astype(bool), starts_per_axis)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, best_response, residual
+from .game import Game, _check_positive_finite, best_response, residual
 from .solver import FixedPointSet, least_of
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
 # sits on the positive-definiteness boundary (a vanishing eigenvalue),
 # which is exactly what a fold of the fixed points looks like.
 PD_TOL = 1e-12
+
+# Default fixed-point membership tolerance of a verdict.
+DEFAULT_FP_TOL = 1e-6
 
 ROA_MAX_PLAYERS = 4
 ROA_DEFAULT_RESOLUTION = 41
@@ -147,7 +150,7 @@ def diag_dominant(q_s, game: Game) -> bool:
 def krasovskii_verdict(
     q_s,
     game: Game,
-    fp_tol: float = 1e-6,
+    fp_tol: float = DEFAULT_FP_TOL,
 ) -> StabilityVerdict:
     """Full stability certificate at a fixed point.
 
@@ -158,8 +161,7 @@ def krasovskii_verdict(
     unclipped neighbourhood, so read those with care.
     """
     q = np.asarray(q_s, dtype=float)
-    if not fp_tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_positive_finite(fp_tol, "fp_tol")
     f = best_response(q, game)
     res = np.abs(f - q).max()
     if not res <= fp_tol:

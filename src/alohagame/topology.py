@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import _as_binary_matrix
+from .game import _as_binary_matrix, _check_count, _check_positive_finite
 
 __all__ = [
     "NodePlacement",
@@ -50,8 +50,7 @@ class NodePlacement:
             raise ValueError("positions must be (n, 2) and ranges (n,)")
         if (pos < 0.0).any() or (pos > self.side).any():
             raise ValueError("positions must lie inside the square")
-        if (rng <= 0.0).any():
-            raise ValueError("ranges must be positive")
+        _check_positive_finite(rng, "ranges")
         pos.flags.writeable = False
         rng.flags.writeable = False
         object.__setattr__(self, "positions", pos)
@@ -82,8 +81,8 @@ def fully_connected_matrix(n: int) -> np.ndarray:
 
 def side_for_density(n: int, density: float) -> float:
     """Square side giving ``density`` players per unit area."""
-    if not (density > 0.0 and np.isfinite(density)):
-        raise ValueError("density must be positive and finite")
+    _check_count(n, "n")
+    _check_positive_finite(density, "density")
     return math.sqrt(n / density)
 
 
@@ -99,10 +98,8 @@ def random_topology(n: int, side: float, seed, edge_rule: str = "min"):
 
     Returns ``(placement, matrix)``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not (side > 0.0 and np.isfinite(side)):
-        raise ValueError("side must be positive and finite")
+    _check_count(n, "n")
+    _check_positive_finite(side, "side")
     if edge_rule not in ("min", "max"):
         raise ValueError(f"edge_rule must be 'min' or 'max', got {edge_rule!r}")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -12,10 +13,13 @@ from alohagame import (
     cli,
     dynamics,
     experiments,
+    fit_power_law,
     fully_connected_matrix,
     iterate_game,
+    krasovskii_verdict,
     save_topology,
     solver,
+    stability,
 )
 from alohagame.cli import main, parse_args
 
@@ -119,6 +123,39 @@ class TestSolve:
         assert capsys.readouterr().out
 
 
+class TestRejectedInputs:
+    """Inputs the library refuses: exit 1 with its message on stderr, and no --output file."""
+
+    CHAIN = "<chain3 file>"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "--topology", CHAIN, "--rates", "0.15", "--tol", "inf"], "tol must be positive and finite"),
+            (
+                ["stability", "--topology", CHAIN, "--rates", "0.15", "--point", "0.9,0.1,0.9", "--fp-tol", "inf"],
+                "fp_tol must be positive and finite",
+            ),
+            (["simulate", "--topology", CHAIN, "--rates", "0.15", "--tol", "inf"], "tol must be positive and finite"),
+            (
+                ["simulate", "--topology", CHAIN, "--rates", "0.15", "--ode", "--tol", "inf"],
+                "tol must be positive and finite",
+            ),
+            (["simulate", "--topology", CHAIN, "--rates", "0.15", "--max-iter", "-5"], "max_iter must be at least 1"),
+            (["solve", "--n", "-3", "--density", "0.1", "--rates", "0.1"], "n must be at least 1"),
+        ],
+    )
+    def test_exits_one_and_writes_nothing(self, chain_file, tmp_path, args, message, capsys):
+        argv = [chain_file if a == self.CHAIN else a for a in args]
+        out_csv = tmp_path / "out.csv"
+        # stability writes no file; the others run with and without --output
+        runs = [argv] if argv[0] == "stability" else [argv, [*argv, "--output", str(out_csv)]]
+        for run_argv in runs:
+            assert main(run_argv) == 1
+            assert message in capsys.readouterr().err
+        assert not out_csv.exists()
+
+
 class TestUsageErrors:
     def test_both_sources_rejected(self, chain_file, capsys):
         code = main(["solve", "--topology", chain_file, "--n", "5", "--side", "3", "--rates", "0.1"])
@@ -154,6 +191,8 @@ class TestDefaults:
         "bifurcate": ["bifurcate", "--topology", "t.txt", "--rates", "0.1"],
         "feasible": ["feasible", "--topology", "t.txt"],
         "sweep": ["sweep"],
+        "stability": ["stability", "--topology", "t.txt", "--rates", "0.1"],
+        "fit": ["fit", "--input", "r.csv"],
     }
 
     @pytest.mark.parametrize(
@@ -168,10 +207,22 @@ class TestDefaults:
             ("bifurcate", "step", experiments.RATE_STEP),
             ("feasible", "step", experiments.RATE_STEP),
             ("sweep", "step", experiments.RATE_STEP),
+            ("stability", "fp_tol", stability.DEFAULT_FP_TOL),
+            ("fit", "break_x", experiments.DEFAULT_BREAK_X),
         ],
     )
     def test_default_is_the_library_constant(self, command, dest, constant):
         assert getattr(parse_args(self.ARGV[command]), dest) == constant
+
+    @pytest.mark.parametrize(
+        "function, param, constant",
+        [
+            (krasovskii_verdict, "fp_tol", stability.DEFAULT_FP_TOL),
+            (fit_power_law, "break_x", experiments.DEFAULT_BREAK_X),
+        ],
+    )
+    def test_signature_default_is_the_constant(self, function, param, constant):
+        assert inspect.signature(function).parameters[param].default == constant
 
 
 class TestStability:
@@ -380,6 +431,18 @@ class TestSweepAndFit:
         assert code == 0
         assert "low: c=2.0000 e=-1.0000" in out
         assert "high: c=2.0000 e=-1.0000" in out
+
+    def test_fit_drops_the_rows_the_fit_rejects(self, tmp_path, capsys):
+        finite = "connectivity,total_throughput\n0.01,200\n0.05,40\n0.2,10\n0.5,4\n"
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        clean.write_text(finite)
+        dirty.write_text(finite + "inf,1\n0.3,nan\n")
+        assert main(["fit", "--input", str(clean)]) == 0
+        expected = capsys.readouterr()
+        assert main(["fit", "--input", str(dirty)]) == 0
+        out, err = capsys.readouterr()
+        assert (out, expected.err) == (expected.out, "")
+        assert "dropped 2 nonpositive or nonfinite rows" in err
 
     def test_fit_nan_break_rejected(self, tmp_path, capsys):
         path = tmp_path / "points.csv"
