@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# best_response is unused here but stays a module attribute: the
-# benchmark tests check that tracing rebinds it in every module.
-from .game import Game, _check_count, _check_positive_finite, _write_csv, achieved_rate, best_response  # noqa: F401
+from .game import Game, _check_count, _check_positive_finite, _write_csv, achieved_rate, best_response
 from .solver import _fixed_point_sets, newton_lfp
-from .stability import krasovskii_matrix, krasovskii_verdict, sylvester_pd
+from .stability import _certificate, _jacobian, krasovskii_matrix, krasovskii_verdict, pd_margin
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
@@ -47,8 +45,49 @@ def _grid(value: float) -> float:
     return float(round(value, 12))
 
 
+# Scales of the Newton-sized step above a least-fixed-point estimate
+# that the upper bracket tries.
+_BRACKET_SCALES = (1.0, 4.0, 16.0)
+
+
+def _stable_above(lo, game: Game) -> bool:
+    """Whether a proven upper bracket of the least fixed point has a positive-definite certificate.
+
+    ``lo`` lies below the least fixed point q*. Every hi < 1 with
+    F(hi) <= hi lies above it, because the least fixed point lies below
+    every post-fixed point (Knaster-Tarski); the computed F(hi) must
+    clear hi by its rounding error. Below 1 no response saturates, so
+    the certificate C(q) = 2I - (F'(q) + F'(q)^T) only loses
+    definiteness as q grows: F' is nonnegative and grows entrywise,
+    and with it the largest eigenvalue of its symmetric part
+    (Perron-Frobenius). C(hi) positive definite thus proves C(q*)
+    positive definite, whatever the solver's tolerance. The candidates
+    are hi = lo + s|d| for the scales in ``_BRACKET_SCALES``, where d
+    solves (I - F'(lo)) d = |F(lo) - lo| + 1e-12, a Newton step that
+    overshoots q*. The first candidate that is a post-fixed point
+    decides.
+    """
+    f = best_response(lo, game)
+    # relative rounding of a computed response: a success product of
+    # at most n - 1 factors and one quotient
+    rounding = (8 + game.n) * np.finfo(float).eps
+    try:
+        # the Jacobian of the drift F(q) - q is F'(lo) - I
+        d = np.abs(np.linalg.solve(-_jacobian(lo, f, game.matrix), np.abs(f - lo) + 1e-12))
+    except np.linalg.LinAlgError:
+        return False
+    for scale in _BRACKET_SCALES:
+        hi = lo + scale * d
+        if not (hi < 1.0).all():
+            return False
+        f_hi = best_response(hi, game)
+        if (f_hi * (1.0 + rounding) <= hi).all():
+            return bool(pd_margin(_certificate(hi, f_hi, game.matrix)) > 0.0)
+    return False
+
+
 def _interior_stable_lfp(matrix, rates, warm_start):
-    """Least fixed point if it is interior and Sylvester-stable, else None.
+    """Least fixed point if it is interior with a positive-definite certificate, else None.
 
     Solves the game with interference ``matrix`` and target ``rates``;
     rates above 1 lie past the end of every search grid and give None.
@@ -57,9 +96,13 @@ def _interior_stable_lfp(matrix, rates, warm_start):
     lower rates). The solve is :func:`newton_lfp`, which gives up as
     soon as it proves the point cannot be interior and stable.
 
-    Marginal certificates (minors inside the tolerance band) count as
-    unstable: boundary points are excluded, which keeps rate searches
-    conservative.
+    The certificate is decided at a proven upper bracket of the least
+    fixed point (:func:`_stable_above`), not at the solver's estimate,
+    so the verdict does not depend on where the solver stops. Marginal
+    certificates, such as a pair's at its fold, count as unstable:
+    boundary points are excluded, which keeps rate searches
+    conservative. The point returned is the solver's estimate, which
+    lies below the least fixed point.
     """
     rates = np.asarray(rates, dtype=float)
     if (rates > 1.0).any():
@@ -68,8 +111,7 @@ def _interior_stable_lfp(matrix, rates, warm_start):
     res = newton_lfp(game, warm_start)
     if not res.converged:
         return None
-    pd, _ = sylvester_pd(krasovskii_matrix(res.point, game))
-    return res.point if pd else None
+    return res.point if _stable_above(res.point, game) else None
 
 
 def _last_passing(probe, start, step: float, origin: float = 0.0, limit: float = 1.0):
@@ -214,9 +256,11 @@ def max_common_rate(matrix, step: float = RATE_STEP):
     """Largest common target rate with a stable interior equilibrium.
 
     Returns ``(y_max, q_star)`` with ``y_max`` the largest multiple of
-    ``step`` up to 1 at which the least fixed point is interior and
-    Sylvester-stable, found by bisection over the step grid; (0.0,
-    zeros) when even the first step fails.
+    ``step`` up to 1 at which the least fixed point is interior and its
+    certificate positive definite, found by bisection over the step
+    grid; (0.0, zeros) when even the first step fails. The certificate
+    is decided at a proven upper bracket of the least fixed point, so a
+    pair, whose fold sits exactly at 0.25, gives 0.249.
     """
     _check_positive_finite(step, "step")
     a = np.asarray(matrix)
@@ -314,8 +358,8 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
         if (q >= 1.0).any():
             return None
         induced = achieved_rate(q, game.matrix)
-        pd, _ = sylvester_pd(krasovskii_matrix(q, Game(game.matrix, induced)))
-        return (q, induced) if pd else None
+        stable = pd_margin(krasovskii_matrix(q, Game(game.matrix, induced))) > 0.0
+        return (q, induced) if stable else None
 
     base = (q_star, achieved_rate(q_star, game.matrix))
     factor, (point, rates) = _last_passing(probe, base, step, origin=1.0, limit=1.0 / top)

@@ -16,6 +16,7 @@ partial order, which is what the solver module exploits.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,8 @@ class Game:
 
 # The input contract, checked by every entry point before it evaluates
 # the response map: tolerances, steps and geometry positive and finite,
-# budgets and counts at least 1, starts finite vectors of the game's size.
+# budgets and counts whole numbers of at least 1, starts finite vectors
+# of the game's size.
 def _positive_finite(value) -> np.ndarray:
     """Elementwise ``value > 0`` and finite; NaN fails."""
     v = np.asarray(value, dtype=float)
@@ -95,7 +97,11 @@ def _check_positive_finite(value, name: str) -> None:
 
 
 def _check_count(value, name: str) -> None:
-    if not value >= 1:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    if value < 1:
         raise ValueError(f"{name} must be at least 1")
 
 

@@ -4,15 +4,19 @@ The continuous-time relaxation of the game is qdot = F(q) - q with F
 the clipped best-response map. An equilibrium is asymptotically stable
 when the symmetrized negated Jacobian C(q) = -(J(q) + J(q)^T) is
 positive definite near it; the squared residual then acts as a
-Lyapunov function. Positive definiteness is decided exactly through
-the leading principal minors and, as a cheaper sufficient condition,
-through diagonal dominance. A verdict evaluates the response map once:
-its membership test, Jacobian and clipping flag all read that one
-evaluation. The Jacobian, the certificate matrix and the minor test
-take stacks of points or matrices as well as single ones, and the
-region-of-attraction grid goes through them one slab of cells at a
-time. The region estimate grows from the equilibrium's cell
-through face-adjacent positive-definite cells, in numpy alone.
+Lyapunov function. Positive definiteness is decided by one rule,
+:func:`pd_margin`: the smallest eigenvalue of C less a bound on its
+rounding error must be positive, so a certificate on the definiteness
+boundary fails whatever the rounding. Diagonal dominance is a cheaper
+sufficient condition. A verdict evaluates the response map once: its
+membership test, Jacobian and clipping flag all read that one
+evaluation, and it keeps the certificate matrix, whose leading
+principal minors are computed only when read. The Jacobian, the
+certificate matrix and the margin take stacks of points or matrices
+as well as single ones, and the region-of-attraction grid goes
+through them one slab of cells at a time. The region estimate grows
+from the equilibrium's cell through face-adjacent positive-definite
+cells, in numpy alone.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "residual_jacobian",
     "krasovskii_matrix",
     "leading_minors",
+    "pd_margin",
     "sylvester_pd",
     "diag_dominant",
     "krasovskii_verdict",
@@ -40,10 +45,15 @@ __all__ = [
     "stability_consistency",
 ]
 
-# Minors in (-PD_TOL, PD_TOL] mark a marginal certificate: the matrix
-# sits on the positive-definiteness boundary (a vanishing eigenvalue),
-# which is exactly what a fold of the fixed points looks like.
+# A certificate that is not positive definite but whose smallest
+# eigenvalue exceeds -PD_TOL is marginal: the matrix sits on the
+# positive-definiteness boundary (a vanishing eigenvalue), which is
+# exactly what a fold of the fixed points looks like.
 PD_TOL = 1e-12
+
+# Relative bound on the rounding error of the smallest eigenvalue of
+# an n x n certificate, per player and per unit of its infinity norm.
+_EIG_ROUNDING = 16 * np.finfo(float).eps
 
 # Default fixed-point membership tolerance of a verdict.
 DEFAULT_FP_TOL = 1e-6
@@ -57,7 +67,7 @@ class StabilityVerdict:
     """Krasovskii certificate at one point."""
 
     point: np.ndarray
-    leading_minors: np.ndarray
+    certificate: np.ndarray  # C at the point
     positive_definite: bool
     diag_dominant: bool
     classification: str  # "stable" | "critical" | "unstable"
@@ -66,6 +76,11 @@ class StabilityVerdict:
     @property
     def stable(self) -> bool:
         return self.positive_definite
+
+    @property
+    def leading_minors(self) -> np.ndarray:
+        """Leading principal minors of the certificate, computed on each access."""
+        return leading_minors(self.certificate)
 
 
 def _jacobian(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
@@ -101,10 +116,16 @@ def residual_jacobian(q, game: Game) -> np.ndarray:
     return _jacobian(q, best_response(q, game), game.matrix)
 
 
+def _certificate(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
+    """:func:`krasovskii_matrix` at q from the response ``f = best_response(q)``."""
+    jac = _jacobian(q, f, matrix)
+    return -(jac + np.swapaxes(jac, -1, -2))
+
+
 def krasovskii_matrix(q, game: Game) -> np.ndarray:
     """C(q) = -(J + J^T): symmetric, diagonal exactly 2. Takes batches like ``q``."""
-    jac = residual_jacobian(q, game)
-    return -(jac + np.swapaxes(jac, -1, -2))
+    q = np.asarray(q, dtype=float)
+    return _certificate(q, best_response(q, game), game.matrix)
 
 
 def leading_minors(c) -> np.ndarray:
@@ -119,17 +140,45 @@ def leading_minors(c) -> np.ndarray:
     return minors
 
 
-def sylvester_pd(c):
-    """Positive-definiteness test by leading principal minors.
+def _smallest_eigenvalue(c: np.ndarray):
+    """``(lambda_min, margin)`` of the symmetric matrices ``c``; NaN for a non-finite matrix."""
+    norm = np.abs(c).sum(axis=-1).max(axis=-1)
+    finite = np.isfinite(norm)
+    if finite.all():
+        lam = np.linalg.eigvalsh(c)[..., 0]
+    else:
+        # eigvalsh returns garbage for a non-finite matrix, or fails
+        zeroed = np.where(finite[..., np.newaxis, np.newaxis], c, 0.0)
+        lam = np.where(finite, np.linalg.eigvalsh(zeroed)[..., 0], np.nan)
+    return lam, lam - _EIG_ROUNDING * c.shape[-1] * norm
 
-    Returns ``(positive_definite, minors)``; the matrix is accepted only
-    when every minor clears ``PD_TOL``, so marginal certificates fail.
-    For a stack of matrices ``positive_definite`` is a boolean array
-    over the stack, for a single matrix a ``bool``.
+
+def pd_margin(c):
+    """Positive-definiteness margin lambda_min(C) - 16 n eps ||C||_inf.
+
+    The matrix is positive definite when the margin is positive: the
+    subtracted term bounds the rounding error of the computed smallest
+    eigenvalue, so a singular matrix such as [[2, -2], [-2, 2]] fails
+    even when rounding lifts its zero eigenvalue. One symmetric
+    eigenvalue solve decides it. Accepts leading batch dimensions and
+    returns an array over them; a matrix with a non-finite entry has
+    margin NaN and is not positive definite.
     """
-    minors = leading_minors(c)
-    pd = (minors > PD_TOL).all(axis=-1)
-    return (bool(pd) if pd.ndim == 0 else pd), minors
+    return _smallest_eigenvalue(np.asarray(c, dtype=float))[1]
+
+
+def sylvester_pd(c):
+    """Positive-definiteness test, with the leading principal minors.
+
+    Returns ``(positive_definite, minors)``: ``positive_definite`` is
+    :func:`pd_margin` > 0, so marginal certificates fail, and ``minors``
+    are the :func:`leading_minors`. For a stack of matrices
+    ``positive_definite`` is a boolean array over the stack, for a
+    single matrix a ``bool``. The package decides definiteness through
+    :func:`pd_margin` alone and never pays for the minors.
+    """
+    pd = pd_margin(c) > 0.0
+    return (bool(pd) if pd.ndim == 0 else pd), leading_minors(c)
 
 
 def diag_dominant(q_s, game: Game) -> bool:
@@ -166,17 +215,18 @@ def krasovskii_verdict(
     res = np.abs(f - q).max()
     if not res <= fp_tol:
         raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {float(res):.3e})")
-    jac = _jacobian(q, f, game.matrix)
-    pd, minors = sylvester_pd(-(jac + np.swapaxes(jac, -1, -2)))
+    c = _certificate(q, f, game.matrix)
+    lam, margin = _smallest_eigenvalue(c)
+    pd = bool(margin > 0.0)
     point = q.copy()
-    point.flags.writeable = False
-    minors.flags.writeable = False
+    for arr in (point, c):
+        arr.flags.writeable = False
     return StabilityVerdict(
         point=point,
-        leading_minors=minors,
+        certificate=c,
         positive_definite=pd,
         diag_dominant=diag_dominant(q, game),
-        classification="stable" if pd else "critical" if (minors > -PD_TOL).all() else "unstable",
+        classification="stable" if pd else "critical" if lam > -PD_TOL else "unstable",
         clipped=bool(((f >= 1.0) & (game.rates > 0.0)).any()),
     )
 
@@ -272,7 +322,7 @@ def roa_estimate(
     for i in range(resolution):
         axes = [centers[i : i + 1]] + [centers] * (game.n - 1)
         slab = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[0]
-        pd_mask[i], _ = sylvester_pd(krasovskii_matrix(slab, game))
+        pd_mask[i] = pd_margin(krasovskii_matrix(slab, game)) > 0.0
 
     q_star = np.array(q_star, dtype=float)
     mask = _component(pd_mask, _cell_of(q_star, resolution))

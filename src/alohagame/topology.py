@@ -48,6 +48,9 @@ class NodePlacement:
         rng = np.asarray(self.ranges, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or rng.shape != (pos.shape[0],):
             raise ValueError("positions must be (n, 2) and ranges (n,)")
+        _check_positive_finite(self.side, "side")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         if (pos < 0.0).any() or (pos > self.side).any():
             raise ValueError("positions must lie inside the square")
         _check_positive_finite(rng, "ranges")

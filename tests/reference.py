@@ -1,0 +1,108 @@
+"""Plain reference implementations that the tests compare the package against.
+
+Each one is the slow, direct form of a faster path in the package:
+the greedy dedup of the oracle's roots, one oracle call per parameter
+value of a bifurcation sweep, a rate search that walks the grid one
+step at a time with Kleene solves, and a verdict that evaluates the
+response map once per ingredient.
+"""
+
+import numpy as np
+
+from alohagame import (
+    PD_TOL,
+    BifurcationBranch,
+    BranchPoint,
+    Game,
+    StabilityVerdict,
+    best_response,
+    diag_dominant,
+    is_fixed_point,
+    kleene_lfp,
+    krasovskii_matrix,
+    krasovskii_verdict,
+    multistart_fixed_points,
+    pd_margin,
+    residual,
+)
+
+
+def greedy_dedup(points, radius):
+    """In lexicographic order, keep each point farther than ``radius`` from every kept one."""
+    kept = []
+    for p in points[np.lexsort(points.T[::-1])]:
+        if all(np.abs(p - k).max() > radius for k in kept):
+            kept.append(p)
+    return kept
+
+
+def sweep_one_value_at_a_time(matrix, fixed_rates, varying_index, value_range, step):
+    """Bifurcation sweep with one oracle call and one verdict per value."""
+    lo, hi = value_range
+    values = np.array([round(v, 12) for v in np.arange(round(lo, 12), hi + step / 2, step)])
+    branches = []
+    critical_value = critical_point = None
+    for value in values:
+        rates = np.asarray(fixed_rates, dtype=float).copy()
+        rates[varying_index] = value
+        game = Game(matrix, rates)
+        pts = sorted(multistart_fixed_points(game).points, key=lambda p: (float(p.sum()), tuple(p)))
+        row = []
+        for p in pts:
+            try:
+                verdict = krasovskii_verdict(p, game, fp_tol=1e-6)
+                row.append(BranchPoint(p, verdict.stable, verdict.classification))
+            except ValueError:
+                row.append(BranchPoint(p, False, "singular"))
+        branches.append(row)
+        interior = [p for p in pts if (p > 0.0).all() and (p < 1.0).all()]
+        if len(interior) >= 2:
+            critical_value = float(value)
+            gaps = [
+                (float(np.abs(interior[i] - interior[j]).max()), i, j)
+                for i in range(len(interior))
+                for j in range(i + 1, len(interior))
+            ]
+            _, i, j = min(gaps)
+            critical_point = (interior[i] + interior[j]) / 2.0
+    return BifurcationBranch(varying_index, values, branches, critical_value, critical_point)
+
+
+def linear_walk_max_common_rate(matrix, step=0.001):
+    """Rate search that walks the common rate up one step at a time,
+    solving each step from zeros with kleene_lfp, and stops at the first
+    rate whose least fixed point is not interior and certified stable."""
+    n = len(matrix)
+    best = 0.0
+    for k in range(1, int(1.0 / step) + 1):
+        y = round(k * step, 12)
+        game = Game(matrix, np.full(n, y))
+        res = kleene_lfp(game)
+        if not (res.interior and krasovskii_verdict(res.point, game).stable):
+            break
+        best = y
+    return best
+
+
+def reference_verdict(q_s, game, fp_tol):
+    """The certificate as separate evaluations of the response map give it."""
+    q = np.asarray(q_s, dtype=float)
+    if not is_fixed_point(q, game, fp_tol):
+        res = float(np.abs(residual(q, game)).max())
+        raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {res:.3e})")
+    c = krasovskii_matrix(q, game)
+    pd = bool(pd_margin(c) > 0.0)
+    if pd:
+        classification = "stable"
+    elif np.linalg.eigvalsh(c)[0] > -PD_TOL:
+        classification = "critical"
+    else:
+        classification = "unstable"
+    return StabilityVerdict(
+        point=q.copy(),
+        certificate=c,
+        positive_definite=pd,
+        diag_dominant=diag_dominant(q, game),
+        classification=classification,
+        clipped=bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any()),
+    )

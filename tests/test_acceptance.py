@@ -17,7 +17,6 @@ from alohagame import (
     bifurcation_sweep,
     chain_matrix,
     density_sweep,
-    diag_dominant,
     fit_power_law,
     is_fixed_point,
     iterate_game,
@@ -31,7 +30,6 @@ from alohagame import (
     residual_jacobian,
     size_sweep,
     stability_consistency,
-    sylvester_pd,
 )
 from alohagame.game import success_product
 

@@ -93,7 +93,7 @@ TABLE = {
 }
 
 POSITIVE = [np.nan, np.inf, 0.0, -1.0]
-COUNT = [0, -5]
+COUNT = [0, -5, 2.5]
 START = [[np.nan, 0.0, 0.0], [0.0, 0.0]]
 BAD_VALUES = {
     "tol": POSITIVE,

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from alohagame import (
-    BifurcationBranch,
-    BranchPoint,
     Game,
     achieved_rate,
     bifurcation_sweep,
@@ -16,18 +14,22 @@ from alohagame import (
     fit_power_law,
     fully_connected_matrix,
     kleene_lfp,
+    krasovskii_matrix,
     krasovskii_verdict,
     max_common_rate,
     max_demand_scale,
     max_probability_scale,
     multistart_fixed_points,
+    pd_margin,
     random_topology,
     side_for_density,
     size_sweep,
+    stability_consistency,
     write_records_csv,
 )
-from alohagame import experiments, solver
+from alohagame import experiments, solver, stability
 from conftest import Q_STAR, instance_rng, random_game
+from reference import linear_walk_max_common_rate, sweep_one_value_at_a_time
 
 CHAIN = chain_matrix(3)
 
@@ -106,38 +108,6 @@ class TestBifurcation:
             bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, value_range, step)
 
 
-def _sweep_one_value_at_a_time(matrix, fixed_rates, varying_index, value_range, step):
-    """Reference sweep: one oracle call and one verdict per value."""
-    lo, hi = value_range
-    values = np.array([round(v, 12) for v in np.arange(round(lo, 12), hi + step / 2, step)])
-    branches = []
-    critical_value = critical_point = None
-    for value in values:
-        rates = np.asarray(fixed_rates, dtype=float).copy()
-        rates[varying_index] = value
-        game = Game(matrix, rates)
-        pts = sorted(multistart_fixed_points(game).points, key=lambda p: (float(p.sum()), tuple(p)))
-        row = []
-        for p in pts:
-            try:
-                verdict = krasovskii_verdict(p, game, fp_tol=1e-6)
-                row.append(BranchPoint(p, verdict.stable, verdict.classification))
-            except ValueError:
-                row.append(BranchPoint(p, False, "singular"))
-        branches.append(row)
-        interior = [p for p in pts if (p > 0.0).all() and (p < 1.0).all()]
-        if len(interior) >= 2:
-            critical_value = float(value)
-            gaps = [
-                (float(np.abs(interior[i] - interior[j]).max()), i, j)
-                for i in range(len(interior))
-                for j in range(i + 1, len(interior))
-            ]
-            _, i, j = min(gaps)
-            critical_point = (interior[i] + interior[j]) / 2.0
-    return BifurcationBranch(varying_index, values, branches, critical_value, critical_point)
-
-
 def _assert_same_branch(got, ref):
     assert np.array_equal(got.parameter_values, ref.parameter_values)
     assert len(got.branches) == len(ref.branches)
@@ -162,7 +132,7 @@ class TestStackedSweep:
         args = (CHAIN, [0.15, 0.15, 0.15], 1, value_range, step)
         got = bifurcation_sweep(*args)
         assert got.critical_value is not None
-        _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
+        _assert_same_branch(got, sweep_one_value_at_a_time(*args))
 
     def test_random_games_match_one_value_at_a_time(self):
         # Each player of each game is swept over 1, 4 or 5 values.
@@ -180,7 +150,7 @@ class TestStackedSweep:
                 args = (game.matrix, game.rates, index, (lo, lo + (count - 1) * step), step)
                 got = bifurcation_sweep(*args)
                 assert got.parameter_values.size == count
-                _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
+                _assert_same_branch(got, sweep_one_value_at_a_time(*args))
         assert {(n, True) for n in range(1, 5)} <= counts_seen
 
 
@@ -199,7 +169,7 @@ class TestOneEnumeration:
             assert got.critical_value is not None and got.critical_value < value_range[1]
         else:
             assert got.parameter_values.size == 0 and got.branches == []
-        _assert_same_branch(got, _sweep_one_value_at_a_time(*args))
+        _assert_same_branch(got, sweep_one_value_at_a_time(*args))
 
     def test_one_sweep_is_one_round_sequence(self, monkeypatch):
         # An enumeration per value makes 3,945 contractions here, one
@@ -244,20 +214,76 @@ class TestMaxCommonRate:
         assert not (res.interior and krasovskii_verdict(res.point, g).stable)
 
 
-def _linear_walk_max_common_rate(matrix, step=0.001):
-    """Reference search: walk the common rate up one step at a time,
-    solving each step from zeros with kleene_lfp, and stop at the first
-    rate whose least fixed point is not interior and certified stable."""
-    n = len(matrix)
-    best = 0.0
-    for k in range(1, int(1.0 / step) + 1):
-        y = round(k * step, 12)
-        game = Game(matrix, np.full(n, y))
-        res = kleene_lfp(game)
-        if not (res.interior and krasovskii_verdict(res.point, game).stable):
-            break
-        best = y
-    return best
+def _edge_game(rng) -> Game:
+    """A game with a fixed point near the certificate's edge.
+
+    Draws a topology of 2-5 players and a point q, finds by bisection
+    the scale b* at which the certificate at b*q loses definiteness,
+    and returns the game for which b*q, moved by a relative 1e-3 to
+    1e-1 to either side, is a fixed point.
+    """
+    n = int(rng.integers(2, 6))
+    a = (rng.random((n, n)) < rng.uniform(0.3, 1.0)).astype(int)
+    np.fill_diagonal(a, 0)
+    a[0, 1] = 1
+    q = rng.uniform(0.05, 0.6, n)
+
+    def margin(b):
+        return pd_margin(krasovskii_matrix(b * q, Game(a, achieved_rate(b * q, a))))
+
+    lo, hi = 0.0, 0.999 / q.max()
+    for _ in range(20):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if margin(mid) > 0.0 else (lo, mid)
+    b = min(lo * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1.0, 3.0)), 0.999 / q.max())
+    return Game(a, achieved_rate(b * q, a))
+
+
+class TestUpperBracket:
+    """The certificate is decided at a proven upper bracket of the least
+    fixed point, so it does not depend on where the solver stops."""
+
+    @pytest.mark.parametrize("n, y_max", [(2, 0.249), (3, 0.191), (5, 0.162)])
+    def test_chain_common_rates(self, n, y_max):
+        # The pair's fold sits exactly at 0.25, where the certificate
+        # at the true point (0.5, 0.5) is [[2, -2], [-2, 2]].
+        assert max_common_rate(chain_matrix(n))[0] == y_max
+
+    def test_never_accepts_where_the_kleene_certificate_fails(self):
+        # Random games, and games whose fixed point lies near the
+        # certificate's edge; every accepted one is checked against the
+        # certificate at its least fixed point solved to 1e-13.
+        accepted = rejected = near_edge = unconverged = 0
+        for i in range(1500):
+            rng = instance_rng(5151, i)
+            game = random_game(rng, n_max=5) if i < 1350 else _edge_game(rng)
+            if experiments._interior_stable_lfp(game.matrix, game.rates, np.zeros(game.n)) is None:
+                rejected += 1
+                continue
+            ref = kleene_lfp(game, tol=1e-13, max_iter=1000)
+            if not ref.converged:
+                unconverged += 1
+                continue
+            verdict = krasovskii_verdict(ref.point, game)
+            assert ref.interior and verdict.stable, i
+            accepted += 1
+            near_edge += bool(pd_margin(verdict.certificate) < 1e-2)
+        assert accepted >= 1000 and rejected >= 300
+        assert near_edge >= 10 and unconverged <= 30
+
+    def test_searches_never_compute_minors(self, monkeypatch, chain3):
+        def refused(c):
+            raise AssertionError("leading minors computed")
+
+        monkeypatch.setattr(stability, "leading_minors", refused)
+        _, matrix = random_topology(60, side_for_density(60, 0.1), seed=3)
+        assert max_common_rate(matrix)[0] > 0.0
+        assert not np.isnan(feasible_contour(CHAIN, [0.1, 0.15], [0.15], step=0.01)).any()
+        assert max_demand_scale(chain3).factor == 1.27
+        assert max_probability_scale(chain3, kleene_lfp(chain3).point).factor == 1.94
+        branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.24, 0.25), 0.005)
+        assert branch.critical_value == 0.245
+        assert stability_consistency(multistart_fixed_points(chain3), chain3).least_stable
 
 
 def _pair_limited(matrix) -> bool:
@@ -269,15 +295,16 @@ class TestSearchEquivalence:
 
     Topologies whose largest component is an isolated pair are left
     out. Their fold sits exactly on the grid, at y = 0.25, where the
-    certificate at the true equilibrium (0.5, 0.5) is marginal. Both
-    solvers stop a few 1e-6 short of it, where the certificate is still
-    positive, so whether 0.25 passes depends on where each one stops.
+    certificate at the true equilibrium (0.5, 0.5) is marginal. The
+    search decides at an upper bracket of it and rejects 0.25, while
+    the walk decides at the Kleene point, a few 1e-6 short of it, where
+    the certificate is still positive.
     """
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_chain_and_fully_connected(self, n):
         for matrix in (chain_matrix(n), fully_connected_matrix(n)):
-            assert max_common_rate(matrix)[0] == _linear_walk_max_common_rate(matrix)
+            assert max_common_rate(matrix)[0] == linear_walk_max_common_rate(matrix)
 
     def test_random_topologies(self):
         compared = 0
@@ -288,7 +315,7 @@ class TestSearchEquivalence:
                     if _pair_limited(matrix):
                         continue
                     y_max, point = max_common_rate(matrix)
-                    assert y_max == _linear_walk_max_common_rate(matrix), (n, density, trial)
+                    assert y_max == linear_walk_max_common_rate(matrix), (n, density, trial)
                     if y_max > 0.0:
                         game = Game(matrix, np.full(n, y_max))
                         assert np.abs(point - kleene_lfp(game, tol=1e-13).point).max() <= 1e-6

@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
     "is_fixed_point", "iterate_game", "kleene_lfp", "krasovskii_matrix", "krasovskii_verdict",
     "leading_minors", "least_of", "leq", "load_topology", "lyapunov_value", "max_common_rate",
     "max_demand_scale", "max_probability_scale", "multistart_fixed_points", "newton_lfp",
-    "random_topology", "residual", "residual_jacobian", "roa_estimate", "save_topology",
+    "pd_margin", "random_topology", "residual", "residual_jacobian", "roa_estimate", "save_topology",
     "side_for_density", "size_sweep", "stability_consistency", "sylvester_pd",
     "write_records_csv",
 ]  # fmt: skip

@@ -19,6 +19,7 @@ from alohagame import (
 from alohagame import solver
 from alohagame.game import success_product
 from conftest import P_SADDLE, Q_STAR, instance_rng, random_game
+from reference import greedy_dedup
 from test_game import two_player_root
 
 
@@ -262,13 +263,6 @@ class TestMultistartOracle:
         assert np.abs(fps.points[0] - 0.5).max() <= 1e-6
 
     def test_dedup_keeps_the_points_a_greedy_pass_keeps(self):
-        def greedy(points, radius):
-            kept = []
-            for p in points[np.lexsort(points.T[::-1])]:
-                if all(np.abs(p - k).max() > radius for k in kept):
-                    kept.append(p)
-            return kept
-
         rng = np.random.default_rng(12)
         for _ in range(200):
             n = int(rng.integers(1, 5))
@@ -278,7 +272,7 @@ class TestMultistartOracle:
             # depends on the order in which points are visited
             points = points + rng.uniform(-2e-6, 2e-6, points.shape)
             got = solver._dedup(points, 1e-6)
-            want = greedy(points, 1e-6)
+            want = greedy_dedup(points, 1e-6)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
 

@@ -8,9 +8,7 @@ from scipy import ndimage
 
 import alohagame
 from alohagame import (
-    PD_TOL,
     Game,
-    StabilityVerdict,
     FixedPointSet,
     best_response,
     bifurcation_sweep,
@@ -22,15 +20,16 @@ from alohagame import (
     leading_minors,
     lyapunov_value,
     multistart_fixed_points,
-    residual,
+    pd_margin,
     residual_jacobian,
     roa_estimate,
     stability_consistency,
     sylvester_pd,
 )
-from alohagame.game import is_fixed_point, success_product
+from alohagame.game import success_product
 from alohagame.stability import _component
 from conftest import P_SADDLE, Q_STAR, random_game
+from reference import reference_verdict
 
 CHAIN = chain_matrix(3)
 
@@ -102,6 +101,32 @@ class TestKrasovskiiMatrix:
     def test_saddle_off_diagonals_exceed_two(self, chain3):
         c = krasovskii_matrix(P_SADDLE, chain3)
         assert np.abs(c[0, 1]) > 2.0
+
+
+class TestPdMargin:
+    def test_scaled_identity(self):
+        assert pd_margin(2.0 * np.eye(3)) == 2.0 - 16 * 3 * np.finfo(float).eps * 2.0
+
+    def test_singular_pair_fold_certificate_rejected(self):
+        # the certificate at the pair's fold point (0.5, 0.5): eigenvalues 0 and 4
+        c = np.array([[2.0, -2.0], [-2.0, 2.0]])
+        assert not pd_margin(c) > 0.0
+        pd, minors = sylvester_pd(c)
+        assert not pd and np.array_equal(minors, [2.0, 0.0])
+
+    def test_non_finite_matrix_is_not_positive_definite(self):
+        margins = pd_margin(np.stack([2.0 * np.eye(2), [[2.0, np.nan], [np.nan, 2.0]], [[np.inf, 0.0], [0.0, 1.0]]]))
+        assert margins[0] > 0.0 and np.isnan(margins[1:]).all()
+
+    def test_stack_gives_the_per_matrix_margins(self):
+        for game, q in _stacks():
+            n = game.n
+            c = krasovskii_matrix(q, game)
+            margins = pd_margin(c)
+            assert margins.shape == q.shape[:-1]
+            loop = [pd_margin(m) for m in c.reshape(-1, n, n)]
+            assert all(np.ndim(m) == 0 for m in loop)
+            assert np.array_equal(margins.ravel(), loop)
 
 
 class TestSylvester:
@@ -261,36 +286,15 @@ class TestVerdictEvaluations:
         assert calls[0] <= 160
 
 
-def _reference_verdict(q_s, game, fp_tol):
-    """The certificate as three separate evaluations of the response map give it."""
-    q = np.asarray(q_s, dtype=float)
-    if not is_fixed_point(q, game, fp_tol):
-        res = float(np.abs(residual(q, game)).max())
-        raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {res:.3e})")
-    pd, minors = sylvester_pd(krasovskii_matrix(q, game))
-    if (minors > PD_TOL).all():
-        classification = "stable"
-    elif (minors > -PD_TOL).all():
-        classification = "critical"
-    else:
-        classification = "unstable"
-    return StabilityVerdict(
-        point=q.copy(),
-        leading_minors=minors,
-        positive_definite=pd,
-        diag_dominant=diag_dominant(q, game),
-        classification=classification,
-        clipped=bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any()),
-    )
-
-
 def _outcome(verdict, *args) -> dict:
-    """Every field of the verdict, arrays as (dtype, shape, bytes) so NaN and -0.0 compare bitwise; or the error."""
+    """Every field of the verdict and its leading minors, arrays as
+    (dtype, shape, bytes) so NaN and -0.0 compare bitwise; or the error."""
     try:
         got = verdict(*args)
     except ValueError as exc:
         return {"raised": str(exc)}
     values = {f.name: getattr(got, f.name) for f in dataclasses.fields(got)}
+    values["leading_minors"] = got.leading_minors
     return {
         name: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (type(v), v)
         for name, v in values.items()
@@ -329,7 +333,7 @@ class TestVerdictReference:
             saturated += bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any())
             silent += bool((game.rates == 0.0).any())
             for fp_tol in (1e-6, 1e-3, 1.0):
-                want = _outcome(_reference_verdict, q, game, fp_tol)
+                want = _outcome(reference_verdict, q, game, fp_tol)
                 assert _outcome(krasovskii_verdict, q, game, fp_tol) == want, (game, q, fp_tol)
                 seen.add(want["raised"].split()[0] if "raised" in want else want["classification"][1])
         assert 3 * len(cases) >= 3000

@@ -172,3 +172,19 @@ class TestTopologyFiles:
             NodePlacement(positions=[[2.0, 0.5]], ranges=[3.0], side=1.0)
         with pytest.raises(ValueError, match="positive"):
             NodePlacement(positions=[[0.5, 0.5]], ranges=[0.0], side=1.0)
+
+    @pytest.mark.parametrize("side", [np.nan, np.inf, 0.0])
+    def test_placement_rejects_bad_side(self, side):
+        with pytest.raises(ValueError, match="^side must be positive and finite"):
+            NodePlacement(positions=[[0.0, 1.0], [1.0, 5.0]], ranges=[5.0, 3.0], side=side)
+
+    @pytest.mark.parametrize("coordinate", [np.nan, np.inf, -np.inf])
+    def test_placement_rejects_non_finite_positions(self, coordinate):
+        with pytest.raises(ValueError, match="^positions must be finite"):
+            NodePlacement(positions=[[0.0, coordinate], [1.0, 5.0]], ranges=[5.0, 3.0], side=10.0)
+
+    def test_rejects_nan_position_in_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n0 1\n1 0\n# positions\n0 nan 1.0 5.0\n1 1.0 5.0 3.0\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_topology(path)
