@@ -15,13 +15,17 @@ Three routes to the fixed points of the best-response map:
   instances. Each success product is monotone in every coordinate, so
   over a box of [0, 1]^n the range of q_i * prod_i is exact at the
   box's corners, and a box whose range misses the target rate holds no
-  fixed point. The oracle contracts and bisects the boxes that
-  survive, polishes a root from each small leaf by Newton's method on
-  the polynomial form, and keeps the genuine fixed points. It is used
-  to cross-check the iterative solvers. Games that share a topology
-  are enumerated together, their boxes contracted and split in the
-  same rounds: a bifurcation sweep finds every parameter value's roots
-  in one enumeration.
+  fixed point. The oracle contracts the boxes that survive, and a box
+  still wider than a leaf takes a Krawczyk step: one proven to hold
+  exactly one root retires at once, one proven to hold none is
+  dropped, and the rest are cut and bisected. Newton's method on the
+  polynomial form polishes a root from each retired box and each small
+  leaf, and the genuine fixed points are kept. The oracle is used to
+  cross-check the iterative solvers. Games that share a topology are
+  enumerated together, their boxes contracted and split in the same
+  rounds, in blocks of games whose boxes fit a fixed budget: a
+  bifurcation sweep finds every parameter value's roots in one
+  enumeration per block.
 """
 
 from __future__ import annotations
@@ -57,6 +61,12 @@ DEDUP_RADIUS = 1e-6
 # contracts each box this many times per bisection.
 _LEAF_WIDTH = 1e-3
 _CONTRACT_ROUNDS = 3
+
+# Games are enumerated in blocks of rows, so that a long sweep does not
+# hold every value's boxes at once. A row is budgeted its initial cells
+# each split once along every axis, (2 * cells_per_axis)^n boxes, and a
+# block holds as many rows as fit this many boxes (at least one).
+_BLOCK_BOXES = 2048
 
 # Relative outward rounding of contracted bounds. It covers the
 # rounding of a success product of up to seven factors and of one
@@ -229,58 +239,170 @@ def _contract(lo, hi, row, rates, mask):
     return lo[keep], hi[keep], row[keep]
 
 
-def _leaf_centres(rates, mask, cells_per_axis: int):
-    """Centres of the boxes no exclusion removes, bisected to ``_LEAF_WIDTH``.
+def _leaf_centres(rates, matrix, cells_per_axis: int):
+    """Polishing starts of the boxes no exclusion removes, one per box.
 
     Enumerates the games whose target rates are the rows of ``rates``
-    and whose interference matrix is ``mask``, all in the same rounds,
-    and returns the leaf centres with the rate row of each. Every game
-    starts from ``cells_per_axis`` cells per axis over [0, 1]^n. A
-    silent player's axis is [0, 0] from the start: a zero rate forces
-    q_i = 0 at every fixed point of the clipped map. Each round
-    contracts every box ``_CONTRACT_ROUNDS`` times, keeps those at most
-    ``_LEAF_WIDTH`` wide as leaves and splits the rest in half along
-    their widest side.
+    and whose interference matrix is ``matrix``, all in the same rounds,
+    and returns the starts with the rate row of each. Every game starts
+    from ``cells_per_axis`` cells per axis over [0, 1]^n. A silent
+    player's axis is [0, 0] from the start: a zero rate forces q_i = 0
+    at every fixed point of the clipped map. Each round contracts every
+    box ``_CONTRACT_ROUNDS`` times and retires those at most
+    ``_LEAF_WIDTH`` wide as leaves, started from their centres. The
+    wider boxes take one Krawczyk step: a box proven to hold exactly
+    one root retires too, started from its Newton point; the others
+    are cut by the step and split in half along their widest side.
     """
     n = rates.shape[1]
+    mask = matrix.astype(bool)
     edges = np.linspace(0.0, 1.0, cells_per_axis + 1)
     cells = np.stack(np.meshgrid(*[np.arange(cells_per_axis)] * n, indexing="ij"), axis=-1).reshape(-1, n)
     silent = rates == 0.0
     row, box = np.nonzero(~(silent[:, np.newaxis] & (cells > 0)).any(axis=-1))
     lo, hi = edges[cells[box]], np.where(silent[row], 0.0, edges[cells[box] + 1])
-    leaves, owners = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    starts, owners = [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(lo):
             for _ in range(_CONTRACT_ROUNDS):
                 lo, hi, row = _contract(lo, hi, row, rates, mask)
-            width = hi - lo
-            leaf = width.max(axis=1) <= _LEAF_WIDTH
-            leaves.append((lo[leaf] + hi[leaf]) / 2.0)
+            leaf = (hi - lo).max(axis=1) <= _LEAF_WIDTH
+            starts.append((lo[leaf] + hi[leaf]) / 2.0)
             owners.append(row[leaf])
-            split = ~leaf
-            lo, hi, row, width = lo[split], hi[split], row[split], width[split]
+            if leaf.all():
+                break
+            lo, hi, row, (proven, proven_row) = _krawczyk(lo[~leaf], hi[~leaf], row[~leaf], rates, matrix)
+            starts.append(proven)
+            owners.append(proven_row)
+            width = hi - lo
             boxes, axis = np.arange(len(lo)), width.argmax(axis=1)
             mid = (lo[boxes, axis] + hi[boxes, axis]) / 2.0
             # Lower halves first, then upper halves.
             lo, hi, row = np.concatenate([lo, lo]), np.concatenate([hi, hi]), np.concatenate([row, row])
             hi[boxes, axis] = lo[len(boxes) + boxes, axis] = mid
-    return np.concatenate(leaves), np.concatenate(owners)
+    return np.concatenate(starts), np.concatenate(owners)
+
+
+def _krawczyk(lo, hi, row, rates, matrix):
+    """One Krawczyk step on h(q) = q * P(q) - y over the boxes X = [lo, hi].
+
+    With m the midpoint of X, r its half-width and Y = J(m)^-1, the
+    Krawczyk box is K = m - Y h(m) + (I - Y J(X))(X - m): every root
+    in X lies in K, and a K strictly inside X proves that X holds
+    exactly one root (Krawczyk 1969; Neumaier 1990). J(X), the
+    interval Jacobian, comes from :func:`_jacobians`. In
+    centre-radius form K = [k - rho, k + rho] with k = m - Y h(m)
+    and rho = |I - Y J_c| r + |Y| J_r r, widened by ``_rounding``.
+
+    A silent player's axis has width 0 and is neither tested nor cut:
+    its row of J(X) is zero off the diagonal and h_i(m) = 0, so the
+    other axes of K are the Krawczyk box of the system without it.
+    A box whose J(m) is singular or not finite is passed on as it is.
+
+    Returns the boxes K does not settle, each cut to the intersection
+    of X and K, and the Newton points k of the boxes proven to hold one
+    root with their rows; boxes where K misses X are dropped.
+    """
+    n = lo.shape[1]
+    y = rates[row]
+    m = (lo + hi) / 2.0
+    prod, jm, j_lo, j_hi = _jacobians(m, lo, hi, matrix)
+    y_inv = _inverse(jm)
+    # X lies in [m - r, m + r] despite the rounding of m and r.
+    r = np.maximum(hi - m, m - lo) * (1.0 + np.finfo(float).eps)
+    centre = m - _times(y_inv, m * prod - y)
+    rounding = _rounding(n)
+    rho = _times(np.abs(np.eye(n) - y_inv @ ((j_lo + j_hi) / 2.0)), r) + 2.0 * rounding
+    rho += _times(np.abs(y_inv), _times(j_hi - j_lo, r / 2.0) + (n + 2) * rounding)
+    k_lo, k_hi = centre - rho, centre + rho
+    active = y > 0.0
+    inside = ((k_lo > lo) & (k_hi < hi) | ~active).all(axis=1)
+    lo, hi = np.where(active, np.fmax(lo, k_lo), lo), np.where(active, np.fmin(hi, k_hi), hi)
+    left = ~(inside | (lo > hi).any(axis=1))
+    return lo[left], hi[left], row[left], (centre[inside], row[inside])
+
+
+def _jacobians(m, lo, hi, matrix):
+    """Success products P(m), Jacobians J(m) and J's end points over [lo, hi].
+
+    J is the Jacobian of q * P(q) - y. Every entry is monotone in each
+    coordinate, so its range over a box is exact at two corners: J_ii
+    lies in [P_i(hi), P_i(lo)] and J_ij in
+    [-hi_i prod_{k != j}(1 - lo_k), -lo_i prod_{k != j}(1 - hi_k)].
+    Each of the three matrices is -a_ij s_i prod_{k != j}(1 - t_k) off
+    the diagonal and P_i(s) on it, with (s, t) = (m, m), (hi, lo) and
+    (lo, hi); J(m) is bit for bit the Jacobian of :func:`_polynomial`.
+    """
+    k = len(m)
+    t = np.concatenate([m, lo, hi])
+    s = np.r_[0:k, 2 * k : 3 * k, k : 2 * k]
+    prod, others = _products(t, matrix)
+    jac = -matrix * t[s][..., np.newaxis] * others
+    _diagonal(jac)[...] = prod[s]
+    return prod[:k], jac[:k], jac[k : 2 * k], jac[2 * k :]
+
+
+def _inverse(jac):
+    """Inverses of a stack of matrices; NaN for those that are singular."""
+    try:
+        return np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        out = np.full_like(jac, np.nan)
+        regular = np.abs(np.linalg.det(jac)) > 0.0
+        out[regular] = np.linalg.inv(jac[regular])
+        return out
+
+
+def _diagonal(stack):
+    """Writable view of the diagonals of a stack of square matrices."""
+    return np.einsum("...ii->...i", stack)
+
+
+def _times(a, x):
+    """Matrix-vector products of a stack of matrices and a stack of vectors."""
+    return (a @ x[..., np.newaxis])[..., 0]
+
+
+def _rounding(n: int) -> float:
+    """Outward rounding of the Krawczyk box of an n-player game, per |Y| row sum.
+
+    Every entry of h(m), of J(X)'s end points and of m and r is a
+    rounded product of at most n factors in [0, 1], so each is off by
+    at most (n + 1) eps relative; the products with Y and with r are
+    sums of n terms, which adds n eps. So K's first-order rounding
+    error is below (2n + 4) eps times |m| + r + |Y| (|h(m)| + y +
+    (|J_c| + J_r) r). Every J(X) entry lies in [-1, 1], so that sum is
+    below 2 + (n + 2) sum_j |Y_ij|; K's radius is widened by twice the
+    bound, (4n + 8) eps (2 + (n + 2) sum_j |Y_ij|).
+    """
+    return (4 * n + 8) * np.finfo(float).eps
+
+
+def _products(q, matrix):
+    """Success products and their leave-one-out products, batched over rows of q.
+
+    Entry [k, i, j] of the second array is the product of P_i's factors
+    other than 1 - q_j, from prefix and suffix products, so it has no
+    pole where some q_j = 1.
+    """
+    k, n = q.shape
+    before, after = np.ones((2, k, n, n + 1))
+    np.subtract(1.0, q[:, np.newaxis, :], out=before[..., 1:], where=matrix.astype(bool))
+    after[..., 1:] = before[..., :0:-1]
+    np.cumprod(before, axis=-1, out=before)
+    np.cumprod(after, axis=-1, out=after)
+    return before[..., -1], before[..., :-1] * after[..., -2::-1]
 
 
 def _polynomial(q, rates, matrix):
     """Residual q * P(q) - y and its Jacobian, batched over rows of q.
 
     Row k of ``q`` is a point of the game whose target rates are row k
-    of ``rates``. The products of all factors but one come from prefix
-    and suffix products, so the Jacobian has no pole where some q_j = 1.
+    of ``rates``.
     """
-    factors = np.where(matrix.astype(bool), 1.0 - q[:, np.newaxis, :], 1.0)
-    ones = np.ones_like(factors[..., :1])
-    before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
-    after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-    prod = before[..., -1] * factors[..., -1]
-    jac = -matrix * q[..., np.newaxis] * (before * after)
-    jac[:, np.arange(len(matrix)), np.arange(len(matrix))] = prod
+    prod, others = _products(q, matrix)
+    jac = -matrix * q[..., np.newaxis] * others
+    _diagonal(jac)[...] = prod
     return q * prod - rates, jac
 
 
@@ -330,11 +452,12 @@ def _dedup(points: np.ndarray, radius: float) -> list:
 
 
 def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> list:
-    """:func:`multistart_fixed_points` of each game, in one enumeration.
+    """:func:`multistart_fixed_points` of each game, enumerated together.
 
-    The games share one interference matrix. Their boxes contract,
-    split and polish together, each against its own target rates, so
-    every game gets the fixed points it would get alone.
+    The games share one interference matrix. The boxes of each block
+    of games (see ``_BLOCK_BOXES``) contract, split and polish
+    together, each against its own target rates, so every game gets
+    the fixed points it would get alone.
     """
     n = games[0].n
     if n > ORACLE_MAX_PLAYERS:
@@ -346,9 +469,14 @@ def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> li
     _check_count(max_iter, "max_iter")
     matrix = games[0].matrix
     rates = np.stack([g.rates for g in games])
-    centres, owner = _leaf_centres(rates, matrix.astype(bool), starts_per_axis)
+    block = max(1, _BLOCK_BOXES // (2 * starts_per_axis) ** n)
+    roots, owner = [], []
+    for first in range(0, len(rates), block):
+        starts, rows = _leaf_centres(rates[first : first + block], matrix, starts_per_axis)
+        roots.append(_polish(starts, rates[first + rows], matrix, max_iter))
+        owner.append(first + rows)
+    roots, owner = np.concatenate(roots), np.concatenate(owner)
     leaf_rates = rates[owner]
-    roots = _polish(centres, leaf_rates, matrix, max_iter)
     # Exact, as for the leaves: a zero rate forces q_i = 0.
     roots[leaf_rates == 0.0] = 0.0
     slack = 1e-9
@@ -374,18 +502,25 @@ def multistart_fixed_points(
     monotone in every coordinate, so over a box [l, u] the exact range
     of q_i * prod_i is [l_i * prod_i(u), u_i * prod_i(l)]; boxes whose
     range misses a rate hold no root and are dropped. The survivors
-    are contracted and bisected down to small leaves, and Newton on the
-    polynomial form from each leaf centre polishes them to roots. The
-    roots that are fixed points of the clipped map at 1e-9 are kept and
-    deduplicated. The clipping-induced all-ones point is reported
-    through ``includes_extraneous`` whenever every target rate is
-    positive.
+    are contracted; each one still wider than a leaf then takes a
+    Krawczyk step, which retires a box it proves to hold exactly one
+    root, drops one it proves to hold none, and cuts the others before
+    they are bisected. Newton on the polynomial form polishes a root
+    from the Newton point of each retired box and from the centre of
+    each small leaf. The roots that are fixed points of the clipped
+    map at 1e-9 are kept and deduplicated. The clipping-induced
+    all-ones point is reported through ``includes_extraneous``
+    whenever every target rate is positive.
 
     ``starts_per_axis`` is the number of cells per axis of the initial
-    partition, and ``max_iter`` caps the Newton steps from each leaf,
-    which stop earlier at the first step that does not lower the
-    residual. Neither changes which boxes are excluded, only the cost;
-    at a double root, where Newton converges linearly, too small a cap
+    partition, and ``max_iter`` caps the Newton steps from each retired
+    box or leaf, which stop earlier at the first step that does not
+    lower the residual. Every root ends in a retired box or a leaf
+    whatever the partition, so neither changes which roots are found,
+    only the cost. The cost is set by the roots: a box around a simple
+    root retires after a few rounds, while the Krawczyk test cannot
+    succeed at a double root, whose box is bisected down to a leaf. At
+    a double root, where Newton converges linearly, too small a cap
     leaves several nearby points instead of one.
     """
     return _fixed_point_sets([game], starts_per_axis, max_iter)[0]

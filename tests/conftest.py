@@ -39,6 +39,20 @@ def instance_rng(master: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master, index]))
 
 
+def record_calls(monkeypatch, module, name):
+    """Rebind ``module.<name>`` to a wrapper that records each call as (args, result)."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 @pytest.fixture
 def chain3() -> Game:
     """The three-player chain at common rate 0.15."""

@@ -1,10 +1,11 @@
 """Plain reference implementations that the tests compare the package against.
 
 Each one is the slow, direct form of a faster path in the package:
-the greedy dedup of the oracle's roots, one oracle call per parameter
-value of a bifurcation sweep, a rate search that walks the grid one
-step at a time with Kleene solves, and a verdict that evaluates the
-response map once per ingredient.
+the greedy dedup of the oracle's roots, the oracle's box enumeration
+that bisects every box down to the leaf width, one oracle call per
+parameter value of a bifurcation sweep, a rate search that walks the
+grid one step at a time with Kleene solves, and a verdict that
+evaluates the response map once per ingredient.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from alohagame import (
     pd_margin,
     residual,
 )
+from alohagame import solver
 
 
 def greedy_dedup(points, radius):
@@ -34,6 +36,39 @@ def greedy_dedup(points, radius):
         if all(np.abs(p - k).max() > radius for k in kept):
             kept.append(p)
     return kept
+
+
+def width_only_leaf_centres(rates, matrix, cells_per_axis):
+    """The oracle's box enumeration without the Krawczyk step.
+
+    Each round contracts every box, keeps those at most the leaf width
+    wide as leaves and splits the rest in half along their widest side,
+    so every surviving box, a root's included, is bisected down to the
+    leaf width. Returns the leaf centres with the rate row of each.
+    """
+    n = rates.shape[1]
+    mask = matrix.astype(bool)
+    edges = np.linspace(0.0, 1.0, cells_per_axis + 1)
+    cells = np.stack(np.meshgrid(*[np.arange(cells_per_axis)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    silent = rates == 0.0
+    row, box = np.nonzero(~(silent[:, np.newaxis] & (cells > 0)).any(axis=-1))
+    lo, hi = edges[cells[box]], np.where(silent[row], 0.0, edges[cells[box] + 1])
+    leaves, owners = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(lo):
+            for _ in range(solver._CONTRACT_ROUNDS):
+                lo, hi, row = solver._contract(lo, hi, row, rates, mask)
+            width = hi - lo
+            leaf = width.max(axis=1) <= solver._LEAF_WIDTH
+            leaves.append((lo[leaf] + hi[leaf]) / 2.0)
+            owners.append(row[leaf])
+            split = ~leaf
+            lo, hi, row, width = lo[split], hi[split], row[split], width[split]
+            boxes, axis = np.arange(len(lo)), width.argmax(axis=1)
+            mid = (lo[boxes, axis] + hi[boxes, axis]) / 2.0
+            lo, hi, row = np.concatenate([lo, lo]), np.concatenate([hi, hi]), np.concatenate([row, row])
+            hi[boxes, axis] = lo[len(boxes) + boxes, axis] = mid
+    return np.concatenate(leaves), np.concatenate(owners)
 
 
 def sweep_one_value_at_a_time(matrix, fixed_rates, varying_index, value_range, step):

@@ -28,7 +28,7 @@ from alohagame import (
     write_records_csv,
 )
 from alohagame import experiments, solver, stability
-from conftest import Q_STAR, instance_rng, random_game
+from conftest import Q_STAR, instance_rng, random_game, record_calls
 from reference import linear_walk_max_common_rate, sweep_one_value_at_a_time
 
 CHAIN = chain_matrix(3)
@@ -173,18 +173,42 @@ class TestOneEnumeration:
 
     def test_one_sweep_is_one_round_sequence(self, monkeypatch):
         # An enumeration per value makes 3,945 contractions here, one
-        # enumeration for all 61 values 93.
-        calls = []
-        contract = solver._contract
-
-        def counting(*args):
-            calls.append(len(args[0]))
-            return contract(*args)
-
-        monkeypatch.setattr(solver, "_contract", counting)
+        # enumeration for all 61 values 93 when every box is bisected
+        # down to the leaf width, and 30 when the Krawczyk step retires
+        # the boxes it proves to hold one root. The 61 values are one
+        # block.
+        calls = record_calls(monkeypatch, solver, "_contract")
+        blocks = record_calls(monkeypatch, solver, "_leaf_centres")
         branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), 0.005)
         assert branch.parameter_values.size == 61
-        assert len(calls) <= 100
+        assert len(calls) == 30
+        assert len(blocks) == 1
+
+    def test_blocks_give_the_one_block_roots(self, monkeypatch):
+        # The 8-player chain at rate 0.1 with player 4's rate swept
+        # from 0; 9 blocks of 2 rows and the last of 1 row.
+        n = solver.ORACLE_MAX_PLAYERS
+        games = [Game(chain_matrix(n), np.where(np.arange(n) == 4, v, 0.1)) for v in np.arange(19) * 0.0008]
+        monkeypatch.setattr(solver, "_BLOCK_BOXES", 2 * 2**n)
+        blocks = record_calls(monkeypatch, solver, "_leaf_centres")
+        got = solver._fixed_point_sets(games)
+        assert len(blocks) == 10
+        monkeypatch.setattr(solver, "_BLOCK_BOXES", 10**9)
+        want = solver._fixed_point_sets(games)
+        assert len(blocks) == 11
+        assert [len(f.points) for f in got] == [len(f.points) for f in want]
+        assert sum(len(f.points) for f in got) >= 19
+        for f, g in zip(got, want):
+            assert all(np.array_equal(p, q) for p, q in zip(f.points, g.points))
+
+    def test_live_boxes_do_not_grow_with_the_values(self, monkeypatch):
+        # One enumeration of all values held about 80 boxes per value
+        # of this sweep at once, 8,000 for 100 values.
+        n = solver.ORACLE_MAX_PLAYERS
+        games = [Game(chain_matrix(n), np.where(np.arange(n) == 4, v, 0.1)) for v in np.arange(100) * 0.004]
+        calls = record_calls(monkeypatch, solver, "_contract")
+        solver._fixed_point_sets(games)
+        assert max(len(args[0]) for args, _ in calls) <= solver._BLOCK_BOXES
 
 
 class TestMaxCommonRate:
@@ -522,7 +546,6 @@ class TestSweeps:
         assert rows[0] == ["seed", "n", "side", "connectivity", "y_max", "total_throughput", "avg_q"]
         assert len(rows) == 2
 
-    @pytest.mark.slow
     def test_large_sparse_network_keeps_useful_throughput(self):
         # spatial reuse keeps the per-player rate workable at scale
         from alohagame import random_topology, side_for_density

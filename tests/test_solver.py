@@ -18,8 +18,8 @@ from alohagame import (
 )
 from alohagame import solver
 from alohagame.game import success_product
-from conftest import P_SADDLE, Q_STAR, instance_rng, random_game
-from reference import greedy_dedup
+from conftest import P_SADDLE, Q_STAR, instance_rng, random_game, record_calls
+from reference import greedy_dedup, width_only_leaf_centres
 from test_game import two_player_root
 
 
@@ -307,6 +307,150 @@ class TestBoxExclusion:
                 )
             assert len(box_lo) == 1
             assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
+
+
+def _planted_box(rng):
+    """A random game, a root q of it and a box around q inside [0, 1]^n.
+
+    Coordinates of q sit at 0 or 1 at times, and on a face of the box at
+    times; a player whose rate q * P(q) is zero is silent, at 0 on an
+    axis of width 0, as in the enumeration.
+    """
+    n = int(rng.integers(1, 7))
+    a = (rng.random((n, n)) < rng.uniform(0.2, 1.0)).astype(int)
+    np.fill_diagonal(a, 0)
+    q = rng.random(n)
+    q[rng.random(n) < 0.1] = 1.0
+    q[rng.random(n) < 0.15] = 0.0
+    q[achieved_rate(q, a) == 0.0] = 0.0
+    game = Game(a, achieved_rate(q, a))
+    scale = 10.0 ** rng.uniform(-4.0, -0.3)
+    lo = np.clip(q - scale * rng.random(n), 0.0, 1.0)
+    hi = np.clip(q + scale * rng.random(n), 0.0, 1.0)
+    on_face, upper = rng.random(n) < 0.15, rng.random(n) < 0.5
+    lo[on_face & ~upper], hi[on_face & upper] = q[on_face & ~upper], q[on_face & upper]
+    silent = game.rates == 0.0
+    lo[silent] = hi[silent] = 0.0
+    return game, q, lo, hi
+
+
+def _krawczyk_one(game, lo, hi):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return solver._krawczyk(lo[np.newaxis], hi[np.newaxis], np.zeros(1, int), game.rates[np.newaxis], game.matrix)
+
+
+class TestKrawczykStep:
+    def test_planted_root_survives_and_retired_boxes_polish_to_it(self):
+        rng = np.random.default_rng(1969)
+        outcomes = {"retired": 0, "cut": 0, "kept": 0, "silent": 0}
+        for _ in range(3000):
+            game, q, lo, hi = _planted_box(rng)
+            outcomes["silent"] += bool((game.rates == 0.0).any())
+            box_lo, box_hi, _, (proven, _) = _krawczyk_one(game, lo, hi)
+            if len(proven):
+                outcomes["retired"] += 1
+                assert len(box_lo) == 0
+                # Silent axes are not tested, and Y h(m) is off 0 there by rounding.
+                active = game.rates > 0.0
+                assert (lo <= proven[0])[active].all() and (proven[0] <= hi)[active].all()
+                root = solver._polish(proven, game.rates[np.newaxis], game.matrix, 50)[0]
+                assert np.abs(root - q).max() <= 1e-9
+            else:
+                # The root is in the box, so the box is neither dropped nor cut past it.
+                assert len(box_lo) == 1
+                assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
+                outcomes["cut" if (box_lo[0] > lo).any() or (box_hi[0] < hi).any() else "kept"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_jacobian_bounds_hold_every_jacobian_in_the_box(self):
+        rng = np.random.default_rng(90)
+        for _ in range(1000):
+            game, _, lo, hi = _planted_box(rng)
+            # Points in the box: its two extreme corners, its midpoint and 20 more.
+            m = (lo + hi) / 2.0
+            points = np.vstack([lo, hi, m, rng.uniform(lo, hi, (20, game.n))])
+            h, jac = solver._polynomial(points, game.rates, game.matrix)
+            prod, jm, j_lo, j_hi = solver._jacobians(m[np.newaxis], lo[np.newaxis], hi[np.newaxis], game.matrix)
+            assert np.array_equal(jm[0], jac[2]) and np.array_equal(m * prod[0] - game.rates, h[2])
+            assert (j_lo - 1e-15 <= jac).all() and (jac <= j_hi + 1e-15).all()
+            assert np.array_equal(jac[0].diagonal(), j_hi[0].diagonal())
+            assert np.array_equal(jac[1].diagonal(), j_lo[0].diagonal())
+
+    def test_rootless_boxes_are_dropped(self):
+        # The chain at rate 0.1 with player 4 silent has 4 roots; a box
+        # around a root shifted off it by a few widths holds none.
+        y = np.full(8, 0.1)
+        y[4] = 0.0
+        game = Game(chain_matrix(8), y)
+        dropped = 0
+        for root in multistart_fixed_points(game).points:
+            lo, hi = np.clip(root - 1e-3, 0.0, 1.0), np.clip(root + 1e-3, 0.0, 1.0)
+            lo[4] = hi[4] = 0.0
+            _, _, _, (proven, _) = _krawczyk_one(game, lo, hi)
+            assert len(proven) == 1 and np.abs(proven[0] - root).max() <= 1e-6
+            shifted_lo, shifted_hi = lo + 5e-3, hi + 5e-3
+            shifted_lo[4] = shifted_hi[4] = 0.0
+            box_lo, _, _, (proven, _) = _krawczyk_one(game, shifted_lo, shifted_hi)
+            assert len(proven) == 0
+            dropped += len(box_lo) == 0
+        assert dropped == 4
+
+    def test_singular_jacobian_passes_the_box_on(self):
+        # J(m) of the pair at m = (0.5, 0.5) is [[0.5, -0.5], [-0.5, 0.5]].
+        game = Game(chain_matrix(2), [0.25, 0.25])
+        lo = np.array([[0.4, 0.4], [0.1, 0.2]])
+        hi = np.array([[0.6, 0.6], [0.2, 0.3]])
+        rates = np.repeat(game.rates[np.newaxis], 2, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            box_lo, box_hi, rows, (proven, _) = solver._krawczyk(lo, hi, np.arange(2), rates, game.matrix)
+        assert len(proven) == 0
+        assert list(rows) == [0]
+        assert np.array_equal(box_lo[0], lo[0]) and np.array_equal(box_hi[0], hi[0])
+
+
+class TestAgainstWidthOnlyEnumeration:
+    """The Krawczyk step retires boxes early but finds the roots that
+    bisecting every box down to the leaf width finds."""
+
+    @staticmethod
+    def _assert_same_roots(monkeypatch, game, radius=1e-12, **kwargs):
+        got = multistart_fixed_points(game, **kwargs).points
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_leaf_centres", width_only_leaf_centres)
+            want = multistart_fixed_points(game, **kwargs).points
+        assert len(got) == len(want)
+        for p in want:
+            assert min(np.abs(p - g).max() for g in got) <= radius
+        return got
+
+    def test_property_games(self, monkeypatch):
+        silent = 0
+        for index in range(250):
+            game = random_game(instance_rng(20240, index))
+            silent += bool((game.rates == 0.0).any())
+            for starts_per_axis in (1, 4):
+                self._assert_same_roots(monkeypatch, game, starts_per_axis=starts_per_axis)
+        assert silent >= 20
+
+    def test_chain_with_a_silent_player(self, monkeypatch):
+        y = np.full(8, 0.1)
+        y[4] = 0.0
+        assert len(self._assert_same_roots(monkeypatch, Game(chain_matrix(8), y))) == 4
+
+    def test_pair_double_root_is_never_proven(self, monkeypatch):
+        # Newton converges linearly to a double root, so the polished
+        # points agree only to about the square root of the residual.
+        steps = record_calls(monkeypatch, solver, "_krawczyk")
+        points = self._assert_same_roots(monkeypatch, Game(chain_matrix(2), [0.25, 0.25]), radius=1e-8)
+        assert len(points) == 1
+        assert steps and all(len(out[3][0]) == 0 for _, out in steps)
+
+    def test_saddle_game_contractions(self, monkeypatch, chain3):
+        # chain3 at 0.15 holds a saddle, near which contraction stalls:
+        # bisecting it down to the leaf width takes 81 contractions.
+        calls = record_calls(monkeypatch, solver, "_contract")
+        assert multistart_fixed_points(chain3).n_points == 2
+        assert len(calls) == 21
 
 
 class TestLeastOf:
