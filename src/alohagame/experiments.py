@@ -9,13 +9,16 @@ number format, so identical calls produce byte-identical files.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _check_count, _check_positive_finite, _write_csv, achieved_rate, best_response
+from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _write_csv
+from .game import achieved_rate, best_response
 from .solver import _fixed_point_sets, newton_lfp
-from .stability import _certificate, _jacobian, krasovskii_matrix, krasovskii_verdict, pd_margin
+from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _verdicts, krasovskii_matrix, krasovskii_verdict
+from .stability import pd_margin
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
@@ -194,36 +197,51 @@ def bifurcation_sweep(
     Finds every parameter value's roots with the box-exclusion oracle
     of :func:`multistart_fixed_points` (so the instance must respect the
     oracle's size limit), in one enumeration whose boxes for all values
-    contract and bisect together, and classifies each root with the
-    Krasovskii certificate. ``varying_index`` must name a player,
-    0..n-1. Every value's rates are validated before any solve.
+    contract and bisect together, and classifies every root of every
+    value with the Krasovskii certificate in one batched verdict. A root
+    whose Jacobian is singular (a neighbour coordinate at 1) is marked
+    "singular". ``varying_index`` must name a player, 0..n-1. The matrix
+    and the rates of every value are validated once, before any solve.
     """
     _check_positive_finite(step, "step")
     lo, hi = value_range
     if not np.isfinite([lo, hi]).all():
         raise ValueError("value_range must be finite")
-    a = np.asarray(matrix)
+    a = _as_binary_matrix(matrix)
     n = a.shape[0]
-    if not 0 <= varying_index < n:
+    try:
+        index = operator.index(varying_index)
+    except TypeError:
+        raise ValueError(f"varying_index must be a whole number, got {varying_index!r}") from None
+    if not 0 <= index < n:
         raise ValueError(f"varying_index must be in 0..{n - 1}, got {varying_index}")
     values = np.arange(_grid(lo), hi + step / 2, step)
     values = np.array([_grid(v) for v in values])
 
-    rates = np.repeat(np.asarray(fixed_rates, dtype=float)[np.newaxis], len(values), axis=0)
-    rates[:, varying_index] = values
-    games = [Game(a, y) for y in rates]
+    fixed = np.asarray(fixed_rates, dtype=float)
+    if fixed.shape != (n,):
+        raise ValueError(f"fixed_rates must have shape ({n},), got {fixed.shape}")
+    rates = np.repeat(fixed[np.newaxis], len(values), axis=0)
+    rates[:, index] = values
+    rates = _as_rates(rates, (len(values), n))
+    rows = [
+        sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
+        for fps in (_fixed_point_sets(rates, a) if len(values) else [])
+    ]
+    roots = [p for pts in rows for p in pts]
+    owner = np.repeat(np.arange(len(rows)), [len(pts) for pts in rows])
+    verdicts = iter(_verdicts(np.array(roots).reshape(-1, n), rates[owner], a, DEFAULT_FP_TOL))
     branches = []
     critical_value = None
     last_interior = None
-    for value, game, fps in zip(values, games, _fixed_point_sets(games) if games else []):
-        pts = sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
+    for value, pts in zip(values, rows):
         row = []
         for p in pts:
-            try:
-                verdict = krasovskii_verdict(p, game)
-                row.append(BranchPoint(p, verdict.stable, verdict.classification))
-            except ValueError:
+            verdict = next(verdicts)
+            if isinstance(verdict, ValueError):
                 row.append(BranchPoint(p, False, "singular"))
+            else:
+                row.append(BranchPoint(p, verdict.stable, verdict.classification))
         branches.append(row)
         interior = [p for p in pts if (p > 0.0).all() and (p < 1.0).all()]
         if len(interior) >= 2:
@@ -239,7 +257,7 @@ def bifurcation_sweep(
         critical_point = (last_interior[i] + last_interior[j]) / 2.0
         critical_point.flags.writeable = False
     return BifurcationBranch(
-        varying_index=varying_index,
+        varying_index=index,
         parameter_values=values,
         branches=branches,
         critical_value=critical_value,

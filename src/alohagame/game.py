@@ -49,10 +49,11 @@ def _as_binary_matrix(matrix) -> np.ndarray:
     return out
 
 
-def _as_rate_vector(rates, n: int) -> np.ndarray:
+def _as_rates(rates, shape: tuple) -> np.ndarray:
+    """``rates`` as a read-only float array of the given shape: (n,) for a game, (k, n) for k games."""
     y = np.asarray(rates, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"rates must have shape ({n},), got {y.shape}")
+    if y.shape != shape:
+        raise ValueError(f"rates must have shape {shape}, got {y.shape}")
     if not (np.isfinite(y).all() and (y >= 0.0).all() and (y <= 1.0).all()):
         raise ValueError("target rates must lie in [0, 1]")
     y = y.copy()
@@ -72,7 +73,7 @@ class Game:
 
     def __post_init__(self):
         a = _as_binary_matrix(self.matrix)
-        y = _as_rate_vector(self.rates, a.shape[0])
+        y = _as_rates(self.rates, a.shape[:1])
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "rates", y)
 
@@ -147,10 +148,15 @@ def best_response(q, game: Game) -> np.ndarray:
     when the target rate is positive and 0 when it is zero (the
     continuous limit of the clipped quotient).
     """
-    prod = success_product(q, game.matrix)
+    return _response(q, game.rates, game.matrix)
+
+
+def _response(q, rates, matrix) -> np.ndarray:
+    """:func:`best_response` at the rows of ``q``, row k for target rates ``rates[k]`` (or one rate vector for all)."""
+    prod = success_product(q, matrix)
     positive = prod > 0.0
-    raw = np.divide(game.rates, prod, out=np.zeros_like(prod), where=positive)
-    jammed = np.where(game.rates > 0.0, 1.0, 0.0)
+    raw = np.divide(rates, prod, out=np.zeros_like(prod), where=positive)
+    jammed = np.where(rates > 0.0, 1.0, 0.0)
     return np.where(positive, np.minimum(raw, 1.0), jammed)
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import FIXED_POINT_TOL, Game, best_response, leq, residual, success_product
-from .game import _check_count, _check_positive_finite, _check_start
+from .game import FIXED_POINT_TOL, Game, best_response, leq, success_product
+from .game import _check_count, _check_positive_finite, _check_start, _response
 
 __all__ = [
     "LfpResult",
@@ -451,15 +451,18 @@ def _dedup(points: np.ndarray, radius: float) -> list:
     return kept
 
 
-def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> list:
+def _fixed_point_sets(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50) -> list:
     """:func:`multistart_fixed_points` of each game, enumerated together.
 
-    The games share one interference matrix. The boxes of each block
-    of games (see ``_BLOCK_BOXES``) contract, split and polish
-    together, each against its own target rates, so every game gets
-    the fixed points it would get alone.
+    Game k has target rates ``rates[k]`` and the validated interference
+    ``matrix`` that all the games share. The boxes of each block of
+    games (see ``_BLOCK_BOXES``) contract, split and polish together,
+    each against its own target rates. One fixed-point membership test
+    then runs over every polished root, and the roots are split by game
+    for the deduplication, so every game gets the fixed points it would
+    get alone.
     """
-    n = games[0].n
+    n = matrix.shape[0]
     if n > ORACLE_MAX_PLAYERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_PLAYERS} players (got {n}); "
@@ -467,8 +470,6 @@ def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> li
         )
     _check_count(starts_per_axis, "starts_per_axis")
     _check_count(max_iter, "max_iter")
-    matrix = games[0].matrix
-    rates = np.stack([g.rates for g in games])
     block = max(1, _BLOCK_BOXES // (2 * starts_per_axis) ** n)
     roots, owner = [], []
     for first in range(0, len(rates), block):
@@ -481,13 +482,16 @@ def _fixed_point_sets(games, starts_per_axis: int = 1, max_iter: int = 50) -> li
     roots[leaf_rates == 0.0] = 0.0
     slack = 1e-9
     inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
-    sets = []
-    for k, game in enumerate(games):
-        mine = np.clip(roots[inside & (owner == k)], 0.0, 1.0)
-        fixed = np.abs(residual(mine, game)).max(axis=1) <= FIXED_POINT_TOL
-        points = _dedup(mine[fixed], DEDUP_RADIUS)
-        sets.append(FixedPointSet(points=points, includes_extraneous=bool((game.rates > 0.0).all())))
-    return sets
+    roots, owner, leaf_rates = np.clip(roots[inside], 0.0, 1.0), owner[inside], leaf_rates[inside]
+    fixed = np.abs(_response(roots, leaf_rates, matrix) - roots).max(axis=1) <= FIXED_POINT_TOL
+    order = np.argsort(owner[fixed], kind="stable")
+    roots, owner = roots[fixed][order], owner[fixed][order]
+    ends = np.searchsorted(owner, np.arange(len(rates) + 1))
+    extraneous = (rates > 0.0).all(axis=1)
+    return [
+        FixedPointSet(points=_dedup(roots[lo:hi], DEDUP_RADIUS), includes_extraneous=bool(every))
+        for lo, hi, every in zip(ends[:-1], ends[1:], extraneous)
+    ]
 
 
 def multistart_fixed_points(
@@ -523,7 +527,7 @@ def multistart_fixed_points(
     a double root, where Newton converges linearly, too small a cap
     leaves several nearby points instead of one.
     """
-    return _fixed_point_sets([game], starts_per_axis, max_iter)[0]
+    return _fixed_point_sets(game.rates[np.newaxis], game.matrix, starts_per_axis, max_iter)[0]
 
 
 def least_of(fps: FixedPointSet, tol: float = 0.0) -> np.ndarray:

@@ -12,11 +12,14 @@ sufficient condition. A verdict evaluates the response map once: its
 membership test, Jacobian and clipping flag all read that one
 evaluation, and it keeps the certificate matrix, whose leading
 principal minors are computed only when read. The Jacobian, the
-certificate matrix and the margin take stacks of points or matrices
-as well as single ones, and the region-of-attraction grid goes
-through them one slab of cells at a time. The region estimate grows
-from the equilibrium's cell through face-adjacent positive-definite
-cells, in numpy alone.
+certificate matrix, the margin and the verdicts take stacks of points
+or matrices as well as single ones: a stack of points, each with its
+own target rates, gets its verdicts from one response evaluation, one
+certificate stack and one eigenvalue solve, which is how a consistency
+check and a bifurcation sweep classify all their roots. The
+region-of-attraction grid goes through the certificate one slab of
+cells at a time. The region estimate grows from the equilibrium's cell
+through face-adjacent positive-definite cells, in numpy alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _check_positive_finite, best_response, residual
+from .game import Game, _check_positive_finite, _response, best_response, residual
 from .solver import FixedPointSet, least_of
 
 __all__ = [
@@ -83,11 +86,19 @@ class StabilityVerdict:
         return leading_minors(self.certificate)
 
 
+def _singular(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether some neighbour coordinate of q equals 1, over q's leading dimensions."""
+    return (mask & (q[..., np.newaxis, :] >= 1.0)).any(axis=(-2, -1))
+
+
+_SINGULAR_MESSAGE = "Jacobian is singular: a neighbour coordinate equals 1"
+
+
 def _jacobian(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
     """:func:`residual_jacobian` at q from the response ``f = best_response(q)``."""
     mask = np.asarray(matrix, dtype=bool)
-    if (mask & (q[..., np.newaxis, :] >= 1.0)).any():
-        raise ValueError("Jacobian is singular: a neighbour coordinate equals 1")
+    if _singular(q, mask).any():
+        raise ValueError(_SINGULAR_MESSAGE)
     # flat rows: saturated and jammed responses are 1, and a rate of 0
     # gives a response of 0
     f = np.where(f >= 1.0, 0.0, f)
@@ -181,6 +192,15 @@ def sylvester_pd(c):
     return (bool(pd) if pd.ndim == 0 else pd), leading_minors(c)
 
 
+def _diag_dominant(q: np.ndarray, matrix) -> np.ndarray:
+    """:func:`diag_dominant` at q, over q's leading dimensions."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = q[..., :, np.newaxis] / (1.0 - q)[..., np.newaxis, :]
+    cross = np.where(np.asarray(matrix, dtype=bool), ratio, 0.0)
+    row_mass = cross.sum(axis=-1) + cross.sum(axis=-2)
+    return (row_mass < 2.0).all(axis=-1)
+
+
 def diag_dominant(q_s, game: Game) -> bool:
     """Sufficient stability condition at a fixed point: strict row dominance.
 
@@ -188,12 +208,52 @@ def diag_dominant(q_s, game: Game) -> bool:
     every player i, i.e. the off-diagonal mass of C stays under the
     diagonal entry 2.
     """
-    q = np.asarray(q_s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = q[:, np.newaxis] / (1.0 - q)[np.newaxis, :]
-    cross = np.where(np.asarray(game.matrix, dtype=bool), ratio, 0.0)
-    row_mass = cross.sum(axis=1) + cross.sum(axis=0)
-    return bool((row_mass < 2.0).all())
+    return bool(_diag_dominant(np.asarray(q_s, dtype=float), game.matrix))
+
+
+def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
+    """Krasovskii verdicts at the rows of ``q``, each in its own game.
+
+    Row k of ``q`` is a point of the game with interference ``matrix``
+    and target rates ``rates[k]``, or ``rates`` for every row. One
+    response evaluation serves every point's membership test, Jacobian
+    and clipping flag; one certificate stack, one eigenvalue solve and
+    one dominance test serve every fixed point. Returns, per point, its
+    :class:`StabilityVerdict`, or the ``ValueError`` that
+    :func:`krasovskii_verdict` raises there: the point is not a fixed
+    point at ``fp_tol``, or a neighbour coordinate equals 1.
+    """
+    f = _response(q, rates, matrix)
+    res = np.abs(f - q).max(axis=-1)
+    fixed = res <= fp_tol
+    singular = _singular(q, np.asarray(matrix, dtype=bool))
+    good = fixed & ~singular
+    c = _certificate(q[good], f[good], matrix)
+    lam, margin = _smallest_eigenvalue(c)
+    clipped = ((f >= 1.0) & (rates > 0.0)).any(axis=-1)
+    points = q.copy()
+    for arr in (points, c):
+        arr.flags.writeable = False
+    decided = zip(c, margin > 0.0, lam, _diag_dominant(q[good], matrix))
+    verdicts = []
+    for k in range(len(q)):
+        if not fixed[k]:
+            verdicts.append(ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {float(res[k]):.3e})"))
+        elif singular[k]:
+            verdicts.append(ValueError(_SINGULAR_MESSAGE))
+        else:
+            cert, pd, lam_k, dominant = next(decided)
+            verdicts.append(
+                StabilityVerdict(
+                    point=points[k],
+                    certificate=cert,
+                    positive_definite=bool(pd),
+                    diag_dominant=bool(dominant),
+                    classification="stable" if pd else "critical" if lam_k > -PD_TOL else "unstable",
+                    clipped=bool(clipped[k]),
+                )
+            )
+    return verdicts
 
 
 def krasovskii_verdict(
@@ -203,6 +263,7 @@ def krasovskii_verdict(
 ) -> StabilityVerdict:
     """Full stability certificate at a fixed point.
 
+    ``q_s`` must be one point of the game, of shape (n,).
     ``fp_tol`` is the fixed-point membership tolerance; pass something
     looser (e.g. 1e-3) for externally reported points rounded to a few
     decimals. Verdicts where some response component saturates are
@@ -211,24 +272,12 @@ def krasovskii_verdict(
     """
     q = np.asarray(q_s, dtype=float)
     _check_positive_finite(fp_tol, "fp_tol")
-    f = best_response(q, game)
-    res = np.abs(f - q).max()
-    if not res <= fp_tol:
-        raise ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {float(res):.3e})")
-    c = _certificate(q, f, game.matrix)
-    lam, margin = _smallest_eigenvalue(c)
-    pd = bool(margin > 0.0)
-    point = q.copy()
-    for arr in (point, c):
-        arr.flags.writeable = False
-    return StabilityVerdict(
-        point=point,
-        certificate=c,
-        positive_definite=pd,
-        diag_dominant=diag_dominant(q, game),
-        classification="stable" if pd else "critical" if lam > -PD_TOL else "unstable",
-        clipped=bool(((f >= 1.0) & (game.rates > 0.0)).any()),
-    )
+    if q.shape != game.rates.shape:
+        raise ValueError(f"q_s must have shape {game.rates.shape}, got {q.shape}")
+    (verdict,) = _verdicts(q[np.newaxis], game.rates, game.matrix, fp_tol)
+    if isinstance(verdict, ValueError):
+        raise verdict
+    return verdict
 
 
 def lyapunov_value(q, game: Game) -> float:
@@ -356,7 +405,10 @@ def stability_consistency(fps: FixedPointSet, game: Game) -> ConsistencyReport:
     interior = fps.interior_points()
     if not interior:
         return ConsistencyReport(verdicts=[], least_point=None, least_stable=None, violation=False)
-    verdicts = [krasovskii_verdict(p, game) for p in interior]
+    verdicts = _verdicts(np.array(interior), game.rates, game.matrix, DEFAULT_FP_TOL)
+    error = next((v for v in verdicts if isinstance(v, ValueError)), None)
+    if error is not None:
+        raise error
     least = least_of(FixedPointSet(points=interior), tol=1e-9)
     least_verdict = next(v for p, v in zip(interior, verdicts) if p is least)
     violation = (not least_verdict.stable) and any(

@@ -4,8 +4,9 @@ Each one is the slow, direct form of a faster path in the package:
 the greedy dedup of the oracle's roots, the oracle's box enumeration
 that bisects every box down to the leaf width, one oracle call per
 parameter value of a bifurcation sweep, a rate search that walks the
-grid one step at a time with Kleene solves, and a verdict that
-evaluates the response map once per ingredient.
+grid one step at a time with Kleene solves, a verdict that
+evaluates the response map once per ingredient, and a consistency
+check that takes one verdict per point.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ from alohagame import (
     PD_TOL,
     BifurcationBranch,
     BranchPoint,
+    ConsistencyReport,
+    FixedPointSet,
     Game,
     StabilityVerdict,
     best_response,
@@ -22,6 +25,7 @@ from alohagame import (
     kleene_lfp,
     krasovskii_matrix,
     krasovskii_verdict,
+    least_of,
     multistart_fixed_points,
     pd_margin,
     residual,
@@ -140,4 +144,21 @@ def reference_verdict(q_s, game, fp_tol):
         diag_dominant=diag_dominant(q, game),
         classification=classification,
         clipped=bool(((best_response(q, game) >= 1.0) & (game.rates > 0.0)).any()),
+    )
+
+
+def reference_consistency(fps, game):
+    """The consistency check with one verdict call per interior point."""
+    interior = fps.interior_points()
+    if not interior:
+        return ConsistencyReport(verdicts=[], least_point=None, least_stable=None, violation=False)
+    verdicts = [krasovskii_verdict(p, game) for p in interior]
+    least = least_of(FixedPointSet(points=interior), tol=1e-9)
+    least_verdict = next(v for p, v in zip(interior, verdicts) if p is least)
+    violation = (not least_verdict.stable) and any(v.stable for v in verdicts if v is not least_verdict)
+    return ConsistencyReport(
+        verdicts=verdicts,
+        least_point=least_verdict.point,
+        least_stable=least_verdict.stable,
+        violation=violation,
     )

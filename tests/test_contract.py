@@ -128,15 +128,18 @@ OTHER_DOMAIN = {("least_of", "tol")}
 
 
 def _refuse_best_response(monkeypatch) -> None:
-    """Rebind ``best_response`` in every package module to a wrapper that fails the test."""
+    """Rebind the response map in every package module to a wrapper that fails the test.
 
-    def refused(q, game):
+    ``best_response`` and the batched paths all evaluate ``game._response``.
+    """
+
+    def refused(q, rates, matrix):
         raise AssertionError("best_response evaluated before the arguments were checked")
 
     for info in pkgutil.iter_modules(alohagame.__path__):
         module = importlib.import_module(f"alohagame.{info.name}")
-        if getattr(module, "best_response", None) is game_module.best_response:
-            monkeypatch.setattr(module, "best_response", refused)
+        if getattr(module, "_response", None) is game_module._response:
+            monkeypatch.setattr(module, "_response", refused)
 
 
 @pytest.mark.parametrize("entry, arg, value", CASES)
@@ -147,6 +150,32 @@ def test_bad_input_is_refused_by_a_contract_rule(monkeypatch, entry, arg, value)
     assert str(excinfo.value).startswith(f"{arg} ")
     raised_in = traceback.extract_tb(excinfo.tb)[-1]
     assert raised_in.filename == game_module.__file__ and raised_in.name in RULES, raised_in
+
+
+# Arguments outside the three rules' domains, each refused with a
+# ValueError naming it before any response evaluation.
+SHAPE_AND_INDEX = {
+    "varying_index-1.5": ("varying_index", lambda: bifurcation_sweep(CHAIN, GAME.rates, 1.5, (0.0, 0.3), 0.01)),
+    "varying_index-str": ("varying_index", lambda: bifurcation_sweep(CHAIN, GAME.rates, "1", (0.0, 0.3), 0.01)),
+    "fixed_rates-short": ("fixed_rates", lambda: bifurcation_sweep(CHAIN, [0.15, 0.15], 2, (0.0, 0.3), 0.01)),
+    "q_s-stack": ("q_s", lambda: krasovskii_verdict(np.stack([Q_STAR, Q_STAR]), GAME, fp_tol=1e-3)),
+    "q_s-short": ("q_s", lambda: krasovskii_verdict(Q_STAR[:2], GAME, fp_tol=1e-3)),
+    "q_s-scalar": ("q_s", lambda: krasovskii_verdict(0.2, GAME, fp_tol=1e-3)),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_AND_INDEX))
+def test_bad_shape_or_index_is_refused_before_any_evaluation(monkeypatch, case):
+    arg, call = SHAPE_AND_INDEX[case]
+    _refuse_best_response(monkeypatch)
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(f"{arg} ")
+
+
+def test_nan_point_is_still_not_a_fixed_point():
+    with pytest.raises(ValueError, match="not a fixed point"):
+        krasovskii_verdict(np.full(3, np.nan), GAME)
 
 
 def test_every_watched_public_parameter_is_in_the_table():

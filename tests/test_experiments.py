@@ -188,13 +188,14 @@ class TestOneEnumeration:
         # The 8-player chain at rate 0.1 with player 4's rate swept
         # from 0; 9 blocks of 2 rows and the last of 1 row.
         n = solver.ORACLE_MAX_PLAYERS
-        games = [Game(chain_matrix(n), np.where(np.arange(n) == 4, v, 0.1)) for v in np.arange(19) * 0.0008]
+        rates = np.where(np.arange(n) == 4, np.arange(19)[:, np.newaxis] * 0.0008, 0.1)
+        matrix = Game(chain_matrix(n), rates[0]).matrix
         monkeypatch.setattr(solver, "_BLOCK_BOXES", 2 * 2**n)
         blocks = record_calls(monkeypatch, solver, "_leaf_centres")
-        got = solver._fixed_point_sets(games)
+        got = solver._fixed_point_sets(rates, matrix)
         assert len(blocks) == 10
         monkeypatch.setattr(solver, "_BLOCK_BOXES", 10**9)
-        want = solver._fixed_point_sets(games)
+        want = solver._fixed_point_sets(rates, matrix)
         assert len(blocks) == 11
         assert [len(f.points) for f in got] == [len(f.points) for f in want]
         assert sum(len(f.points) for f in got) >= 19
@@ -205,9 +206,9 @@ class TestOneEnumeration:
         # One enumeration of all values held about 80 boxes per value
         # of this sweep at once, 8,000 for 100 values.
         n = solver.ORACLE_MAX_PLAYERS
-        games = [Game(chain_matrix(n), np.where(np.arange(n) == 4, v, 0.1)) for v in np.arange(100) * 0.004]
+        rates = np.where(np.arange(n) == 4, np.arange(100)[:, np.newaxis] * 0.004, 0.1)
         calls = record_calls(monkeypatch, solver, "_contract")
-        solver._fixed_point_sets(games)
+        solver._fixed_point_sets(rates, Game(chain_matrix(n), rates[0]).matrix)
         assert max(len(args[0]) for args, _ in calls) <= solver._BLOCK_BOXES
 
 

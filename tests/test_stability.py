@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import pkgutil
 
 import numpy as np
@@ -26,10 +27,11 @@ from alohagame import (
     stability_consistency,
     sylvester_pd,
 )
-from alohagame.game import success_product
+from alohagame import stability
+from alohagame.game import _response, success_product
 from alohagame.stability import _component
-from conftest import P_SADDLE, Q_STAR, random_game
-from reference import reference_verdict
+from conftest import P_SADDLE, Q_STAR, instance_rng, random_game, record_calls
+from reference import reference_consistency, reference_verdict
 
 CHAIN = chain_matrix(3)
 
@@ -257,33 +259,50 @@ class TestVerdict:
             krasovskii_verdict(np.ones(3), chain3, fp_tol=1e-9)
 
 
-def _count_best_response(monkeypatch) -> list:
-    """Rebind ``best_response`` in every package module to a counting wrapper; returns the counter."""
+def _count_responses(monkeypatch) -> list:
+    """Rebind the response map in every package module to a counting wrapper; returns the counter.
+
+    ``best_response`` and the batched paths all evaluate ``game._response``,
+    so each evaluation counts once.
+    """
     calls = [0]
 
-    def counted(q, game):
+    def counted(q, rates, matrix):
         calls[0] += 1
-        return best_response(q, game)
+        return _response(q, rates, matrix)
 
     for info in pkgutil.iter_modules(alohagame.__path__):
         module = importlib.import_module(f"alohagame.{info.name}")
-        if getattr(module, "best_response", None) is best_response:
-            monkeypatch.setattr(module, "best_response", counted)
+        if getattr(module, "_response", None) is _response:
+            monkeypatch.setattr(module, "_response", counted)
     return calls
 
 
 class TestVerdictEvaluations:
     def test_one_response_evaluation_per_verdict(self, monkeypatch, chain3):
-        calls = _count_best_response(monkeypatch)
+        calls = _count_responses(monkeypatch)
         verdict = krasovskii_verdict(multistart_fixed_points(chain3).points[0], chain3)
         calls[0] = 0
         krasovskii_verdict(verdict.point, chain3)
         assert calls[0] == 1
 
     def test_fold_sweep_response_evaluations(self, monkeypatch):
-        calls = _count_best_response(monkeypatch)
+        # One membership test over every polished root, and one batched
+        # verdict over every fixed point of every value.
+        calls = _count_responses(monkeypatch)
         bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), 0.005)
-        assert calls[0] <= 160
+        assert calls[0] == 2
+
+    @pytest.mark.parametrize("step, values", [(0.005, 61), (0.001, 301)])
+    def test_sweep_work_does_not_grow_with_the_values(self, monkeypatch, step, values):
+        # One eigenvalue solve for all the roots, and no game built per value.
+        solves = record_calls(monkeypatch, stability, "_smallest_eigenvalue")
+        games = record_calls(monkeypatch, Game, "__post_init__")
+        branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), step)
+        assert branch.parameter_values.size == values
+        assert sum(len(row) for row in branch.branches) > values
+        assert len(solves) == 1
+        assert games == []
 
 
 def _outcome(verdict, *args) -> dict:
@@ -348,6 +367,44 @@ class TestVerdictReference:
     def test_nan_tolerance_rejected(self, chain3):
         with pytest.raises(ValueError, match="tol must be positive"):
             krasovskii_verdict(Q_STAR, chain3, fp_tol=float("nan"))
+
+
+def _returned(verdict):
+    """A batched verdict as the one-point call gives it: returned, or raised."""
+    if isinstance(verdict, ValueError):
+        raise verdict
+    return verdict
+
+
+class TestBatchedVerdict:
+    """One batched verdict gives every point of a stack the one-point
+    verdict of its own game, every field bit for bit, or the same error."""
+
+    def test_stacks_match_one_point_verdicts(self):
+        seen = set()
+        stacks = 0
+        for _, group in itertools.groupby(_reference_cases(), key=lambda case: id(case[0])):
+            game, q = zip(*group)
+            game = game[0]
+            # a second game on the same topology, so rows carry their own rates
+            other = Game(game.matrix, game.rates / 2.0)
+            extra = list(multistart_fixed_points(other).points) + [np.ones(game.n)]
+            points = np.array(list(q) + extra)
+            games = [game] * len(q) + [other] * len(extra)
+            rates = np.array([g.rates for g in games])
+            for fp_tol in (1e-6, 1e-3, 1.0):
+                got = stability._verdicts(points, rates, game.matrix, fp_tol)
+                assert len(got) == len(points)
+                for p, g, verdict in zip(points, games, got):
+                    want = _outcome(krasovskii_verdict, p, g, fp_tol)
+                    assert _outcome(_returned, verdict) == want, (g, p, fp_tol)
+                    seen.add(want["raised"].split()[0] if "raised" in want else want["classification"][1])
+            stacks += 1
+        assert stacks >= 180
+        assert seen == {"not", "Jacobian", "stable", "critical", "unstable"}
+
+    def test_empty_stack(self, chain3):
+        assert stability._verdicts(np.empty((0, 3)), chain3.rates, chain3.matrix, 1e-6) == []
 
 
 class TestLyapunov:
@@ -471,6 +528,17 @@ class TestRoaComponent:
             assert np.array_equal(roa.mask, _labelled_component(roa.pd_mask, roa.cell_of(q_star)))
 
 
+def _report(report) -> tuple:
+    """A consistency report with every verdict as :func:`_outcome` gives it."""
+    least = report.least_point
+    return (
+        [_outcome(_returned, v) for v in report.verdicts],
+        None if least is None else (least.dtype.str, least.shape, least.tobytes()),
+        (type(report.least_stable), report.least_stable),
+        (type(report.violation), report.violation),
+    )
+
+
 class TestConsistency:
     def test_chain_least_stable_no_violation(self, chain3):
         report = stability_consistency(multistart_fixed_points(chain3), chain3)
@@ -488,3 +556,23 @@ class TestConsistency:
         fps = FixedPointSet(points=[np.array([0.5, 0.5, 0.5])])
         with pytest.raises(ValueError, match="fixed point"):
             stability_consistency(fps, chain3)
+
+    def test_first_non_fixed_point_named(self, chain3):
+        roots = multistart_fixed_points(chain3).points
+        fps = FixedPointSet(points=[roots[0], np.array([0.5, 0.5, 0.5]), np.array([0.4, 0.4, 0.4])])
+        with pytest.raises(ValueError) as want:
+            reference_consistency(fps, chain3)
+        with pytest.raises(ValueError, match="fixed point") as got:
+            stability_consistency(fps, chain3)
+        assert str(got.value) == str(want.value)
+
+    def test_matches_one_verdict_per_point(self):
+        # criterion 7's first 250 games and oracle settings
+        stacks = 0
+        for i in range(250):
+            game = random_game(instance_rng(20240, i))
+            fps = multistart_fixed_points(game, starts_per_axis=4, max_iter=50)
+            want = reference_consistency(fps, game)
+            assert _report(stability_consistency(fps, game)) == _report(want), game
+            stacks += len(want.verdicts) >= 2
+        assert stacks > 50
