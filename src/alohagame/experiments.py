@@ -5,6 +5,16 @@ derive their generator seeds from (master seed, setting index, trial
 index), trials run and are reduced in a fixed order, and CSVs are
 written through :func:`alohagame.game._write_csv`, which fixes the
 number format, so identical calls produce byte-identical files.
+
+The rate and scale searches bisect a step grid with one helper,
+:func:`_last_passing`, which runs many independent searches (lanes)
+in lockstep. The trials of one sweep setting, and the cells of one
+feasible grid, are lanes of one search: each bisection round solves
+every live lane's game in one batched Newton over a stack of
+interference matrices, and decides every certificate in one batched
+upper bracket. Each lane probes exactly the values, and takes exactly
+the Newton iterations, that its own search would, so the results are
+those of one search per lane. The other searches are one-lane calls.
 """
 
 from __future__ import annotations
@@ -14,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _write_csv
-from .game import achieved_rate, best_response
-from .solver import _fixed_point_sets, newton_lfp
+from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _response, _write_csv
+from .game import achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
+from .solver import DEFAULT_MAX_ITER, _fixed_point_sets, _newton_rows, _solve_rows
 from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _verdicts, krasovskii_matrix, krasovskii_verdict
 from .stability import pd_margin
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
@@ -48,84 +58,109 @@ def _grid(value: float) -> float:
     return float(round(value, 12))
 
 
-# Scales of the Newton-sized step above a least-fixed-point estimate
-# that the upper bracket tries.
-_BRACKET_SCALES = (1.0, 4.0, 16.0)
+# A lockstep search holds at most this many interference-matrix
+# entries at once: its lanes run in blocks of at most
+# _LANE_ENTRIES // n^2 lanes (at least one). Lanes are independent, so
+# the blocks do not change any result.
+_LANE_ENTRIES = 1 << 18
 
 
-def _stable_above(lo, game: Game) -> bool:
-    """Whether a proven upper bracket of the least fixed point has a positive-definite certificate.
+def _lane_blocks(lanes: int, n: int) -> list:
+    """Consecutive ranges of ``lanes`` lanes of n x n matrices, each within ``_LANE_ENTRIES``."""
+    size = max(1, _LANE_ENTRIES // (n * n))
+    return [range(start, min(start + size, lanes)) for start in range(0, lanes, size)]
 
-    ``lo`` lies below the least fixed point q*. Every hi < 1 with
-    F(hi) <= hi lies above it, because the least fixed point lies below
-    every post-fixed point (Knaster-Tarski); the computed F(hi) must
-    clear hi by its rounding error. Below 1 no response saturates, so
-    the certificate C(q) = 2I - (F'(q) + F'(q)^T) only loses
-    definiteness as q grows: F' is nonnegative and grows entrywise,
-    and with it the largest eigenvalue of its symmetric part
+
+def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether a proven upper bracket of each row's least fixed point has a positive-definite certificate.
+
+    Row k of ``lo`` lies below the least fixed point q* of the game
+    with target rates ``rates[k]`` and interference ``mask[k]``. Every
+    hi < 1 with F(hi) <= hi lies above q*, because the least fixed
+    point lies below every post-fixed point (Knaster-Tarski); the
+    computed F(hi) must clear hi by its rounding error. Below 1 no
+    response saturates, so the certificate C(q) = 2I - (F'(q) + F'(q)^T)
+    only loses definiteness as q grows: F' is nonnegative and grows
+    entrywise, and with it the largest eigenvalue of its symmetric part
     (Perron-Frobenius). C(hi) positive definite thus proves C(q*)
-    positive definite, whatever the solver's tolerance. The candidates
-    are hi = lo + s|d| for the scales in ``_BRACKET_SCALES``, where d
-    solves (I - F'(lo)) d = |F(lo) - lo| + 1e-12, a Newton step that
-    overshoots q*. The first candidate that is a post-fixed point
-    decides.
+    positive definite, whatever the solver's tolerance. The one
+    candidate is hi = lo + |d|, where d solves
+    (I - F'(lo)) d = |F(lo) - lo| + 1e-12, a Newton step that overshoots
+    q*; a row whose candidate is not a post-fixed point below 1, or
+    whose system is singular, fails. All rows share one response
+    evaluation per point, one stacked solve and one eigenvalue solve.
     """
-    f = best_response(lo, game)
+    f = _response(lo, rates, mask)
     # relative rounding of a computed response: a success product of
     # at most n - 1 factors and one quotient
-    rounding = (8 + game.n) * np.finfo(float).eps
-    try:
-        # the Jacobian of the drift F(q) - q is F'(lo) - I
-        d = np.abs(np.linalg.solve(-_jacobian(lo, f, game.matrix), np.abs(f - lo) + 1e-12))
-    except np.linalg.LinAlgError:
-        return False
-    for scale in _BRACKET_SCALES:
-        hi = lo + scale * d
-        if not (hi < 1.0).all():
-            return False
-        f_hi = best_response(hi, game)
-        if (f_hi * (1.0 + rounding) <= hi).all():
-            return bool(pd_margin(_certificate(hi, f_hi, game.matrix)) > 0.0)
-    return False
+    rounding = (8 + lo.shape[-1]) * np.finfo(float).eps
+    # the Jacobian of the drift F(q) - q is F'(lo) - I
+    hi = lo + np.abs(_solve_rows(-_jacobian(lo, f, mask), np.abs(f - lo) + 1e-12))
+    rows = np.flatnonzero((hi < 1.0).all(axis=-1))
+    hi, mask = hi[rows], mask[rows]
+    f_hi = _response(hi, rates[rows], mask)
+    post = (f_hi * (1.0 + rounding) <= hi).all(axis=-1)
+    stable = np.zeros(len(lo), dtype=bool)
+    stable[rows[post]] = pd_margin(_certificate(hi[post], f_hi[post], mask[post])) > 0.0
+    return stable
 
 
-def _interior_stable_lfp(matrix, rates, warm_start):
-    """Least fixed point if it is interior with a positive-definite certificate, else None.
+def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray) -> list:
+    """Per row, the least fixed point if it is interior with a positive-definite certificate, else None.
 
-    Solves the game with interference ``matrix`` and target ``rates``;
-    rates above 1 lie past the end of every search grid and give None.
-    ``warm_start`` must be a point known to sit below the least fixed
-    point (zeros, or the least fixed point of the same topology at
-    lower rates). The solve is :func:`newton_lfp`, which gives up as
-    soon as it proves the point cannot be interior and stable.
+    Row k is the game with target rates ``rates[k]`` and interference
+    ``mask[k]`` (booleans); rates above 1 lie past the end of every
+    search grid and give None. ``warm_starts[k]`` must be a point known
+    to sit below the row's least fixed point (zeros, or the least fixed
+    point of the same topology at lower rates). The rows are solved
+    together by the Newton of :func:`newton_lfp`, which gives up on a
+    row as soon as it proves the point cannot be interior and stable.
 
     The certificate is decided at a proven upper bracket of the least
     fixed point (:func:`_stable_above`), not at the solver's estimate,
     so the verdict does not depend on where the solver stops. Marginal
     certificates, such as a pair's at its fold, count as unstable:
     boundary points are excluded, which keeps rate searches
-    conservative. The point returned is the solver's estimate, which
-    lies below the least fixed point.
+    conservative. A point returned is the solver's estimate, which
+    lies below the least fixed point, as a read-only array.
     """
-    rates = np.asarray(rates, dtype=float)
-    if (rates > 1.0).any():
-        return None
-    game = Game(matrix, rates)
-    res = newton_lfp(game, warm_start)
-    if not res.converged:
-        return None
-    return res.point if _stable_above(res.point, game) else None
+    found = [None] * len(rates)
+    rows = np.flatnonzero((rates <= 1.0).all(axis=-1))
+    points, _, converged, _, _ = _newton_rows(warm_starts[rows], rates[rows], mask[rows], DEFAULT_MAX_ITER)
+    rows, points = rows[converged], points[converged]
+    stable = _stable_above(points, rates[rows], mask[rows])
+    for row, point in zip(rows[stable], points[stable]):
+        point = point.copy()
+        point.flags.writeable = False
+        found[row] = point
+    return found
 
 
-def _last_passing(probe, start, step: float, origin: float = 0.0, limit: float = 1.0):
-    """Bisect the grid ``origin + k*step`` for its last passing value.
+def _interior_stable_lfp(matrix, rates, warm_start):
+    """:func:`_stable_lfps` for the one game with interference ``matrix`` and target ``rates``."""
+    (point,) = _stable_lfps(
+        np.asarray(rates, dtype=float)[np.newaxis],
+        np.asarray(matrix, dtype=bool)[np.newaxis],
+        np.asarray(warm_start, dtype=float)[np.newaxis],
+    )
+    return point
 
-    ``probe(value, warm)`` returns the solution at a grid value, or
-    None when the value fails; ``origin`` passes with solution
-    ``start``, and no value above ``limit`` passes, give or take the
-    grid's rounding. Returns ``(value, solution)`` for the largest
-    passing value. Each probe warm-starts from the solution at the last
-    passing value, which lies below the solution at any higher one.
+
+def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float = 1.0) -> list:
+    """Bisect the grid ``origin + k*step`` for each lane's last passing value.
+
+    Lane i passes at ``origin`` with solution ``starts[i]``, and no
+    value above ``limit`` passes, give or take the grid's rounding.
+    Each round probes every live lane's midpoint at once:
+    ``probe(lanes, values, warms)`` gets the indices of the live lanes
+    (an integer array), their grid values and their warm starts, and
+    returns per lane the solution at its value, or None when the value
+    fails. A lane's warm start is the solution at its last passing
+    value, which lies below the solution at any higher one. A lane
+    drops out when its interval closes, so lanes may finish a round
+    apart, and each lane probes exactly the values it would probe
+    alone. Returns ``(value, solution)`` per lane for its largest
+    passing value.
 
     Bisection finds the same value as walking up the grid because the
     passing values form an interval: along a componentwise
@@ -134,15 +169,44 @@ def _last_passing(probe, start, step: float, origin: float = 0.0, limit: float =
     Perron-Frobenius so does the largest eigenvalue of their symmetric
     part, so once the certificate fails it stays failed.
     """
-    lo, hi, best = 0, int((limit - origin) / step) + 2, start
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        got = probe(_grid(origin + mid * step), best)
-        if got is None:
-            hi = mid
-        else:
-            lo, best = mid, got
-    return _grid(origin + lo * step), best
+    top = int((limit - origin) / step) + 2
+    lo, hi, best = [0] * len(starts), [top] * len(starts), list(starts)
+    live = list(range(len(starts)))
+    while live:
+        mids = [(lo[i] + hi[i]) // 2 for i in live]
+        got = probe(np.array(live), [_grid(origin + mid * step) for mid in mids], [best[i] for i in live])
+        for i, mid, solution in zip(live, mids, got):
+            if solution is None:
+                hi[i] = mid
+            else:
+                lo[i], best[i] = mid, solution
+        live = [i for i in live if hi[i] - lo[i] > 1]
+    return [(_grid(origin + k * step), solution) for k, solution in zip(lo, best)]
+
+
+def _rate_searches(rates: np.ndarray, free: np.ndarray, mask: np.ndarray, starts: list, step: float) -> list:
+    """Largest stable grid rate of every lane, all lanes in one lockstep search.
+
+    Lane k is the game with interference ``mask[k]`` in which the
+    players flagged in ``free`` demand a common rate y on the step
+    grid, and the others their rates in ``rates[k]``; ``starts[k]`` is
+    its least fixed point at y = 0. Every bisection round solves the
+    live lanes' games in one :func:`_stable_lfps` call. Returns
+    ``(y_max, point)`` per lane, as :func:`_last_passing` does.
+    """
+
+    def probe(lanes, values, warms):
+        lane_rates = np.where(free, np.array(values)[:, np.newaxis], rates[lanes])
+        return _stable_lfps(lane_rates, mask[lanes], np.array(warms))
+
+    return _last_passing(probe, starts, step)
+
+
+def _common_rates(matrices, step: float) -> list:
+    """``(y_max, point)`` of :func:`max_common_rate` for each of ``matrices``, all of one size, in one lockstep search."""
+    mask = np.array([_as_binary_matrix(m) for m in matrices], dtype=bool)
+    k, n = mask.shape[:2]
+    return _rate_searches(np.zeros((k, n)), np.ones(n, dtype=bool), mask, [np.zeros(n) for _ in range(k)], step)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +345,8 @@ def max_common_rate(matrix, step: float = RATE_STEP):
     pair, whose fold sits exactly at 0.25, gives 0.249.
     """
     _check_positive_finite(step, "step")
-    a = np.asarray(matrix)
-    n = a.shape[0]
-    return _last_passing(lambda y, warm: _interior_stable_lfp(a, np.full(n, y), warm), np.zeros(n), step)
+    (found,) = _common_rates([matrix], step)
+    return found
 
 
 def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
@@ -295,7 +358,7 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     and ``y3_values[j]`` (NaN when the outer rates alone have none),
     found by bisection over the step grid. The upper boundary of the
     resulting region is the set of rate combinations with nothing left
-    to give away.
+    to give away. The cells are searched together, in lockstep.
     """
     _check_positive_finite(step, "step")
     a = np.asarray(matrix)
@@ -305,15 +368,19 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     y3_values = np.asarray(y3_values, dtype=float)
     if not all(((v >= 0.0) & (v <= 1.0)).all() for v in (y1_values, y3_values)):
         raise ValueError("outer target rates must lie in [0, 1]")
-    surface = np.zeros((len(y1_values), len(y3_values)))
-    for i, y1 in enumerate(y1_values):
-        for j, y3 in enumerate(y3_values):
-            base = _interior_stable_lfp(a, [y1, 0.0, y3], np.zeros(3))
-            if base is None:
-                surface[i, j] = np.nan
-                continue
-            surface[i, j], _ = _last_passing(lambda y2, warm: _interior_stable_lfp(a, [y1, y2, y3], warm), base, step)
-    return surface
+    mask = _as_binary_matrix(a).astype(bool)
+    outer = np.zeros((len(y1_values), len(y3_values), 3))
+    outer[..., 0], outer[..., 2] = y1_values[:, np.newaxis], y3_values
+    outer = outer.reshape(-1, 3)
+    surface = np.full(len(outer), np.nan)
+    for block in _lane_blocks(len(outer), 3):
+        cells = outer[block.start : block.stop]
+        masks = np.broadcast_to(mask, (len(cells), 3, 3))
+        bases = _stable_lfps(cells, masks, np.zeros_like(cells))
+        live = [i for i, base in enumerate(bases) if base is not None]
+        found = _rate_searches(cells[live], np.array([False, True, False]), masks[live], [bases[i] for i in live], step)
+        surface[[block.start + i for i in live]] = [y2 for y2, _ in found]
+    return surface.reshape(len(y1_values), len(y3_values))
 
 
 @dataclass(frozen=True)
@@ -342,9 +409,11 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     top = float(game.rates.max())
     if top == 0.0:
         raise ValueError("all base rates are zero: the demand scale is unbounded")
-    factor, point = _last_passing(
-        lambda k, warm: _interior_stable_lfp(game.matrix, k * game.rates, warm),
-        base_point,
+    ((factor, point),) = _last_passing(
+        lambda lanes, factors, warms: [
+            _interior_stable_lfp(game.matrix, k * game.rates, warm) for k, warm in zip(factors, warms)
+        ],
+        [base_point],
         step,
         origin=1.0,
         limit=1.0 / top,
@@ -371,7 +440,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     if top == 0.0:
         raise ValueError("q_star is zero: the probability scale is unbounded")
 
-    def probe(factor, _warm):
+    def scaled(factor):
         q = factor * q_star
         if (q >= 1.0).any():
             return None
@@ -380,7 +449,9 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
         return (q, induced) if stable else None
 
     base = (q_star, achieved_rate(q_star, game.matrix))
-    factor, (point, rates) = _last_passing(probe, base, step, origin=1.0, limit=1.0 / top)
+    ((factor, (point, rates)),) = _last_passing(
+        lambda lanes, factors, warms: [scaled(b) for b in factors], [base], step, origin=1.0, limit=1.0 / top
+    )
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
 
 
@@ -415,8 +486,9 @@ def _trial_seed(master_seed: int, setting_index: int, trial_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _run_trial(matrix, seed, n, side, step) -> SweepRecord:
-    y_max, point = max_common_rate(matrix, step=step)
+def _record(matrix, seed, n, side, found) -> SweepRecord:
+    """The record of a trial whose search gave ``found = (y_max, point)``."""
+    y_max, point = found
     return SweepRecord(
         seed=seed,
         n=n,
@@ -429,16 +501,23 @@ def _run_trial(matrix, seed, n, side, step) -> SweepRecord:
 
 
 def _sweep(settings, trials, step, seed, edge_rule):
-    """Records of ``trials`` seeded topologies per (n, density) setting, and one summary per setting."""
+    """Records of ``trials`` seeded topologies per (n, density) setting, and one summary per setting.
+
+    A setting's trials are searched in lockstep, in blocks of lanes
+    (:func:`_lane_blocks`) whose topologies are drawn just before their
+    search.
+    """
     _check_count(trials, "trials")
+    _check_positive_finite(step, "step")
     records = []
     summaries = []
     for s_idx, (n, density) in enumerate(settings):
         side = side_for_density(n, density)
-        for t in range(trials):
-            trial_seed = _trial_seed(seed, s_idx, t)
-            _, matrix = random_topology(n, side, trial_seed, edge_rule=edge_rule)
-            records.append(_run_trial(matrix, trial_seed, n, side, step))
+        for block in _lane_blocks(trials, n):
+            seeds = [_trial_seed(seed, s_idx, t) for t in block]
+            matrices = [random_topology(n, side, s, edge_rule=edge_rule)[1] for s in seeds]
+            found = _common_rates(matrices, step)
+            records += [_record(m, s, n, side, f) for m, s, f in zip(matrices, seeds, found)]
         batch = records[-trials:]
         means = {f"mean_{key}": float(np.mean([getattr(r, key) for r in batch])) for key in _SUMMARY_MEANS}
         summaries.append({"n": int(n), "density": float(density), "side": side, "trials": trials, **means})
@@ -481,11 +560,11 @@ def size_sweep(
     0.30.
     """
     records, summaries = _sweep([(n, density) for n in n_values], trials, step, seed, edge_rule)
-    baselines = [
-        _run_trial(fully_connected_matrix(n), 0, int(n), 0.0, step)
-        for n in n_values
-        if include_fully_connected and n >= 2
-    ]
+    baselines = []
+    for n in n_values:
+        if include_fully_connected and n >= 2:
+            matrix = fully_connected_matrix(n)
+            baselines.append(_record(matrix, 0, int(n), 0.0, max_common_rate(matrix, step)))
     return records, baselines, summaries
 
 

@@ -127,10 +127,13 @@ def success_product(q, matrix) -> np.ndarray:
     """Per-player probability that no interferer transmits.
 
     Returns prod_{j: matrix[i, j] = 1} (1 - q_j) for each i; an empty
-    neighbourhood gives 1. Accepts leading batch dimensions on ``q``.
+    neighbourhood gives 1. Accepts leading batch dimensions on ``q``,
+    and a stack of matrices that broadcasts against them: row k of a
+    ``(k, n)`` stack of points against ``matrix[k]`` of a ``(k, n, n)``
+    stack.
     """
     mask = np.asarray(matrix, dtype=bool)
-    q = _check_vector(q, mask.shape[0])
+    q = _check_vector(q, mask.shape[-1])
     factors = np.where(mask, 1.0 - q[..., np.newaxis, :], 1.0)
     return factors.prod(axis=-1)
 
@@ -152,7 +155,11 @@ def best_response(q, game: Game) -> np.ndarray:
 
 
 def _response(q, rates, matrix) -> np.ndarray:
-    """:func:`best_response` at the rows of ``q``, row k for target rates ``rates[k]`` (or one rate vector for all)."""
+    """:func:`best_response` at the rows of ``q``, row k for target rates ``rates[k]`` (or one rate vector for all).
+
+    ``matrix`` is one interference matrix for every row, or a stack
+    with row k's matrix at ``matrix[k]``.
+    """
     prod = success_product(q, matrix)
     positive = prod > 0.0
     raw = np.divide(rates, prod, out=np.zeros_like(prod), where=positive)

@@ -10,7 +10,9 @@ Three routes to the fixed points of the best-response map:
   below. The unclipped map is order-preserving and convex, so the
   iterates stay below the least fixed point and converge to it
   monotonically, in a handful of steps where the ascent needs hundreds.
-  It serves the rate searches, which only need interior equilibria.
+  It serves the rate searches, which only need interior equilibria;
+  they solve many games at once, whose iterates step together as the
+  rows of one stack, and ``newton_lfp`` is the one-row case.
 * :func:`multistart_fixed_points` is an exhaustive oracle for small
   instances. Each success product is monotone in every coordinate, so
   over a box of [0, 1]^n the range of q_i * prod_i is exact at the
@@ -193,26 +195,87 @@ def newton_lfp(game: Game, q0=None, max_iter: int = DEFAULT_MAX_ITER) -> LfpResu
     q = _check_start(np.zeros(game.n) if q0 is None else q0, game.n, "q0")
     if (q < 0.0).any() or (q >= 1.0).any():
         raise ValueError("q0 must lie in [0, 1)^n, below the least fixed point")
-    a = np.asarray(game.matrix, dtype=float)
-    eye = np.eye(game.n)
+    mask = game.matrix.astype(bool)
+    (point,), (iterations,), (converged,), (res_norm,), (infeasible,) = _newton_rows(
+        q[np.newaxis], game.rates[np.newaxis], mask[np.newaxis], max_iter
+    )
+    return _result(game, point, int(iterations), bool(converged), float(res_norm), DEFAULT_TOL, bool(infeasible))
+
+
+def _solve_rows(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solutions x[k] of m[k] x = b[k], with a NaN row where m[k] is singular.
+
+    LAPACK fails a whole stack for one singular matrix, so a stack that
+    fails is solved again one matrix at a time.
+    """
+    try:
+        return np.linalg.solve(m, b[..., np.newaxis])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, np.nan)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(m[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _newton_rows(q: np.ndarray, rates: np.ndarray, mask: np.ndarray, max_iter: int):
+    """:func:`newton_lfp` from the rows of ``q``, each in its own game.
+
+    Row k solves the game with target rates ``rates[k]`` and
+    interference ``mask[k]`` (booleans) from the start ``q[k]``, which
+    the caller has checked, with the steps and stopping rules of
+    :func:`newton_lfp`. The rows step together: one response
+    evaluation and one stacked solve per iteration, and a row leaves
+    the stack when it stops, so each row takes exactly the iterations
+    it would take alone. Returns ``(points, iterations, converged,
+    residual_norms, infeasible)`` with one entry per row; a converged
+    row's point is its last image F(q), any other row's its last
+    iterate.
+    """
+    k, n = q.shape
+    points = np.empty((k, n))
+    iterations = np.empty(k, dtype=int)
+    res_norms = np.empty(k)
+    converged = np.zeros(k, dtype=bool)
+    infeasible = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    eye = np.eye(n)
     for it in range(max_iter + 1):
-        f = best_response(q, game)
+        if not len(live):
+            break
+        f = _response(q, rates, mask)
         r = f - q
-        res_norm = float(np.abs(r).max())
-        if (f >= 1.0).any():
-            return _result(game, q, it, False, res_norm, DEFAULT_TOL, infeasible=True)
-        if res_norm <= DEFAULT_TOL:
-            return _result(game, f, it, True, res_norm, DEFAULT_TOL)
-        if it == max_iter:
-            return _result(game, q, max_iter, False, res_norm, DEFAULT_TOL)
-        try:
-            d = np.linalg.solve(eye - a * (f[:, np.newaxis] / (1.0 - q)), r)
-        except np.linalg.LinAlgError:
-            d = np.full(game.n, np.nan)
+        res = np.abs(r).max(axis=-1)
+        saturated = (f >= 1.0).any(axis=-1)
+        done = ~saturated & (res <= DEFAULT_TOL)
+        stop = saturated | done if it < max_iter else np.ones(len(live), dtype=bool)
+        if stop.any():
+            rows = live[stop]
+            points[rows] = np.where(done[stop, np.newaxis], f[stop], q[stop])
+            iterations[rows] = it
+            res_norms[rows] = res[stop]
+            converged[rows] = done[stop]
+            infeasible[rows] = saturated[stop]
+            go = ~stop
+            live, q, f, r, res, rates, mask = live[go], q[go], f[go], r[go], res[go], rates[go], mask[go]
+            if not len(live):
+                break
+        d = _solve_rows(eye - mask * (f[:, :, np.newaxis] / (1.0 - q)[:, np.newaxis, :]), r)
         nxt = np.maximum(q + d, f)
-        if not np.isfinite(d).all() or (d < -DEFAULT_TOL).any() or (nxt >= 1.0).any():
-            return _result(game, q, it, False, res_norm, DEFAULT_TOL, infeasible=True)
+        # a NaN or infinite step fails one of the two tests
+        bad = ~((d >= -DEFAULT_TOL).all(axis=-1) & (nxt < 1.0).all(axis=-1))
+        if bad.any():
+            rows = live[bad]
+            points[rows] = q[bad]
+            iterations[rows] = it
+            res_norms[rows] = res[bad]
+            infeasible[rows] = True
+            go = ~bad
+            live, nxt, rates, mask = live[go], nxt[go], rates[go], mask[go]
         q = nxt
+    return points, iterations, converged, res_norms, infeasible
 
 
 # ---------------------------------------------------------------------------

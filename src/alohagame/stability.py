@@ -16,10 +16,13 @@ certificate matrix, the margin and the verdicts take stacks of points
 or matrices as well as single ones: a stack of points, each with its
 own target rates, gets its verdicts from one response evaluation, one
 certificate stack and one eigenvalue solve, which is how a consistency
-check and a bifurcation sweep classify all their roots. The
-region-of-attraction grid goes through the certificate one slab of
-cells at a time. The region estimate grows from the equilibrium's cell
-through face-adjacent positive-definite cells, in numpy alone.
+check and a bifurcation sweep classify all their roots. The Jacobian
+and the certificate matrix also take a stack of interference
+matrices, one per point, which is how the rate searches decide many
+games at once. The region-of-attraction grid goes through the
+certificate one slab of cells at a time. The region estimate grows
+from the equilibrium's cell through face-adjacent positive-definite
+cells, in numpy alone.
 """
 
 from __future__ import annotations
@@ -95,7 +98,11 @@ _SINGULAR_MESSAGE = "Jacobian is singular: a neighbour coordinate equals 1"
 
 
 def _jacobian(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
-    """:func:`residual_jacobian` at q from the response ``f = best_response(q)``."""
+    """:func:`residual_jacobian` at q from the response ``f = best_response(q)``.
+
+    ``matrix`` is one interference matrix, or a stack whose leading
+    dimensions broadcast against those of ``q``.
+    """
     mask = np.asarray(matrix, dtype=bool)
     if _singular(q, mask).any():
         raise ValueError(_SINGULAR_MESSAGE)
@@ -107,7 +114,7 @@ def _jacobian(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = f[..., :, np.newaxis] / (1.0 - q)[..., np.newaxis, :]
     jac = np.where(mask, ratio, 0.0)
-    diag = np.arange(mask.shape[0])
+    diag = np.arange(mask.shape[-1])
     jac[..., diag, diag] = -1.0
     return jac
 

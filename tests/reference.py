@@ -5,8 +5,10 @@ the greedy dedup of the oracle's roots, the oracle's box enumeration
 that bisects every box down to the leaf width, one oracle call per
 parameter value of a bifurcation sweep, a rate search that walks the
 grid one step at a time with Kleene solves, a verdict that
-evaluates the response map once per ingredient, and a consistency
-check that takes one verdict per point.
+evaluates the response map once per ingredient, a consistency
+check that takes one verdict per point, and topology sweeps and
+feasible surfaces with one rate search per trial and per cell instead
+of one lockstep search for them all.
 """
 
 import numpy as np
@@ -19,18 +21,24 @@ from alohagame import (
     FixedPointSet,
     Game,
     StabilityVerdict,
+    SweepRecord,
     best_response,
+    connectivity,
     diag_dominant,
+    feasible_contour,
     is_fixed_point,
     kleene_lfp,
     krasovskii_matrix,
     krasovskii_verdict,
     least_of,
+    max_common_rate,
     multistart_fixed_points,
     pd_margin,
+    random_topology,
     residual,
+    side_for_density,
 )
-from alohagame import solver
+from alohagame import experiments, solver
 
 
 def greedy_dedup(points, radius):
@@ -162,3 +170,32 @@ def reference_consistency(fps, game):
         least_stable=least_verdict.stable,
         violation=violation,
     )
+
+
+def sweep_one_search_per_trial(settings, trials, step, seed, edge_rule="min"):
+    """Records of a topology sweep over ``(n, density)`` settings, with one
+    ``max_common_rate`` call per trial."""
+    records = []
+    for s_idx, (n, density) in enumerate(settings):
+        side = side_for_density(n, density)
+        for t in range(trials):
+            trial_seed = experiments._trial_seed(seed, s_idx, t)
+            _, matrix = random_topology(n, side, trial_seed, edge_rule=edge_rule)
+            y_max, point = max_common_rate(matrix, step=step)
+            records.append(
+                SweepRecord(
+                    seed=trial_seed,
+                    n=n,
+                    side=side,
+                    connectivity=connectivity(matrix) if n >= 2 else 0.0,
+                    max_common_rate=y_max,
+                    point=point,
+                    total_throughput=n * y_max,
+                )
+            )
+    return records
+
+
+def contour_one_cell_at_a_time(matrix, y1_values, y3_values, step):
+    """``feasible_contour`` with one search per cell of the grid."""
+    return np.array([[feasible_contour(matrix, [y1], [y3], step)[0, 0] for y3 in y3_values] for y1 in y1_values])

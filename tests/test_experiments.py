@@ -29,7 +29,8 @@ from alohagame import (
 )
 from alohagame import experiments, solver, stability
 from conftest import Q_STAR, instance_rng, random_game, record_calls
-from reference import linear_walk_max_common_rate, sweep_one_value_at_a_time
+from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate, sweep_one_search_per_trial
+from reference import sweep_one_value_at_a_time
 
 CHAIN = chain_matrix(3)
 
@@ -554,6 +555,93 @@ class TestSweeps:
         _, a = random_topology(100, side_for_density(100, 0.1), seed=60)
         y_max, _ = max_common_rate(a)
         assert y_max > 0.04
+
+
+def _record_fields(record) -> tuple:
+    return (
+        record.seed,
+        record.n,
+        record.side,
+        record.connectivity,
+        record.max_common_rate,
+        record.point.tobytes(),
+        record.total_throughput,
+    )
+
+
+def _newton_row_counts(monkeypatch) -> list:
+    """Rebind the searches' batched Newton to record the row count and matrix entries of each call."""
+    calls = []
+    original = experiments._newton_rows
+
+    def recording(q, rates, mask, max_iter):
+        calls.append((len(q), mask.size))
+        return original(q, rates, mask, max_iter)
+
+    monkeypatch.setattr(experiments, "_newton_rows", recording)
+    return calls
+
+
+class TestLockstep:
+    """A sweep setting's trials, and a feasible grid's cells, are searched
+    in lockstep, and each gets exactly what its own search gives."""
+
+    def test_sweeps_match_one_search_per_trial(self):
+        cases = [
+            (density_sweep(20, [0.008, 0.02, 0.1], trials=8, seed=31)[0], [(20, d) for d in (0.008, 0.02, 0.1)], 8, 31),
+            (density_sweep(6, [0.001, 50.0], trials=4, seed=5)[0], [(6, 0.001), (6, 50.0)], 4, 5),
+            (size_sweep(0.1, [1, 2, 12], trials=5, seed=8)[0], [(n, 0.1) for n in (1, 2, 12)], 5, 8),
+        ]
+        pool = []
+        for records, settings, trials, seed in cases:
+            reference = sweep_one_search_per_trial(settings, trials, experiments.RATE_STEP, seed)
+            assert [_record_fields(r) for r in records] == [_record_fields(r) for r in reference]
+            pool += records
+        assert sum(r.n == 1 for r in pool) == 5
+        assert sum(r.n > 1 and r.max_common_rate == 0.999 for r in pool) >= 2
+        assert sum(r.connectivity == 1.0 for r in pool) >= 4
+        pair_limited = [r for r in pool if r.n > 2 and r.max_common_rate == 0.249]
+        assert len(pair_limited) >= 3
+
+    def test_feasible_matches_one_search_per_cell(self):
+        grid = [0.0, 0.1, 0.25, 0.45, 0.9]
+        nan_cells = []
+        for matrix in (CHAIN, fully_connected_matrix(3)):
+            surface = feasible_contour(matrix, grid, grid[::-1], step=0.005)
+            reference = contour_one_cell_at_a_time(matrix, grid, grid[::-1], 0.005)
+            assert surface.tobytes() == reference.tobytes()
+            nan_cells.append(int(np.isnan(surface).sum()))
+        assert nan_cells[0] == 0 and 0 < nan_cells[1] < len(grid) ** 2
+
+    def test_one_newton_call_per_round(self, monkeypatch):
+        calls = _newton_row_counts(monkeypatch)
+        matrices = [random_topology(20, side_for_density(20, 0.1), seed)[1] for seed in range(8)]
+        alone = []
+        for matrix in matrices:
+            del calls[:]
+            y_max, _ = max_common_rate(matrix)
+            alone.append((y_max, [rows for rows, _ in calls]))
+        del calls[:]
+        found = experiments._common_rates(matrices, experiments.RATE_STEP)
+        lockstep = [rows for rows, _ in calls]
+        assert [y for y, _ in found] == [y for y, _ in alone]
+        assert len(lockstep) == max(len(rounds) for _, rounds in alone) <= 10
+        assert lockstep[0] == 8 and sum(lockstep) == sum(sum(rounds) for _, rounds in alone)
+
+    def test_lane_budget_bounds_every_newton_call(self, monkeypatch):
+        def sweep():
+            return [_record_fields(r) for r in density_sweep(20, [0.05], trials=8, seed=4)[0]]
+
+        def contour():
+            return feasible_contour(CHAIN, [0.0, 0.1, 0.2], [0.0, 0.1, 0.2, 0.3], step=0.01).tobytes()
+
+        whole = sweep(), contour()
+        calls = _newton_row_counts(monkeypatch)
+        for budget, search, expected in ((3 * 20 * 20, sweep, whole[0]), (4 * 3 * 3, contour, whole[1])):
+            monkeypatch.setattr(experiments, "_LANE_ENTRIES", budget)
+            del calls[:]
+            assert search() == expected
+            assert max(entries for _, entries in calls) == budget
 
 
 class TestPowerLawFit:

@@ -167,6 +167,81 @@ class TestNewton:
             newton_lfp(chain3, q0=[-0.1, 0.0, 0.0])
 
 
+class TestNewtonRows:
+    """Rows of one stack step together and each ends as its own
+    ``newton_lfp`` solve does, bit for bit."""
+
+    @staticmethod
+    def _compare(games, starts, max_iter):
+        rows = solver._newton_rows(
+            np.array(starts),
+            np.array([g.rates for g in games]),
+            np.array([g.matrix for g in games], dtype=bool),
+            max_iter,
+        )
+        for k, (game, start) in enumerate(zip(games, starts)):
+            res = newton_lfp(game, q0=start, max_iter=max_iter)
+            assert rows[0][k].tobytes() == res.point.tobytes()
+            assert (rows[1][k], rows[2][k], rows[3][k], rows[4][k]) == (
+                res.iterations,
+                res.converged,
+                res.residual_norm,
+                res.infeasible,
+            )
+        return rows
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 100_000])
+    def test_rows_match_one_solve_per_game(self, max_iter):
+        by_size = {}
+        for i in range(300):
+            game = random_game(instance_rng(616, i), n_max=5)
+            by_size.setdefault(game.n, []).append(game)
+        outcomes = set()
+        for games in by_size.values():
+            starts = [np.zeros(g.n) for g in games]
+            _, _, converged, _, infeasible = self._compare(games, starts, max_iter)
+            outcomes |= set(zip(converged.tolist(), infeasible.tolist()))
+        expected = {(True, False), (False, True)} | ({(False, False)} if max_iter < 100 else set())
+        assert outcomes == expected
+
+    def test_warm_started_rows(self):
+        games = [Game(chain_matrix(3), [y] * 3) for y in (0.12, 0.15, 0.18, 0.2)]
+        starts = [newton_lfp(Game(chain_matrix(3), [y - 0.02] * 3)).point for y in (0.12, 0.15, 0.18, 0.2)]
+        self._compare(games, starts, 100_000)
+
+    def test_singular_newton_row_ends_infeasible_alone(self, monkeypatch):
+        # At q = (0.5, 0.5) the pair with rates (0.2, 0.3125) has
+        # F'_12 F'_21 = 0.8 * 1.25 = 1: its Newton matrix is singular,
+        # and LAPACK refuses the whole stack.
+        pair = chain_matrix(2)
+        games = [Game(pair, [0.1, 0.1]), Game(pair, [0.2, 0.3125]), Game(pair, [0.2, 0.2])]
+        failed = []
+        solve = np.linalg.solve
+
+        def recording(m, b):
+            try:
+                return solve(m, b)
+            except np.linalg.LinAlgError:
+                failed.append(len(m))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        _, iterations, converged, _, infeasible = self._compare(games, [np.zeros(2), np.full(2, 0.5), np.zeros(2)], 100)
+        assert failed[0] == 3
+        assert infeasible.tolist() == [False, True, False] and iterations[1] == 0
+        assert converged[0] and converged[2]
+
+    def test_singular_row_does_not_disturb_its_neighbours(self):
+        m = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, 0.0], [1.0, 1.0]]])
+        b = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(m, b[..., np.newaxis])
+        x = solver._solve_rows(m, b)
+        assert np.isnan(x[1]).all()
+        for k in (0, 2):
+            assert x[k].tobytes() == np.linalg.solve(m[k], b[k]).tobytes()
+
+
 class TestMultistartOracle:
     def test_chain_finds_both_feasible_roots(self, chain3):
         fps = multistart_fixed_points(chain3)

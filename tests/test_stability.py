@@ -209,6 +209,49 @@ class TestStackedInput:
             assert np.array_equal(pd_minors.reshape(-1, n), np.stack([m for _, m in loop]))
 
 
+def _matrix_stack(rng, k, n):
+    """k random n-player games as a (k, n, n) matrix stack, with their rates and points in [0, 0.95]."""
+    a = rng.random((k, n, n)) < 0.6
+    a[:, np.arange(n), np.arange(n)] = False
+    y = rng.uniform(0.0, 0.6, (k, n))
+    y[rng.random((k, n)) < 0.25] = 0.0
+    return a, y, rng.uniform(0.0, 0.95, (k, n))
+
+
+class TestMatrixStack:
+    """Row k of a point stack against matrix k of a matrix stack gives
+    what one call per matrix gives, bit for bit. Stacks of k != n
+    matrices catch an index taken from the wrong axis, which k == n
+    would hide."""
+
+    @pytest.mark.parametrize("k, n", [(2, 5), (7, 3), (3, 1)])
+    def test_matches_one_call_per_matrix(self, k, n):
+        rng = np.random.default_rng([k, n])
+        for _ in range(20):
+            a, y, q = _matrix_stack(rng, k, n)
+            f = _response(q, y, a)
+            pairs = [
+                (success_product(q, a), [success_product(q[i], a[i]) for i in range(k)]),
+                (f, [_response(q[i], y[i], a[i]) for i in range(k)]),
+                (stability._jacobian(q, f, a), [stability._jacobian(q[i], f[i], a[i]) for i in range(k)]),
+                (stability._certificate(q, f, a), [stability._certificate(q[i], f[i], a[i]) for i in range(k)]),
+            ]
+            for stacked, loop in pairs:
+                assert stacked.shape == np.shape(loop)
+                assert stacked.tobytes() == np.array(loop).tobytes()
+
+    @pytest.mark.parametrize("k, n", [(2, 5), (7, 3)])
+    def test_singular_rows_match_one_call_per_matrix(self, k, n):
+        rng = np.random.default_rng([k, n, 1])
+        a, _, q = _matrix_stack(rng, k, n)
+        q[rng.random((k, n)) < 0.3] = 1.0
+        q[0], q[1], a[1, 0, 1] = 0.5, 1.0, True
+        singular = stability._singular(q, a)
+        assert singular.shape == (k,)
+        assert np.array_equal(singular, [stability._singular(q[i], a[i]) for i in range(k)])
+        assert singular.any() and not singular.all()
+
+
 class TestDiagDominance:
     def test_edgeless(self):
         g = Game(np.zeros((3, 3)), [0.1, 0.1, 0.1])
