@@ -6,15 +6,18 @@ index), trials run and are reduced in a fixed order, and CSVs are
 written through :func:`alohagame.game._write_csv`, which fixes the
 number format, so identical calls produce byte-identical files.
 
-The rate and scale searches bisect a step grid with one helper,
-:func:`_last_passing`, which runs many independent searches (lanes)
-in lockstep. The trials of one sweep setting, and the cells of one
-feasible grid, are lanes of one search: each bisection round solves
-every live lane's game in one batched Newton over a stack of
-interference matrices, and decides every certificate in one batched
-upper bracket. Each lane probes exactly the values, and takes exactly
-the Newton iterations, that its own search would, so the results are
-those of one search per lane. The other searches are one-lane calls.
+The rate and scale searches close a bracket on a step grid with one
+helper, :func:`_last_passing`, which runs many independent searches
+(lanes) in lockstep. The trials of one sweep setting, and the cells of
+one feasible grid, are lanes of one search: each round solves every
+live lane's probes in one batched Newton over a stack of interference
+matrices, and decides every certificate in one batched upper bracket.
+The rate searches pick each probe from the certificate margin, and its
+slope, at the lane's last passing value, and close their brackets in 3
+to 4 rounds where bisection takes about 10; the scale searches bisect.
+Each lane probes exactly the values, and takes exactly the Newton
+iterations, that its own search would, so the results are those of one
+search per lane. The other searches are one-lane calls.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def _lane_blocks(lanes: int, n: int) -> list:
     return [range(start, min(start + size, lanes)) for start in range(0, lanes, size)]
 
 
-def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Whether a proven upper bracket of each row's least fixed point has a positive-definite certificate.
+def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, free=None):
+    """Certificate margin, and its slope, at a proven upper bracket of each row's least fixed point.
 
     Row k of ``lo`` lies below the least fixed point q* of the game
     with target rates ``rates[k]`` and interference ``mask[k]``. Every
@@ -86,9 +89,23 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray) -> np.nda
     positive definite, whatever the solver's tolerance. The one
     candidate is hi = lo + |d|, where d solves
     (I - F'(lo)) d = |F(lo) - lo| + 1e-12, a Newton step that overshoots
-    q*; a row whose candidate is not a post-fixed point below 1, or
-    whose system is singular, fails. All rows share one response
-    evaluation per point, one stacked solve and one eigenvalue solve.
+    q*.
+
+    Returns ``(margin, slope)`` per row. ``margin`` is
+    :func:`pd_margin` of C(hi), so a row passes when it is positive; a
+    row whose candidate is not a post-fixed point below 1, or whose
+    system is singular, has margin NaN. ``slope`` estimates the
+    margin's derivative in the common rate y of the players flagged in
+    ``free`` (an n-vector of booleans) on the passing rows, and is NaN
+    elsewhere or when ``free`` is None. It differentiates
+    mu = lambda_min(C) = 2 - 2 v^T F' v, with v the unit eigenvector of
+    mu, along q' = (I - F'(lo))^-1 b, the slope of the solution path,
+    where b_i = F_i(lo) / y for the flagged players and 0 otherwise:
+    mu' = -2 v^T (dF'/dy) v, with dF'_ij/dy = a_ij (q'_i / (1 - q_j) +
+    q_i q'_j / (1 - q_j)^2) at q = lo. All rows share one response
+    evaluation per point, one stacked solve and one eigenvalue solve;
+    the slopes take two more stacked solves over the passing rows, one
+    for q' and one step of inverse iteration for v.
     """
     f = _response(lo, rates, mask)
     # relative rounding of a computed response: a success product of
@@ -97,15 +114,37 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray) -> np.nda
     # the Jacobian of the drift F(q) - q is F'(lo) - I
     hi = lo + np.abs(_solve_rows(-_jacobian(lo, f, mask), np.abs(f - lo) + 1e-12))
     rows = np.flatnonzero((hi < 1.0).all(axis=-1))
-    hi, mask = hi[rows], mask[rows]
-    f_hi = _response(hi, rates[rows], mask)
-    post = (f_hi * (1.0 + rounding) <= hi).all(axis=-1)
-    stable = np.zeros(len(lo), dtype=bool)
-    stable[rows[post]] = pd_margin(_certificate(hi[post], f_hi[post], mask[post])) > 0.0
-    return stable
+    f_hi = _response(hi[rows], rates[rows], mask[rows])
+    post = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
+    rows = rows[post]
+    certificates = _certificate(hi[rows], f_hi[post], mask[rows])
+    margin = np.full(len(lo), np.nan)
+    margin[rows] = pd_margin(certificates)
+    slope = np.full(len(lo), np.nan)
+    passing = margin[rows] > 0.0
+    if free is None or not passing.any():
+        return margin, slope
+    rows, certificates = rows[passing], certificates[passing]
+    # one step of inverse iteration, shifted to the margin just below
+    # mu, from the ones vector, which no nonnegative Perron vector is
+    # orthogonal to
+    diag = np.arange(lo.shape[-1])
+    certificates[:, diag, diag] -= margin[rows][:, np.newaxis]
+    v = _solve_rows(certificates, np.ones((len(rows), lo.shape[-1])))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    # freed before the Jacobian's temporaries, so a call peaks no higher
+    # than its verdicts do
+    del certificates
+    q, y, a = lo[rows], rates[rows], mask[rows]
+    gain = np.divide(f[rows], y, out=np.zeros_like(y), where=free & (y > 0.0))
+    dq = _solve_rows(-_jacobian(q, f[rows], a), gain)
+    s = 1.0 / (1.0 - q)
+    image = np.matmul(a, np.stack([v * s, v * dq * s * s], axis=-1))
+    slope[rows] = -2.0 * ((v * dq) * image[..., 0] + (v * q) * image[..., 1]).sum(axis=-1)
+    return margin, slope
 
 
-def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray) -> list:
+def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, free=None):
     """Per row, the least fixed point if it is interior with a positive-definite certificate, else None.
 
     Row k is the game with target rates ``rates[k]`` and interference
@@ -123,22 +162,28 @@ def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray) -
     boundary points are excluded, which keeps rate searches
     conservative. A point returned is the solver's estimate, which
     lies below the least fixed point, as a read-only array.
+
+    Returns ``(points, margins, slopes)``: the list of points or None,
+    and per row the margin and slope of :func:`_stable_above` (NaN for
+    a row that was not bracketed), with ``free`` passed on to it.
     """
     found = [None] * len(rates)
+    margins, slopes = np.full(len(rates), np.nan), np.full(len(rates), np.nan)
     rows = np.flatnonzero((rates <= 1.0).all(axis=-1))
     points, _, converged, _, _ = _newton_rows(warm_starts[rows], rates[rows], mask[rows], DEFAULT_MAX_ITER)
     rows, points = rows[converged], points[converged]
-    stable = _stable_above(points, rates[rows], mask[rows])
-    for row, point in zip(rows[stable], points[stable]):
-        point = point.copy()
-        point.flags.writeable = False
-        found[row] = point
-    return found
+    margins[rows], slopes[rows] = _stable_above(points, rates[rows], mask[rows], free)
+    for row, point in zip(rows, points):
+        if margins[row] > 0.0:
+            point = point.copy()
+            point.flags.writeable = False
+            found[row] = point
+    return found, margins, slopes
 
 
 def _interior_stable_lfp(matrix, rates, warm_start):
     """:func:`_stable_lfps` for the one game with interference ``matrix`` and target ``rates``."""
-    (point,) = _stable_lfps(
+    (point,), _, _ = _stable_lfps(
         np.asarray(rates, dtype=float)[np.newaxis],
         np.asarray(matrix, dtype=bool)[np.newaxis],
         np.asarray(warm_start, dtype=float)[np.newaxis],
@@ -146,42 +191,126 @@ def _interior_stable_lfp(matrix, rates, warm_start):
     return point
 
 
-def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float = 1.0) -> list:
-    """Bisect the grid ``origin + k*step`` for each lane's last passing value.
+# Probe choice of the margin-guided searches. None of these constants
+# changes a result, only how many probes a search makes. The first
+# probe sits just below _FIRST_PROBE_FRACTION / lambda (see
+# _rate_searches). A bracket of at most _NARROW_BRACKET steps is closed
+# by probing every value inside it. A prediction more than _FAR_STEPS
+# steps above the last passing value is approached by _DAMPING of the
+# way. Newton calls over the 14 settings of the benchmark's sweep
+# workload, seeds 1-3 together, against 420 for bisection: damping 0.5
+# makes 179, 0.6 makes 162, 0.65 makes 140, 0.7 makes 133, 0.75 makes
+# 154 and 0.8 makes 221.
+_FIRST_PROBE_FRACTION = 0.25
+_NARROW_BRACKET = 3
+_FAR_STEPS = 4
+_DAMPING = 0.7
+
+
+def _below(value: float, origin: float, step: float) -> int:
+    """Index k of the largest grid value ``origin + k*step`` strictly below ``value``."""
+    k = int(np.ceil((value - origin) / step))
+    while _grid(origin + k * step) >= value:
+        k -= 1
+    while _grid(origin + (k + 1) * step) < value:
+        k += 1
+    return k
+
+
+def _next_probes(lo: int, hi: int, mu: float, slope: float) -> list:
+    """The grid indices a margin-guided lane probes next, inside its bracket (lo, hi).
+
+    ``mu`` and ``slope`` are the certificate margin at lo and its slope
+    per grid step when the lane's last round passed at lo, and NaN when
+    it gained no pass.
+    """
+    if hi - lo <= _NARROW_BRACKET:
+        picks = range(lo + 1, hi)
+    elif not (mu > 0.0 and slope < 0.0):
+        picks = [(lo + hi) // 2]
+    else:
+        # Newton's step on mu^2
+        ahead = -mu / (2.0 * slope)
+        edge = int(np.ceil(lo + ahead))
+        picks = [lo + int(np.ceil(_DAMPING * ahead))] if ahead > _FAR_STEPS else [edge - 1, edge]
+    return sorted({min(max(k, lo + 1), hi - 1) for k in picks})
+
+
+def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float = 1.0, guesses=None) -> list:
+    """Search the grid ``origin + k*step`` for each lane's last passing value.
 
     Lane i passes at ``origin`` with solution ``starts[i]``, and no
     value above ``limit`` passes, give or take the grid's rounding.
-    Each round probes every live lane's midpoint at once:
-    ``probe(lanes, values, warms)`` gets the indices of the live lanes
-    (an integer array), their grid values and their warm starts, and
-    returns per lane the solution at its value, or None when the value
-    fails. A lane's warm start is the solution at its last passing
-    value, which lies below the solution at any higher one. A lane
-    drops out when its interval closes, so lanes may finish a round
-    apart, and each lane probes exactly the values it would probe
-    alone. Returns ``(value, solution)`` per lane for its largest
-    passing value.
+    Each round probes one or two values of every live lane at once:
+    ``probe(lanes, values, warms)`` gets the lane of each probe (an
+    integer array, in which a lane may appear twice), the grid values
+    and the warm starts, and returns per probe the solution at its
+    value, or None when the value fails. A lane's warm start is the
+    solution at its last passing value, which lies below the solution
+    at any higher one. A lane drops out when its bracket closes, so
+    lanes may finish a round apart. Returns ``(value, solution)`` per
+    lane for its largest passing value.
 
-    Bisection finds the same value as walking up the grid because the
-    passing values form an interval: along a componentwise
-    increasing rate path the least fixed point grows, the certificate's
-    off-diagonal entries q_i / (1 - q_j) grow with it, and by
-    Perron-Frobenius so does the largest eigenvalue of their symmetric
-    part, so once the certificate fails it stays failed.
+    A probe that also returns ``(solutions, margins, slopes)``, the
+    certificate margin mu and its slope mu' in the searched value per
+    probe (:func:`_stable_above`), guides its lanes. Lane i first probes
+    the largest grid value strictly below min(limit, ``guesses[i]``)
+    when guesses are given, and its midpoint otherwise. After a round
+    whose largest passing probe has mu > 0 and mu' < 0, the lane
+    predicts its edge at y - mu / (2 mu'): near a fold mu falls like
+    the square root of the distance to it, so this is Newton's step on
+    mu^2. A far prediction is approached by part of the way, a near one
+    is bracketed by the two grid values around it, and a bracket of a
+    few steps is closed by probing all of it. A lane whose last round
+    gained no pass probes its midpoint, as a probe without margins
+    always does, so such searches are plain bisection.
+
+    Any probe order finds the value bisection or a walk up the grid
+    finds, because the passing values form an interval: along a
+    componentwise increasing rate path the least fixed point grows, the
+    certificate's off-diagonal entries q_i / (1 - q_j) grow with it, and
+    by Perron-Frobenius so does the largest eigenvalue of their
+    symmetric part, so once the certificate fails it stays failed.
     """
     top = int((limit - origin) / step) + 2
-    lo, hi, best = [0] * len(starts), [top] * len(starts), list(starts)
-    live = list(range(len(starts)))
+    count = len(starts)
+    lo, hi, best = [0] * count, [top] * count, list(starts)
+    if guesses is None:
+        picks = [[top // 2]] * count
+    else:
+        picks = [[max(1, min(top - 1, _below(min(limit, g), origin, step)))] for g in guesses]
+    live = list(range(count))
     while live:
-        mids = [(lo[i] + hi[i]) // 2 for i in live]
-        got = probe(np.array(live), [_grid(origin + mid * step) for mid in mids], [best[i] for i in live])
-        for i, mid, solution in zip(live, mids, got):
+        lanes = [i for i, ks in zip(live, picks) for _ in ks]
+        ks = [k for lane_ks in picks for k in lane_ks]
+        got = probe(np.array(lanes), [_grid(origin + k * step) for k in ks], [best[i] for i in lanes])
+        solutions, margins, slopes = got if isinstance(got, tuple) else (got, None, None)
+        passed = {}
+        for row, (i, k, solution) in enumerate(zip(lanes, ks, solutions)):
+            # a lane's probes rise, and none above its first failure counts
+            if k >= hi[i]:
+                continue
             if solution is None:
-                hi[i] = mid
+                hi[i] = k
             else:
-                lo[i], best[i] = mid, solution
+                lo[i], best[i], passed[i] = k, solution, row
         live = [i for i in live if hi[i] - lo[i] > 1]
+        if margins is None:
+            picks = [[(lo[i] + hi[i]) // 2] for i in live]
+        else:
+            lead = {i: (margins[row], slopes[row] * step) for i, row in passed.items()}
+            picks = [_next_probes(lo[i], hi[i], *lead.get(i, (np.nan, np.nan))) for i in live]
     return [(_grid(origin + k * step), solution) for k, solution in zip(lo, best)]
+
+
+def _first_guesses(mask: np.ndarray) -> list:
+    """1/(4 lambda) per interference matrix of the stack ``mask``, lambda the
+    largest eigenvalue of its symmetric part (infinite for lambda = 0)."""
+    # twice the symmetric part, built in place
+    doubled = mask.astype(float)
+    doubled += np.swapaxes(mask, -1, -2)
+    spread = np.linalg.eigvalsh(doubled)[..., -1] / 2.0
+    return [_FIRST_PROBE_FRACTION / lam if lam > 0.0 else np.inf for lam in spread]
 
 
 def _rate_searches(rates: np.ndarray, free: np.ndarray, mask: np.ndarray, starts: list, step: float) -> list:
@@ -190,16 +319,39 @@ def _rate_searches(rates: np.ndarray, free: np.ndarray, mask: np.ndarray, starts
     Lane k is the game with interference ``mask[k]`` in which the
     players flagged in ``free`` demand a common rate y on the step
     grid, and the others their rates in ``rates[k]``; ``starts[k]`` is
-    its least fixed point at y = 0. Every bisection round solves the
-    live lanes' games in one :func:`_stable_lfps` call. Returns
-    ``(y_max, point)`` per lane, as :func:`_last_passing` does.
+    its least fixed point at y = 0. Every round solves the live lanes'
+    probes in :func:`_stable_lfps` calls of at most ``_LANE_ENTRIES``
+    matrix entries, whose margins and slopes guide the search
+    (:func:`_last_passing`). Returns ``(y_max, point)`` per lane, as
+    :func:`_last_passing` does.
+
+    When every player takes the common rate, each lane's first guess
+    is 1/(4 lambda), with lambda the largest eigenvalue of the symmetric
+    part of its interference matrix A. No rate y >= 1/lambda passes:
+    q* >= y gives F' >= y A entrywise, so the largest eigenvalue of
+    F' + F'^T is at least 2 y lambda, and the certificate needs it
+    below 2. An isolated pair, lambda = 1, fails from 0.25 on, and a
+    lane without interference first probes just below the limit. Lanes
+    with fixed players, the cells of a feasible grid, take no guess:
+    their fixed players interfere too, and the guess, blind to them,
+    cost them a round.
     """
+    n = mask.shape[-1]
+    rows_per_call = max(1, _LANE_ENTRIES // (n * n))
+    guesses = _first_guesses(mask) if free.all() else None
 
     def probe(lanes, values, warms):
         lane_rates = np.where(free, np.array(values)[:, np.newaxis], rates[lanes])
-        return _stable_lfps(lane_rates, mask[lanes], np.array(warms))
+        found, margins, slopes = [], [], []
+        for start in range(0, len(lanes), rows_per_call):
+            chunk = slice(start, start + rows_per_call)
+            points, margin, slope = _stable_lfps(lane_rates[chunk], mask[lanes[chunk]], np.array(warms[chunk]), free)
+            found += points
+            margins.append(margin)
+            slopes.append(slope)
+        return found, np.concatenate(margins), np.concatenate(slopes)
 
-    return _last_passing(probe, starts, step)
+    return _last_passing(probe, starts, step, guesses=guesses)
 
 
 def _common_rates(matrices, step: float) -> list:
@@ -339,10 +491,11 @@ def max_common_rate(matrix, step: float = RATE_STEP):
 
     Returns ``(y_max, q_star)`` with ``y_max`` the largest multiple of
     ``step`` up to 1 at which the least fixed point is interior and its
-    certificate positive definite, found by bisection over the step
-    grid; (0.0, zeros) when even the first step fails. The certificate
-    is decided at a proven upper bracket of the least fixed point, so a
-    pair, whose fold sits exactly at 0.25, gives 0.249.
+    certificate positive definite, found by a search of the step grid
+    guided by the certificate's margin; (0.0, zeros) when even the
+    first step fails. The certificate is decided at a proven upper
+    bracket of the least fixed point, so a pair, whose fold sits
+    exactly at 0.25, gives 0.249.
     """
     _check_positive_finite(step, "step")
     (found,) = _common_rates([matrix], step)
@@ -356,9 +509,10 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     multiple of ``step`` up to 1 that player 2 can demand with a stable
     interior equilibrium when players 1 and 3 demand ``y1_values[i]``
     and ``y3_values[j]`` (NaN when the outer rates alone have none),
-    found by bisection over the step grid. The upper boundary of the
-    resulting region is the set of rate combinations with nothing left
-    to give away. The cells are searched together, in lockstep.
+    found by a search of the step grid guided by the certificate's
+    margin. The upper boundary of the resulting region is the set of
+    rate combinations with nothing left to give away. The cells are
+    searched together, in lockstep.
     """
     _check_positive_finite(step, "step")
     a = np.asarray(matrix)
@@ -376,7 +530,7 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     for block in _lane_blocks(len(outer), 3):
         cells = outer[block.start : block.stop]
         masks = np.broadcast_to(mask, (len(cells), 3, 3))
-        bases = _stable_lfps(cells, masks, np.zeros_like(cells))
+        bases, _, _ = _stable_lfps(cells, masks, np.zeros_like(cells))
         live = [i for i, base in enumerate(bases) if base is not None]
         found = _rate_searches(cells[live], np.array([False, True, False]), masks[live], [bases[i] for i in live], step)
         surface[[block.start + i for i in live]] = [y2 for y2, _ in found]

@@ -39,6 +39,8 @@ def _as_binary_matrix(matrix) -> np.ndarray:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"interference matrix must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("interference matrix must have at least one player, got shape (0, 0)")
     entries = np.asarray(a, dtype=float)
     if not np.isin(entries, (0.0, 1.0)).all():
         raise ValueError("interference matrix entries must be exactly 0 or 1")

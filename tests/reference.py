@@ -6,9 +6,10 @@ that bisects every box down to the leaf width, one oracle call per
 parameter value of a bifurcation sweep, a rate search that walks the
 grid one step at a time with Kleene solves, a verdict that
 evaluates the response map once per ingredient, a consistency
-check that takes one verdict per point, and topology sweeps and
+check that takes one verdict per point, topology sweeps and
 feasible surfaces with one rate search per trial and per cell instead
-of one lockstep search for them all.
+of one lockstep search for them all, and a common-rate search that
+bisects the grid instead of following the certificate margin.
 """
 
 import numpy as np
@@ -199,3 +200,20 @@ def sweep_one_search_per_trial(settings, trials, step, seed, edge_rule="min"):
 def contour_one_cell_at_a_time(matrix, y1_values, y3_values, step):
     """``feasible_contour`` with one search per cell of the grid."""
     return np.array([[feasible_contour(matrix, [y1], [y3], step)[0, 0] for y3 in y3_values] for y1 in y1_values])
+
+
+def bisect_common_rate(matrix, step=0.001):
+    """``max_common_rate`` by plain bisection of the step grid: each round
+    probes the midpoint of the bracket with one ``_stable_lfps`` call,
+    warm-started at the last passing value's point."""
+    mask = np.asarray(matrix, dtype=bool)[np.newaxis]
+    n = mask.shape[-1]
+    lo, hi, best = 0, int(1.0 / step) + 2, np.zeros(n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        (point,), _, _ = experiments._stable_lfps(np.full((1, n), round(mid * step, 12)), mask, best[np.newaxis])
+        if point is None:
+            hi = mid
+        else:
+            lo, best = mid, point
+    return round(lo * step, 12), best

@@ -173,6 +173,21 @@ def test_bad_shape_or_index_is_refused_before_any_evaluation(monkeypatch, case):
     assert str(excinfo.value).startswith(f"{arg} ")
 
 
+EMPTY = np.zeros((0, 0))
+EMPTY_MATRIX = {
+    "Game": lambda: Game(EMPTY, []),
+    "max_common_rate": lambda: max_common_rate(EMPTY),
+    "bifurcation_sweep": lambda: bifurcation_sweep(EMPTY, [], 0, (0.0, 0.3), 0.01),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_MATRIX))
+def test_interference_matrix_without_players_is_refused(monkeypatch, case):
+    _refuse_best_response(monkeypatch)
+    with pytest.raises(ValueError, match="interference matrix must have at least one player"):
+        EMPTY_MATRIX[case]()
+
+
 def test_nan_point_is_still_not_a_fixed_point():
     with pytest.raises(ValueError, match="not a fixed point"):
         krasovskii_verdict(np.full(3, np.nan), GAME)

@@ -29,7 +29,8 @@ from alohagame import (
 )
 from alohagame import experiments, solver, stability
 from conftest import Q_STAR, instance_rng, random_game, record_calls
-from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate, sweep_one_search_per_trial
+from reference import bisect_common_rate, contour_one_cell_at_a_time, linear_walk_max_common_rate
+from reference import sweep_one_search_per_trial
 from reference import sweep_one_value_at_a_time
 
 CHAIN = chain_matrix(3)
@@ -642,6 +643,88 @@ class TestLockstep:
             del calls[:]
             assert search() == expected
             assert max(entries for _, entries in calls) == budget
+
+
+def _search_pool() -> list:
+    """Seeded topologies of every kind a common-rate search meets."""
+    isolated = np.zeros((4, 4), dtype=int)
+    isolated[:3, :3] = CHAIN
+    pair = np.zeros((4, 4), dtype=int)
+    pair[0, 1] = pair[1, 0] = 1
+    star = np.zeros((7, 7), dtype=int)
+    star[0, 1:] = star[1:, 0] = 1
+    pool = [np.zeros((1, 1), dtype=int), np.zeros((5, 5), dtype=int), isolated, pair, star, CHAIN]
+    pool += [fully_connected_matrix(n) for n in range(2, 61)]
+    pool += [random_topology(n, side_for_density(n, d), seed=7 * n)[1] for n in (6, 20, 40) for d in (0.01, 0.1, 1.0)]
+    return pool
+
+
+class TestMarginGuidedSearch:
+    """The common-rate searches follow the certificate margin instead of
+    bisecting, and find what bisection finds in far fewer rounds."""
+
+    @pytest.mark.parametrize("fraction", [experiments._FIRST_PROBE_FRACTION, 0.95])
+    def test_matches_bisection(self, monkeypatch, fraction):
+        # At 0.95 / lambda every first probe of a lane with interference
+        # fails, so those searches go on from a failed probe.
+        monkeypatch.setattr(experiments, "_FIRST_PROBE_FRACTION", fraction)
+        interfering = first_failed = 0
+        for matrix in _search_pool():
+            y_max, point = max_common_rate(matrix)
+            y_ref, point_ref = bisect_common_rate(matrix)
+            assert y_max == y_ref
+            assert np.abs(point - point_ref).max() <= 1e-8
+            lam = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)[-1]
+            interfering += bool(lam > 0.0)
+            first_failed += bool(lam > 0.0 and y_max < fraction / lam - experiments.RATE_STEP)
+        assert interfering >= 65 and first_failed == (0 if fraction < 0.5 else interfering)
+
+    def test_returned_points_are_stable_fixed_points(self):
+        for matrix in _search_pool():
+            y_max, point = max_common_rate(matrix)
+            game = Game(matrix, np.full(len(matrix), y_max))
+            assert krasovskii_verdict(point, game, fp_tol=1e-8).stable
+
+    def test_few_newton_calls_per_lockstep_search(self, monkeypatch):
+        # criterion 6's 14 settings, one lockstep search each; bisection
+        # makes 10 Newton calls on every one of them
+        calls = _newton_row_counts(monkeypatch)
+        searches = []
+        original = experiments._common_rates
+
+        def counting(matrices, step):
+            start = len(calls)
+            found = original(matrices, step)
+            searches.append(len(calls) - start)
+            return found
+
+        monkeypatch.setattr(experiments, "_common_rates", counting)
+        density_sweep(20, [0.008, 0.02, 0.05, 0.15, 0.5, 2.0], trials=30, seed=2024)
+        size_sweep(0.1, [10, 20, 30, 40, 60], trials=30, seed=4025, include_fully_connected=False)
+        size_sweep(0.03, [20, 40, 60], trials=30, seed=77, include_fully_connected=False)
+        assert len(searches) == 14 and max(searches) <= 6
+        del calls[:]
+        assert max_common_rate(np.zeros((6, 6)))[0] == 0.999
+        assert len(calls) <= 2
+
+    def test_scale_searches_still_bisect(self, monkeypatch, chain3):
+        # their probes report no margins, so every probe is the midpoint
+        probes = []
+        original = experiments._interior_stable_lfp
+
+        def recording(matrix, rates, warm_start):
+            point = original(matrix, rates, warm_start)
+            probes.append((float(rates[0] / chain3.rates[0]), point is not None))
+            return point
+
+        monkeypatch.setattr(experiments, "_interior_stable_lfp", recording)
+        assert max_demand_scale(chain3).factor == 1.27
+        lo, hi = 0, int((1.0 / 0.15 - 1.0) / experiments.SCALE_STEP) + 2
+        for factor, passed in probes[1:]:
+            mid = (lo + hi) // 2
+            assert factor == pytest.approx(1.0 + mid * experiments.SCALE_STEP, abs=1e-9)
+            lo, hi = (mid, hi) if passed else (lo, mid)
+        assert hi - lo == 1
 
 
 class TestPowerLawFit:

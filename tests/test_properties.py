@@ -8,9 +8,14 @@ from alohagame import (
     Game,
     best_response,
     detect_cycle,
+    fully_connected_matrix,
     krasovskii_matrix,
     leq,
+    max_common_rate,
+    random_topology,
+    side_for_density,
 )
+from alohagame import experiments
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -107,3 +112,43 @@ def test_planted_cycles_survive_sub_tolerance_noise(period):
     pattern = [np.array([0.2 + 0.2 * k]) for k in range(period)]
     states = [p + rng.uniform(-1e-8, 1e-8, 1) for p in pattern * 8]
     assert detect_cycle(states) == period
+
+
+def _assert_no_common_rate_reaches_the_bound(matrix):
+    """No common rate y >= 1/lambda, lambda the largest eigenvalue of the
+    symmetric part of the interference matrix, passes the search's
+    verdict: the bound the searches' first probe rests on."""
+    n = len(matrix)
+    lam = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)[-1]
+    if lam == 0.0:
+        return
+    step = experiments.RATE_STEP
+    k = experiments._below(1.0 / lam, 0.0, step) + 1
+    y = round(k * step, 12)
+    assert y >= 1.0 / lam > round((k - 1) * step, 12)
+    (point,), margins, _ = experiments._stable_lfps(
+        np.full((1, n), y), np.asarray(matrix, dtype=bool)[np.newaxis], np.zeros((1, n))
+    )
+    assert point is None and not margins[0] > 0.0
+    assert max_common_rate(matrix)[0] < 1.0 / lam
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(2, 40),
+    st.sampled_from([0.01, 0.05, 0.2, 1.0, 5.0]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["min", "max"]),
+)
+def test_no_common_rate_passes_at_the_first_probe_bound(n, density, seed, edge_rule):
+    _assert_no_common_rate_reaches_the_bound(random_topology(n, side_for_density(n, density), seed, edge_rule)[1])
+
+
+@given(games(n_max=6))
+def test_no_common_rate_passes_at_the_bound_of_asymmetric_interference(game):
+    _assert_no_common_rate_reaches_the_bound(np.asarray(game.matrix))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 30, 60])
+def test_no_common_rate_passes_at_the_bound_of_fully_connected(n):
+    _assert_no_common_rate_reaches_the_bound(fully_connected_matrix(n))
