@@ -5,9 +5,10 @@ simulate, bifurcate, feasible, sweep, fit. Topologies come either from
 a file (see topology.load_topology for the format) or from the seeded
 random generator; numbers are printed with four decimals.
 
-Exit codes: 0 success, 2 infeasible or unstable verdict, 1 anything
-else (bad usage, missing files, oracle size limits). Keeping usage
-errors on 1 leaves 2 unambiguous for scripted feasibility searches.
+Exit codes: 0 success, 2 an infeasible, unstable or budget_exhausted
+verdict, 1 anything else (bad usage, missing files, oracle size
+limits). Keeping usage errors on 1 leaves 2 unambiguous for scripted
+feasibility searches.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .dynamics import CONVERGED, integrate_ode, iterate_game
 from .experiments import (
     DEFAULT_BREAK_X,
     RATE_STEP,
+    _stable_lfps,
     bifurcation_sweep,
     density_sweep,
     feasible_contour,
@@ -222,17 +224,24 @@ def _cmd_solve(args) -> int:
         # never ends in a cycle.
         traj = iterate_game(np.zeros(game.n), game, tol=args.tol, max_iter=args.max_iter)
         traj.to_csv(args.output)
-        point = traj.final
-        interior = traj.outcome == CONVERGED and bool((point < 1.0).all())
+        point, converged = traj.final, traj.outcome == CONVERGED
     else:
         result = kleene_lfp(game, tol=args.tol, max_iter=args.max_iter)
-        point, interior = result.point, result.interior
-    if not interior:
+        point, converged = result.point, result.converged
+    if not converged:
+        print("budget_exhausted")
+        return 2
+    if not (point < 1.0).all():
         print("infeasible")
         return 2
-    verdict = krasovskii_verdict(point, game, fp_tol=max(10 * args.tol, 1e-8))
-    print(f"NE={_fmt_vec(point)} stable={str(verdict.stable).lower()}")
-    return 0 if verdict.stable else 2
+    # the ascent stays below the least fixed point, so it warm-starts
+    # the searches' decision, which does not depend on --tol
+    (found,), _, _ = _stable_lfps(
+        game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], point[np.newaxis], np.ones(game.n)
+    )
+    stable = found is not None
+    print(f"NE={_fmt_vec(point)} stable={str(stable).lower()}")
+    return 0 if stable else 2
 
 
 def _cmd_stability(args) -> int:

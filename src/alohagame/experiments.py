@@ -8,16 +8,17 @@ number format, so identical calls produce byte-identical files.
 
 The rate and scale searches close a bracket on a step grid with one
 helper, :func:`_last_passing`, which runs many independent searches
-(lanes) in lockstep. The trials of one sweep setting, and the cells of
-one feasible grid, are lanes of one search: each round solves every
-live lane's probes in one batched Newton over a stack of interference
-matrices, and decides every certificate in one batched upper bracket.
-The rate searches pick each probe from the certificate margin, and its
-slope, at the lane's last passing value, and close their brackets in 3
-to 4 rounds where bisection takes about 10; the scale searches bisect.
-Each lane probes exactly the values, and takes exactly the Newton
-iterations, that its own search would, so the results are those of one
-search per lane. The other searches are one-lane calls.
+(lanes) in lockstep under one probe protocol: a probe reports its
+solutions, certificate margins and their slopes, and a lane picks its
+next probe from the margin and slope at its last passing value. The
+common-rate, feasible and demand-scale searches move target rates along
+a rate direction (:func:`_rate_searches`) and decide at a proven upper
+bracket of the least fixed point (:func:`_stable_lfps`), as the CLI's
+``solve`` does; the probability scale decides at its scaled points.
+The trials of a sweep setting and the cells of a feasible grid are
+lanes of one search: a round solves every live lane's probes in one
+batched Newton and one batched bracket, and each lane probes the values
+and takes the Newton iterations its own search would.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import numpy as np
 from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _response, _write_csv
 from .game import achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
 from .solver import DEFAULT_MAX_ITER, _fixed_point_sets, _newton_rows, _solve_rows
-from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _verdicts, krasovskii_matrix, krasovskii_verdict
-from .stability import pd_margin
+from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _verdicts, krasovskii_verdict, pd_margin
 from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
@@ -62,19 +62,44 @@ def _grid(value: float) -> float:
 
 
 # A lockstep search holds at most this many interference-matrix
-# entries at once: its lanes run in blocks of at most
-# _LANE_ENTRIES // n^2 lanes (at least one). Lanes are independent, so
-# the blocks do not change any result.
+# entries at once: a round probes at most two values per lane, so its
+# lanes run in blocks of at most _LANE_ENTRIES // (2 n^2) lanes (at
+# least one). Lanes are independent, so the blocks change no result.
 _LANE_ENTRIES = 1 << 18
 
 
 def _lane_blocks(lanes: int, n: int) -> list:
     """Consecutive ranges of ``lanes`` lanes of n x n matrices, each within ``_LANE_ENTRIES``."""
-    size = max(1, _LANE_ENTRIES // (n * n))
+    size = max(1, _LANE_ENTRIES // (2 * n * n))
     return [range(start, min(start + size, lanes)) for start in range(0, lanes, size)]
 
 
-def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, free=None):
+def _perron_vectors(certificates: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of each certificate's smallest eigenvalue, by one step of inverse iteration.
+
+    Shifted in place to ``margins``, just below those eigenvalues, from
+    the ones vector, which no nonnegative Perron vector is orthogonal to.
+    """
+    diag = np.arange(certificates.shape[-1])
+    certificates[:, diag, diag] -= margins[:, np.newaxis]
+    v = _solve_rows(certificates, np.ones(certificates.shape[:-1]))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return v
+
+
+def _margin_slopes(v: np.ndarray, q: np.ndarray, dq, mask) -> np.ndarray:
+    """Derivative of the certificate margin mu = 2 - 2 v^T F' v at q as q moves along ``dq``.
+
+    v is mu's unit eigenvector (:func:`_perron_vectors`), and mu' =
+    -2 v^T (dF') v with dF'_ij = a_ij (q'_i / (1 - q_j) + q_i q'_j /
+    (1 - q_j)^2), taking F(q) = q.
+    """
+    s = 1.0 / (1.0 - q)
+    image = np.matmul(mask, np.stack([v * s, v * dq * s * s], axis=-1))
+    return -2.0 * ((v * dq) * image[..., 0] + (v * q) * image[..., 1]).sum(axis=-1)
+
+
+def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction: np.ndarray):
     """Certificate margin, and its slope, at a proven upper bracket of each row's least fixed point.
 
     Row k of ``lo`` lies below the least fixed point q* of the game
@@ -94,18 +119,13 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, free=None
     Returns ``(margin, slope)`` per row. ``margin`` is
     :func:`pd_margin` of C(hi), so a row passes when it is positive; a
     row whose candidate is not a post-fixed point below 1, or whose
-    system is singular, has margin NaN. ``slope`` estimates the
-    margin's derivative in the common rate y of the players flagged in
-    ``free`` (an n-vector of booleans) on the passing rows, and is NaN
-    elsewhere or when ``free`` is None. It differentiates
-    mu = lambda_min(C) = 2 - 2 v^T F' v, with v the unit eigenvector of
-    mu, along q' = (I - F'(lo))^-1 b, the slope of the solution path,
-    where b_i = F_i(lo) / y for the flagged players and 0 otherwise:
-    mu' = -2 v^T (dF'/dy) v, with dF'_ij/dy = a_ij (q'_i / (1 - q_j) +
-    q_i q'_j / (1 - q_j)^2) at q = lo. All rows share one response
-    evaluation per point, one stacked solve and one eigenvalue solve;
-    the slopes take two more stacked solves over the passing rows, one
-    for q' and one step of inverse iteration for v.
+    system is singular, has margin NaN. ``slope``, NaN on the other
+    rows, is :func:`_margin_slopes` at lo along the solution path's
+    slope q' = (I - F'(lo))^-1 b as the rates move along
+    ``rates + t * direction``: b_i = F_i(lo) direction_i / rates_i where
+    rates_i > 0, and 0 elsewhere. One response evaluation per point,
+    one stacked solve and one eigenvalue solve serve all rows; the
+    slopes take two more stacked solves over the passing rows.
     """
     f = _response(lo, rates, mask)
     # relative rounding of a computed response: a success product of
@@ -122,38 +142,28 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, free=None
     margin[rows] = pd_margin(certificates)
     slope = np.full(len(lo), np.nan)
     passing = margin[rows] > 0.0
-    if free is None or not passing.any():
-        return margin, slope
-    rows, certificates = rows[passing], certificates[passing]
-    # one step of inverse iteration, shifted to the margin just below
-    # mu, from the ones vector, which no nonnegative Perron vector is
-    # orthogonal to
-    diag = np.arange(lo.shape[-1])
-    certificates[:, diag, diag] -= margin[rows][:, np.newaxis]
-    v = _solve_rows(certificates, np.ones((len(rows), lo.shape[-1])))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    rows = rows[passing]
+    v = _perron_vectors(certificates[passing], margin[rows])
     # freed before the Jacobian's temporaries, so a call peaks no higher
     # than its verdicts do
     del certificates
     q, y, a = lo[rows], rates[rows], mask[rows]
-    gain = np.divide(f[rows], y, out=np.zeros_like(y), where=free & (y > 0.0))
-    dq = _solve_rows(-_jacobian(q, f[rows], a), gain)
-    s = 1.0 / (1.0 - q)
-    image = np.matmul(a, np.stack([v * s, v * dq * s * s], axis=-1))
-    slope[rows] = -2.0 * ((v * dq) * image[..., 0] + (v * q) * image[..., 1]).sum(axis=-1)
+    gain = np.divide(f[rows] * direction, y, out=np.zeros_like(y), where=y > 0.0)
+    slope[rows] = _margin_slopes(v, q, _solve_rows(-_jacobian(q, f[rows], a), gain), a)
     return margin, slope
 
 
-def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, free=None):
+def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, direction: np.ndarray):
     """Per row, the least fixed point if it is interior with a positive-definite certificate, else None.
 
     Row k is the game with target rates ``rates[k]`` and interference
     ``mask[k]`` (booleans); rates above 1 lie past the end of every
     search grid and give None. ``warm_starts[k]`` must be a point known
-    to sit below the row's least fixed point (zeros, or the least fixed
-    point of the same topology at lower rates). The rows are solved
-    together by the Newton of :func:`newton_lfp`, which gives up on a
-    row as soon as it proves the point cannot be interior and stable.
+    to sit below the row's least fixed point (zeros, an ascent from
+    zeros, or the least fixed point of the same topology at lower
+    rates). The rows are solved together by the Newton of
+    :func:`newton_lfp`, which gives up on a row as soon as it proves the
+    point cannot be interior and stable.
 
     The certificate is decided at a proven upper bracket of the least
     fixed point (:func:`_stable_above`), not at the solver's estimate,
@@ -164,15 +174,15 @@ def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, f
     lies below the least fixed point, as a read-only array.
 
     Returns ``(points, margins, slopes)``: the list of points or None,
-    and per row the margin and slope of :func:`_stable_above` (NaN for
-    a row that was not bracketed), with ``free`` passed on to it.
+    and per row the margin and slope of :func:`_stable_above` along the
+    rate ``direction`` (NaN for a row that was not bracketed).
     """
     found = [None] * len(rates)
     margins, slopes = np.full(len(rates), np.nan), np.full(len(rates), np.nan)
     rows = np.flatnonzero((rates <= 1.0).all(axis=-1))
     points, _, converged, _, _ = _newton_rows(warm_starts[rows], rates[rows], mask[rows], DEFAULT_MAX_ITER)
     rows, points = rows[converged], points[converged]
-    margins[rows], slopes[rows] = _stable_above(points, rates[rows], mask[rows], free)
+    margins[rows], slopes[rows] = _stable_above(points, rates[rows], mask[rows], direction)
     for row, point in zip(rows, points):
         if margins[row] > 0.0:
             point = point.copy()
@@ -181,26 +191,16 @@ def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, f
     return found, margins, slopes
 
 
-def _interior_stable_lfp(matrix, rates, warm_start):
-    """:func:`_stable_lfps` for the one game with interference ``matrix`` and target ``rates``."""
-    (point,), _, _ = _stable_lfps(
-        np.asarray(rates, dtype=float)[np.newaxis],
-        np.asarray(matrix, dtype=bool)[np.newaxis],
-        np.asarray(warm_start, dtype=float)[np.newaxis],
-    )
-    return point
-
-
 # Probe choice of the margin-guided searches. None of these constants
 # changes a result, only how many probes a search makes. The first
-# probe sits just below _FIRST_PROBE_FRACTION / lambda (see
-# _rate_searches). A bracket of at most _NARROW_BRACKET steps is closed
-# by probing every value inside it. A prediction more than _FAR_STEPS
-# steps above the last passing value is approached by _DAMPING of the
-# way. Newton calls over the 14 settings of the benchmark's sweep
-# workload, seeds 1-3 together, against 420 for bisection: damping 0.5
-# makes 179, 0.6 makes 162, 0.65 makes 140, 0.7 makes 133, 0.75 makes
-# 154 and 0.8 makes 221.
+# probe of a common-rate search sits just below _FIRST_PROBE_FRACTION /
+# lambda (see _common_rates). A bracket of at most _NARROW_BRACKET steps
+# is closed by probing every value inside it. A prediction more than
+# _FAR_STEPS steps above the last passing value is approached by
+# _DAMPING of the way. Newton calls over the 14 settings of the
+# benchmark's sweep workload, seeds 1-3 together, against 420 for
+# bisection: damping 0.5 makes 179, 0.6 makes 162, 0.65 makes 140, 0.7
+# makes 133, 0.75 makes 154 and 0.8 makes 221.
 _FIRST_PROBE_FRACTION = 0.25
 _NARROW_BRACKET = 3
 _FAR_STEPS = 4
@@ -244,33 +244,32 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
     Each round probes one or two values of every live lane at once:
     ``probe(lanes, values, warms)`` gets the lane of each probe (an
     integer array, in which a lane may appear twice), the grid values
-    and the warm starts, and returns per probe the solution at its
-    value, or None when the value fails. A lane's warm start is the
-    solution at its last passing value, which lies below the solution
-    at any higher one. A lane drops out when its bracket closes, so
-    lanes may finish a round apart. Returns ``(value, solution)`` per
-    lane for its largest passing value.
+    and the warm starts, and returns ``(solutions, margins, slopes)``:
+    per probe the solution at its value, or None when the value fails,
+    the certificate margin mu, and its slope mu' in the searched value
+    (:func:`_stable_above`). A lane's warm start is the solution at its
+    last passing value, which lies below the solution at any higher
+    one. A lane drops out when its bracket closes, so lanes may finish
+    a round apart. Returns ``(value, solution)`` per lane for its
+    largest passing value.
 
-    A probe that also returns ``(solutions, margins, slopes)``, the
-    certificate margin mu and its slope mu' in the searched value per
-    probe (:func:`_stable_above`), guides its lanes. Lane i first probes
-    the largest grid value strictly below min(limit, ``guesses[i]``)
-    when guesses are given, and its midpoint otherwise. After a round
-    whose largest passing probe has mu > 0 and mu' < 0, the lane
-    predicts its edge at y - mu / (2 mu'): near a fold mu falls like
-    the square root of the distance to it, so this is Newton's step on
-    mu^2. A far prediction is approached by part of the way, a near one
-    is bracketed by the two grid values around it, and a bracket of a
-    few steps is closed by probing all of it. A lane whose last round
-    gained no pass probes its midpoint, as a probe without margins
-    always does, so such searches are plain bisection.
+    Lane i first probes the largest grid value strictly below
+    min(limit, ``guesses[i]``) when guesses are given, and its midpoint
+    otherwise. After a round whose largest passing probe has mu > 0 and
+    mu' < 0, the lane predicts its edge at y - mu / (2 mu'): near a fold
+    mu falls like the square root of the distance to it, so this is
+    Newton's step on mu^2. A far prediction is approached by part of
+    the way, a near one is bracketed by the two grid values around it,
+    and a bracket of a few steps is closed by probing all of it. A lane
+    whose last round gained no pass probes its midpoint.
 
     Any probe order finds the value bisection or a walk up the grid
     finds, because the passing values form an interval: along a
     componentwise increasing rate path the least fixed point grows, the
     certificate's off-diagonal entries q_i / (1 - q_j) grow with it, and
     by Perron-Frobenius so does the largest eigenvalue of their
-    symmetric part, so once the certificate fails it stays failed.
+    symmetric part, so once the certificate fails it stays failed. The
+    same holds along a ray of points b q* with q* > 0.
     """
     top = int((limit - origin) / step) + 2
     count = len(starts)
@@ -283,8 +282,9 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
     while live:
         lanes = [i for i, ks in zip(live, picks) for _ in ks]
         ks = [k for lane_ks in picks for k in lane_ks]
-        got = probe(np.array(lanes), [_grid(origin + k * step) for k in ks], [best[i] for i in lanes])
-        solutions, margins, slopes = got if isinstance(got, tuple) else (got, None, None)
+        solutions, margins, slopes = probe(
+            np.array(lanes), [_grid(origin + k * step) for k in ks], [best[i] for i in lanes]
+        )
         passed = {}
         for row, (i, k, solution) in enumerate(zip(lanes, ks, solutions)):
             # a lane's probes rise, and none above its first failure counts
@@ -295,11 +295,8 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
             else:
                 lo[i], best[i], passed[i] = k, solution, row
         live = [i for i in live if hi[i] - lo[i] > 1]
-        if margins is None:
-            picks = [[(lo[i] + hi[i]) // 2] for i in live]
-        else:
-            lead = {i: (margins[row], slopes[row] * step) for i, row in passed.items()}
-            picks = [_next_probes(lo[i], hi[i], *lead.get(i, (np.nan, np.nan))) for i in live]
+        lead = {i: (margins[row], slopes[row] * step) for i, row in passed.items()}
+        picks = [_next_probes(lo[i], hi[i], *lead.get(i, (np.nan, np.nan))) for i in live]
     return [(_grid(origin + k * step), solution) for k, solution in zip(lo, best)]
 
 
@@ -313,52 +310,43 @@ def _first_guesses(mask: np.ndarray) -> list:
     return [_FIRST_PROBE_FRACTION / lam if lam > 0.0 else np.inf for lam in spread]
 
 
-def _rate_searches(rates: np.ndarray, free: np.ndarray, mask: np.ndarray, starts: list, step: float) -> list:
-    """Largest stable grid rate of every lane, all lanes in one lockstep search.
+def _rate_searches(base, direction, mask, starts, step, origin=0.0, limit=1.0, guesses=None) -> list:
+    """Last stable grid value t of every lane along its rate path, all lanes in one lockstep search.
 
-    Lane k is the game with interference ``mask[k]`` in which the
-    players flagged in ``free`` demand a common rate y on the step
-    grid, and the others their rates in ``rates[k]``; ``starts[k]`` is
-    its least fixed point at y = 0. Every round solves the live lanes'
-    probes in :func:`_stable_lfps` calls of at most ``_LANE_ENTRIES``
-    matrix entries, whose margins and slopes guide the search
-    (:func:`_last_passing`). Returns ``(y_max, point)`` per lane, as
-    :func:`_last_passing` does.
-
-    When every player takes the common rate, each lane's first guess
-    is 1/(4 lambda), with lambda the largest eigenvalue of the symmetric
-    part of its interference matrix A. No rate y >= 1/lambda passes:
-    q* >= y gives F' >= y A entrywise, so the largest eigenvalue of
-    F' + F'^T is at least 2 y lambda, and the certificate needs it
-    below 2. An isolated pair, lambda = 1, fails from 0.25 on, and a
-    lane without interference first probes just below the limit. Lanes
-    with fixed players, the cells of a feasible grid, take no guess:
-    their fixed players interfere too, and the guess, blind to them,
-    cost them a round.
+    Lane k is the game with interference ``mask[k]`` and target rates
+    ``base[k] + t * direction``, t on the grid ``origin + m * step``;
+    ``starts[k]`` is its least fixed point at t = ``origin``. Every
+    round solves the live lanes' probes in one :func:`_stable_lfps`
+    call, whose margins and slopes along ``direction`` guide the search
+    (:func:`_last_passing`, which also takes ``limit`` and
+    ``guesses``). Callers keep a call within ``_LANE_ENTRIES`` by
+    searching in :func:`_lane_blocks`. Returns ``(t_max, point)`` per
+    lane, as :func:`_last_passing` does.
     """
-    n = mask.shape[-1]
-    rows_per_call = max(1, _LANE_ENTRIES // (n * n))
-    guesses = _first_guesses(mask) if free.all() else None
 
     def probe(lanes, values, warms):
-        lane_rates = np.where(free, np.array(values)[:, np.newaxis], rates[lanes])
-        found, margins, slopes = [], [], []
-        for start in range(0, len(lanes), rows_per_call):
-            chunk = slice(start, start + rows_per_call)
-            points, margin, slope = _stable_lfps(lane_rates[chunk], mask[lanes[chunk]], np.array(warms[chunk]), free)
-            found += points
-            margins.append(margin)
-            slopes.append(slope)
-        return found, np.concatenate(margins), np.concatenate(slopes)
+        rates = base[lanes] + np.array(values)[:, np.newaxis] * direction
+        return _stable_lfps(rates, mask[lanes], np.array(warms), direction)
 
-    return _last_passing(probe, starts, step, guesses=guesses)
+    return _last_passing(probe, starts, step, origin, limit, guesses)
 
 
 def _common_rates(matrices, step: float) -> list:
-    """``(y_max, point)`` of :func:`max_common_rate` for each of ``matrices``, all of one size, in one lockstep search."""
+    """``(y_max, point)`` of :func:`max_common_rate` for each of ``matrices``, all of one size, in one lockstep search.
+
+    Each lane's first guess is 1/(4 lambda), with lambda the largest
+    eigenvalue of the symmetric part of its interference matrix A. No
+    rate y >= 1/lambda passes: q* >= y gives F' >= y A entrywise, so the
+    largest eigenvalue of F' + F'^T is at least 2 y lambda, and the
+    certificate needs it below 2. An isolated pair, lambda = 1, fails
+    from 0.25 on, and a lane without interference first probes just
+    below the limit. The cells of a feasible grid take no guess: their
+    fixed players interfere too, and the guess, blind to them, cost
+    them a round.
+    """
     mask = np.array([_as_binary_matrix(m) for m in matrices], dtype=bool)
-    k, n = mask.shape[:2]
-    return _rate_searches(np.zeros((k, n)), np.ones(n, dtype=bool), mask, [np.zeros(n) for _ in range(k)], step)
+    zeros = np.zeros(mask.shape[:2])
+    return _rate_searches(zeros, np.ones(mask.shape[-1]), mask, list(zeros), step, guesses=_first_guesses(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +503,24 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     searched together, in lockstep.
     """
     _check_positive_finite(step, "step")
-    a = np.asarray(matrix)
-    if a.shape[0] != 3:
+    mask = _as_binary_matrix(matrix).astype(bool)
+    if mask.shape[0] != 3:
         raise ValueError("feasible_contour expects a 3-player topology")
     y1_values = np.asarray(y1_values, dtype=float)
     y3_values = np.asarray(y3_values, dtype=float)
     if not all(((v >= 0.0) & (v <= 1.0)).all() for v in (y1_values, y3_values)):
         raise ValueError("outer target rates must lie in [0, 1]")
-    mask = _as_binary_matrix(a).astype(bool)
     outer = np.zeros((len(y1_values), len(y3_values), 3))
     outer[..., 0], outer[..., 2] = y1_values[:, np.newaxis], y3_values
     outer = outer.reshape(-1, 3)
+    middle = np.array([0.0, 1.0, 0.0])
     surface = np.full(len(outer), np.nan)
     for block in _lane_blocks(len(outer), 3):
         cells = outer[block.start : block.stop]
         masks = np.broadcast_to(mask, (len(cells), 3, 3))
-        bases, _, _ = _stable_lfps(cells, masks, np.zeros_like(cells))
+        bases, _, _ = _stable_lfps(cells, masks, np.zeros_like(cells), middle)
         live = [i for i, base in enumerate(bases) if base is not None]
-        found = _rate_searches(cells[live], np.array([False, True, False]), masks[live], [bases[i] for i in live], step)
+        found = _rate_searches(cells[live], middle, masks[live], [bases[i] for i in live], step)
         surface[[block.start + i for i in live]] = [y2 for y2, _ in found]
     return surface.reshape(len(y1_values), len(y3_values))
 
@@ -552,25 +540,20 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
 
     Finds the largest factor k = 1 + m*step (m = 0, 1, ...) such that
     rates k*y stay at most 1 and still admit a stable interior
-    equilibrium, by bisection over m. The base rates themselves must be
-    stable-feasible, and at least one must be positive (otherwise every
-    factor works).
+    equilibrium, by a margin-guided search along the rate direction y.
+    The base rates themselves must be stable-feasible, and at least one
+    must be positive (otherwise every factor works).
     """
     _check_positive_finite(step, "step")
-    base_point = _interior_stable_lfp(game.matrix, game.rates, np.zeros(game.n))
+    mask = game.matrix.astype(bool)[np.newaxis]
+    (base_point,), _, _ = _stable_lfps(game.rates[np.newaxis], mask, np.zeros((1, game.n)), game.rates)
     if base_point is None:
         raise ValueError("base rates admit no stable interior equilibrium")
     top = float(game.rates.max())
     if top == 0.0:
         raise ValueError("all base rates are zero: the demand scale is unbounded")
-    ((factor, point),) = _last_passing(
-        lambda lanes, factors, warms: [
-            _interior_stable_lfp(game.matrix, k * game.rates, warm) for k, warm in zip(factors, warms)
-        ],
-        [base_point],
-        step,
-        origin=1.0,
-        limit=1.0 / top,
+    ((factor, point),) = _rate_searches(
+        np.zeros((1, game.n)), game.rates, mask, [base_point], step, origin=1.0, limit=1.0 / top
     )
     rates = factor * game.rates
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
@@ -581,10 +564,11 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
 
     Finds the largest factor b = 1 + m*step (m = 0, 1, ...) with b*q_star
     strictly inside the box and the certificate matrix positive
-    definite there, by bisection over m. The scaled point is an exact
-    equilibrium for the rates it induces through the throughput map,
-    which is what ``rates`` reports. ``q_star`` must be a stable
-    equilibrium of the base game with some positive component.
+    definite there, by a margin-guided search whose slopes move along
+    q_star. The scaled point is an exact equilibrium for the rates it
+    induces through the throughput map, which is what ``rates``
+    reports. ``q_star`` must be a stable equilibrium of the base game
+    with some positive component.
     """
     _check_positive_finite(step, "step")
     q_star = np.asarray(q_star, dtype=float)
@@ -594,18 +578,24 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     if top == 0.0:
         raise ValueError("q_star is zero: the probability scale is unbounded")
 
-    def scaled(factor):
-        q = factor * q_star
-        if (q >= 1.0).any():
-            return None
-        induced = achieved_rate(q, game.matrix)
-        stable = pd_margin(krasovskii_matrix(q, Game(game.matrix, induced))) > 0.0
-        return (q, induced) if stable else None
+    def probe(lanes, factors, warms):
+        q = np.array(factors)[:, np.newaxis] * q_star
+        rows = np.flatnonzero((q < 1.0).all(axis=-1))
+        induced = achieved_rate(q[rows], game.matrix)
+        certificates = _certificate(q[rows], _response(q[rows], induced, game.matrix), game.matrix)
+        margins, slopes = np.full(len(q), np.nan), np.full(len(q), np.nan)
+        margins[rows] = pd_margin(certificates)
+        passing = margins[rows] > 0.0
+        rows = rows[passing]
+        v = _perron_vectors(certificates[passing], margins[rows])
+        slopes[rows] = _margin_slopes(v, q[rows], q_star, game.matrix)
+        found = [None] * len(q)
+        for row, rates in zip(rows, induced[passing]):
+            found[row] = (q[row], rates)
+        return found, margins, slopes
 
     base = (q_star, achieved_rate(q_star, game.matrix))
-    ((factor, (point, rates)),) = _last_passing(
-        lambda lanes, factors, warms: [scaled(b) for b in factors], [base], step, origin=1.0, limit=1.0 / top
-    )
+    ((factor, (point, rates)),) = _last_passing(probe, [base], step, origin=1.0, limit=1.0 / top)
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
 
 

@@ -8,8 +8,9 @@ grid one step at a time with Kleene solves, a verdict that
 evaluates the response map once per ingredient, a consistency
 check that takes one verdict per point, topology sweeps and
 feasible surfaces with one rate search per trial and per cell instead
-of one lockstep search for them all, and a common-rate search that
-bisects the grid instead of following the certificate margin.
+of one lockstep search for them all, and common-rate, demand-scale and
+probability-scale searches that bisect the grid instead of following
+the certificate margin.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from alohagame import (
     Game,
     StabilityVerdict,
     SweepRecord,
+    achieved_rate,
     best_response,
     connectivity,
     diag_dominant,
@@ -211,9 +213,60 @@ def bisect_common_rate(matrix, step=0.001):
     lo, hi, best = 0, int(1.0 / step) + 2, np.zeros(n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        (point,), _, _ = experiments._stable_lfps(np.full((1, n), round(mid * step, 12)), mask, best[np.newaxis])
+        (point,), _, _ = experiments._stable_lfps(
+            np.full((1, n), round(mid * step, 12)), mask, best[np.newaxis], np.ones(n)
+        )
         if point is None:
             hi = mid
         else:
             lo, best = mid, point
     return round(lo * step, 12), best
+
+
+def _bisect_scale(passing, base, top: float, step: float):
+    """Largest factor 1 + m*step up to 1/top, give or take the grid's
+    rounding, at which ``passing(factor, last)`` returns a solution, by
+    bisection over m; ``last`` is the solution at the last passing
+    factor, ``base`` at factor 1."""
+    lo, hi, best = 0, int((1.0 / top - 1.0) / step) + 2, base
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = passing(round(1.0 + mid * step, 12), best)
+        if found is None:
+            hi = mid
+        else:
+            lo, best = mid, found
+    return round(1.0 + lo * step, 12), best
+
+
+def bisect_demand_scale(game, step=0.01):
+    """``max_demand_scale`` by plain bisection: each probe is one
+    ``_stable_lfps`` call at rates factor * y, warm-started at the last
+    passing factor's point. Returns ``(factor, point)``."""
+    mask = game.matrix.astype(bool)[np.newaxis]
+
+    def passing(factor, warm):
+        rates = (factor * game.rates)[np.newaxis]
+        (point,), _, _ = experiments._stable_lfps(rates, mask, warm[np.newaxis], game.rates)
+        return point
+
+    base = passing(1.0, np.zeros(game.n))
+    return _bisect_scale(passing, base, float(game.rates.max()), step)
+
+
+def bisect_probability_scale(game, q_star, step=0.01):
+    """``max_probability_scale`` by plain bisection: each probe builds
+    the game whose rates the scaled point b*q_star induces, and decides
+    ``krasovskii_matrix`` there. Returns ``(factor, point, rates)``."""
+    q_star = np.asarray(q_star, dtype=float)
+
+    def passing(factor, last):
+        q = factor * q_star
+        if (q >= 1.0).any():
+            return None
+        induced = achieved_rate(q, game.matrix)
+        return (q, induced) if pd_margin(krasovskii_matrix(q, Game(game.matrix, induced))) > 0.0 else None
+
+    base = (q_star, achieved_rate(q_star, game.matrix))
+    factor, (point, rates) = _bisect_scale(passing, base, float(q_star.max()), step)
+    return factor, point, rates

@@ -77,11 +77,28 @@ class TestSolve:
 
     @pytest.mark.parametrize("args", [["--rates", "0.15,0.30,0.15"], ["--rates", "0.15", "--max-iter", "5"]])
     def test_output_keeps_the_infeasible_verdict(self, chain_file, tmp_path, args, capsys):
-        # an escalation to all-ones and an exhausted budget, with and without the trajectory
+        # an escalation to all-ones and an exhausted budget, with and
+        # without the trajectory, each with its own verdict
+        verdict = "budget_exhausted" if "--max-iter" in args else "infeasible"
         plain = main(["solve", "--topology", chain_file, *args])
-        assert (plain, capsys.readouterr().out) == (2, "infeasible\n")
+        assert (plain, capsys.readouterr().out) == (2, f"{verdict}\n")
         code = main(["solve", "--topology", chain_file, *args, "--output", str(tmp_path / "run.csv")])
-        assert (code, capsys.readouterr().out) == (2, "infeasible\n")
+        assert (code, capsys.readouterr().out) == (2, f"{verdict}\n")
+
+    def test_pair_fold_is_not_stable(self, tmp_path, capsys):
+        # The pair's least fixed point at 0.25 is the double root
+        # (0.5, 0.5), where the certificate [[2, -2], [-2, 2]] is
+        # singular. The ascent stops a few 1e-6 below it, where the
+        # certificate is still positive definite; the decision at a
+        # proven upper bracket is not.
+        path = tmp_path / "pair.txt"
+        save_topology(path, chain_matrix(2))
+        code = main(["solve", "--topology", str(path), "--rates", "0.25"])
+        assert (code, capsys.readouterr().out) == (2, "NE=[0.5000,0.5000] stable=false\n")
+        # a loose tolerance stops the ascent far below the fold, and the
+        # verdict stays
+        code = main(["solve", "--topology", str(path), "--rates", "0.25", "--tol", "1e-3"])
+        assert code == 2 and capsys.readouterr().out.endswith(" stable=false\n")
 
     def test_zero_budget_with_output_writes_nothing(self, chain_file, tmp_path, capsys):
         out_csv = tmp_path / "run.csv"

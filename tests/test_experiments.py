@@ -29,7 +29,8 @@ from alohagame import (
 )
 from alohagame import experiments, solver, stability
 from conftest import Q_STAR, instance_rng, random_game, record_calls
-from reference import bisect_common_rate, contour_one_cell_at_a_time, linear_walk_max_common_rate
+from reference import bisect_common_rate, bisect_demand_scale, bisect_probability_scale
+from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate
 from reference import sweep_one_search_per_trial
 from reference import sweep_one_value_at_a_time
 
@@ -284,7 +285,10 @@ class TestUpperBracket:
         for i in range(1500):
             rng = instance_rng(5151, i)
             game = random_game(rng, n_max=5) if i < 1350 else _edge_game(rng)
-            if experiments._interior_stable_lfp(game.matrix, game.rates, np.zeros(game.n)) is None:
+            (point,), _, _ = experiments._stable_lfps(
+                game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], np.zeros((1, game.n)), np.ones(game.n)
+            )
+            if point is None:
                 rejected += 1
                 continue
             ref = kleene_lfp(game, tol=1e-13, max_iter=1000)
@@ -365,8 +369,8 @@ class TestSearchStep:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the step was validated")
 
-        monkeypatch.setattr(experiments, "_interior_stable_lfp", no_solve)
-        monkeypatch.setattr(experiments, "krasovskii_verdict", no_solve)
+        for name in ("_newton_rows", "_stable_lfps", "krasovskii_verdict"):
+            monkeypatch.setattr(experiments, name, no_solve)
         with pytest.raises(ValueError, match="step"):
             _SEARCHES[search](step)
 
@@ -638,11 +642,13 @@ class TestLockstep:
 
         whole = sweep(), contour()
         calls = _newton_row_counts(monkeypatch)
-        for budget, search, expected in ((3 * 20 * 20, sweep, whole[0]), (4 * 3 * 3, contour, whole[1])):
+        # a round probes at most two values per lane, so a block holds
+        # half the budget's lanes, and its first round fills half of it
+        for budget, search, expected in ((2 * 3 * 20 * 20, sweep, whole[0]), (2 * 4 * 3 * 3, contour, whole[1])):
             monkeypatch.setattr(experiments, "_LANE_ENTRIES", budget)
             del calls[:]
             assert search() == expected
-            assert max(entries for _, entries in calls) == budget
+            assert 2 * calls[0][1] == budget >= max(entries for _, entries in calls)
 
 
 def _search_pool() -> list:
@@ -707,24 +713,32 @@ class TestMarginGuidedSearch:
         assert max_common_rate(np.zeros((6, 6)))[0] == 0.999
         assert len(calls) <= 2
 
-    def test_scale_searches_still_bisect(self, monkeypatch, chain3):
-        # their probes report no margins, so every probe is the midpoint
-        probes = []
-        original = experiments._interior_stable_lfp
-
-        def recording(matrix, rates, warm_start):
-            point = original(matrix, rates, warm_start)
-            probes.append((float(rates[0] / chain3.rates[0]), point is not None))
-            return point
-
-        monkeypatch.setattr(experiments, "_interior_stable_lfp", recording)
-        assert max_demand_scale(chain3).factor == 1.27
-        lo, hi = 0, int((1.0 / 0.15 - 1.0) / experiments.SCALE_STEP) + 2
-        for factor, passed in probes[1:]:
-            mid = (lo + hi) // 2
-            assert factor == pytest.approx(1.0 + mid * experiments.SCALE_STEP, abs=1e-9)
-            lo, hi = (mid, hi) if passed else (lo, mid)
-        assert hi - lo == 1
+    def test_scale_searches_match_bisection(self):
+        # the factors, rates and sums of the midpoint loops the scale
+        # searches replaced; the probability scale's point is b * q_star,
+        # and the demand scale's is Newton's estimate from another warm
+        # start
+        games = [
+            Game(CHAIN, [0.15] * 3),
+            Game(fully_connected_matrix(4), [0.1] * 4),
+            Game(chain_matrix(5), [0.12] * 5),
+        ]
+        for seed in range(6):
+            rng = instance_rng(8008, seed)
+            _, matrix = random_topology(8, side_for_density(8, rng.choice([0.1, 0.3, 1.0])), seed)
+            games.append(Game(matrix, rng.uniform(0.3, 1.0, 8) * max_common_rate(matrix)[0]))
+        for game in games:
+            demand = max_demand_scale(game)
+            factor, point = bisect_demand_scale(game)
+            assert (demand.factor, demand.rates.tobytes()) == (factor, (factor * game.rates).tobytes())
+            assert demand.sum_rate == float(demand.rates.sum())
+            assert np.abs(demand.point - point).max() <= 1e-8
+            q_star = kleene_lfp(game).point
+            prob = max_probability_scale(game, q_star)
+            factor, point, rates = bisect_probability_scale(game, q_star)
+            assert (prob.factor, prob.point.tobytes()) == (factor, point.tobytes())
+            assert prob.rates.tobytes() == rates.tobytes()
+            assert prob.sum_rate == float(rates.sum())
 
 
 class TestPowerLawFit:

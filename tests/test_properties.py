@@ -127,7 +127,7 @@ def _assert_no_common_rate_reaches_the_bound(matrix):
     y = round(k * step, 12)
     assert y >= 1.0 / lam > round((k - 1) * step, 12)
     (point,), margins, _ = experiments._stable_lfps(
-        np.full((1, n), y), np.asarray(matrix, dtype=bool)[np.newaxis], np.zeros((1, n))
+        np.full((1, n), y), np.asarray(matrix, dtype=bool)[np.newaxis], np.zeros((1, n)), np.ones(n)
     )
     assert point is None and not margins[0] > 0.0
     assert max_common_rate(matrix)[0] < 1.0 / lam
