@@ -5,6 +5,12 @@ simulate, bifurcate, feasible, sweep, fit. Topologies come either from
 a file (see topology.load_topology for the format) or from the seeded
 random generator; numbers are printed with four decimals.
 
+``solve`` and ``stability`` (without ``--point``) take one equilibrium
+and verdict, whatever the tolerance or budget: Newton's least fixed
+point and the certificate at a proven upper bracket. The best-response
+ascent from zeros, which rises monotonically and so never cycles, runs
+only when ``solve --output`` records it.
+
 Exit codes: 0 success, 2 an infeasible, unstable or budget_exhausted
 verdict, 1 anything else (bad usage, missing files, oracle size
 limits). Keeping usage errors on 1 leaves 2 unambiguous for scripted
@@ -20,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, dynamics, solver
-from .dynamics import CONVERGED, integrate_ode, iterate_game
+from .dynamics import CONVERGED, integrate_ode
 from .experiments import (
     DEFAULT_BREAK_X,
     RATE_STEP,
@@ -32,8 +38,8 @@ from .experiments import (
     size_sweep,
     write_records_csv,
 )
-from .game import Game, _positive_finite, _write_csv
-from .solver import kleene_lfp
+from .game import Game, _check_count, _check_positive_finite, _positive_finite, _write_csv
+from .solver import newton_lfp
 from .stability import DEFAULT_FP_TOL, krasovskii_verdict
 from .topology import load_topology, random_topology, side_for_density
 
@@ -64,14 +70,18 @@ def _parse_floats(text: str) -> list:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Either 'start:stop:step' with a positive finite step, or a comma list."""
+    """Either 'start:stop:step' with a positive finite step, or a comma list; never empty."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
         if len(parts) != 3 or not (parts[2] > 0.0 and np.isfinite(parts[2])):
             raise ValueError(f"expected start:stop:step with a positive finite step, got {text!r}")
         start, stop, step = parts
-        return np.arange(start, stop + step / 2, step)
-    return np.asarray(_parse_floats(text))
+        grid = np.arange(start, stop + step / 2, step)
+    else:
+        grid = np.asarray(_parse_floats(text))
+    if not len(grid):
+        raise ValueError(f"expected a grid of at least one value, got {text!r}")
+    return grid
 
 
 def _add_topology_args(sub):
@@ -122,9 +132,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = subs.add_parser("solve", formatter_class=fmt, help="least fixed point and its stability")
     _add_topology_args(p)
     _add_rate_args(p)
-    p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL, help="fixed-point tolerance")
-    p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER, help="iteration budget")
-    p.add_argument("--output", metavar="CSV", help="write the iterate trajectory")
+    p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL, help="ascent stop tolerance (with --output)")
+    p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER, help="ascent budget (with --output)")
+    p.add_argument("--output", metavar="CSV", help="write the best-response ascent from zeros")
 
     p = subs.add_parser("stability", formatter_class=fmt, help="stability certificate at a point")
     _add_topology_args(p)
@@ -215,31 +225,31 @@ def _load_rates(args, n: int) -> np.ndarray:
     return np.asarray(values)
 
 
+def _equilibrium(game: Game):
+    """``(point, stable)``: Newton's least fixed point, decided at a proven upper bracket as the
+    rate searches decide; or "infeasible" when Newton proves it unstable or not interior, or "budget_exhausted"."""
+    result = newton_lfp(game)
+    if result.infeasible or not result.converged:
+        return "infeasible" if result.infeasible else "budget_exhausted"
+    (found,), _, _ = _stable_lfps(
+        game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], result.point[np.newaxis], np.ones(game.n)
+    )
+    return result.point, found is not None
+
+
 def _cmd_solve(args) -> int:
     matrix = _load_matrix(args)
     game = Game(matrix, _load_rates(args, matrix.shape[0]))
+    _check_positive_finite(args.tol, "tol")
+    _check_count(args.max_iter, "max_iter")
     if args.output:
-        # The game iteration from zeros is kleene_lfp's ascent, recorded.
-        # A monotone ascent matches lag 1 before any longer period, so it
-        # never ends in a cycle.
-        traj = iterate_game(np.zeros(game.n), game, tol=args.tol, max_iter=args.max_iter)
+        traj = dynamics.iterate_game(np.zeros(game.n), game, tol=args.tol, max_iter=args.max_iter)
         traj.to_csv(args.output)
-        point, converged = traj.final, traj.outcome == CONVERGED
-    else:
-        result = kleene_lfp(game, tol=args.tol, max_iter=args.max_iter)
-        point, converged = result.point, result.converged
-    if not converged:
-        print("budget_exhausted")
+    found = "budget_exhausted" if args.output and traj.outcome != CONVERGED else _equilibrium(game)
+    if isinstance(found, str):
+        print(found)
         return 2
-    if not (point < 1.0).all():
-        print("infeasible")
-        return 2
-    # the ascent stays below the least fixed point, so it warm-starts
-    # the searches' decision, which does not depend on --tol
-    (found,), _, _ = _stable_lfps(
-        game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], point[np.newaxis], np.ones(game.n)
-    )
-    stable = found is not None
+    point, stable = found
     print(f"NE={_fmt_vec(point)} stable={str(stable).lower()}")
     return 0 if stable else 2
 
@@ -247,22 +257,22 @@ def _cmd_solve(args) -> int:
 def _cmd_stability(args) -> int:
     matrix = _load_matrix(args)
     game = Game(matrix, _load_rates(args, matrix.shape[0]))
-    if args.point is not None:
-        point = np.asarray(_parse_floats(args.point))
-    else:
-        result = kleene_lfp(game)
-        if not result.interior:
-            print("infeasible")
-            return 2
-        point = result.point
+    found = _equilibrium(game) if args.point is None else (np.asarray(_parse_floats(args.point)), None)
+    if isinstance(found, str):
+        print(found)
+        return 2
+    point, bracket = found
     verdict = krasovskii_verdict(point, game, fp_tol=args.fp_tol)
+    stable = verdict.stable if bracket is None else bracket
+    # a certificate definite at Newton's point, below the least fixed point, but not at the bracket is critical
+    classification = "stable" if stable else "critical" if verdict.stable else verdict.classification
     print(
-        f"point={_fmt_vec(verdict.point)} stable={str(verdict.stable).lower()} "
-        f"classification={verdict.classification} "
+        f"point={_fmt_vec(verdict.point)} stable={str(stable).lower()} "
+        f"classification={classification} "
         f"diag_dominant={str(verdict.diag_dominant).lower()} "
         f"minors={_fmt_vec(verdict.leading_minors)}"
     )
-    return 0 if verdict.stable else 2
+    return 0 if stable else 2
 
 
 def _cmd_simulate(args) -> int:
@@ -277,7 +287,7 @@ def _cmd_simulate(args) -> int:
     if args.ode:
         traj = integrate_ode(q0, game, dt=args.dt, t_end=args.t_end, tol=args.tol)
     else:
-        traj = iterate_game(
+        traj = dynamics.iterate_game(
             q0,
             game,
             tol=args.tol,
@@ -322,8 +332,9 @@ def _cmd_feasible(args) -> int:
     if args.output:
         rows = ([a, b, surface[i, j]] for i, a in enumerate(y1) for j, b in enumerate(y3))
         _write_csv(args.output, ["y1", "y3", "max_y2"], rows)
-    top = np.nanmax(surface)
-    print(f"grid={len(y1)}x{len(y3)} max_y2_range=[{_fmt(np.nanmin(surface))},{_fmt(top)}]")
+    found = surface[~np.isnan(surface)]
+    span = f"[{_fmt(found.min())},{_fmt(found.max())}]" if len(found) else "none"
+    print(f"grid={len(y1)}x{len(y3)} max_y2_range={span}")
     return 0
 
 

@@ -14,11 +14,11 @@ next probe from the margin and slope at its last passing value. The
 common-rate, feasible and demand-scale searches move target rates along
 a rate direction (:func:`_rate_searches`) and decide at a proven upper
 bracket of the least fixed point (:func:`_stable_lfps`), as the CLI's
-``solve`` does; the probability scale decides at its scaled points.
-The trials of a sweep setting and the cells of a feasible grid are
-lanes of one search: a round solves every live lane's probes in one
-batched Newton and one batched bracket, and each lane probes the values
-and takes the Newton iterations its own search would.
+``solve`` and ``stability`` do; the probability scale decides at its
+scaled points. The trials of a sweep setting and the cells of a
+feasible grid are lanes of one search: a round solves every live lane's
+probes in one batched Newton and one batched bracket, and each lane
+probes the values and takes the Newton iterations its own search would.
 """
 
 from __future__ import annotations
@@ -87,6 +87,22 @@ def _perron_vectors(certificates: np.ndarray, margins: np.ndarray) -> np.ndarray
     return v
 
 
+def _margins_and_vectors(q: np.ndarray, f: np.ndarray, mask):
+    """Certificate margins at the points q, and the Perron vectors of the points that pass.
+
+    ``f`` is the response at q and ``mask`` the interference (one
+    matrix, or one per point). Returns ``(margins, passing, v)``:
+    :func:`pd_margin` of C(q) per point, the points where it is
+    positive, and :func:`_perron_vectors` of their certificates. The
+    certificates are freed on return, before a caller's slopes take
+    their temporaries.
+    """
+    certificates = _certificate(q, f, mask)
+    margins = pd_margin(certificates)
+    passing = margins > 0.0
+    return margins, passing, _perron_vectors(certificates[passing], margins[passing])
+
+
 def _margin_slopes(v: np.ndarray, q: np.ndarray, dq, mask) -> np.ndarray:
     """Derivative of the certificate margin mu = 2 - 2 v^T F' v at q as q moves along ``dq``.
 
@@ -137,16 +153,9 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction
     f_hi = _response(hi[rows], rates[rows], mask[rows])
     post = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
     rows = rows[post]
-    certificates = _certificate(hi[rows], f_hi[post], mask[rows])
-    margin = np.full(len(lo), np.nan)
-    margin[rows] = pd_margin(certificates)
-    slope = np.full(len(lo), np.nan)
-    passing = margin[rows] > 0.0
+    margin, slope = np.full(len(lo), np.nan), np.full(len(lo), np.nan)
+    margin[rows], passing, v = _margins_and_vectors(hi[rows], f_hi[post], mask[rows])
     rows = rows[passing]
-    v = _perron_vectors(certificates[passing], margin[rows])
-    # freed before the Jacobian's temporaries, so a call peaks no higher
-    # than its verdicts do
-    del certificates
     q, y, a = lo[rows], rates[rows], mask[rows]
     gain = np.divide(f[rows] * direction, y, out=np.zeros_like(y), where=y > 0.0)
     slope[rows] = _margin_slopes(v, q, _solve_rows(-_jacobian(q, f[rows], a), gain), a)
@@ -159,8 +168,8 @@ def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, d
     Row k is the game with target rates ``rates[k]`` and interference
     ``mask[k]`` (booleans); rates above 1 lie past the end of every
     search grid and give None. ``warm_starts[k]`` must be a point known
-    to sit below the row's least fixed point (zeros, an ascent from
-    zeros, or the least fixed point of the same topology at lower
+    to sit below the row's least fixed point (zeros, Newton's point
+    from zeros, or the least fixed point of the same topology at lower
     rates). The rows are solved together by the Newton of
     :func:`newton_lfp`, which gives up on a row as soon as it proves the
     point cannot be interior and stable.
@@ -582,12 +591,10 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
         q = np.array(factors)[:, np.newaxis] * q_star
         rows = np.flatnonzero((q < 1.0).all(axis=-1))
         induced = achieved_rate(q[rows], game.matrix)
-        certificates = _certificate(q[rows], _response(q[rows], induced, game.matrix), game.matrix)
         margins, slopes = np.full(len(q), np.nan), np.full(len(q), np.nan)
-        margins[rows] = pd_margin(certificates)
-        passing = margins[rows] > 0.0
+        f = _response(q[rows], induced, game.matrix)
+        margins[rows], passing, v = _margins_and_vectors(q[rows], f, game.matrix)
         rows = rows[passing]
-        v = _perron_vectors(certificates[passing], margins[rows])
         slopes[rows] = _margin_slopes(v, q[rows], q_star, game.matrix)
         found = [None] * len(q)
         for row, rates in zip(rows, induced[passing]):

@@ -36,7 +36,10 @@ FIXED_POINT_TOL = 1e-9
 
 
 def _as_binary_matrix(matrix) -> np.ndarray:
-    a = np.asarray(matrix)
+    try:
+        a = np.asarray(matrix)
+    except ValueError:
+        raise ValueError("interference matrix must be square, got rows of unequal lengths") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"interference matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:

@@ -10,7 +10,8 @@ check that takes one verdict per point, topology sweeps and
 feasible surfaces with one rate search per trial and per cell instead
 of one lockstep search for them all, and common-rate, demand-scale and
 probability-scale searches that bisect the grid instead of following
-the certificate margin.
+the certificate margin, and the ``solve`` and ``stability`` lines of a
+CLI that took its equilibrium from a best-response ascent.
 """
 
 import numpy as np
@@ -42,6 +43,7 @@ from alohagame import (
     side_for_density,
 )
 from alohagame import experiments, solver
+from alohagame.cli import _fmt_vec
 
 
 def greedy_dedup(points, radius):
@@ -270,3 +272,30 @@ def bisect_probability_scale(game, q_star, step=0.01):
     base = (q_star, achieved_rate(q_star, game.matrix))
     factor, (point, rates) = _bisect_scale(passing, base, float(q_star.max()), step)
     return factor, point, rates
+
+
+def ascent_cli_lines(game):
+    """The stdout lines of ``solve`` and ``stability`` when both took their
+    point from a ``kleene_lfp`` ascent from zeros: ``solve`` decided with
+    ``_stable_lfps`` warm-started at the ascent's point, and ``stability``
+    printed the verdict at that point. Returns ``(solve_line, stability_line)``."""
+    result = kleene_lfp(game)
+    if not result.converged:
+        solve = "budget_exhausted"
+    elif not (result.point < 1.0).all():
+        solve = "infeasible"
+    else:
+        (found,), _, _ = experiments._stable_lfps(
+            game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], result.point[np.newaxis], np.ones(game.n)
+        )
+        solve = f"NE={_fmt_vec(result.point)} stable={str(found is not None).lower()}"
+    if not result.interior:
+        return solve, "infeasible"
+    verdict = krasovskii_verdict(result.point, game)
+    stability = (
+        f"point={_fmt_vec(verdict.point)} stable={str(verdict.stable).lower()} "
+        f"classification={verdict.classification} "
+        f"diag_dominant={str(verdict.diag_dominant).lower()} "
+        f"minors={_fmt_vec(verdict.leading_minors)}"
+    )
+    return solve, stability

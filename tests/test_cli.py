@@ -10,7 +10,6 @@ import pytest
 from alohagame import (
     Game,
     chain_matrix,
-    cli,
     dynamics,
     experiments,
     fit_power_law,
@@ -22,6 +21,8 @@ from alohagame import (
     stability,
 )
 from alohagame.cli import main, parse_args
+from conftest import instance_rng, random_game
+from reference import ascent_cli_lines
 
 
 @pytest.fixture
@@ -63,42 +64,76 @@ class TestSolve:
         assert len(rows) > 2
 
     def test_output_runs_the_ascent_once(self, chain_file, tmp_path, capsys, monkeypatch):
-        def second_ascent(*args, **kwargs):
-            raise AssertionError("solve --output ran kleene_lfp as well as the recorded ascent")
+        ascents = []
+        recorded = dynamics.iterate_game
 
-        monkeypatch.setattr(cli, "kleene_lfp", second_ascent)
+        def counted(*args, **kwargs):
+            ascents.append(args)
+            return recorded(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "iterate_game", counted)
         out_csv = tmp_path / "run.csv"
         code = main(["solve", "--topology", chain_file, "--rates", "0.15", "--output", str(out_csv)])
         assert code == 0
         assert capsys.readouterr().out.strip() == "NE=[0.1952,0.2316,0.1952] stable=true"
+        assert len(ascents) == 1
         expected = tmp_path / "expected.csv"
         iterate_game(np.zeros(3), Game(chain_matrix(3), [0.15] * 3), tol=solver.DEFAULT_TOL).to_csv(expected)
         assert out_csv.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("args", [["--rates", "0.15,0.30,0.15"], ["--rates", "0.15", "--max-iter", "5"]])
     def test_output_keeps_the_infeasible_verdict(self, chain_file, tmp_path, args, capsys):
-        # an escalation to all-ones and an exhausted budget, with and
-        # without the trajectory, each with its own verdict
-        verdict = "budget_exhausted" if "--max-iter" in args else "infeasible"
+        # An escalation to all-ones is infeasible with and without the
+        # trajectory. The budget bounds only the recorded ascent, so
+        # without --output it changes nothing.
+        budget = "--max-iter" in args
+        verdict = "budget_exhausted" if budget else "infeasible"
         plain = main(["solve", "--topology", chain_file, *args])
-        assert (plain, capsys.readouterr().out) == (2, f"{verdict}\n")
+        expected = (0, "NE=[0.1952,0.2316,0.1952] stable=true\n") if budget else (2, "infeasible\n")
+        assert (plain, capsys.readouterr().out) == expected
         code = main(["solve", "--topology", chain_file, *args, "--output", str(tmp_path / "run.csv")])
         assert (code, capsys.readouterr().out) == (2, f"{verdict}\n")
 
     def test_pair_fold_is_not_stable(self, tmp_path, capsys):
         # The pair's least fixed point at 0.25 is the double root
         # (0.5, 0.5), where the certificate [[2, -2], [-2, 2]] is
-        # singular. The ascent stops a few 1e-6 below it, where the
-        # certificate is still positive definite; the decision at a
-        # proven upper bracket is not.
+        # singular. Newton stops just below it, where the certificate is
+        # still positive definite; the decision at a proven upper
+        # bracket is not, so the point's verdict is critical.
         path = tmp_path / "pair.txt"
         save_topology(path, chain_matrix(2))
         code = main(["solve", "--topology", str(path), "--rates", "0.25"])
         assert (code, capsys.readouterr().out) == (2, "NE=[0.5000,0.5000] stable=false\n")
-        # a loose tolerance stops the ascent far below the fold, and the
-        # verdict stays
-        code = main(["solve", "--topology", str(path), "--rates", "0.25", "--tol", "1e-3"])
-        assert code == 2 and capsys.readouterr().out.endswith(" stable=false\n")
+        code = main(["stability", "--topology", str(path), "--rates", "0.25"])
+        out = capsys.readouterr().out
+        assert code == 2 and " stable=false classification=critical " in out
+        # a loose tolerance stops the recorded ascent far below the
+        # fold, and the verdict stays
+        run = ["solve", "--topology", str(path), "--rates", "0.25", "--tol", "1e-3"]
+        code = main([*run, "--output", str(tmp_path / "run.csv")])
+        assert (code, capsys.readouterr().out) == (2, "NE=[0.5000,0.5000] stable=false\n")
+
+    def test_complete_graph_edge_is_not_stable(self, tmp_path, capsys):
+        # K5 at its certificate edge (1/5)(4/5)^4, where the least fixed
+        # point (0.2, ..., 0.2) has a singular certificate
+        path = tmp_path / "k5.txt"
+        save_topology(path, fully_connected_matrix(5))
+        rates = repr(0.2 * 0.8**4)
+        code = main(["solve", "--topology", str(path), "--rates", rates])
+        assert (code, capsys.readouterr().out) == (2, "NE=[0.2000,0.2000,0.2000,0.2000,0.2000] stable=false\n")
+        code = main(["stability", "--topology", str(path), "--rates", rates])
+        out = capsys.readouterr().out
+        assert code == 2 and " stable=false classification=critical " in out
+
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    def test_no_ascent_without_output(self, chain_file, command, monkeypatch, capsys):
+        def ascent(*args, **kwargs):
+            raise AssertionError(f"{command} ran a best-response ascent")
+
+        monkeypatch.setattr(dynamics, "iterate_game", ascent)
+        monkeypatch.setattr(solver, "_ascend", ascent)
+        assert main([command, "--topology", chain_file, "--rates", "0.15"]) == 0
+        assert "[0.1952,0.2316,0.1952] stable=true" in capsys.readouterr().out
 
     def test_zero_budget_with_output_writes_nothing(self, chain_file, tmp_path, capsys):
         out_csv = tmp_path / "run.csv"
@@ -138,6 +173,22 @@ class TestSolve:
         code = main(["solve", "--n", "6", "--density", "0.3", "--seed", "5", "--rates", "0.01"])
         assert code in (0, 2)
         assert capsys.readouterr().out
+
+
+def test_solve_and_stability_print_what_the_ascent_gave(tmp_path, capsys):
+    # Newton's point and the bracket's decision print the lines that a
+    # CLI reading its point from the ascent printed, on random games
+    # away from folds: stable, unstable and infeasible ones
+    path = tmp_path / "game.txt"
+    for i in range(300):
+        game = random_game(instance_rng(777, i), n_max=6)
+        save_topology(path, game.matrix)
+        rates = ",".join(repr(float(y)) for y in game.rates)
+        lines = []
+        for command in ("solve", "stability"):
+            main([command, "--topology", str(path), "--rates", rates])
+            lines.append(capsys.readouterr().out.rstrip("\n"))
+        assert tuple(lines) == ascent_cli_lines(game), i
 
 
 class TestRejectedInputs:
@@ -376,12 +427,17 @@ class TestFeasible:
         assert code == 1
         assert "step must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0:0.3:0", "0:0.3:-0.05", "0:0.3:nan", "0:0.3", "0:0.1:0.05:1"])
+    @pytest.mark.parametrize("grid", ["0:0.3:0", "0:0.3:-0.05", "0:0.3:nan", "0:0.3", "0:0.1:0.05:1", "0.3:0:0.05"])
     @pytest.mark.parametrize("option", ["--y1", "--y3"])
     def test_invalid_grid_is_an_error(self, chain_file, option, grid, capsys):
         code = main(["feasible", "--topology", chain_file, option, grid])
         assert code == 1
         assert repr(grid) in capsys.readouterr().err
+
+    def test_grid_without_a_stable_cell(self, chain_file, capsys):
+        # outer rates of 1 leave no stable middle rate in any cell
+        code = main(["feasible", "--topology", chain_file, "--y1", "1.0", "--y3", "1.0"])
+        assert (code, capsys.readouterr().out) == (0, "grid=1x1 max_y2_range=none\n")
 
 
 class TestSweepAndFit:

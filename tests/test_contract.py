@@ -162,6 +162,7 @@ SHAPE_AND_INDEX = {
     "q_s-short": ("q_s", lambda: krasovskii_verdict(Q_STAR[:2], GAME, fp_tol=1e-3)),
     "q_s-scalar": ("q_s", lambda: krasovskii_verdict(0.2, GAME, fp_tol=1e-3)),
     "matrix-scalar": ("interference matrix", lambda: feasible_contour(5, [0.1], [0.1])),
+    "matrix-ragged": ("interference matrix", lambda: feasible_contour([[0, 1, 0], [1, 0]], [0.1], [0.1])),
 }
 
 
