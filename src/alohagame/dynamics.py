@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _write_csv, best_response, residual
-from .game import _check_count, _check_positive_finite, _check_start
+from .game import Game, _write_csv, residual
+from .game import _check_count, _check_positive_finite, _check_start, _response
 
 __all__ = [
     "Trajectory",
@@ -124,12 +124,13 @@ def iterate_game(
     _check_count(max_iter, "max_iter")
     q = _check_start(np.asarray(q0, dtype=float) + perturb, game.n, "q0 + perturb")
     q = np.clip(q, 0.0, 1.0)
+    mask = game.matrix.astype(bool)
 
     states = [q]
     outcome = BUDGET_EXHAUSTED
     period = None
     for step in range(max_iter + 1):
-        f = best_response(q, game)
+        f = _response(q, game.rates, mask)
         move = epsilon * (f - q)
         if np.abs(move).max() <= tol:
             outcome = CONVERGED

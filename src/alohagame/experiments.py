@@ -586,16 +586,17 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     top = float(q_star.max())
     if top == 0.0:
         raise ValueError("q_star is zero: the probability scale is unbounded")
+    mask = game.matrix.astype(bool)
 
     def probe(lanes, factors, warms):
         q = np.array(factors)[:, np.newaxis] * q_star
         rows = np.flatnonzero((q < 1.0).all(axis=-1))
-        induced = achieved_rate(q[rows], game.matrix)
+        induced = achieved_rate(q[rows], mask)
         margins, slopes = np.full(len(q), np.nan), np.full(len(q), np.nan)
-        f = _response(q[rows], induced, game.matrix)
-        margins[rows], passing, v = _margins_and_vectors(q[rows], f, game.matrix)
+        f = _response(q[rows], induced, mask)
+        margins[rows], passing, v = _margins_and_vectors(q[rows], f, mask)
         rows = rows[passing]
-        slopes[rows] = _margin_slopes(v, q[rows], q_star, game.matrix)
+        slopes[rows] = _margin_slopes(v, q[rows], q_star, mask)
         found = [None] * len(q)
         for row, rates in zip(rows, induced[passing]):
             found[row] = (q[row], rates)

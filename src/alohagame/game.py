@@ -138,9 +138,12 @@ def success_product(q, matrix) -> np.ndarray:
     stack.
     """
     mask = np.asarray(matrix, dtype=bool)
-    q = _check_vector(q, mask.shape[-1])
-    factors = np.where(mask, 1.0 - q[..., np.newaxis, :], 1.0)
-    return factors.prod(axis=-1)
+    return _product(_check_vector(q, mask.shape[-1]), mask)
+
+
+def _product(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """:func:`success_product` of a float array ``q`` and a boolean ``mask``, unchecked."""
+    return np.where(mask, 1.0 - q[..., np.newaxis, :], 1.0).prod(axis=-1)
 
 
 def achieved_rate(q, matrix) -> np.ndarray:
@@ -156,17 +159,24 @@ def best_response(q, game: Game) -> np.ndarray:
     when the target rate is positive and 0 when it is zero (the
     continuous limit of the clipped quotient).
     """
-    return _response(q, game.rates, game.matrix)
+    return _response(_check_vector(q, game.n), game.rates, game.matrix.astype(bool))
 
 
-def _response(q, rates, matrix) -> np.ndarray:
-    """:func:`best_response` at the rows of ``q``, row k for target rates ``rates[k]`` (or one rate vector for all).
+def _response(q: np.ndarray, rates, mask: np.ndarray) -> np.ndarray:
+    """:func:`best_response` at the rows of the float array ``q``, row k for target rates ``rates[k]``.
 
-    ``matrix`` is one interference matrix for every row, or a stack
-    with row k's matrix at ``matrix[k]``.
+    ``rates`` may also be one rate vector for every row, and ``mask``
+    is one boolean interference matrix for every row or a stack with
+    row k's matrix at ``mask[k]``. The caller prepares the mask once,
+    and nothing is checked here: the solvers call this on every step.
+    Where every product is positive the quotient is clipped directly,
+    with the same operations, and so the same bits, as the general
+    path.
     """
-    prod = success_product(q, matrix)
+    prod = _product(q, mask)
     positive = prod > 0.0
+    if positive.all():
+        return np.minimum(rates / prod, 1.0)
     raw = np.divide(rates, prod, out=np.zeros_like(prod), where=positive)
     jammed = np.where(rates > 0.0, 1.0, 0.0)
     return np.where(positive, np.minimum(raw, 1.0), jammed)

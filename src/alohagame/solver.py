@@ -17,12 +17,16 @@ Three routes to the fixed points of the best-response map:
   instances. Each success product is monotone in every coordinate, so
   over a box of [0, 1]^n the range of q_i * prod_i is exact at the
   box's corners, and a box whose range misses the target rate holds no
-  fixed point. The oracle contracts the boxes that survive, and a box
-  still wider than a leaf takes a Krawczyk step: one proven to hold
-  exactly one root retires at once, one proven to hold none is
-  dropped, and the rest are cut and bisected. Newton's method on the
-  polynomial form polishes a root from each retired box and each small
-  leaf, and the genuine fixed points are kept. The oracle is used to
+  fixed point. The oracle contracts the boxes that survive, each
+  equation bounding its own player and, once a round, each interfering
+  neighbour (interval constraint propagation). A box still wider than
+  a leaf takes a Krawczyk step: one proven to hold exactly one root
+  retires at once, one proven to hold none is dropped, and one whose
+  Newton box (the Krawczyk box, padded) is proven to hold exactly one
+  root retires too, since it holds at most that root; the rest are cut
+  and bisected. Newton's method on the polynomial form polishes a root
+  from each retired box and each small leaf, and the genuine fixed
+  points are kept. The oracle is used to
   cross-check the iterative solvers. Games that share a topology are
   enumerated together, their boxes contracted and split in the same
   rounds, in blocks of games whose boxes fit a fixed budget: a
@@ -32,11 +36,13 @@ Three routes to the fixed points of the best-response map:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import FIXED_POINT_TOL, Game, best_response, leq, success_product
+from .game import FIXED_POINT_TOL, Game, leq, success_product
+from .game import best_response  # noqa: F401  bench/tracer.py rebinds it here
 from .game import _check_count, _check_positive_finite, _check_start, _response
 
 __all__ = [
@@ -72,8 +78,15 @@ _BLOCK_BOXES = 2048
 
 # Relative outward rounding of contracted bounds. It covers the
 # rounding of a success product of up to seven factors and of one
-# quotient, so rounding cannot drop a root on a box face.
+# quotient, so rounding cannot drop a root on a box face. A neighbour
+# bound 1 - x, with x a quotient over q_i times at most six factors,
+# is off by less than 14 eps (1 + x) and is widened by _OUTWARD (1 + x).
 _OUTWARD = 16 * np.finfo(float).eps
+
+# Absolute padding of a Krawczyk box before it is tested as a Newton
+# box, so that an axis the contraction has closed to its rounding slack
+# leaves room for the strict inclusion.
+_NEWTON_PAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,9 +137,10 @@ class FixedPointSet:
 
 def _ascend(game: Game, q0: np.ndarray, tol: float, max_iter: int):
     """Iterate the best-response map; valid whenever q0 is below the LFP."""
+    mask = game.matrix.astype(bool)
     q = q0
     for it in range(max_iter + 1):
-        f = best_response(q, game)
+        f = _response(q, game.rates, mask)
         r = float(np.abs(f - q).max())
         if r <= tol:
             return q, it, True, r
@@ -283,7 +297,7 @@ def _newton_rows(q: np.ndarray, rates: np.ndarray, mask: np.ndarray, max_iter: i
 # ---------------------------------------------------------------------------
 
 
-def _contract(lo, hi, row, rates, mask):
+def _contract(lo, hi, row, rates, mask, neighbours=False):
     """One round of the monotone interval map over the boxes [lo, hi].
 
     Box k belongs to the game whose target rates are ``rates[row[k]]``;
@@ -294,12 +308,35 @@ def _contract(lo, hi, row, rates, mask):
     boxes left empty are dropped: they hold no root. A zero product
     gives an infinite bound (or none, for a silent player), which the
     fmax/fmin pair handles; the caller silences the division warnings.
+
+    With ``neighbours``, equation i with y_i > 0 also bounds each
+    interfering neighbour j: q_j = 1 - y_i / (q_i O_ij(q)), where O_ij
+    is the product of P_i's factors other than 1 - q_j. Over the box
+    q_i O_ij ranges over [lo_i O_ij(hi), hi_i O_ij(lo)], so q_j lies in
+    [1 - y_i / (lo_i O_ij(hi)), 1 - y_i / (hi_i O_ij(lo))], each end
+    widened by ``_OUTWARD`` (1 + x) for its quotient x. A box is cut to
+    every equation's bound at once.
     """
-    bounds = rates[row] / success_product(np.concatenate([lo, hi]), mask).reshape(2, *lo.shape)
-    lo = np.fmax(lo, bounds[0] * (1.0 - _OUTWARD))
-    hi = np.fmin(hi, bounds[1] * (1.0 + _OUTWARD))
-    keep = (lo <= hi).all(axis=1)
-    return lo[keep], hi[keep], row[keep]
+    y = rates[row]
+    corners = np.concatenate([lo, hi])
+    if neighbours:
+        prod, others = _products(corners, mask)
+    else:
+        prod = success_product(corners, mask)
+    bounds = y / prod.reshape(2, *lo.shape)
+    new_lo = np.fmax(lo, bounds[0] * (1.0 - _OUTWARD))
+    new_hi = np.fmin(hi, bounds[1] * (1.0 + _OUTWARD))
+    if neighbours:
+        k = len(lo)
+        # x[:, b, i, j] is y_i over lo_i O_ij(hi) (x[0]) or hi_i O_ij(lo)
+        # (x[1]), NaN where equation i does not bound q_j
+        spans = np.stack([lo[..., np.newaxis] * others[k:], hi[..., np.newaxis] * others[:k]])
+        bounding = mask & (y > 0.0)[..., np.newaxis]
+        x = np.divide(y[..., np.newaxis], spans, out=np.full_like(spans, np.nan), where=bounding)
+        new_lo = np.fmax(new_lo, np.fmax.reduce(1.0 - x[0] - _OUTWARD * (1.0 + x[0]), axis=1))
+        new_hi = np.fmin(new_hi, np.fmin.reduce(1.0 - x[1] + _OUTWARD * (1.0 + x[1]), axis=1))
+    keep = (new_lo <= new_hi).all(axis=1)
+    return new_lo[keep], new_hi[keep], row[keep]
 
 
 def _leaf_centres(rates, matrix, cells_per_axis: int):
@@ -311,24 +348,23 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
     from ``cells_per_axis`` cells per axis over [0, 1]^n. A silent
     player's axis is [0, 0] from the start: a zero rate forces q_i = 0
     at every fixed point of the clipped map. Each round contracts every
-    box ``_CONTRACT_ROUNDS`` times and retires those at most
-    ``_LEAF_WIDTH`` wide as leaves, started from their centres. The
-    wider boxes take one Krawczyk step: a box proven to hold exactly
-    one root retires too, started from its Newton point; the others
-    are cut by the step and split in half along their widest side.
+    box ``_CONTRACT_ROUNDS`` times, the last time with the neighbour
+    bounds, and retires those at most ``_LEAF_WIDTH`` wide as leaves,
+    started from their centres. The wider boxes take one Krawczyk step
+    (:func:`_krawczyk`): a box proven to hold at most one root retires
+    too, started from a Newton point; the others are cut by the step
+    and split in half along their widest side.
     """
-    n = rates.shape[1]
     mask = matrix.astype(bool)
-    edges = np.linspace(0.0, 1.0, cells_per_axis + 1)
-    cells = np.stack(np.meshgrid(*[np.arange(cells_per_axis)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    edges, cells = _partition(rates.shape[1], cells_per_axis)
     silent = rates == 0.0
     row, box = np.nonzero(~(silent[:, np.newaxis] & (cells > 0)).any(axis=-1))
     lo, hi = edges[cells[box]], np.where(silent[row], 0.0, edges[cells[box] + 1])
     starts, owners = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(lo):
-            for _ in range(_CONTRACT_ROUNDS):
-                lo, hi, row = _contract(lo, hi, row, rates, mask)
+            for r in range(_CONTRACT_ROUNDS):
+                lo, hi, row = _contract(lo, hi, row, rates, mask, neighbours=r == _CONTRACT_ROUNDS - 1)
             leaf = (hi - lo).max(axis=1) <= _LEAF_WIDTH
             starts.append((lo[leaf] + hi[leaf]) / 2.0)
             owners.append(row[leaf])
@@ -346,28 +382,69 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
     return np.concatenate(starts), np.concatenate(owners)
 
 
+@functools.lru_cache(maxsize=64)
+def _partition(n: int, cells_per_axis: int):
+    """Read-only cell edges of one axis, and the index of every cell of [0, 1]^n along each axis."""
+    edges = np.linspace(0.0, 1.0, cells_per_axis + 1)
+    cells = np.stack(np.meshgrid(*[np.arange(cells_per_axis)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    edges.flags.writeable = cells.flags.writeable = False
+    return edges, cells
+
+
 def _krawczyk(lo, hi, row, rates, matrix):
     """One Krawczyk step on h(q) = q * P(q) - y over the boxes X = [lo, hi].
 
     With m the midpoint of X, r its half-width and Y = J(m)^-1, the
     Krawczyk box is K = m - Y h(m) + (I - Y J(X))(X - m): every root
     in X lies in K, and a K strictly inside X proves that X holds
-    exactly one root (Krawczyk 1969; Neumaier 1990). J(X), the
-    interval Jacobian, comes from :func:`_jacobians`. In
-    centre-radius form K = [k - rho, k + rho] with k = m - Y h(m)
-    and rho = |I - Y J_c| r + |Y| J_r r, widened by ``_rounding``.
+    exactly one root (Krawczyk 1969; Neumaier 1990); see
+    :func:`_krawczyk_test`.
+
+    A box that K neither settles nor misses takes a second test, on
+    its Newton box B: K itself, padded by ``_NEWTON_PAD`` and clipped
+    to [0, 1]^n. Every root of X lies in K and in [0, 1]^n, so in B,
+    and a B that passes its own test holds exactly one root: X holds
+    at most that root and retires, started from B's Newton point. The
+    membership test and the deduplication drop a root that such a box
+    does not hold, or that another box finds too. A box whose
+    contraction closed an active axis to below the rounding slack
+    cannot pass the plain test, but its Newton box, as wide as the pad
+    there, can.
 
     A silent player's axis has width 0 and is neither tested nor cut:
     its row of J(X) is zero off the diagonal and h_i(m) = 0, so the
     other axes of K are the Krawczyk box of the system without it.
     A box whose J(m) is singular or not finite is passed on as it is.
 
-    Returns the boxes K does not settle, each cut to the intersection
-    of X and K, and the Newton points k of the boxes proven to hold one
-    root with their rows; boxes where K misses X are dropped.
+    Returns the boxes neither test settles, each cut to the
+    intersection of X and K, and the Newton points of the retired boxes
+    with their rows; boxes where K misses X are dropped.
+    """
+    y = rates[row]
+    active = y > 0.0
+    centre, k_lo, k_hi, inside = _krawczyk_test(lo, hi, y, matrix)
+    lo, hi = np.where(active, np.fmax(lo, k_lo), lo), np.where(active, np.fmin(hi, k_hi), hi)
+    left = np.flatnonzero(~(inside | (lo > hi).any(axis=1)))
+    # A silent axis of B is X's, [0, 0].
+    b_lo = np.where(active, np.clip(k_lo - _NEWTON_PAD, 0.0, 1.0), lo)[left]
+    b_hi = np.where(active, np.clip(k_hi + _NEWTON_PAD, 0.0, 1.0), hi)[left]
+    newton_centre, _, _, newton = _krawczyk_test(b_lo, b_hi, y[left], matrix)
+    retired, left = left[newton], left[~newton]
+    proven = np.concatenate([centre[inside], newton_centre[newton]])
+    return lo[left], hi[left], row[left], (proven, np.concatenate([row[inside], row[retired]]))
+
+
+def _krawczyk_test(lo, hi, y, matrix):
+    """The Krawczyk box K = [k_lo, k_hi] of each box X = [lo, hi], and whether it proves one root.
+
+    Box k is a box of the game whose target rates are ``y[k]``. J(X),
+    the interval Jacobian, comes from :func:`_jacobians`. In
+    centre-radius form K = [k - rho, k + rho] with Newton point
+    k = m - Y h(m) and rho = |I - Y J_c| r + |Y| J_r r, widened by
+    ``_rounding``. The test passes when K lies strictly inside X on
+    every active axis (y_i > 0). Returns ``(k, k_lo, k_hi, passed)``.
     """
     n = lo.shape[1]
-    y = rates[row]
     m = (lo + hi) / 2.0
     prod, jm, j_lo, j_hi = _jacobians(m, lo, hi, matrix)
     y_inv = _inverse(jm)
@@ -378,11 +455,8 @@ def _krawczyk(lo, hi, row, rates, matrix):
     rho = _times(np.abs(np.eye(n) - y_inv @ ((j_lo + j_hi) / 2.0)), r) + 2.0 * rounding
     rho += _times(np.abs(y_inv), _times(j_hi - j_lo, r / 2.0) + (n + 2) * rounding)
     k_lo, k_hi = centre - rho, centre + rho
-    active = y > 0.0
-    inside = ((k_lo > lo) & (k_hi < hi) | ~active).all(axis=1)
-    lo, hi = np.where(active, np.fmax(lo, k_lo), lo), np.where(active, np.fmin(hi, k_hi), hi)
-    left = ~(inside | (lo > hi).any(axis=1))
-    return lo[left], hi[left], row[left], (centre[inside], row[inside])
+    passed = ((k_lo > lo) & (k_hi < hi) | (y == 0.0)).all(axis=1)
+    return centre, k_lo, k_hi, passed
 
 
 def _jacobians(m, lo, hi, matrix):
@@ -500,11 +574,15 @@ def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
 def _dedup(points: np.ndarray, radius: float) -> list:
     """Merge points within the given infinity-norm radius, deterministically.
 
-    In lexicographic order, keeps the first remaining point and drops
-    every remaining point within ``radius`` of it, until none remain:
-    the points a greedy pass keeps, one array operation per kept point.
+    In lexicographic order of the coordinates rounded to 1e-9, keeps the
+    first remaining point and drops every remaining point within
+    ``radius`` of it, until none remain: the points a greedy pass keeps,
+    one array operation per kept point. The rounding keeps roots that
+    agree to rounding error in one order unless their shared coordinate
+    lies within that error of a rounding boundary (an odd multiple of
+    5e-10); points that round alike keep the order they came in.
     """
-    rest = points[np.lexsort(points.T[::-1])]
+    rest = points[np.lexsort(np.round(points, 9).T[::-1])]
     kept: list = []
     while len(rest):
         p, rest = rest[0], rest[1:]
@@ -546,7 +624,7 @@ def _fixed_point_sets(rates, matrix, starts_per_axis: int = 1, max_iter: int = 5
     slack = 1e-9
     inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
     roots, owner, leaf_rates = np.clip(roots[inside], 0.0, 1.0), owner[inside], leaf_rates[inside]
-    fixed = np.abs(_response(roots, leaf_rates, matrix) - roots).max(axis=1) <= FIXED_POINT_TOL
+    fixed = np.abs(_response(roots, leaf_rates, matrix.astype(bool)) - roots).max(axis=1) <= FIXED_POINT_TOL
     order = np.argsort(owner[fixed], kind="stable")
     roots, owner = roots[fixed][order], owner[fixed][order]
     ends = np.searchsorted(owner, np.arange(len(rates) + 1))
@@ -569,12 +647,18 @@ def multistart_fixed_points(
     monotone in every coordinate, so over a box [l, u] the exact range
     of q_i * prod_i is [l_i * prod_i(u), u_i * prod_i(l)]; boxes whose
     range misses a rate hold no root and are dropped. The survivors
-    are contracted; each one still wider than a leaf then takes a
-    Krawczyk step, which retires a box it proves to hold exactly one
-    root, drops one it proves to hold none, and cuts the others before
-    they are bisected. Newton on the polynomial form polishes a root
-    from the Newton point of each retired box and from the centre of
-    each small leaf. The roots that are fixed points of the clipped
+    are contracted, equation i bounding q_i and, in the last
+    contraction of each round, every interfering neighbour q_j through
+    q_j = 1 - y_i / (q_i prod_{k != j} (1 - q_k)). Each one still
+    wider than a leaf then takes a Krawczyk step, which retires a box
+    it proves to hold exactly one root and drops one it proves to hold
+    none. A box the step leaves is retired too when its Newton box,
+    the Krawczyk box padded by 1e-12 and clipped to [0, 1]^n, holds
+    all its roots and is proven to hold exactly one; the others are
+    cut before they are bisected. Newton on the polynomial form
+    polishes a root from the Newton point of each retired box (of its
+    Newton box, for one retired there) and from the centre of each
+    small leaf. The roots that are fixed points of the clipped
     map at 1e-9 are kept and deduplicated. The clipping-induced
     all-ones point is reported through ``includes_extraneous``
     whenever every target rate is positive.
@@ -585,7 +669,7 @@ def multistart_fixed_points(
     lower the residual. Every root ends in a retired box or a leaf
     whatever the partition, so neither changes which roots are found,
     only the cost. The cost is set by the roots: a box around a simple
-    root retires after a few rounds, while the Krawczyk test cannot
+    root retires after a round or two, while neither Krawczyk test can
     succeed at a double root, whose box is bisected down to a leaf. At
     a double root, where Newton converges linearly, too small a cap
     leaves several nearby points instead of one.

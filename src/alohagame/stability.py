@@ -230,18 +230,19 @@ def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
     :func:`krasovskii_verdict` raises there: the point is not a fixed
     point at ``fp_tol``, or a neighbour coordinate equals 1.
     """
-    f = _response(q, rates, matrix)
+    mask = np.asarray(matrix, dtype=bool)
+    f = _response(q, rates, mask)
     res = np.abs(f - q).max(axis=-1)
     fixed = res <= fp_tol
-    singular = _singular(q, np.asarray(matrix, dtype=bool))
+    singular = _singular(q, mask)
     good = fixed & ~singular
-    c = _certificate(q[good], f[good], matrix)
+    c = _certificate(q[good], f[good], mask)
     lam, margin = _smallest_eigenvalue(c)
     clipped = ((f >= 1.0) & (rates > 0.0)).any(axis=-1)
     points = q.copy()
     for arr in (points, c):
         arr.flags.writeable = False
-    decided = zip(c, margin > 0.0, lam, _diag_dominant(q[good], matrix))
+    decided = zip(c, margin > 0.0, lam, _diag_dominant(q[good], mask))
     verdicts = []
     for k in range(len(q)):
         if not fixed[k]:

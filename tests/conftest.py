@@ -40,12 +40,12 @@ def instance_rng(master: int, index: int) -> np.random.Generator:
 
 
 def record_calls(monkeypatch, module, name):
-    """Rebind ``module.<name>`` to a wrapper that records each call as (args, result)."""
+    """Rebind ``module.<name>`` to a wrapper that records each call as (positional args, result)."""
     calls = []
     original = getattr(module, name)
 
-    def recording(*args):
-        out = original(*args)
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
         calls.append((args, out))
         return out
 

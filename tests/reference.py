@@ -47,21 +47,34 @@ from alohagame.cli import _fmt_vec
 
 
 def greedy_dedup(points, radius):
-    """In lexicographic order, keep each point farther than ``radius`` from every kept one."""
+    """In lexicographic order of the coordinates rounded to 1e-9 (ties in
+    input order), keep each point farther than ``radius`` from every kept one."""
     kept = []
-    for p in points[np.lexsort(points.T[::-1])]:
+    for p in sorted(points, key=lambda p: tuple(np.round(p, 9))):
         if all(np.abs(p - k).max() > radius for k in kept):
             kept.append(p)
     return kept
 
 
+def diagonal_contraction(lo, hi, row, rates, mask):
+    """Cut each box [lo, hi] to [y_i / P_i(lo), y_i / P_i(hi)] on every
+    axis, rounded outward by 16 eps; drop the boxes left empty."""
+    prod = np.where(mask, 1.0 - np.concatenate([lo, hi])[:, np.newaxis, :], 1.0).prod(axis=-1)
+    bounds = rates[row] / prod.reshape(2, *lo.shape)
+    lo = np.fmax(lo, bounds[0] * (1.0 - 16 * np.finfo(float).eps))
+    hi = np.fmin(hi, bounds[1] * (1.0 + 16 * np.finfo(float).eps))
+    keep = (lo <= hi).all(axis=1)
+    return lo[keep], hi[keep], row[keep]
+
+
 def width_only_leaf_centres(rates, matrix, cells_per_axis):
     """The oracle's box enumeration without the Krawczyk step.
 
-    Each round contracts every box, keeps those at most the leaf width
-    wide as leaves and splits the rest in half along their widest side,
-    so every surviving box, a root's included, is bisected down to the
-    leaf width. Returns the leaf centres with the rate row of each.
+    Each round contracts every box by the diagonal bounds alone, keeps
+    those at most the leaf width wide as leaves and splits the rest in
+    half along their widest side, so every surviving box, a root's
+    included, is bisected down to the leaf width. Returns the leaf
+    centres with the rate row of each.
     """
     n = rates.shape[1]
     mask = matrix.astype(bool)
@@ -74,7 +87,7 @@ def width_only_leaf_centres(rates, matrix, cells_per_axis):
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(lo):
             for _ in range(solver._CONTRACT_ROUNDS):
-                lo, hi, row = solver._contract(lo, hi, row, rates, mask)
+                lo, hi, row = diagonal_contraction(lo, hi, row, rates, mask)
             width = hi - lo
             leaf = width.max(axis=1) <= solver._LEAF_WIDTH
             leaves.append((lo[leaf] + hi[leaf]) / 2.0)

@@ -177,14 +177,15 @@ class TestOneEnumeration:
     def test_one_sweep_is_one_round_sequence(self, monkeypatch):
         # An enumeration per value makes 3,945 contractions here, one
         # enumeration for all 61 values 93 when every box is bisected
-        # down to the leaf width, and 30 when the Krawczyk step retires
-        # the boxes it proves to hold one root. The 61 values are one
-        # block.
+        # down to the leaf width, 30 when the plain Krawczyk test
+        # retires the boxes it proves to hold one root, and 18 when the
+        # contraction also bounds each neighbour and boxes retire at
+        # their Newton box. The 61 values are one block.
         calls = record_calls(monkeypatch, solver, "_contract")
         blocks = record_calls(monkeypatch, solver, "_leaf_centres")
         branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), 0.005)
         assert branch.parameter_values.size == 61
-        assert len(calls) == 30
+        assert len(calls) == 18
         assert len(blocks) == 1
 
     def test_blocks_give_the_one_block_roots(self, monkeypatch):

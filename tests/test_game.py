@@ -13,6 +13,7 @@ from alohagame import (
     leq,
     residual,
 )
+from alohagame.game import _response
 from conftest import P_SADDLE, Q_STAR
 
 CHAIN = chain_matrix(3)
@@ -105,6 +106,28 @@ class TestBestResponse:
             f = best_response(rng.uniform(0, 1, 3), g)
             assert (f >= 0).all() and (f <= 1).all()
             assert (f >= g.rates).all()
+
+    def test_lean_response_gives_the_bits_of_the_general_path(self):
+        # Without a zero product the quotient is clipped directly; a row
+        # alone takes that path where the whole stack, with a jammed
+        # player somewhere, takes the general one.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            mask = rng.random((n, n)) < 0.6
+            np.fill_diagonal(mask, False)
+            y = rng.uniform(0.0, 0.5, n)
+            y[rng.random(n) < 0.2] = 0.0
+            q = rng.random((4, n))
+            q[rng.random((4, n)) < 0.1] = 1.0
+            prod = np.where(mask, 1.0 - q[:, np.newaxis, :], 1.0).prod(axis=-1)
+            positive = prod > 0.0
+            raw = np.divide(y, prod, out=np.zeros_like(prod), where=positive)
+            want = np.where(positive, np.minimum(raw, 1.0), np.where(y > 0.0, 1.0, 0.0))
+            assert np.array_equal(_response(q, y, mask), want)
+            for k in range(len(q)):
+                assert np.array_equal(_response(q[k], y, mask), want[k])
+                assert np.array_equal(best_response(q[k], Game(mask.astype(int), y)), want[k])
 
 
 class TestResidual:

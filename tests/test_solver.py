@@ -351,12 +351,31 @@ class TestMultistartOracle:
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
 
+    def test_root_order_does_not_hang_on_rounding(self):
+        # Two roots of this game agree to 1e-16 in their first four
+        # coordinates, so their raw lexicographic order is set by the
+        # last bits, which a change of rounding moves by about 1e-15.
+        y = np.full(8, 0.1)
+        y[4] = 0.0
+        points = np.array(multistart_fixed_points(Game(chain_matrix(8), y)).points)
+        assert len(points) == 4
+        rng = np.random.default_rng(4)
+        raw_swaps = 0
+        for _ in range(50):
+            nudged = points + rng.choice([-1e-15, 1e-15], points.shape)
+            order = rng.permutation(len(points))
+            kept = solver._dedup(nudged[order], solver.DEDUP_RADIUS)
+            assert np.array_equal(np.array(kept), nudged)
+            raw_swaps += not np.array_equal(np.lexsort(nudged.T[::-1]), np.arange(len(points)))
+        assert raw_swaps > 0
+
 
 class TestBoxExclusion:
     def test_range_and_contraction_keep_every_root(self):
         # Random boxes, faces at 0 and 1 included, and a point in each.
         # Rates y = q * P(q) make the point a root; a player whose rate
         # is zero is put at 0, as at every fixed point of the clipped map.
+        # Contraction keeps the root with and without neighbour bounds.
         rng = np.random.default_rng(77)
         for _ in range(3000):
             n = int(rng.integers(1, 7))
@@ -376,12 +395,45 @@ class TestBoxExclusion:
             y = game.rates
             assert (lo * success_product(hi, a) <= y).all()
             assert (y <= hi * success_product(lo, a)).all()
-            with np.errstate(divide="ignore", invalid="ignore"):
-                box_lo, box_hi, _ = solver._contract(
-                    lo[np.newaxis], hi[np.newaxis], np.zeros(1, int), y[np.newaxis], a.astype(bool)
-                )
-            assert len(box_lo) == 1
-            assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
+            for neighbours in (False, True):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    box_lo, box_hi, _ = solver._contract(
+                        lo[np.newaxis], hi[np.newaxis], np.zeros(1, int), y[np.newaxis], a.astype(bool), neighbours
+                    )
+                assert len(box_lo) == 1
+                assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
+
+    def test_initial_partition_is_cached_read_only(self):
+        edges, cells = solver._partition(3, 4)
+        again = solver._partition(3, 4)
+        assert again[0] is edges and again[1] is cells
+        assert not edges.flags.writeable and not cells.flags.writeable
+        assert np.array_equal(edges, np.linspace(0.0, 1.0, 5)) and cells.shape == (64, 3)
+        assert len(np.unique(cells, axis=0)) == 64
+
+    def test_neighbour_bounds_keep_the_planted_root(self):
+        # Each equation also bounds every interfering neighbour. The
+        # bounds never cut the root, on a face of the box included, and
+        # they cut boxes the diagonal bounds leave alone.
+        rng = np.random.default_rng(1999)
+        on_face = tighter = 0
+        for _ in range(3000):
+            game, q, lo, hi = _planted_box(rng)
+            mask = game.matrix.astype(bool)
+            boxes = []
+            for neighbours in (False, True):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    box_lo, box_hi, _ = solver._contract(
+                        lo[np.newaxis], hi[np.newaxis], np.zeros(1, int), game.rates[np.newaxis], mask, neighbours
+                    )
+                assert len(box_lo) == 1
+                assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
+                boxes.append((box_lo[0], box_hi[0]))
+            (diag_lo, diag_hi), (both_lo, both_hi) = boxes
+            assert (diag_lo <= both_lo).all() and (both_hi <= diag_hi).all()
+            on_face += bool((((q == lo) | (q == hi)) & (game.rates > 0.0)).any())
+            tighter += bool((both_lo > diag_lo).any() or (both_hi < diag_hi).any())
+        assert on_face >= 300 and tighter >= 1000, (on_face, tighter)
 
 
 def _planted_box(rng):
@@ -417,17 +469,23 @@ def _krawczyk_one(game, lo, hi):
 class TestKrawczykStep:
     def test_planted_root_survives_and_retired_boxes_polish_to_it(self):
         rng = np.random.default_rng(1969)
-        outcomes = {"retired": 0, "cut": 0, "kept": 0, "silent": 0}
+        outcomes = {"retired": 0, "newton_box": 0, "cut": 0, "kept": 0, "silent": 0}
         for _ in range(3000):
             game, q, lo, hi = _planted_box(rng)
             outcomes["silent"] += bool((game.rates == 0.0).any())
             box_lo, box_hi, _, (proven, _) = _krawczyk_one(game, lo, hi)
             if len(proven):
-                outcomes["retired"] += 1
                 assert len(box_lo) == 0
-                # Silent axes are not tested, and Y h(m) is off 0 there by rounding.
-                active = game.rates > 0.0
-                assert (lo <= proven[0])[active].all() and (proven[0] <= hi)[active].all()
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    *_, plain = solver._krawczyk_test(lo[np.newaxis], hi[np.newaxis], game.rates[np.newaxis], game.matrix)
+                if plain[0]:
+                    outcomes["retired"] += 1
+                    # Silent axes are not tested, and Y h(m) is off 0 there by rounding.
+                    active = game.rates > 0.0
+                    assert (lo <= proven[0])[active].all() and (proven[0] <= hi)[active].all()
+                else:
+                    # Retired at its Newton box, whose Newton point may lie outside X.
+                    outcomes["newton_box"] += 1
                 root = solver._polish(proven, game.rates[np.newaxis], game.matrix, 50)[0]
                 assert np.abs(root - q).max() <= 1e-9
             else:
@@ -469,6 +527,37 @@ class TestKrawczykStep:
             assert len(proven) == 0
             dropped += len(box_lo) == 0
         assert dropped == 4
+
+    def test_box_with_a_closed_axis_retires_at_its_newton_box(self):
+        # A box around a simple root whose contraction has closed one
+        # active axis to a width below the rounding slack: K cannot lie
+        # strictly inside that axis, so the plain test fails, but the
+        # Newton box passes. Player 0 of the second game hears no one,
+        # so K's radius on its axis is the rounding slack alone, and
+        # only the 1e-12 pad leaves room there.
+        y = np.full(8, 0.1)
+        y[4] = 0.0
+        chain = Game(chain_matrix(8), y)
+        deaf = Game([[0, 0, 0], [1, 0, 1], [1, 1, 0]], [0.1, 0.15, 0.12])
+        retired = 0
+        for game, axes in [(chain, np.flatnonzero(y > 0.0)), (deaf, [0])]:
+            for root in multistart_fixed_points(game).points:
+                for axis in axes:
+                    lo, hi = np.clip(root - 1e-3, 0.0, 1.0), np.clip(root + 1e-3, 0.0, 1.0)
+                    silent = game.rates == 0.0
+                    lo[silent] = hi[silent] = 0.0
+                    lo[axis], hi[axis] = np.nextafter(root[axis], 0.0), np.nextafter(root[axis], 1.0)
+                    assert hi[axis] - lo[axis] < 1e-14
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        *_, plain = solver._krawczyk_test(
+                            lo[np.newaxis], hi[np.newaxis], game.rates[np.newaxis], game.matrix
+                        )
+                    box_lo, _, _, (proven, _) = _krawczyk_one(game, lo, hi)
+                    assert not plain[0] and len(box_lo) == 0 and len(proven) == 1
+                    polished = solver._polish(proven, game.rates[np.newaxis], game.matrix, 50)[0]
+                    assert np.abs(polished - root).max() <= 1e-12
+                    retired += 1
+        assert retired == 4 * 7 + 2
 
     def test_singular_jacobian_passes_the_box_on(self):
         # J(m) of the pair at m = (0.5, 0.5) is [[0.5, -0.5], [-0.5, 0.5]].
@@ -522,10 +611,11 @@ class TestAgainstWidthOnlyEnumeration:
 
     def test_saddle_game_contractions(self, monkeypatch, chain3):
         # chain3 at 0.15 holds a saddle, near which contraction stalls:
-        # bisecting it down to the leaf width takes 81 contractions.
+        # bisecting it down to the leaf width takes 81 contractions, the
+        # plain Krawczyk test with diagonal bounds alone 21.
         calls = record_calls(monkeypatch, solver, "_contract")
         assert multistart_fixed_points(chain3).n_points == 2
-        assert len(calls) == 21
+        assert len(calls) == 12
 
 
 class TestLeastOf:
