@@ -18,7 +18,15 @@ bracket of the least fixed point (:func:`_stable_lfps`), as the CLI's
 scaled points. The trials of a sweep setting and the cells of a
 feasible grid are lanes of one search: a round solves every live lane's
 probes in one batched Newton and one batched bracket, and each lane
-probes the values and takes the Newton iterations its own search would.
+probes the values its own search would.
+
+The rate searches solve and decide their lanes by connected components
+(:func:`alohagame.topology._pack`): where it cuts the work, each lane's
+components are packed into diagonal blocks of one size, every block is
+a row of the batched Newton and bracket, and a lane passes when each of
+its blocks is bracketed and its whole certificate's margin, the
+smallest block eigenvalue less the rounding term of the lane's n x n
+matrix, is positive. Elsewhere each lane is one block.
 """
 
 from __future__ import annotations
@@ -31,8 +39,18 @@ import numpy as np
 from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _response, _write_csv
 from .game import achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
 from .solver import DEFAULT_MAX_ITER, _fixed_point_sets, _newton_rows, _solve_rows
-from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _verdicts, krasovskii_verdict, pd_margin
-from .topology import connectivity, fully_connected_matrix, random_topology, side_for_density
+from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _margin, _smallest_eigenvalue, _verdicts, krasovskii_verdict
+from .topology import (
+    _complete,
+    _Layout,
+    _pack,
+    _reduce,
+    _whole,
+    connectivity,
+    fully_connected_matrix,
+    random_topology,
+    side_for_density,
+)
 
 __all__ = [
     "BranchPoint",
@@ -87,20 +105,32 @@ def _perron_vectors(certificates: np.ndarray, margins: np.ndarray) -> np.ndarray
     return v
 
 
-def _margins_and_vectors(q: np.ndarray, f: np.ndarray, mask):
-    """Certificate margins at the points q, and the Perron vectors of the points that pass.
+def _margins_and_vectors(q: np.ndarray, f: np.ndarray, mask, first, n: int):
+    """Certificate margins of games laid out as blocks, and the Perron vectors of the games that pass.
 
-    ``f`` is the response at q and ``mask`` the interference (one
-    matrix, or one per point). Returns ``(margins, passing, v)``:
-    :func:`pd_margin` of C(q) per point, the points where it is
-    positive, and :func:`_perron_vectors` of their certificates. The
+    Game k's blocks are the rows ``first[k]:first[k + 1]`` of the
+    points q, or row k alone when ``first`` is None; ``f`` is the
+    response at q and ``mask`` the interference (one matrix, or one per
+    block). A game's certificate is block diagonal, so its smallest
+    eigenvalue is its blocks' smallest and its infinity norm their
+    largest: its margin is :func:`pd_margin` of the whole n x n matrix.
+    Returns ``(margins, passing, limiting, v)``: per game, its margin
+    and whether that is positive; per passing game, its limiting block,
+    the one of the smallest eigenvalue (the first on a tie), and the
+    :func:`_perron_vectors` of that block's certificate. The
     certificates are freed on return, before a caller's slopes take
     their temporaries.
     """
     certificates = _certificate(q, f, mask)
-    margins = pd_margin(certificates)
+    lam, norm = _smallest_eigenvalue(certificates)
+    margins = _margin(_reduce(np.minimum, lam, first), _reduce(np.maximum, norm, first), n)
     passing = margins > 0.0
-    return margins, passing, _perron_vectors(certificates[passing], margins[passing])
+    if first is None:
+        limiting = np.flatnonzero(passing)
+    else:
+        owner = np.repeat(np.arange(len(first) - 1), np.diff(first))
+        limiting = np.lexsort((lam, owner))[first[:-1][passing]]
+    return margins, passing, limiting, _perron_vectors(certificates[limiting], margins[passing])
 
 
 def _margin_slopes(v: np.ndarray, q: np.ndarray, dq, mask) -> np.ndarray:
@@ -115,14 +145,17 @@ def _margin_slopes(v: np.ndarray, q: np.ndarray, dq, mask) -> np.ndarray:
     return -2.0 * ((v * dq) * image[..., 0] + (v * q) * image[..., 1]).sum(axis=-1)
 
 
-def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction: np.ndarray):
-    """Certificate margin, and its slope, at a proven upper bracket of each row's least fixed point.
+def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction: np.ndarray, first, n: int):
+    """Certificate margin, and its slope, at a proven upper bracket of each game's least fixed point.
 
-    Row k of ``lo`` lies below the least fixed point q* of the game
-    with target rates ``rates[k]`` and interference ``mask[k]``. Every
-    hi < 1 with F(hi) <= hi lies above q*, because the least fixed
-    point lies below every post-fixed point (Knaster-Tarski); the
-    computed F(hi) must clear hi by its rounding error. Below 1 no
+    Game k of n players is laid out as the blocks ``first[k]:first[k +
+    1]``, or block k alone when ``first`` is None. Block b has target
+    rates ``rates[b]`` and interference ``mask[b]``, and ``lo[b]`` lies
+    below its least fixed point q*; ``direction`` is the rates'
+    direction, per block or one vector for all. Every hi < 1 with
+    F(hi) <= hi lies above q*, because the least fixed point lies below
+    every post-fixed point (Knaster-Tarski); the computed F(hi) must
+    clear hi by the rounding error of an n-player response. Below 1 no
     response saturates, so the certificate C(q) = 2I - (F'(q) + F'(q)^T)
     only loses definiteness as q grows: F' is nonnegative and grows
     entrywise, and with it the largest eigenvalue of its symmetric part
@@ -132,47 +165,54 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction
     (I - F'(lo)) d = |F(lo) - lo| + 1e-12, a Newton step that overshoots
     q*.
 
-    Returns ``(margin, slope)`` per row. ``margin`` is
-    :func:`pd_margin` of C(hi), so a row passes when it is positive; a
-    row whose candidate is not a post-fixed point below 1, or whose
-    system is singular, has margin NaN. ``slope``, NaN on the other
-    rows, is :func:`_margin_slopes` at lo along the solution path's
-    slope q' = (I - F'(lo))^-1 b as the rates move along
+    Returns ``(margin, slope)`` per game. ``margin`` is the game's
+    :func:`pd_margin` of C(hi) (:func:`_margins_and_vectors`), so a game
+    passes when it is positive; a game with a block whose candidate is
+    not a post-fixed point below 1, or whose system is singular, has
+    margin NaN. ``slope``, NaN on the other games, is
+    :func:`_margin_slopes` of the game's limiting block at lo along the
+    solution path's slope q' = (I - F'(lo))^-1 b as the rates move along
     ``rates + t * direction``: b_i = F_i(lo) direction_i / rates_i where
-    rates_i > 0, and 0 elsewhere. One response evaluation per point,
-    one stacked solve and one eigenvalue solve serve all rows; the
-    slopes take two more stacked solves over the passing rows.
+    rates_i > 0, and 0 elsewhere. One response evaluation per point, one
+    stacked solve and one eigenvalue solve serve all blocks; the slopes
+    take two more stacked solves over the limiting blocks.
     """
     f = _response(lo, rates, mask)
     # relative rounding of a computed response: a success product of
     # at most n - 1 factors and one quotient
-    rounding = (8 + lo.shape[-1]) * np.finfo(float).eps
+    rounding = (8 + n) * np.finfo(float).eps
     # the Jacobian of the drift F(q) - q is F'(lo) - I
     hi = lo + np.abs(_solve_rows(-_jacobian(lo, f, mask), np.abs(f - lo) + 1e-12))
     rows = np.flatnonzero((hi < 1.0).all(axis=-1))
     f_hi = _response(hi[rows], rates[rows], mask[rows])
     post = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
-    rows = rows[post]
-    margin, slope = np.full(len(lo), np.nan), np.full(len(lo), np.nan)
-    margin[rows], passing, v = _margins_and_vectors(hi[rows], f_hi[post], mask[rows])
-    rows = rows[passing]
-    q, y, a = lo[rows], rates[rows], mask[rows]
-    gain = np.divide(f[rows] * direction, y, out=np.zeros_like(y), where=y > 0.0)
-    slope[rows] = _margin_slopes(v, q, _solve_rows(-_jacobian(q, f[rows], a), gain), a)
+    rows, f_hi = rows[post], f_hi[post]
+    count = len(lo) if first is None else len(first) - 1
+    # a game is bracketed when each of its blocks is
+    keep, games, first = _complete(rows, first)
+    rows, f_hi = rows[keep], f_hi[keep]
+    margin, slope = np.full(count, np.nan), np.full(count, np.nan)
+    margin[games], passing, limiting, v = _margins_and_vectors(hi[rows], f_hi, mask[rows], first, n)
+    rows = rows[limiting]
+    q, a = lo[rows], mask[rows]
+    gain = np.divide(f * direction, rates, out=np.zeros_like(rates), where=rates > 0.0)
+    slope[games[passing]] = _margin_slopes(v, q, _solve_rows(-_jacobian(q, f[rows], a), gain[rows]), a)
     return margin, slope
 
 
-def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, direction: np.ndarray):
+def _stable_lfps(rates: np.ndarray, mask, warm_starts: np.ndarray, direction: np.ndarray):
     """Per row, the least fixed point if it is interior with a positive-definite certificate, else None.
 
     Row k is the game with target rates ``rates[k]`` and interference
-    ``mask[k]`` (booleans); rates above 1 lie past the end of every
-    search grid and give None. ``warm_starts[k]`` must be a point known
-    to sit below the row's least fixed point (zeros, Newton's point
-    from zeros, or the least fixed point of the same topology at lower
-    rates). The rows are solved together by the Newton of
-    :func:`newton_lfp`, which gives up on a row as soon as it proves the
-    point cannot be interior and stable.
+    ``mask[k]`` (booleans); ``mask`` may also be the rows'
+    :class:`_Layout`. Rates above 1 lie past the end of every search
+    grid and give None. ``warm_starts[k]`` must be a point known to sit
+    below the row's least fixed point (zeros, Newton's point from zeros,
+    or the least fixed point of the same topology at lower rates). The
+    rows' blocks are solved together by the Newton of
+    :func:`newton_lfp`, which gives up on a block as soon as it proves
+    the point cannot be interior and stable; a row is solved when each
+    of its blocks is.
 
     The certificate is decided at a proven upper bracket of the least
     fixed point (:func:`_stable_above`), not at the solver's estimate,
@@ -186,17 +226,26 @@ def _stable_lfps(rates: np.ndarray, mask: np.ndarray, warm_starts: np.ndarray, d
     and per row the margin and slope of :func:`_stable_above` along the
     rate ``direction`` (NaN for a row that was not bracketed).
     """
-    found = [None] * len(rates)
-    margins, slopes = np.full(len(rates), np.nan), np.full(len(rates), np.nan)
-    rows = np.flatnonzero((rates <= 1.0).all(axis=-1))
-    points, _, converged, _, _ = _newton_rows(warm_starts[rows], rates[rows], mask[rows], DEFAULT_MAX_ITER)
+    layout = mask if isinstance(mask, _Layout) else _whole(mask)
+    count = len(rates)
+    found = [None] * count
+    margins, slopes = np.full(count, np.nan), np.full(count, np.nan)
+    y = layout.gather(rates)
+    rows = np.flatnonzero((y <= 1.0).all(axis=-1))
+    points, _, converged, _, _ = _newton_rows(
+        layout.gather(warm_starts, rows), y[rows], layout.mask[rows], DEFAULT_MAX_ITER
+    )
     rows, points = rows[converged], points[converged]
-    margins[rows], slopes[rows] = _stable_above(points, rates[rows], mask[rows], direction)
-    for row, point in zip(rows, points):
-        if margins[row] > 0.0:
+    # a game is solved when each of its blocks is
+    keep, games, first = _complete(rows, layout.first)
+    rows, points = rows[keep], points[keep]
+    d = layout.gather(direction, rows)
+    margins[games], slopes[games] = _stable_above(points, y[rows], layout.mask[rows], d, first, layout.n)
+    for game, point in zip(games, layout.scatter(points, rows, games)):
+        if margins[game] > 0.0:
             point = point.copy()
             point.flags.writeable = False
-            found[row] = point
+            found[game] = point
     return found, margins, slopes
 
 
@@ -309,25 +358,27 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
     return [(_grid(origin + k * step), solution) for k, solution in zip(lo, best)]
 
 
-def _first_guesses(mask: np.ndarray) -> list:
-    """1/(4 lambda) per interference matrix of the stack ``mask``, lambda the
-    largest eigenvalue of its symmetric part (infinite for lambda = 0)."""
+def _first_guesses(layout: _Layout) -> list:
+    """1/(4 lambda) per game of ``layout``, lambda the largest eigenvalue of
+    the symmetric part of its interference matrix (infinite for lambda =
+    0): the largest of its blocks'."""
     # twice the symmetric part, built in place
-    doubled = mask.astype(float)
-    doubled += np.swapaxes(mask, -1, -2)
-    spread = np.linalg.eigvalsh(doubled)[..., -1] / 2.0
+    doubled = layout.mask.astype(float)
+    doubled += np.swapaxes(layout.mask, -1, -2)
+    spread = _reduce(np.maximum, np.linalg.eigvalsh(doubled)[..., -1], layout.first) / 2.0
     return [_FIRST_PROBE_FRACTION / lam if lam > 0.0 else np.inf for lam in spread]
 
 
-def _rate_searches(base, direction, mask, starts, step, origin=0.0, limit=1.0, guesses=None) -> list:
+def _rate_searches(base, direction, layout, starts, step, origin=0.0, limit=1.0, guesses=None) -> list:
     """Last stable grid value t of every lane along its rate path, all lanes in one lockstep search.
 
-    Lane k is the game with interference ``mask[k]`` and target rates
+    Lane k is game k of ``layout`` (:class:`_Layout`) with target rates
     ``base[k] + t * direction``, t on the grid ``origin + m * step``;
     ``starts[k]`` is its least fixed point at t = ``origin``. Every
-    round solves the live lanes' probes in one :func:`_stable_lfps`
-    call, whose margins and slopes along ``direction`` guide the search
-    (:func:`_last_passing`, which also takes ``limit`` and
+    round solves the blocks of the live lanes' probes in one
+    :func:`_stable_lfps` call, all of a lane's blocks at the lane's
+    value, and the lanes' margins and slopes along ``direction`` guide
+    the search (:func:`_last_passing`, which also takes ``limit`` and
     ``guesses``). Callers keep a call within ``_LANE_ENTRIES`` by
     searching in :func:`_lane_blocks`. Returns ``(t_max, point)`` per
     lane, as :func:`_last_passing` does.
@@ -335,7 +386,7 @@ def _rate_searches(base, direction, mask, starts, step, origin=0.0, limit=1.0, g
 
     def probe(lanes, values, warms):
         rates = base[lanes] + np.array(values)[:, np.newaxis] * direction
-        return _stable_lfps(rates, mask[lanes], np.array(warms), direction)
+        return _stable_lfps(rates, layout.take(lanes), np.array(warms), direction)
 
     return _last_passing(probe, starts, step, origin, limit, guesses)
 
@@ -343,6 +394,7 @@ def _rate_searches(base, direction, mask, starts, step, origin=0.0, limit=1.0, g
 def _common_rates(matrices, step: float) -> list:
     """``(y_max, point)`` of :func:`max_common_rate` for each of ``matrices``, all of one size, in one lockstep search.
 
+    The lanes are laid out by connected components (:func:`_pack`).
     Each lane's first guess is 1/(4 lambda), with lambda the largest
     eigenvalue of the symmetric part of its interference matrix A. No
     rate y >= 1/lambda passes: q* >= y gives F' >= y A entrywise, so the
@@ -354,8 +406,9 @@ def _common_rates(matrices, step: float) -> list:
     them a round.
     """
     mask = np.array([_as_binary_matrix(m) for m in matrices], dtype=bool)
+    layout = _pack(mask)
     zeros = np.zeros(mask.shape[:2])
-    return _rate_searches(zeros, np.ones(mask.shape[-1]), mask, list(zeros), step, guesses=_first_guesses(mask))
+    return _rate_searches(zeros, np.ones(mask.shape[-1]), layout, list(zeros), step, guesses=_first_guesses(layout))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +582,7 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
         masks = np.broadcast_to(mask, (len(cells), 3, 3))
         bases, _, _ = _stable_lfps(cells, masks, np.zeros_like(cells), middle)
         live = [i for i, base in enumerate(bases) if base is not None]
-        found = _rate_searches(cells[live], middle, masks[live], [bases[i] for i in live], step)
+        found = _rate_searches(cells[live], middle, _pack(masks[live]), [bases[i] for i in live], step)
         surface[[block.start + i for i in live]] = [y2 for y2, _ in found]
     return surface.reshape(len(y1_values), len(y3_values))
 
@@ -562,7 +615,7 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     if top == 0.0:
         raise ValueError("all base rates are zero: the demand scale is unbounded")
     ((factor, point),) = _rate_searches(
-        np.zeros((1, game.n)), game.rates, mask, [base_point], step, origin=1.0, limit=1.0 / top
+        np.zeros((1, game.n)), game.rates, _pack(mask), [base_point], step, origin=1.0, limit=1.0 / top
     )
     rates = factor * game.rates
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
@@ -594,7 +647,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
         induced = achieved_rate(q[rows], mask)
         margins, slopes = np.full(len(q), np.nan), np.full(len(q), np.nan)
         f = _response(q[rows], induced, mask)
-        margins[rows], passing, v = _margins_and_vectors(q[rows], f, mask)
+        margins[rows], passing, _, v = _margins_and_vectors(q[rows], f, mask, None, game.n)
         rows = rows[passing]
         slopes[rows] = _margin_slopes(v, q[rows], q_star, mask)
         found = [None] * len(q)

@@ -159,7 +159,7 @@ def leading_minors(c) -> np.ndarray:
 
 
 def _smallest_eigenvalue(c: np.ndarray):
-    """``(lambda_min, margin)`` of the symmetric matrices ``c``; NaN for a non-finite matrix."""
+    """``(lambda_min, norm)`` of the symmetric matrices ``c``, norm the infinity norm; NaN for a non-finite matrix."""
     norm = np.abs(c).sum(axis=-1).max(axis=-1)
     finite = np.isfinite(norm)
     if finite.all():
@@ -168,7 +168,12 @@ def _smallest_eigenvalue(c: np.ndarray):
         # eigvalsh returns garbage for a non-finite matrix, or fails
         zeroed = np.where(finite[..., np.newaxis, np.newaxis], c, 0.0)
         lam = np.where(finite, np.linalg.eigvalsh(zeroed)[..., 0], np.nan)
-    return lam, lam - _EIG_ROUNDING * c.shape[-1] * norm
+    return lam, norm
+
+
+def _margin(lam, norm, n: int):
+    """:func:`pd_margin` of an n x n symmetric matrix from its smallest eigenvalue and infinity norm."""
+    return lam - _EIG_ROUNDING * n * norm
 
 
 def pd_margin(c):
@@ -182,7 +187,8 @@ def pd_margin(c):
     returns an array over them; a matrix with a non-finite entry has
     margin NaN and is not positive definite.
     """
-    return _smallest_eigenvalue(np.asarray(c, dtype=float))[1]
+    c = np.asarray(c, dtype=float)
+    return _margin(*_smallest_eigenvalue(c), c.shape[-1])
 
 
 def sylvester_pd(c):
@@ -237,7 +243,8 @@ def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
     singular = _singular(q, mask)
     good = fixed & ~singular
     c = _certificate(q[good], f[good], mask)
-    lam, margin = _smallest_eigenvalue(c)
+    lam, norm = _smallest_eigenvalue(c)
+    margin = _margin(lam, norm, c.shape[-1])
     clipped = ((f >= 1.0) & (rates > 0.0)).any(axis=-1)
     points = q.copy()
     for arr in (points, c):

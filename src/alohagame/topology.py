@@ -1,4 +1,4 @@
-"""Interference topologies: generators, graph measures, file I/O.
+"""Interference topologies: generators, graph measures, block layouts, file I/O.
 
 Random topologies follow a disk model: players are dropped uniformly
 in a square, the first half get the long transmission range (5 length
@@ -6,12 +6,17 @@ units) and the rest the short one (3), and two players interfere when
 they can reach each other. Positions come from numpy's default
 PCG64 generator seeded explicitly, so a (n, side, seed) triple pins
 the topology bit-for-bit across runs and platforms.
+
+A stack of topologies can be laid out by connected components as
+diagonal blocks of one size (:func:`_pack`), which the rate searches
+solve and decide block by block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,31 +133,213 @@ def connectivity(matrix) -> float:
     return float(a.sum()) / (n * (n - 1))
 
 
+def _component_labels(matrices) -> np.ndarray:
+    """The smallest member of each player's component, for a matrix or a stack of them.
+
+    Components are those of the undirected support (a link in either
+    direction). Labels start at the players' own indices. Each round,
+    every player takes the smallest label among its own and its
+    neighbours', and then the label of that label (pointer jumping),
+    until no label changes. A label only falls and always names a
+    member of the player's component, so it settles at the component's
+    smallest member. One round costs one pass over the links.
+    """
+    a = np.asarray(matrices).astype(bool, copy=False)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    linked = stack | np.swapaxes(stack, -1, -2)
+    diag = np.arange(n)
+    # each player is its own neighbour, so every row has a link
+    linked[:, diag, diag] = True
+    rows, cols = np.nonzero(linked.reshape(-1, n))
+    # players of matrix k are numbered k*n .. k*n + n - 1
+    offsets = rows - rows % n
+    cols += offsets
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    labels = np.arange(len(starts))
+    while True:
+        lower = np.minimum.reduceat(labels[cols], starts)
+        lower = lower[lower]
+        if (lower == labels).all():
+            return (labels - offsets[starts]).reshape(a.shape[:-1])
+        labels = lower
+
+
 def connected_components(matrix) -> list:
     """Components of the undirected support graph (link in either direction).
 
     Returns a list of sorted player-index lists, ordered by smallest
     member.
     """
-    a = np.asarray(matrix)
-    n = a.shape[0]
-    undirected = (a != 0) | (a.T != 0)
-    seen = np.zeros(n, dtype=bool)
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.flatnonzero(undirected[i] & ~seen):
-                seen[j] = True
-                stack.append(j)
-        components.append(sorted(comp))
-    return components
+    labels = _component_labels(matrix)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)]
+
+
+# ---------------------------------------------------------------------------
+# Block layouts by connected components
+# ---------------------------------------------------------------------------
+
+
+class _Layout(NamedTuple):
+    """A stack of games laid out as diagonal blocks of one size m.
+
+    A game's interference graph splits into connected components, and
+    so do its response map, Newton's system and its certificate, so the
+    game can be solved and decided block by block. Block b holds the
+    players ``slots[b]`` of game ``owner[b]`` with the links ``mask[b]``
+    between them; a slot holding n is a padding player, silent and
+    unlinked. Game k's blocks are ``first[k]:first[k + 1]``, and they
+    hold each of its n players once. When each game is one block in
+    player order (:func:`_whole`), ``slots``, ``owner`` and ``first``
+    are None, and the blocks' rows are the games' rows.
+    """
+
+    mask: np.ndarray
+    n: int
+    slots: np.ndarray | None = None
+    owner: np.ndarray | None = None
+    first: np.ndarray | None = None
+
+    def take(self, games: np.ndarray) -> _Layout:
+        """The layout of the games ``games`` of this stack (indices, repeats allowed), in that order."""
+        if self.slots is None:
+            return _Layout(self.mask[games], self.n)
+        counts = self.first[games + 1] - self.first[games]
+        first = np.concatenate(([0], np.cumsum(counts)))
+        rows = np.arange(first[-1]) + np.repeat(self.first[games] - first[:-1], counts)
+        owner = np.repeat(np.arange(len(games)), counts)
+        return _Layout(self.mask[rows], self.n, self.slots[rows], owner, first)
+
+    def gather(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The entries of ``x`` in the blocks ``rows``, 0 for padding.
+
+        ``x`` holds one row of n per game, or one vector of n for every
+        game, which stays one vector when each game is one block.
+        """
+        if self.slots is None:
+            return x if x.ndim == 1 else x[rows]
+        if x.ndim == 1:
+            return np.append(x, 0.0)[self.slots[rows]]
+        padded = np.zeros((len(x), self.n + 1))
+        padded[:, : self.n] = x
+        return padded[self.owner[rows, np.newaxis], self.slots[rows]]
+
+    def scatter(self, y: np.ndarray, rows: np.ndarray, games: np.ndarray) -> np.ndarray:
+        """The points ``y`` of the blocks ``rows``, which make up the games ``games``, in player order: one row of n per game."""
+        if self.slots is None:
+            return y
+        out = np.empty((len(self.first) - 1, self.n + 1))
+        out[self.owner[rows, np.newaxis], self.slots[rows]] = y
+        return out[games, : self.n]
+
+
+def _whole(mask: np.ndarray) -> _Layout:
+    """The layout of the boolean stack ``mask`` with one block per game."""
+    return _Layout(mask, mask.shape[-1])
+
+
+def _reduce(ufunc, values: np.ndarray, first) -> np.ndarray:
+    """``ufunc`` over each game's blocks ``first[k]:first[k + 1]`` of ``values``; ``first`` is None for one block per game."""
+    return values if first is None else ufunc.reduceat(values, first[:-1])
+
+
+def _complete(rows: np.ndarray, first):
+    """The games all of whose blocks are among the blocks ``rows``, given in ascending order.
+
+    Game k's blocks are ``first[k]:first[k + 1]``, or block k alone when
+    ``first`` is None. Returns ``(keep, games, offsets)``: which entries
+    of ``rows`` belong to those games, the games' indices, and the
+    offsets of their blocks among the kept rows (None when ``first``
+    is).
+    """
+    if first is None:
+        return slice(None), rows, None
+    counts = np.diff(first)
+    owner = np.repeat(np.arange(len(counts)), counts)[rows]
+    done = np.bincount(owner, minlength=len(counts)) == counts
+    return done[owner], np.flatnonzero(done), np.concatenate(([0], np.cumsum(counts[done])))
+
+
+# A stack's components are packed into blocks only where that cuts the
+# work of a probe round (Newton's solves, the bracket and the
+# eigenvalues) to _PACK_SHARE of the whole matrices' or less. A block of
+# m players is taken to cost m^3 + _BLOCK_COST: each block is one more
+# row of every stacked call. On the benchmark's sweep inputs a cost of
+# 1000 leaves the n = 20 settings whole (packed, they ran 4-10% slower
+# at 0.04-0.3 of the whole matrices' m^3) and packs the n = 40 and 60,
+# density-0.03 settings (33-55% faster), on a 2-core x86-64 guest with
+# one BLAS thread.
+_PACK_SHARE = 0.25
+_BLOCK_COST = 1000
+
+
+def _first_fit(items: list, capacity: int) -> list:
+    """The bin of each ``(game, size)`` item, packed first-fit into bins of ``capacity``, each game into its own bins."""
+    bins, room, last = [], [], None
+    for game, size in items:
+        if game != last:
+            room, last = [], game
+        for b, left in enumerate(room):
+            if left >= size:
+                break
+        else:
+            b = len(room)
+            room.append(capacity)
+        room[b] -= size
+        bins.append(b)
+    return bins
+
+
+def _pack(mask: np.ndarray) -> _Layout:
+    """The layout of the boolean stack ``mask`` by connected components.
+
+    m is the largest component of the stack. Each game's components are
+    packed first-fit decreasing into blocks of m players, padded with
+    silent, unlinked players; a block lists its players in index order.
+    Where the blocks' work, m^3 + ``_BLOCK_COST`` each, exceeds
+    ``_PACK_SHARE`` of the games' whole matrices', the layout is one
+    block per game (:func:`_whole`).
+    """
+    games, n = mask.shape[0], mask.shape[-1]
+    budget = _PACK_SHARE * games * (n**3 + _BLOCK_COST)
+
+    def least(m):
+        # a game needs at least n / m blocks of m players, which cost
+        # (n / m)(m^3 + c): least at m = (c / 2)^(1/3), and growing above it
+        m = max(m, (_BLOCK_COST / 2.0) ** (1.0 / 3.0))
+        return games * n * (m**2 + _BLOCK_COST / m)
+
+    # a component holds more players than any member interferes with
+    if not games or least(0) > budget or least(int(mask.sum(axis=-1).max()) + 1) > budget:
+        return _whole(mask)
+    labels = _component_labels(mask)
+    sizes = np.bincount((labels + n * np.arange(games)[:, np.newaxis]).ravel(), minlength=games * n)
+    sizes = sizes.reshape(games, n)
+    m = int(sizes.max())
+    if least(m) > budget:
+        return _whole(mask)
+    # each game's components (named by their smallest member), largest first
+    game, root = np.nonzero(sizes)
+    size = sizes[game, root]
+    order = np.lexsort((root, -size, game))
+    bins = np.zeros((games, n), dtype=int)
+    bins[game[order], root[order]] = _first_fit(zip(game[order].tolist(), size[order].tolist()), m)
+    counts = bins.max(axis=1) + 1
+    if counts.sum() * (m**3 + _BLOCK_COST) > budget:
+        return _whole(mask)
+    first = np.concatenate(([0], np.cumsum(counts)))
+    block = (first[:-1, np.newaxis] + np.take_along_axis(bins, labels, axis=1)).ravel()
+    order = np.argsort(block, kind="stable")
+    block = block[order]
+    slots = np.full((first[-1], m), n)
+    slots[block, np.arange(len(block)) - np.searchsorted(block, block)] = order % n
+    owner = np.repeat(np.arange(games), counts)
+    padded = np.zeros((games, n + 1, n + 1), dtype=bool)
+    padded[:, :n, :n] = mask
+    links = padded[owner[:, np.newaxis, np.newaxis], slots[:, :, np.newaxis], slots[:, np.newaxis, :]]
+    return _Layout(links, n, slots, owner, first)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Plain reference implementations that the tests compare the package against.
 
 Each one is the slow, direct form of a faster path in the package:
-the greedy dedup of the oracle's roots, the oracle's box enumeration
+a depth-first search for connected components, the greedy dedup of
+the oracle's roots, the oracle's box enumeration
 that bisects every box down to the leaf width, one oracle call per
 parameter value of a bifurcation sweep, a rate search that walks the
 grid one step at a time with Kleene solves, a verdict that
@@ -10,8 +11,10 @@ check that takes one verdict per point, topology sweeps and
 feasible surfaces with one rate search per trial and per cell instead
 of one lockstep search for them all, and common-rate, demand-scale and
 probability-scale searches that bisect the grid instead of following
-the certificate margin, and the ``solve`` and ``stability`` lines of a
-CLI that took its equilibrium from a best-response ascent.
+the certificate margin, a common-rate search that solves and decides
+every trial on its whole matrix instead of by connected components,
+and the ``solve`` and ``stability`` lines of a CLI that took its
+equilibrium from a best-response ascent.
 """
 
 import numpy as np
@@ -43,6 +46,8 @@ from alohagame import (
     side_for_density,
 )
 from alohagame import experiments, solver
+from alohagame.game import _response
+from alohagame.stability import _certificate, _jacobian
 from alohagame.cli import _fmt_vec
 
 
@@ -54,6 +59,29 @@ def greedy_dedup(points, radius):
         if all(np.abs(p - k).max() > radius for k in kept):
             kept.append(p)
     return kept
+
+
+def dfs_components(matrix):
+    """Components of the undirected support of ``matrix`` by depth-first
+    search from each unvisited player in index order: sorted index lists,
+    ordered by smallest member."""
+    a = np.asarray(matrix)
+    undirected = (a != 0) | (a.T != 0)
+    seen = np.zeros(len(a), dtype=bool)
+    components = []
+    for start in range(len(a)):
+        if seen[start]:
+            continue
+        stack, component = [start], []
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for j in np.flatnonzero(undirected[i] & ~seen):
+                seen[j] = True
+                stack.append(int(j))
+        components.append(sorted(component))
+    return components
 
 
 def diagonal_contraction(lo, hi, row, rates, mask):
@@ -212,6 +240,57 @@ def sweep_one_search_per_trial(settings, trials, step, seed, edge_rule="min"):
                 )
             )
     return records
+
+
+def _dense_stable_above(lo, rates, mask, direction):
+    """Margin and slope per row at the upper bracket of each row's least
+    fixed point, from the row's whole n x n matrices."""
+    f = _response(lo, rates, mask)
+    rounding = (8 + lo.shape[-1]) * np.finfo(float).eps
+    hi = lo + np.abs(solver._solve_rows(-_jacobian(lo, f, mask), np.abs(f - lo) + 1e-12))
+    rows = np.flatnonzero((hi < 1.0).all(axis=-1))
+    f_hi = _response(hi[rows], rates[rows], mask[rows])
+    post = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
+    rows = rows[post]
+    margin, slope = np.full(len(lo), np.nan), np.full(len(lo), np.nan)
+    certificates = _certificate(hi[rows], f_hi[post], mask[rows])
+    margin[rows] = pd_margin(certificates)
+    passing = margin[rows] > 0.0
+    v = experiments._perron_vectors(certificates[passing], margin[rows][passing])
+    rows = rows[passing]
+    q, y, a = lo[rows], rates[rows], mask[rows]
+    gain = np.divide(f[rows] * direction, y, out=np.zeros_like(y), where=y > 0.0)
+    slope[rows] = experiments._margin_slopes(v, q, solver._solve_rows(-_jacobian(q, f[rows], a), gain), a)
+    return margin, slope
+
+
+def common_rates_dense(matrices, step=0.001):
+    """``experiments._common_rates`` with every lane solved and decided on
+    its whole n x n matrix: one Newton row, one bracket and one
+    certificate per probe, whatever the lane's components."""
+    mask = np.array([np.asarray(m) != 0 for m in matrices])
+    n = mask.shape[-1]
+    direction = np.ones(n)
+
+    def probe(lanes, values, warms):
+        rates = np.array(values)[:, np.newaxis] * direction
+        found = [None] * len(lanes)
+        margins, slopes = np.full(len(lanes), np.nan), np.full(len(lanes), np.nan)
+        rows = np.flatnonzero((rates <= 1.0).all(axis=-1))
+        points, _, converged, _, _ = solver._newton_rows(
+            np.array(warms)[rows], rates[rows], mask[lanes][rows], solver.DEFAULT_MAX_ITER
+        )
+        rows, points = rows[converged], points[converged]
+        margins[rows], slopes[rows] = _dense_stable_above(points, rates[rows], mask[lanes][rows], direction)
+        for row, point in zip(rows, points):
+            if margins[row] > 0.0:
+                found[row] = point
+        return found, margins, slopes
+
+    doubled = mask + np.swapaxes(mask, -1, -2).astype(float)
+    spread = np.linalg.eigvalsh(doubled)[..., -1] / 2.0
+    guesses = [experiments._FIRST_PROBE_FRACTION / lam if lam > 0.0 else np.inf for lam in spread]
+    return experiments._last_passing(probe, list(np.zeros((len(mask), n))), step, guesses=guesses)
 
 
 def contour_one_cell_at_a_time(matrix, y1_values, y3_values, step):

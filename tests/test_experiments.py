@@ -27,9 +27,9 @@ from alohagame import (
     stability_consistency,
     write_records_csv,
 )
-from alohagame import experiments, solver, stability
+from alohagame import experiments, solver, stability, topology
 from conftest import Q_STAR, instance_rng, random_game, record_calls
-from reference import bisect_common_rate, bisect_demand_scale, bisect_probability_scale
+from reference import bisect_common_rate, bisect_demand_scale, bisect_probability_scale, common_rates_dense
 from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate
 from reference import sweep_one_search_per_trial
 from reference import sweep_one_value_at_a_time
@@ -650,6 +650,162 @@ class TestLockstep:
             del calls[:]
             assert search() == expected
             assert 2 * calls[0][1] == budget >= max(entries for _, entries in calls)
+
+
+def _setting(n, density, seed, index, trials, edge_rule="min") -> list:
+    """The topologies a sweep draws for its setting ``index``."""
+    side = side_for_density(n, density)
+    return [
+        random_topology(n, side, experiments._trial_seed(seed, index, t), edge_rule=edge_rule)[1]
+        for t in range(trials)
+    ]
+
+
+def _packed(matrices) -> bool:
+    return topology._pack(np.array(matrices, dtype=bool)).slots is not None
+
+
+def _assert_matches_the_dense_search(matrices):
+    found = experiments._common_rates(matrices, experiments.RATE_STEP)
+    dense = common_rates_dense(matrices)
+    assert [y for y, _ in found] == [y for y, _ in dense]
+    for (y_max, point), (_, reference), matrix in zip(found, dense, matrices):
+        assert np.abs(point - reference).max() <= 1e-9
+        if y_max > 0.0:
+            game = Game(matrix, np.full(len(matrix), y_max))
+            assert krasovskii_verdict(point, game, fp_tol=1e-8).stable
+
+
+class TestComponentBlocks:
+    """A common-rate search lays its lanes out by connected components,
+    as diagonal blocks of the stack's largest component, where that cuts
+    the work, and finds what the search on whole matrices finds."""
+
+    def test_packed_layout_holds_every_player_and_link_once(self):
+        matrices = _setting(60, 0.03, 77, 2, 4)
+        mask = np.array(matrices, dtype=bool)
+        layout = topology._pack(mask)
+        n, m = 60, layout.mask.shape[-1]
+        assert m == max(len(c) for a in matrices for c in connected_components(a)) < n
+        for k, a in enumerate(mask):
+            blocks = range(layout.first[k], layout.first[k + 1])
+            assert (layout.owner[blocks.start : blocks.stop] == k).all()
+            players = []
+            for b in blocks:
+                real = layout.slots[b] < n
+                members = layout.slots[b][real]
+                players += members.tolist()
+                assert np.array_equal(layout.mask[b][np.ix_(real, real)], a[np.ix_(members, members)])
+                assert not layout.mask[b][~real].any() and not layout.mask[b][:, ~real].any()
+            assert sorted(players) == list(range(n))
+            assert layout.mask[blocks.start : blocks.stop].sum() == a.sum()
+
+    def test_connected_and_giant_component_lanes_stay_whole(self):
+        giant = _setting(200, 0.1, 3, 0, 2, "max")
+        assert max(len(c) for c in connected_components(giant[0])) > 100
+        for matrices in ([fully_connected_matrix(40)] * 3, [chain_matrix(60)] * 2, giant):
+            layout = topology._pack(np.array(matrices, dtype=bool))
+            assert layout.slots is None and len(layout.mask) == len(matrices)
+
+    def test_edgeless_lanes_end_below_the_limit(self):
+        edgeless = [np.zeros((100, 100), dtype=int)] * 2
+        assert _packed(edgeless)
+        for y_max, point in experiments._common_rates(edgeless, experiments.RATE_STEP):
+            assert y_max == 0.999 and (point == 0.999).all()
+        assert max_common_rate(np.zeros((1, 1)))[0] == 0.999
+
+    def test_isolated_players_beside_a_pair(self):
+        pair = np.zeros((60, 60), dtype=int)
+        pair[3, 41] = pair[41, 3] = 1
+        assert _packed([pair])
+        y_max, point = max_common_rate(pair)
+        assert y_max == 0.249
+        assert point[3] == point[41] > 0.46 and (np.delete(point, [3, 41]) == 0.249).all()
+        _assert_matches_the_dense_search([pair])
+
+    def test_game_margin_is_the_whole_certificates(self):
+        # the margin of a game split into blocks is pd_margin of its
+        # whole certificate, rounding term included
+        matrices = _setting(60, 0.03, 77, 2, 4)
+        mask = np.array(matrices, dtype=bool)
+        layout = topology._pack(mask)
+        assert layout.slots is not None
+        rng = np.random.default_rng(3)
+        q = rng.uniform(0.0, 0.2, (4, 60))
+        rates = achieved_rate(q, mask)
+        f = stability._response(q, rates, mask)
+        blocks = layout.gather(q)
+        margins, passing, limiting, _ = experiments._margins_and_vectors(
+            blocks, layout.gather(f), layout.mask, layout.first, 60
+        )
+        whole = pd_margin(stability._certificate(q, f, mask))
+        assert passing.all() and np.abs(margins - whole).max() <= 1e-14
+        lam = np.linalg.eigvalsh(stability._certificate(blocks, layout.gather(f), layout.mask))[:, 0]
+        assert (layout.owner[limiting] == np.arange(4)).all()
+        for k, b in enumerate(limiting):
+            assert lam[b] == lam[layout.first[k] : layout.first[k + 1]].min()
+
+    def test_matches_the_dense_search_on_criterion_6(self, monkeypatch):
+        # the 14 settings of criterion 6, 30 trials each, in as many
+        # probe rounds as the search on whole matrices
+        calls = record_calls(monkeypatch, experiments, "_newton_rows")
+        dense_calls = record_calls(monkeypatch, solver, "_newton_rows")
+        settings = [(20, d, 2024, i) for i, d in enumerate((0.008, 0.02, 0.05, 0.15, 0.5, 2.0))]
+        settings += [(n, 0.1, 4025, i) for i, n in enumerate((10, 20, 30, 40, 60))]
+        settings += [(n, 0.03, 77, i) for i, n in enumerate((20, 40, 60))]
+        packed = 0
+        for n, density, seed, index in settings:
+            matrices = _setting(n, density, seed, index, 30)
+            packed += _packed(matrices)
+            _assert_matches_the_dense_search(matrices)
+            assert len(calls) == len(dense_calls)
+        assert packed == 2
+
+    def test_matches_the_dense_search_at_large_n(self):
+        pool = [
+            (200, 0.03, "min", 2),
+            (200, 0.03, "max", 1),
+            (200, 0.1, "min", 1),
+            (200, 0.1, "max", 1),
+            (500, 0.03, "min", 1),
+        ]
+        packed = 0
+        for index, (n, density, edge_rule, trials) in enumerate(pool):
+            matrices = _setting(n, density, 21, index, trials, edge_rule)
+            packed += _packed(matrices)
+            _assert_matches_the_dense_search(matrices)
+        assert packed == 3
+
+    def test_packed_sweep_matches_one_search_per_trial(self):
+        # the layout depends on the lanes searched together, so a point
+        # may move by rounding, but no y_max does
+        records = size_sweep(0.03, [40, 60], trials=4, seed=9, include_fully_connected=False)[0]
+        reference = sweep_one_search_per_trial([(40, 0.03), (60, 0.03)], 4, experiments.RATE_STEP, 9)
+        for record, expected in zip(records, reference):
+            fields = _record_fields(record)
+            assert fields[:5] + fields[6:] == _record_fields(expected)[:5] + _record_fields(expected)[6:]
+            assert np.abs(record.point - expected.point).max() <= 1e-9
+        assert _packed(_setting(60, 0.03, 9, 1, 4))
+
+    def test_packed_demand_scale_matches_bisection(self):
+        matrix = _setting(60, 0.03, 5, 0, 1)[0]
+        game = Game(matrix, np.full(60, 0.5 * max_common_rate(matrix)[0]))
+        assert _packed([matrix])
+        demand = max_demand_scale(game)
+        factor, point = bisect_demand_scale(game)
+        assert demand.factor == factor and np.abs(demand.point - point).max() <= 1e-8
+
+    def test_lane_budget_bounds_packed_newton_calls(self, monkeypatch):
+        whole = density_sweep(60, [0.03], trials=6, seed=12)[0]
+        calls = _newton_row_counts(monkeypatch)
+        budget = 2 * 2 * 60 * 60
+        monkeypatch.setattr(experiments, "_LANE_ENTRIES", budget)
+        blocks = density_sweep(60, [0.03], trials=6, seed=12)[0]
+        assert [r.max_common_rate for r in blocks] == [r.max_common_rate for r in whole]
+        assert max(abs(a.point - b.point).max() for a, b in zip(blocks, whole)) <= 1e-9
+        assert budget >= max(entries for _, entries in calls)
+        # the blocks hold fewer entries than the whole matrices would
+        assert calls[0][1] < budget // 2
 
 
 def _search_pool() -> list:

@@ -15,7 +15,8 @@ from alohagame import (
     save_topology,
     side_for_density,
 )
-from alohagame.topology import NodePlacement
+from alohagame.topology import NodePlacement, _component_labels
+from reference import dfs_components
 
 
 class TestGenerators:
@@ -124,6 +125,57 @@ class TestGraphMeasures:
         a = np.zeros((2, 2), dtype=int)
         a[0, 1] = 1  # one-way interference still couples the pair
         assert connected_components(a) == [[0, 1]]
+
+
+def _labelling_pool():
+    """Seeded topologies of both edge rules, relabelled at random, and the
+    edge cases of the labelling."""
+    rng = np.random.default_rng(2121)
+    pool = [np.zeros((1, 1), dtype=int), np.zeros((7, 7), dtype=int), fully_connected_matrix(9)]
+    for n in (2, 5, 40):
+        perm = rng.permutation(n)
+        pool += [chain_matrix(n), chain_matrix(n)[np.ix_(perm, perm)]]
+    asymmetric = np.zeros((6, 6), dtype=int)
+    asymmetric[0, 3] = asymmetric[3, 5] = asymmetric[4, 1] = 1
+    pool.append(asymmetric)
+    for seed in range(60):
+        n = int(rng.integers(2, 70))
+        _, a = random_topology(n, rng.uniform(2.0, 40.0), seed, edge_rule=("min", "max")[seed % 2])
+        perm = rng.permutation(n)
+        pool.append(a[np.ix_(perm, perm)])
+    return pool
+
+
+class TestComponentLabels:
+    """``connected_components`` labels by min-label propagation with
+    pointer jumping, and gives what a depth-first search gives."""
+
+    def test_matches_depth_first_search(self):
+        sizes = set()
+        for matrix in _labelling_pool():
+            components = connected_components(matrix)
+            assert components == dfs_components(matrix)
+            sizes.add(len(components))
+        # edgeless, connected and split topologies all occur
+        assert {1, 7}.issubset(sizes) and len(sizes) >= 10
+
+    def test_asymmetric_links_couple_both_ends(self):
+        a = np.zeros((6, 6), dtype=int)
+        a[0, 3] = a[3, 5] = a[4, 1] = 1
+        assert connected_components(a) == [[0, 3, 5], [1, 4], [2]]
+
+    def test_single_player_and_long_chain(self):
+        assert connected_components(np.zeros((1, 1))) == [[0]]
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(300)
+        assert connected_components(chain_matrix(300)[np.ix_(perm, perm)]) == [list(range(300))]
+
+    def test_stack_labels_each_matrix_by_its_smallest_members(self):
+        matrices = [random_topology(30, 25.0, seed)[1] for seed in range(4)]
+        labels = _component_labels(np.array(matrices))
+        for matrix, row in zip(matrices, labels):
+            for component in dfs_components(matrix):
+                assert (row[component] == component[0]).all()
 
 
 class TestTopologyFiles:
