@@ -20,13 +20,14 @@ feasible grid are lanes of one search: a round solves every live lane's
 probes in one batched Newton and one batched bracket, and each lane
 probes the values its own search would.
 
-The rate searches solve and decide their lanes by connected components
-(:func:`alohagame.topology._pack`): where it cuts the work, each lane's
-components are packed into diagonal blocks of one size, every block is
-a row of the batched Newton and bracket, and a lane passes when each of
-its blocks is bracketed and its whole certificate's margin, the
-smallest block eigenvalue less the rounding term of the lane's n x n
-matrix, is positive. Elsewhere each lane is one block.
+The rate searches solve and decide their lanes as diagonal blocks of
+one size, the same number per lane (:class:`alohagame.topology._Layout`):
+where it cuts the work, each lane's connected components are packed
+into blocks (:func:`alohagame.topology._pack`), and elsewhere each lane
+is one block. Every block is a row of the batched Newton and bracket,
+and a lane passes when each of its blocks is bracketed and its whole
+certificate's margin, the smallest block eigenvalue less the rounding
+term of the lane's n x n matrix, is positive.
 """
 
 from __future__ import annotations
@@ -40,17 +41,7 @@ from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_posit
 from .game import achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
 from .solver import DEFAULT_MAX_ITER, _fixed_point_sets, _newton_rows, _solve_rows
 from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _margin, _smallest_eigenvalue, _verdicts, krasovskii_verdict
-from .topology import (
-    _complete,
-    _Layout,
-    _pack,
-    _reduce,
-    _whole,
-    connectivity,
-    fully_connected_matrix,
-    random_topology,
-    side_for_density,
-)
+from .topology import _Layout, _pack, _whole, connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
     "BranchPoint",
@@ -105,31 +96,28 @@ def _perron_vectors(certificates: np.ndarray, margins: np.ndarray) -> np.ndarray
     return v
 
 
-def _margins_and_vectors(q: np.ndarray, f: np.ndarray, mask, first, n: int):
+def _margins_and_vectors(q: np.ndarray, f: np.ndarray, mask, blocks: int, n: int):
     """Certificate margins of games laid out as blocks, and the Perron vectors of the games that pass.
 
-    Game k's blocks are the rows ``first[k]:first[k + 1]`` of the
-    points q, or row k alone when ``first`` is None; ``f`` is the
-    response at q and ``mask`` the interference (one matrix, or one per
-    block). A game's certificate is block diagonal, so its smallest
-    eigenvalue is its blocks' smallest and its infinity norm their
-    largest: its margin is :func:`pd_margin` of the whole n x n matrix.
-    Returns ``(margins, passing, limiting, v)``: per game, its margin
-    and whether that is positive; per passing game, its limiting block,
-    the one of the smallest eigenvalue (the first on a tie), and the
+    Game k's blocks are the rows ``k * blocks`` to ``k * blocks + blocks
+    - 1`` of the points q; ``f`` is the response at q and ``mask`` the
+    interference (one matrix, or one per block). A game's certificate
+    is block diagonal, so its smallest eigenvalue is its blocks'
+    smallest and its infinity norm their largest: its margin is
+    :func:`pd_margin` of the whole n x n matrix. Returns ``(margins,
+    passing, limiting, v)``: per game, its margin and whether that is
+    positive; per passing game, its limiting block, the one of the
+    smallest eigenvalue (the first on a tie), and the
     :func:`_perron_vectors` of that block's certificate. The
     certificates are freed on return, before a caller's slopes take
     their temporaries.
     """
     certificates = _certificate(q, f, mask)
     lam, norm = _smallest_eigenvalue(certificates)
-    margins = _margin(_reduce(np.minimum, lam, first), _reduce(np.maximum, norm, first), n)
+    lam = lam.reshape(-1, blocks)
+    margins = _margin(lam.min(axis=1), norm.reshape(-1, blocks).max(axis=1), n)
     passing = margins > 0.0
-    if first is None:
-        limiting = np.flatnonzero(passing)
-    else:
-        owner = np.repeat(np.arange(len(first) - 1), np.diff(first))
-        limiting = np.lexsort((lam, owner))[first[:-1][passing]]
+    limiting = (lam.argmin(axis=1) + blocks * np.arange(len(lam)))[passing]
     return margins, passing, limiting, _perron_vectors(certificates[limiting], margins[passing])
 
 
@@ -145,14 +133,13 @@ def _margin_slopes(v: np.ndarray, q: np.ndarray, dq, mask) -> np.ndarray:
     return -2.0 * ((v * dq) * image[..., 0] + (v * q) * image[..., 1]).sum(axis=-1)
 
 
-def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction: np.ndarray, first, n: int):
+def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction: np.ndarray, blocks: int, n: int):
     """Certificate margin, and its slope, at a proven upper bracket of each game's least fixed point.
 
-    Game k of n players is laid out as the blocks ``first[k]:first[k +
-    1]``, or block k alone when ``first`` is None. Block b has target
-    rates ``rates[b]`` and interference ``mask[b]``, and ``lo[b]`` lies
-    below its least fixed point q*; ``direction`` is the rates'
-    direction, per block or one vector for all. Every hi < 1 with
+    Game k of n players is laid out as the blocks ``k * blocks`` to
+    ``k * blocks + blocks - 1``. Block b has target rates ``rates[b]``,
+    interference ``mask[b]`` and rate direction ``direction[b]``, and
+    ``lo[b]`` lies below its least fixed point q*. Every hi < 1 with
     F(hi) <= hi lies above q*, because the least fixed point lies below
     every post-fixed point (Knaster-Tarski); the computed F(hi) must
     clear hi by the rounding error of an n-player response. Below 1 no
@@ -183,16 +170,17 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction
     rounding = (8 + n) * np.finfo(float).eps
     # the Jacobian of the drift F(q) - q is F'(lo) - I
     hi = lo + np.abs(_solve_rows(-_jacobian(lo, f, mask), np.abs(f - lo) + 1e-12))
-    rows = np.flatnonzero((hi < 1.0).all(axis=-1))
+    post = (hi < 1.0).all(axis=-1)
+    rows = np.flatnonzero(post)
     f_hi = _response(hi[rows], rates[rows], mask[rows])
-    post = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
-    rows, f_hi = rows[post], f_hi[post]
-    count = len(lo) if first is None else len(first) - 1
+    post[rows] = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
     # a game is bracketed when each of its blocks is
-    keep, games, first = _complete(rows, first)
+    bracketed = post.reshape(-1, blocks).all(axis=1)
+    games = np.flatnonzero(bracketed)
+    keep = bracketed[rows // blocks]
     rows, f_hi = rows[keep], f_hi[keep]
-    margin, slope = np.full(count, np.nan), np.full(count, np.nan)
-    margin[games], passing, limiting, v = _margins_and_vectors(hi[rows], f_hi, mask[rows], first, n)
+    margin, slope = np.full(len(bracketed), np.nan), np.full(len(bracketed), np.nan)
+    margin[games], passing, limiting, v = _margins_and_vectors(hi[rows], f_hi, mask[rows], blocks, n)
     rows = rows[limiting]
     q, a = lo[rows], mask[rows]
     gain = np.divide(f * direction, rates, out=np.zeros_like(rates), where=rates > 0.0)
@@ -227,21 +215,22 @@ def _stable_lfps(rates: np.ndarray, mask, warm_starts: np.ndarray, direction: np
     rate ``direction`` (NaN for a row that was not bracketed).
     """
     layout = mask if isinstance(mask, _Layout) else _whole(mask)
-    count = len(rates)
+    count, blocks = len(rates), layout.blocks
     found = [None] * count
     margins, slopes = np.full(count, np.nan), np.full(count, np.nan)
-    y = layout.gather(rates)
-    rows = np.flatnonzero((y <= 1.0).all(axis=-1))
+    games = np.flatnonzero((rates <= 1.0).all(axis=-1))
+    rows = layout.rows(games)
+    y = layout.gather(rates, rows)
     points, _, converged, _, _ = _newton_rows(
-        layout.gather(warm_starts, rows), y[rows], layout.mask[rows], DEFAULT_MAX_ITER
+        layout.gather(warm_starts, rows), y, layout.mask[rows], DEFAULT_MAX_ITER
     )
-    rows, points = rows[converged], points[converged]
     # a game is solved when each of its blocks is
-    keep, games, first = _complete(rows, layout.first)
-    rows, points = rows[keep], points[keep]
+    solved = converged.reshape(-1, blocks).all(axis=1)
+    games, keep = games[solved], solved.repeat(blocks)
+    rows, y, points = rows[keep], y[keep], points[keep]
     d = layout.gather(direction, rows)
-    margins[games], slopes[games] = _stable_above(points, y[rows], layout.mask[rows], d, first, layout.n)
-    for game, point in zip(games, layout.scatter(points, rows, games)):
+    margins[games], slopes[games] = _stable_above(points, y, layout.mask[rows], d, blocks, layout.n)
+    for game, point in zip(games, layout.scatter(points, rows)):
         if margins[game] > 0.0:
             point = point.copy()
             point.flags.writeable = False
@@ -365,7 +354,7 @@ def _first_guesses(layout: _Layout) -> list:
     # twice the symmetric part, built in place
     doubled = layout.mask.astype(float)
     doubled += np.swapaxes(layout.mask, -1, -2)
-    spread = _reduce(np.maximum, np.linalg.eigvalsh(doubled)[..., -1], layout.first) / 2.0
+    spread = np.linalg.eigvalsh(doubled)[..., -1].reshape(-1, layout.blocks).max(axis=1) / 2.0
     return [_FIRST_PROBE_FRACTION / lam if lam > 0.0 else np.inf for lam in spread]
 
 
@@ -647,7 +636,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
         induced = achieved_rate(q[rows], mask)
         margins, slopes = np.full(len(q), np.nan), np.full(len(q), np.nan)
         f = _response(q[rows], induced, mask)
-        margins[rows], passing, _, v = _margins_and_vectors(q[rows], f, mask, None, game.n)
+        margins[rows], passing, _, v = _margins_and_vectors(q[rows], f, mask, 1, game.n)
         rows = rows[passing]
         slopes[rows] = _margin_slopes(v, q[rows], q_star, mask)
         found = [None] * len(q)

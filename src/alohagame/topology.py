@@ -7,9 +7,10 @@ they can reach each other. Positions come from numpy's default
 PCG64 generator seeded explicitly, so a (n, side, seed) triple pins
 the topology bit-for-bit across runs and platforms.
 
-A stack of topologies can be laid out by connected components as
-diagonal blocks of one size (:func:`_pack`), which the rate searches
-solve and decide block by block.
+A stack of topologies is laid out as diagonal blocks of one size, the
+same number per topology: by connected components (:func:`_pack`), or
+one block per topology (:func:`_whole`). The rate searches solve and
+decide either layout block by block.
 """
 
 from __future__ import annotations
@@ -114,10 +115,16 @@ def random_topology(n: int, side: float, seed, edge_rule: str = "min"):
     positions = rng.uniform(0.0, side, size=(n, 2))
     ranges = np.where(np.arange(n) < math.ceil(n / 2), RANGE_LONG, RANGE_SHORT)
 
-    delta = positions[:, np.newaxis, :] - positions[np.newaxis, :, :]
-    dist = np.sqrt((delta**2).sum(axis=-1))
+    # distances one coordinate at a time, in place: two n x n arrays
+    x, y = positions.T
+    dist = np.subtract.outer(x, x)
+    dist **= 2
+    work = np.subtract.outer(y, y)
+    work **= 2
+    dist += work
+    np.sqrt(dist, out=dist)
     combine = np.minimum if edge_rule == "min" else np.maximum
-    reach = combine(ranges[:, np.newaxis], ranges[np.newaxis, :])
+    reach = combine(ranges[:, np.newaxis], ranges[np.newaxis, :], out=work)
     a = (dist <= reach).astype(np.int8)
     np.fill_diagonal(a, 0)
     a.flags.writeable = False
@@ -183,83 +190,58 @@ def connected_components(matrix) -> list:
 
 
 class _Layout(NamedTuple):
-    """A stack of games laid out as diagonal blocks of one size m.
+    """A stack of games laid out as diagonal blocks of one size m, the same number of blocks per game.
 
     A game's interference graph splits into connected components, and
     so do its response map, Newton's system and its certificate, so the
     game can be solved and decided block by block. Block b holds the
-    players ``slots[b]`` of game ``owner[b]`` with the links ``mask[b]``
-    between them; a slot holding n is a padding player, silent and
-    unlinked. Game k's blocks are ``first[k]:first[k + 1]``, and they
-    hold each of its n players once. When each game is one block in
-    player order (:func:`_whole`), ``slots``, ``owner`` and ``first``
-    are None, and the blocks' rows are the games' rows.
+    players ``slots[b]`` of game ``b // blocks`` with the links
+    ``mask[b]`` between them; a slot holding n is a padding player,
+    silent and unlinked. Game k's blocks are the rows ``k * blocks`` to
+    ``k * blocks + blocks - 1``, and they hold each of its n players
+    once. A block of padding players alone solves at 0 with the
+    certificate 2I, so it never limits its game ahead of a real block.
     """
 
     mask: np.ndarray
+    slots: np.ndarray
     n: int
-    slots: np.ndarray | None = None
-    owner: np.ndarray | None = None
-    first: np.ndarray | None = None
+    blocks: int
+
+    def rows(self, games: np.ndarray) -> np.ndarray:
+        """The blocks of the games ``games``, game by game."""
+        return (games[:, np.newaxis] * self.blocks + np.arange(self.blocks)).ravel()
 
     def take(self, games: np.ndarray) -> _Layout:
         """The layout of the games ``games`` of this stack (indices, repeats allowed), in that order."""
-        if self.slots is None:
-            return _Layout(self.mask[games], self.n)
-        counts = self.first[games + 1] - self.first[games]
-        first = np.concatenate(([0], np.cumsum(counts)))
-        rows = np.arange(first[-1]) + np.repeat(self.first[games] - first[:-1], counts)
-        owner = np.repeat(np.arange(len(games)), counts)
-        return _Layout(self.mask[rows], self.n, self.slots[rows], owner, first)
+        rows = self.rows(games)
+        return _Layout(self.mask[rows], self.slots[rows], self.n, self.blocks)
 
-    def gather(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def gather(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The entries of ``x`` in the blocks ``rows``, 0 for padding.
 
         ``x`` holds one row of n per game, or one vector of n for every
-        game, which stays one vector when each game is one block.
+        game.
         """
-        if self.slots is None:
-            return x if x.ndim == 1 else x[rows]
+        slots = self.slots[rows]
         if x.ndim == 1:
-            return np.append(x, 0.0)[self.slots[rows]]
+            return np.append(x, 0.0)[slots]
         padded = np.zeros((len(x), self.n + 1))
         padded[:, : self.n] = x
-        return padded[self.owner[rows, np.newaxis], self.slots[rows]]
+        return padded[rows[:, np.newaxis] // self.blocks, slots]
 
-    def scatter(self, y: np.ndarray, rows: np.ndarray, games: np.ndarray) -> np.ndarray:
-        """The points ``y`` of the blocks ``rows``, which make up the games ``games``, in player order: one row of n per game."""
-        if self.slots is None:
-            return y
-        out = np.empty((len(self.first) - 1, self.n + 1))
-        out[self.owner[rows, np.newaxis], self.slots[rows]] = y
-        return out[games, : self.n]
+    def scatter(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The points ``y`` of the blocks ``rows``, all blocks of some games, in player order: one row of n per game."""
+        games = len(rows) // self.blocks
+        out = np.empty((games, self.n + 1))
+        out[np.arange(games).repeat(self.blocks)[:, np.newaxis], self.slots[rows]] = y
+        return out[:, : self.n]
 
 
 def _whole(mask: np.ndarray) -> _Layout:
-    """The layout of the boolean stack ``mask`` with one block per game."""
-    return _Layout(mask, mask.shape[-1])
-
-
-def _reduce(ufunc, values: np.ndarray, first) -> np.ndarray:
-    """``ufunc`` over each game's blocks ``first[k]:first[k + 1]`` of ``values``; ``first`` is None for one block per game."""
-    return values if first is None else ufunc.reduceat(values, first[:-1])
-
-
-def _complete(rows: np.ndarray, first):
-    """The games all of whose blocks are among the blocks ``rows``, given in ascending order.
-
-    Game k's blocks are ``first[k]:first[k + 1]``, or block k alone when
-    ``first`` is None. Returns ``(keep, games, offsets)``: which entries
-    of ``rows`` belong to those games, the games' indices, and the
-    offsets of their blocks among the kept rows (None when ``first``
-    is).
-    """
-    if first is None:
-        return slice(None), rows, None
-    counts = np.diff(first)
-    owner = np.repeat(np.arange(len(counts)), counts)[rows]
-    done = np.bincount(owner, minlength=len(counts)) == counts
-    return done[owner], np.flatnonzero(done), np.concatenate(([0], np.cumsum(counts[done])))
+    """The layout of the boolean stack ``mask`` with one block per game, its players in order."""
+    games, n = mask.shape[0], mask.shape[-1]
+    return _Layout(mask, np.broadcast_to(np.arange(n), (games, n)), n, 1)
 
 
 # A stack's components are packed into blocks only where that cuts the
@@ -298,9 +280,10 @@ def _pack(mask: np.ndarray) -> _Layout:
     m is the largest component of the stack. Each game's components are
     packed first-fit decreasing into blocks of m players, padded with
     silent, unlinked players; a block lists its players in index order.
-    Where the blocks' work, m^3 + ``_BLOCK_COST`` each, exceeds
-    ``_PACK_SHARE`` of the games' whole matrices', the layout is one
-    block per game (:func:`_whole`).
+    Every game gets as many blocks as the game that needs the most, its
+    last ones all padding where it needs fewer. Where the blocks' work,
+    m^3 + ``_BLOCK_COST`` each, exceeds ``_PACK_SHARE`` of the games'
+    whole matrices', the layout is one block per game (:func:`_whole`).
     """
     games, n = mask.shape[0], mask.shape[-1]
     budget = _PACK_SHARE * games * (n**3 + _BLOCK_COST)
@@ -326,20 +309,19 @@ def _pack(mask: np.ndarray) -> _Layout:
     order = np.lexsort((root, -size, game))
     bins = np.zeros((games, n), dtype=int)
     bins[game[order], root[order]] = _first_fit(zip(game[order].tolist(), size[order].tolist()), m)
-    counts = bins.max(axis=1) + 1
-    if counts.sum() * (m**3 + _BLOCK_COST) > budget:
+    blocks = int(bins.max()) + 1
+    if games * blocks * (m**3 + _BLOCK_COST) > budget:
         return _whole(mask)
-    first = np.concatenate(([0], np.cumsum(counts)))
-    block = (first[:-1, np.newaxis] + np.take_along_axis(bins, labels, axis=1)).ravel()
+    block = (blocks * np.arange(games)[:, np.newaxis] + np.take_along_axis(bins, labels, axis=1)).ravel()
     order = np.argsort(block, kind="stable")
     block = block[order]
-    slots = np.full((first[-1], m), n)
+    slots = np.full((games * blocks, m), n)
     slots[block, np.arange(len(block)) - np.searchsorted(block, block)] = order % n
-    owner = np.repeat(np.arange(games), counts)
+    owner = np.arange(games).repeat(blocks)
     padded = np.zeros((games, n + 1, n + 1), dtype=bool)
     padded[:, :n, :n] = mask
     links = padded[owner[:, np.newaxis, np.newaxis], slots[:, :, np.newaxis], slots[:, np.newaxis, :]]
-    return _Layout(links, n, slots, owner, first)
+    return _Layout(links, slots, n, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -662,7 +662,8 @@ def _setting(n, density, seed, index, trials, edge_rule="min") -> list:
 
 
 def _packed(matrices) -> bool:
-    return topology._pack(np.array(matrices, dtype=bool)).slots is not None
+    layout = topology._pack(np.array(matrices, dtype=bool))
+    return layout.mask.shape[-1] < layout.n
 
 
 def _assert_matches_the_dense_search(matrices):
@@ -687,9 +688,9 @@ class TestComponentBlocks:
         layout = topology._pack(mask)
         n, m = 60, layout.mask.shape[-1]
         assert m == max(len(c) for a in matrices for c in connected_components(a)) < n
+        assert len(layout.mask) == len(layout.slots) == 4 * layout.blocks
         for k, a in enumerate(mask):
-            blocks = range(layout.first[k], layout.first[k + 1])
-            assert (layout.owner[blocks.start : blocks.stop] == k).all()
+            blocks = range(k * layout.blocks, (k + 1) * layout.blocks)
             players = []
             for b in blocks:
                 real = layout.slots[b] < n
@@ -705,7 +706,8 @@ class TestComponentBlocks:
         assert max(len(c) for c in connected_components(giant[0])) > 100
         for matrices in ([fully_connected_matrix(40)] * 3, [chain_matrix(60)] * 2, giant):
             layout = topology._pack(np.array(matrices, dtype=bool))
-            assert layout.slots is None and len(layout.mask) == len(matrices)
+            assert layout.mask.shape[-1] == layout.n and layout.blocks == 1 and len(layout.mask) == len(matrices)
+            assert (layout.slots == np.arange(layout.n)).all()
 
     def test_edgeless_lanes_end_below_the_limit(self):
         edgeless = [np.zeros((100, 100), dtype=int)] * 2
@@ -729,21 +731,37 @@ class TestComponentBlocks:
         matrices = _setting(60, 0.03, 77, 2, 4)
         mask = np.array(matrices, dtype=bool)
         layout = topology._pack(mask)
-        assert layout.slots is not None
+        assert layout.mask.shape[-1] < layout.n
         rng = np.random.default_rng(3)
         q = rng.uniform(0.0, 0.2, (4, 60))
         rates = achieved_rate(q, mask)
         f = stability._response(q, rates, mask)
-        blocks = layout.gather(q)
+        rows = np.arange(len(layout.mask))
+        blocks = layout.gather(q, rows)
         margins, passing, limiting, _ = experiments._margins_and_vectors(
-            blocks, layout.gather(f), layout.mask, layout.first, 60
+            blocks, layout.gather(f, rows), layout.mask, layout.blocks, 60
         )
         whole = pd_margin(stability._certificate(q, f, mask))
         assert passing.all() and np.abs(margins - whole).max() <= 1e-14
-        lam = np.linalg.eigvalsh(stability._certificate(blocks, layout.gather(f), layout.mask))[:, 0]
-        assert (layout.owner[limiting] == np.arange(4)).all()
+        lam = np.linalg.eigvalsh(stability._certificate(blocks, layout.gather(f, rows), layout.mask))[:, 0]
+        assert (limiting // layout.blocks == np.arange(4)).all()
         for k, b in enumerate(limiting):
-            assert lam[b] == lam[layout.first[k] : layout.first[k + 1]].min()
+            assert lam[b] == lam[k * layout.blocks : (k + 1) * layout.blocks].min()
+
+    def test_padding_only_blocks_limit_nothing(self):
+        # 30 disjoint pairs need 30 blocks of 3 players, 20 disjoint
+        # chain3s 20: the chain game's last 10 blocks are padding alone
+        pairs, chains = np.zeros((60, 60), dtype=int), np.zeros((60, 60), dtype=int)
+        for k in range(30):
+            pairs[2 * k, 2 * k + 1] = pairs[2 * k + 1, 2 * k] = 1
+        for k in range(20):
+            chains[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = CHAIN
+        layout = topology._pack(np.array([pairs, chains], dtype=bool))
+        assert (layout.blocks, layout.mask.shape[-1]) == (30, 3)
+        assert (layout.slots[50:] == 60).all() and (layout.slots[30:50] < 60).all()
+        found = experiments._common_rates([pairs, chains], experiments.RATE_STEP)
+        assert [y for y, _ in found] == [0.249, 0.191]
+        _assert_matches_the_dense_search([pairs, chains])
 
     def test_matches_the_dense_search_on_criterion_6(self, monkeypatch):
         # the 14 settings of criterion 6, 30 trials each, in as many

@@ -15,7 +15,7 @@ from alohagame import (
     save_topology,
     side_for_density,
 )
-from alohagame.topology import NodePlacement, _component_labels
+from alohagame.topology import NodePlacement, _component_labels, _pack, _whole
 from reference import dfs_components
 
 
@@ -63,6 +63,18 @@ class TestGenerators:
             differ += int(not np.array_equal(a_min, a_max))
         # mixed ranges make the rules disagree on mid-distance pairs
         assert differ > 0
+
+    def test_links_match_the_distance_formula_bit_for_bit(self):
+        # the in-place, one-coordinate-at-a-time distances give the
+        # links of the plain (n, n, 2) difference formula
+        for n, seed in ((1, 0), (2, 1), (57, 2), (300, 3)):
+            for rule, combine in (("min", np.minimum), ("max", np.maximum)):
+                placement, a = random_topology(n, side_for_density(n, 0.1), seed, edge_rule=rule)
+                p, r = placement.positions, placement.ranges
+                dist = np.sqrt(((p[:, np.newaxis, :] - p[np.newaxis, :, :]) ** 2).sum(axis=-1))
+                expected = (dist <= combine(r[:, np.newaxis], r[np.newaxis, :])).astype(np.int8)
+                np.fill_diagonal(expected, 0)
+                assert a.tobytes() == expected.tobytes()
 
     def test_bad_edge_rule(self):
         with pytest.raises(ValueError, match="edge_rule"):
@@ -176,6 +188,64 @@ class TestComponentLabels:
         for matrix, row in zip(matrices, labels):
             for component in dfs_components(matrix):
                 assert (row[component] == component[0]).all()
+
+
+def _layout_stacks():
+    """Seeded stacks of one size, packed and not, with edgeless stacks, n = 1
+    and a stack whose games need unequal numbers of blocks."""
+    stacks = [np.zeros((3, 1, 1), dtype=bool), np.zeros((2, 100, 100), dtype=bool), np.zeros((2, 7, 7), dtype=bool)]
+    for n, density, rule in ((10, 0.1, "min"), (40, 0.03, "max"), (60, 0.03, "min"), (200, 0.03, "min")):
+        side = side_for_density(n, density)
+        stacks.append(np.array([random_topology(n, side, seed, edge_rule=rule)[1] for seed in range(4)], dtype=bool))
+    pairs, chains = np.zeros((60, 60), dtype=bool), np.zeros((60, 60), dtype=bool)
+    for k in range(30):
+        pairs[2 * k, 2 * k + 1] = pairs[2 * k + 1, 2 * k] = True
+    for k in range(20):
+        chains[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = chain_matrix(3)
+    stacks.append(np.array([pairs, chains]))
+    return stacks
+
+
+class TestLayouts:
+    """One block layout for whole and packed stacks: game k is the blocks
+    k * blocks to k * blocks + blocks - 1, and padding slots hold n."""
+
+    @pytest.mark.parametrize("layout_of", [_whole, _pack])
+    def test_layout_invariants(self, layout_of):
+        rng = np.random.default_rng(8)
+        packed = 0
+        for mask in _layout_stacks():
+            games, n = mask.shape[0], mask.shape[-1]
+            layout = layout_of(mask)
+            packed += layout.mask.shape[-1] < n
+            b, m = layout.blocks, layout.mask.shape[-1]
+            assert layout.n == n and layout.mask.shape == (games * b, m, m) and layout.slots.shape == (games * b, m)
+            for k, a in enumerate(mask):
+                slots = layout.slots[k * b : (k + 1) * b]
+                # every player sits in exactly one slot of its game
+                assert np.array_equal(np.sort(slots[slots < n]), np.arange(n))
+                links = 0
+                for block, members in zip(layout.mask[k * b : (k + 1) * b], slots):
+                    real = members < n
+                    assert np.array_equal(block[np.ix_(real, real)], a[np.ix_(members[real], members[real])])
+                    assert not block[~real].any() and not block[:, ~real].any()
+                    links += block.sum()
+                assert links == a.sum()
+            x = rng.uniform(size=(games, n))
+            rows = np.arange(games * b)
+            assert layout.scatter(layout.gather(x, rows), rows).tobytes() == x.tobytes()
+            some = layout.rows(np.arange(0, games, 2))
+            assert layout.scatter(layout.gather(x, some), some).tobytes() == x[::2].tobytes()
+            assert (layout.gather(x[0], rows) == layout.gather(np.tile(x[0], (games, 1)), rows)).all()
+            picks = np.array([games - 1, 0, games - 1])
+            taken = layout.take(picks)
+            assert taken.blocks == b and np.array_equal(taken.rows(np.arange(3)), np.arange(3 * b))
+            for i, k in enumerate(picks):
+                assert np.array_equal(taken.mask[i * b : (i + 1) * b], layout.mask[k * b : (k + 1) * b])
+                assert np.array_equal(taken.slots[i * b : (i + 1) * b], layout.slots[k * b : (k + 1) * b])
+            gathered = taken.gather(x[picks], taken.rows(np.arange(3)))
+            assert np.array_equal(gathered, layout.gather(x, layout.rows(picks)))
+        assert packed == (0 if layout_of is _whole else 5)
 
 
 class TestTopologyFiles:
