@@ -39,7 +39,7 @@ import numpy as np
 
 from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _response, _write_csv
 from .game import achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
-from .solver import DEFAULT_MAX_ITER, _fixed_point_sets, _newton_rows, _solve_rows
+from .solver import DEFAULT_MAX_ITER, _newton_rows, _roots, _solve_rows
 from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _margin, _smallest_eigenvalue, _verdicts, krasovskii_verdict
 from .topology import _Layout, _pack, _whole, connectivity, fully_connected_matrix, random_topology, side_for_density
 
@@ -161,15 +161,18 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction
     solution path's slope q' = (I - F'(lo))^-1 b as the rates move along
     ``rates + t * direction``: b_i = F_i(lo) direction_i / rates_i where
     rates_i > 0, and 0 elsewhere. One response evaluation per point, one
-    stacked solve and one eigenvalue solve serve all blocks; the slopes
-    take two more stacked solves over the limiting blocks.
+    stacked solve for both d and q' and one eigenvalue solve serve all
+    blocks; the slopes take one more stacked solve over the limiting
+    blocks.
     """
     f = _response(lo, rates, mask)
     # relative rounding of a computed response: a success product of
     # at most n - 1 factors and one quotient
     rounding = (8 + n) * np.finfo(float).eps
-    # the Jacobian of the drift F(q) - q is F'(lo) - I
-    hi = lo + np.abs(_solve_rows(-_jacobian(lo, f, mask), np.abs(f - lo) + 1e-12))
+    gain = np.divide(f * direction, rates, out=np.zeros_like(rates), where=rates > 0.0)
+    # the Jacobian of the drift F(q) - q is F'(lo) - I; the columns are d and q'
+    steps = _solve_rows(-_jacobian(lo, f, mask), np.stack([np.abs(f - lo) + 1e-12, gain], axis=-1))
+    hi = lo + np.abs(steps[..., 0])
     post = (hi < 1.0).all(axis=-1)
     rows = np.flatnonzero(post)
     f_hi = _response(hi[rows], rates[rows], mask[rows])
@@ -182,9 +185,7 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction
     margin, slope = np.full(len(bracketed), np.nan), np.full(len(bracketed), np.nan)
     margin[games], passing, limiting, v = _margins_and_vectors(hi[rows], f_hi, mask[rows], blocks, n)
     rows = rows[limiting]
-    q, a = lo[rows], mask[rows]
-    gain = np.divide(f * direction, rates, out=np.zeros_like(rates), where=rates > 0.0)
-    slope[games[passing]] = _margin_slopes(v, q, _solve_rows(-_jacobian(q, f[rows], a), gain[rows]), a)
+    slope[games[passing]] = _margin_slopes(v, lo[rows], steps[rows, :, 1], mask[rows])
     return margin, slope
 
 
@@ -452,8 +453,10 @@ def bifurcation_sweep(
     Finds every parameter value's roots with the box-exclusion oracle
     of :func:`multistart_fixed_points` (so the instance must respect the
     oracle's size limit), in one enumeration whose boxes for all values
-    contract and bisect together, and classifies every root of every
-    value with the Krasovskii certificate in one batched verdict. A root
+    contract and bisect together, and one merge of every value's roots.
+    One sort then orders every value's roots by their sum, one batched
+    verdict classifies them all with the Krasovskii certificate, and
+    per-value counts of strictly interior roots locate the fold. A root
     whose Jacobian is singular (a neighbour coordinate at 1) is marked
     "singular". ``varying_index`` must name a player, 0..n-1. The matrix
     and the rates of every value are validated once, before any solve.
@@ -479,37 +482,31 @@ def bifurcation_sweep(
     rates = np.repeat(fixed[np.newaxis], len(values), axis=0)
     rates[:, index] = values
     rates = _as_rates(rates, (len(values), n))
-    rows = [
-        sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
-        for fps in (_fixed_point_sets(rates, a) if len(values) else [])
+    if not len(values):
+        return BifurcationBranch(index, values, [], None, None)
+    roots, owner = _roots(rates, a)
+    # each value's roots by their sum, then their coordinates
+    order = np.lexsort((*roots.T[::-1], roots.sum(axis=1), owner))
+    roots, owner = roots[order], owner[order]
+    roots.flags.writeable = False
+    points = [
+        BranchPoint(p, False, "singular") if isinstance(v, ValueError) else BranchPoint(p, v.stable, v.classification)
+        for p, v in zip(roots, _verdicts(roots, rates[owner], a, DEFAULT_FP_TOL))
     ]
-    roots = [p for pts in rows for p in pts]
-    owner = np.repeat(np.arange(len(rows)), [len(pts) for pts in rows])
-    verdicts = iter(_verdicts(np.array(roots).reshape(-1, n), rates[owner], a, DEFAULT_FP_TOL))
-    branches = []
-    critical_value = None
-    last_interior = None
-    for value, pts in zip(values, rows):
-        row = []
-        for p in pts:
-            verdict = next(verdicts)
-            if isinstance(verdict, ValueError):
-                row.append(BranchPoint(p, False, "singular"))
-            else:
-                row.append(BranchPoint(p, verdict.stable, verdict.classification))
-        branches.append(row)
-        interior = [p for p in pts if (p > 0.0).all() and (p < 1.0).all()]
-        if len(interior) >= 2:
-            critical_value, last_interior = float(value), interior
-    critical_point = None
-    if last_interior is not None:
-        gaps = [
-            (float(np.abs(last_interior[i] - last_interior[j]).max()), i, j)
-            for i in range(len(last_interior))
-            for j in range(i + 1, len(last_interior))
-        ]
-        _, i, j = min(gaps)
-        critical_point = (last_interior[i] + last_interior[j]) / 2.0
+    ends = np.searchsorted(owner, np.arange(len(values) + 1))
+    branches = [points[start:stop] for start, stop in zip(ends[:-1], ends[1:])]
+    interior = ((roots > 0.0) & (roots < 1.0)).all(axis=1)
+    critical_value = critical_point = None
+    (folded,) = np.nonzero(np.bincount(owner[interior], minlength=len(values)) >= 2)
+    if len(folded):
+        last = folded[-1]
+        critical_value = float(values[last])
+        span = slice(ends[last], ends[last + 1])
+        inner = roots[span][interior[span]]
+        # the closest pair, the first in (i, j) order on a tie
+        i, j = np.triu_indices(len(inner), 1)
+        pair = np.abs(inner[i] - inner[j]).max(axis=1).argmin()
+        critical_point = (inner[i[pair]] + inner[j[pair]]) / 2.0
         critical_point.flags.writeable = False
     return BifurcationBranch(
         varying_index=index,

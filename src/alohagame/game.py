@@ -44,8 +44,11 @@ def _as_binary_matrix(matrix) -> np.ndarray:
         raise ValueError(f"interference matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("interference matrix must have at least one player, got shape (0, 0)")
-    entries = np.asarray(a, dtype=float)
-    if not np.isin(entries, (0.0, 1.0)).all():
+    # numbers are checked where they are, anything else as floats
+    entries = a if a.dtype.kind in "biuf" else np.asarray(a, dtype=float)
+    binary = entries == 0
+    binary |= entries == 1
+    if not binary.all():
         raise ValueError("interference matrix entries must be exactly 0 or 1")
     if entries.diagonal().any():
         raise ValueError("interference matrix diagonal must be zero (no self-interference)")

@@ -29,9 +29,10 @@ Three routes to the fixed points of the best-response map:
   points are kept. The oracle is used to
   cross-check the iterative solvers. Games that share a topology are
   enumerated together, their boxes contracted and split in the same
-  rounds, in blocks of games whose boxes fit a fixed budget: a
-  bifurcation sweep finds every parameter value's roots in one
-  enumeration per block.
+  rounds, in blocks of games whose boxes fit a fixed budget, and one
+  merge then deduplicates every game's roots at once: a bifurcation
+  sweep finds every parameter value's roots in one enumeration per
+  block and one finishing pass.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import FIXED_POINT_TOL, Game, leq, success_product
+from .game import FIXED_POINT_TOL, Game, leq
 from .game import best_response  # noqa: F401  bench/tracer.py rebinds it here
-from .game import _check_count, _check_positive_finite, _check_start, _response
+from .game import _check_count, _check_positive_finite, _check_start, _product, _response
 
 __all__ = [
     "LfpResult",
@@ -217,13 +218,17 @@ def newton_lfp(game: Game, q0=None, max_iter: int = DEFAULT_MAX_ITER) -> LfpResu
 
 
 def _solve_rows(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solutions x[k] of m[k] x = b[k], with a NaN row where m[k] is singular.
+    """The solutions x[k] of m[k] x = b[k], with NaN where m[k] is singular.
 
-    LAPACK fails a whole stack for one singular matrix, so a stack that
-    fails is solved again one matrix at a time.
+    Each b[k] is a vector, or a matrix whose columns are solved for
+    together. LAPACK fails a whole stack for one singular matrix, so a
+    stack that fails is solved again one matrix at a time.
     """
+    vectors = b.ndim < m.ndim
+    if vectors:
+        b = b[..., np.newaxis]
     try:
-        return np.linalg.solve(m, b[..., np.newaxis])[..., 0]
+        x = np.linalg.solve(m, b)
     except np.linalg.LinAlgError:
         x = np.full_like(b, np.nan)
         for k in range(len(b)):
@@ -231,7 +236,7 @@ def _solve_rows(m: np.ndarray, b: np.ndarray) -> np.ndarray:
                 x[k] = np.linalg.solve(m[k], b[k])
             except np.linalg.LinAlgError:
                 pass
-        return x
+    return x[..., 0] if vectors else x
 
 
 def _newton_rows(q: np.ndarray, rates: np.ndarray, mask: np.ndarray, max_iter: int):
@@ -322,7 +327,7 @@ def _contract(lo, hi, row, rates, mask, neighbours=False):
     if neighbours:
         prod, others = _products(corners, mask)
     else:
-        prod = success_product(corners, mask)
+        prod = _product(corners, mask)
     bounds = y / prod.reshape(2, *lo.shape)
     new_lo = np.fmax(lo, bounds[0] * (1.0 - _OUTWARD))
     new_hi = np.fmin(hi, bounds[1] * (1.0 + _OUTWARD))
@@ -452,7 +457,11 @@ def _krawczyk_test(lo, hi, y, matrix):
     r = np.maximum(hi - m, m - lo) * (1.0 + np.finfo(float).eps)
     centre = m - _times(y_inv, m * prod - y)
     rounding = _rounding(n)
-    rho = _times(np.abs(np.eye(n) - y_inv @ ((j_lo + j_hi) / 2.0)), r) + 2.0 * rounding
+    # I - Y J_c, formed in place
+    spread = y_inv @ ((j_lo + j_hi) / 2.0)
+    np.negative(spread, out=spread)
+    _diagonal(spread)[...] += 1.0
+    rho = _times(np.abs(spread), r) + 2.0 * rounding
     rho += _times(np.abs(y_inv), _times(j_hi - j_lo, r / 2.0) + (n + 2) * rounding)
     k_lo, k_hi = centre - rho, centre + rho
     passed = ((k_lo > lo) & (k_hi < hi) | (y == 0.0)).all(axis=1)
@@ -471,11 +480,9 @@ def _jacobians(m, lo, hi, matrix):
     (lo, hi); J(m) is bit for bit the Jacobian of :func:`_polynomial`.
     """
     k = len(m)
-    t = np.concatenate([m, lo, hi])
-    s = np.r_[0:k, 2 * k : 3 * k, k : 2 * k]
-    prod, others = _products(t, matrix)
-    jac = -matrix * t[s][..., np.newaxis] * others
-    _diagonal(jac)[...] = prod[s]
+    prod, others = _products(np.concatenate([m, lo, hi]), matrix)
+    jac = -matrix * np.concatenate([m, hi, lo])[..., np.newaxis] * others
+    _diagonal(jac)[...] = np.concatenate([prod[:k], prod[2 * k :], prod[k : 2 * k]])
     return prod[:k], jac[:k], jac[k : 2 * k], jac[2 * k :]
 
 
@@ -555,53 +562,65 @@ def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
     h, jac = _polynomial(best, rates, matrix)
     best_norm = np.abs(h).max(axis=1)
     rows = np.arange(len(best))
-    for _ in range(max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
             ok = np.isfinite(jac).all(axis=(1, 2))
             ok[ok] = np.abs(np.linalg.det(jac[ok])) > 1e-300
-        rows, h, jac = rows[ok], h[ok], jac[ok]
-        if not len(rows):
-            break
-        q = best[rows] - np.linalg.solve(jac, h[..., np.newaxis])[..., 0]
-        h, jac = _polynomial(q, rates[rows], matrix)
-        norm = np.abs(h).max(axis=1)
-        better = norm < best_norm[rows]
-        rows, q, h, jac = rows[better], q[better], h[better], jac[better]
-        best[rows], best_norm[rows] = q, norm[better]
+            rows, h, jac = rows[ok], h[ok], jac[ok]
+            if not len(rows):
+                break
+            q = best[rows] - np.linalg.solve(jac, h[..., np.newaxis])[..., 0]
+            h, jac = _polynomial(q, rates[rows], matrix)
+            norm = np.abs(h).max(axis=1)
+            better = norm < best_norm[rows]
+            rows, q, h, jac = rows[better], q[better], h[better], jac[better]
+            best[rows], best_norm[rows] = q, norm[better]
     return best
 
 
-def _dedup(points: np.ndarray, radius: float) -> list:
-    """Merge points within the given infinity-norm radius, deterministically.
+def _merge(points: np.ndarray, owner: np.ndarray, radius: float):
+    """Merge each game's points within the given infinity-norm radius, every game at once.
 
-    In lexicographic order of the coordinates rounded to 1e-9, keeps the
-    first remaining point and drops every remaining point within
-    ``radius`` of it, until none remain: the points a greedy pass keeps,
-    one array operation per kept point. The rounding keeps roots that
-    agree to rounding error in one order unless their shared coordinate
-    lies within that error of a rounding boundary (an odd multiple of
-    5e-10); points that round alike keep the order they came in.
+    Point k belongs to game ``owner[k]``. One stable sort orders the
+    points by game and, within a game, lexicographically by their
+    coordinates rounded to 1e-9, points that round alike in the order
+    they came in. Each step then keeps every game's first remaining
+    point and drops that game's remaining points within ``radius`` of
+    it, until none remain: each game keeps the points a greedy pass
+    over its own points keeps, in as many steps as the most points one
+    game keeps. The rounding keeps roots that agree to rounding error
+    in one order unless their shared coordinate lies within that error
+    of a rounding boundary (an odd multiple of 5e-10). Returns the kept
+    points, read-only, and their games, in that order.
     """
-    rest = points[np.lexsort(np.round(points, 9).T[::-1])]
-    kept: list = []
+    order = np.lexsort((*np.round(points, 9).T[::-1], owner))
+    points, owner = points[order], owner[order]
+    kept = np.zeros(len(points), dtype=bool)
+    rest = np.arange(len(points))
     while len(rest):
-        p, rest = rest[0], rest[1:]
-        rest = rest[np.abs(rest - p).max(axis=1) > radius]
-        p.flags.writeable = False
-        kept.append(p)
-    return kept
+        first = np.ones(len(rest), dtype=bool)
+        np.not_equal(owner[rest[1:]], owner[rest[:-1]], out=first[1:])
+        heads = rest[first]
+        kept[heads] = True
+        # each remaining point against its game's head, the head itself included
+        rest = rest[np.abs(points[rest] - points[heads[np.cumsum(first) - 1]]).max(axis=1) > radius]
+    points = points[kept]
+    points.flags.writeable = False
+    return points, owner[kept]
 
 
-def _fixed_point_sets(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50) -> list:
-    """:func:`multistart_fixed_points` of each game, enumerated together.
+def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
+    """The fixed points of each game, enumerated together and merged in one pass.
 
     Game k has target rates ``rates[k]`` and the validated interference
     ``matrix`` that all the games share. The boxes of each block of
     games (see ``_BLOCK_BOXES``) contract, split and polish together,
     each against its own target rates. One fixed-point membership test
-    then runs over every polished root, and the roots are split by game
-    for the deduplication, so every game gets the fixed points it would
-    get alone.
+    then runs over every polished root, and one :func:`_merge` over
+    them all deduplicates each game's roots, so every game gets the
+    fixed points it would get alone. Returns ``(roots, owner)``: the
+    kept roots, read-only, ordered by game and within a game as
+    :func:`_merge` keeps them, and the game of each.
     """
     n = matrix.shape[0]
     if n > ORACLE_MAX_PLAYERS:
@@ -625,12 +644,16 @@ def _fixed_point_sets(rates, matrix, starts_per_axis: int = 1, max_iter: int = 5
     inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
     roots, owner, leaf_rates = np.clip(roots[inside], 0.0, 1.0), owner[inside], leaf_rates[inside]
     fixed = np.abs(_response(roots, leaf_rates, matrix.astype(bool)) - roots).max(axis=1) <= FIXED_POINT_TOL
-    order = np.argsort(owner[fixed], kind="stable")
-    roots, owner = roots[fixed][order], owner[fixed][order]
+    return _merge(roots[fixed], owner[fixed], DEDUP_RADIUS)
+
+
+def _fixed_point_sets(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50) -> list:
+    """:func:`multistart_fixed_points` of each game, enumerated together: :func:`_roots` split by game."""
+    roots, owner = _roots(rates, matrix, starts_per_axis, max_iter)
     ends = np.searchsorted(owner, np.arange(len(rates) + 1))
     extraneous = (rates > 0.0).all(axis=1)
     return [
-        FixedPointSet(points=_dedup(roots[lo:hi], DEDUP_RADIUS), includes_extraneous=bool(every))
+        FixedPointSet(points=list(roots[lo:hi]), includes_extraneous=bool(every))
         for lo, hi, every in zip(ends[:-1], ends[1:], extraneous)
     ]
 
@@ -659,7 +682,9 @@ def multistart_fixed_points(
     polishes a root from the Newton point of each retired box (of its
     Newton box, for one retired there) and from the centre of each
     small leaf. The roots that are fixed points of the clipped
-    map at 1e-9 are kept and deduplicated. The clipping-induced
+    map at 1e-9 are kept, and those within 1e-6 of one kept before
+    them, in lexicographic order of the coordinates rounded to 1e-9,
+    are dropped (:func:`_merge`). The clipping-induced
     all-ones point is reported through ``includes_extraneous``
     whenever every target rate is positive.
 

@@ -4,7 +4,9 @@ Each one is the slow, direct form of a faster path in the package:
 a depth-first search for connected components, the greedy dedup of
 the oracle's roots, the oracle's box enumeration
 that bisects every box down to the leaf width, one oracle call per
-parameter value of a bifurcation sweep, a rate search that walks the
+parameter value of a bifurcation sweep, the oracle's roots deduplicated
+one game at a time and a sweep's roots sorted, classified and searched
+for the fold one value at a time, a rate search that walks the
 grid one step at a time with Kleene solves, a verdict that
 evaluates the response map once per ingredient, a consistency
 check that takes one verdict per point, topology sweeps and
@@ -140,6 +142,78 @@ def sweep_one_value_at_a_time(matrix, fixed_rates, varying_index, value_range, s
         rates[varying_index] = value
         game = Game(matrix, rates)
         pts = sorted(multistart_fixed_points(game).points, key=lambda p: (float(p.sum()), tuple(p)))
+        row = []
+        for p in pts:
+            try:
+                verdict = krasovskii_verdict(p, game, fp_tol=1e-6)
+                row.append(BranchPoint(p, verdict.stable, verdict.classification))
+            except ValueError:
+                row.append(BranchPoint(p, False, "singular"))
+        branches.append(row)
+        interior = [p for p in pts if (p > 0.0).all() and (p < 1.0).all()]
+        if len(interior) >= 2:
+            critical_value = float(value)
+            gaps = [
+                (float(np.abs(interior[i] - interior[j]).max()), i, j)
+                for i in range(len(interior))
+                for j in range(i + 1, len(interior))
+            ]
+            _, i, j = min(gaps)
+            critical_point = (interior[i] + interior[j]) / 2.0
+    return BifurcationBranch(varying_index, values, branches, critical_value, critical_point)
+
+
+def dedup_one_game(points, radius):
+    """The oracle's deduplication of one game's roots, an array operation
+    per kept point: in lexicographic order of the coordinates rounded to
+    1e-9 (ties in input order), keep the first remaining point and drop
+    every remaining point within ``radius`` of it."""
+    rest = points[np.lexsort(np.round(points, 9).T[::-1])]
+    kept = []
+    while len(rest):
+        p, rest = rest[0], rest[1:]
+        rest = rest[np.abs(rest - p).max(axis=1) > radius]
+        kept.append(p)
+    return kept
+
+
+def fixed_point_sets_per_game(rates, matrix, starts_per_axis=1, max_iter=50):
+    """The oracle's roots of each game, enumerated together as the package
+    does, then split by game and deduplicated one game at a time."""
+    mask = np.asarray(matrix, dtype=bool)
+    n = mask.shape[0]
+    block = max(1, solver._BLOCK_BOXES // (2 * starts_per_axis) ** n)
+    roots, owner = [], []
+    for first in range(0, len(rates), block):
+        starts, rows = solver._leaf_centres(rates[first : first + block], matrix, starts_per_axis)
+        roots.append(solver._polish(starts, rates[first + rows], matrix, max_iter))
+        owner.append(first + rows)
+    roots, owner = np.concatenate(roots), np.concatenate(owner)
+    leaf_rates = rates[owner]
+    roots[leaf_rates == 0.0] = 0.0
+    inside = ((roots >= -1e-9) & (roots <= 1.0 + 1e-9)).all(axis=1)
+    roots, owner, leaf_rates = np.clip(roots[inside], 0.0, 1.0), owner[inside], leaf_rates[inside]
+    fixed = np.abs(_response(roots, leaf_rates, mask) - roots).max(axis=1) <= 1e-9
+    roots, owner = roots[fixed], owner[fixed]
+    return [
+        FixedPointSet(points=dedup_one_game(roots[owner == k], solver.DEDUP_RADIUS), includes_extraneous=bool(every))
+        for k, every in enumerate((rates > 0.0).all(axis=1))
+    ]
+
+
+def sweep_with_a_finish_per_value(matrix, fixed_rates, varying_index, value_range, step):
+    """Bifurcation sweep with one enumeration for every value, then per
+    value a sort of its roots, its verdicts and its interior points."""
+    lo, hi = value_range
+    values = np.array([round(v, 12) for v in np.arange(round(lo, 12), hi + step / 2, step)])
+    rates = np.repeat(np.asarray(fixed_rates, dtype=float)[np.newaxis], len(values), axis=0)
+    rates[:, varying_index] = values
+    matrix = Game(matrix, rates[0]).matrix
+    branches = []
+    critical_value = critical_point = None
+    for value, y, fps in zip(values, rates, fixed_point_sets_per_game(rates, matrix)):
+        game = Game(matrix, y)
+        pts = sorted(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
         row = []
         for p in pts:
             try:

@@ -32,7 +32,7 @@ from conftest import Q_STAR, instance_rng, random_game, record_calls
 from reference import bisect_common_rate, bisect_demand_scale, bisect_probability_scale, common_rates_dense
 from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate
 from reference import sweep_one_search_per_trial
-from reference import sweep_one_value_at_a_time
+from reference import fixed_point_sets_per_game, sweep_one_value_at_a_time, sweep_with_a_finish_per_value
 
 CHAIN = chain_matrix(3)
 
@@ -214,6 +214,55 @@ class TestOneEnumeration:
         calls = record_calls(monkeypatch, solver, "_contract")
         solver._fixed_point_sets(rates, Game(chain_matrix(n), rates[0]).matrix)
         assert max(len(args[0]) for args, _ in calls) <= solver._BLOCK_BOXES
+
+
+def _assert_same_bytes(got, ref):
+    assert got.parameter_values.tobytes() == ref.parameter_values.tobytes()
+    assert [[(bp.point.tobytes(), bp.stable, bp.classification) for bp in row] for row in got.branches] == [
+        [(bp.point.tobytes(), bp.stable, bp.classification) for bp in row] for row in ref.branches
+    ]
+    assert all(not bp.point.flags.writeable for row in got.branches for bp in row)
+    assert got.critical_value == ref.critical_value
+    assert (got.critical_point is None) == (ref.critical_point is None)
+    if ref.critical_point is not None:
+        assert got.critical_point.tobytes() == ref.critical_point.tobytes()
+
+
+class TestOneFinishingPass:
+    """One merge of every game's roots, and one sort, verdict and split of
+    every value's, give byte for byte what a finish per game and per
+    value gives."""
+
+    @pytest.mark.parametrize("step", [0.005, 0.001])
+    def test_fold_matches_a_finish_per_value(self, step):
+        # the benchmark's fold input at 0.005, criterion 3's sweep at 0.001
+        args = (CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), step)
+        got = bifurcation_sweep(*args)
+        assert got.critical_value == 0.245
+        _assert_same_bytes(got, sweep_with_a_finish_per_value(*args))
+
+    def test_random_sweeps_match_a_finish_per_value(self):
+        # Game 123's second player, swept, has two incomparable roots at
+        # 0.08 whose order by sum is not their lexicographic order.
+        folds = 0
+        for i, index in [*((i, i) for i in range(12)), (123, 1)]:
+            game = random_game(instance_rng(911, i))
+            args = (game.matrix, game.rates, index % game.n, (0.0, 0.3), 0.01)
+            got = bifurcation_sweep(*args)
+            folds += got.critical_value is not None
+            _assert_same_bytes(got, sweep_with_a_finish_per_value(*args))
+        assert folds >= 3
+
+    def test_oracle_matches_a_finish_per_game_on_criterion_7(self):
+        roots = 0
+        for i in range(1000):
+            game = random_game(instance_rng(20240, i))
+            got = multistart_fixed_points(game, starts_per_axis=4, max_iter=50)
+            (want,) = fixed_point_sets_per_game(game.rates[np.newaxis], game.matrix, 4, 50)
+            assert [p.tobytes() for p in got.points] == [p.tobytes() for p in want.points]
+            assert got.includes_extraneous == want.includes_extraneous
+            roots += got.n_points
+        assert roots >= 1000
 
 
 class TestMaxCommonRate:
@@ -666,6 +715,16 @@ def _packed(matrices) -> bool:
     return layout.mask.shape[-1] < layout.n
 
 
+def _pairs_and_chains():
+    """60 players as 30 disjoint pairs, and as 20 disjoint chain3s."""
+    pairs, chains = np.zeros((60, 60), dtype=int), np.zeros((60, 60), dtype=int)
+    for k in range(30):
+        pairs[2 * k, 2 * k + 1] = pairs[2 * k + 1, 2 * k] = 1
+    for k in range(20):
+        chains[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = CHAIN
+    return pairs, chains
+
+
 def _assert_matches_the_dense_search(matrices):
     found = experiments._common_rates(matrices, experiments.RATE_STEP)
     dense = common_rates_dense(matrices)
@@ -751,17 +810,34 @@ class TestComponentBlocks:
     def test_padding_only_blocks_limit_nothing(self):
         # 30 disjoint pairs need 30 blocks of 3 players, 20 disjoint
         # chain3s 20: the chain game's last 10 blocks are padding alone
-        pairs, chains = np.zeros((60, 60), dtype=int), np.zeros((60, 60), dtype=int)
-        for k in range(30):
-            pairs[2 * k, 2 * k + 1] = pairs[2 * k + 1, 2 * k] = 1
-        for k in range(20):
-            chains[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = CHAIN
+        pairs, chains = _pairs_and_chains()
         layout = topology._pack(np.array([pairs, chains], dtype=bool))
         assert (layout.blocks, layout.mask.shape[-1]) == (30, 3)
         assert (layout.slots[50:] == 60).all() and (layout.slots[30:50] < 60).all()
         found = experiments._common_rates([pairs, chains], experiments.RATE_STEP)
         assert [y for y, _ in found] == [0.249, 0.191]
         _assert_matches_the_dense_search([pairs, chains])
+
+    def test_a_game_is_solved_only_when_every_block_converges(self, monkeypatch):
+        # Newton reports one pair block of the first game unconverged,
+        # though its point is as good as its other blocks'
+        layout = topology._pack(np.array(_pairs_and_chains(), dtype=bool))
+        assert layout.blocks == 30
+        args = (np.full((2, 60), 0.1), layout, np.zeros((2, 60)), np.ones(60))
+        points, margins, _ = experiments._stable_lfps(*args)
+        assert all(p is not None for p in points) and (margins > 0.0).all()
+        original = experiments._newton_rows
+
+        def one_block_unconverged(*newton_args):
+            points, iterations, converged, res_norms, infeasible = original(*newton_args)
+            assert converged.all()
+            converged[1] = False
+            return points, iterations, converged, res_norms, infeasible
+
+        monkeypatch.setattr(experiments, "_newton_rows", one_block_unconverged)
+        (pairs_point, chains_point), margins, slopes = experiments._stable_lfps(*args)
+        assert pairs_point is None and np.isnan(margins[0]) and np.isnan(slopes[0])
+        assert chains_point is not None and margins[1] > 0.0
 
     def test_matches_the_dense_search_on_criterion_6(self, monkeypatch):
         # the 14 settings of criterion 6, 30 trials each, in as many

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from alohagame import (
     leq,
     residual,
 )
-from alohagame.game import _response
+from alohagame.game import _as_binary_matrix, _response
 from conftest import P_SADDLE, Q_STAR
 
 CHAIN = chain_matrix(3)
@@ -37,6 +38,32 @@ class TestGameValidation:
     def test_rejects_nonbinary_entries(self):
         with pytest.raises(ValueError, match="0 or 1"):
             Game([[0, 0.5], [1, 0]], [0.1, 0.1])
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, float])
+    def test_large_matrix_checks_in_little_memory(self, dtype):
+        # A float copy and np.isin took 9.5 MiB at n = 1,000
+        a = np.zeros((1000, 1000), dtype=dtype)
+        a[0, 1] = a[1, 0] = 1
+        tracemalloc.start()
+        try:
+            out = _as_binary_matrix(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert out.dtype == np.int8 and not out.flags.writeable and np.array_equal(out, a)
+        a[1, 1] = 1
+        with pytest.raises(ValueError, match="diagonal must be zero"):
+            _as_binary_matrix(a)
+        if dtype is not bool:
+            a[1, 1], a[2, 3] = 0, 2
+            with pytest.raises(ValueError, match="exactly 0 or 1"):
+                _as_binary_matrix(a)
+
+    @pytest.mark.parametrize("entry", [0.5, -1, 2, float("nan"), None])
+    def test_rejects_nonbinary_entries_of_any_type(self, entry):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            _as_binary_matrix([[0, entry], [1, 0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -346,10 +348,42 @@ class TestMultistartOracle:
             # jitter of twice the radius: clusters where the kept point
             # depends on the order in which points are visited
             points = points + rng.uniform(-2e-6, 2e-6, points.shape)
-            got = solver._dedup(points, 1e-6)
+            got, _ = solver._merge(points, np.zeros(len(points), dtype=int), 1e-6)
             want = greedy_dedup(points, 1e-6)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
+
+    def test_merge_keeps_each_games_greedy_points(self):
+        # Clusters straddle games: each cluster's points are spread over
+        # the games at random, and some games hold no point.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n, games = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            centres = rng.random((int(rng.integers(1, 6)), n))
+            count = int(rng.integers(0, 60))
+            points = centres[rng.integers(0, len(centres), count)] + rng.uniform(-2e-6, 2e-6, (count, n))
+            owner = rng.integers(0, games, count)
+            kept, kept_owner = solver._merge(points, owner, 1e-6)
+            assert not kept.flags.writeable and (np.diff(kept_owner) >= 0).all()
+            for k in range(games):
+                want = greedy_dedup(points[owner == k], 1e-6)
+                got = kept[kept_owner == k]
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_merge_memory_is_linear_in_the_points(self):
+        # 20,000 points of 10,000 games: a temporary of either squared
+        # would take gigabytes
+        rng = np.random.default_rng(5)
+        points = rng.random((20_000, 4))
+        owner = rng.integers(0, 10_000, len(points))
+        tracemalloc.start()
+        try:
+            solver._merge(points, owner, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * points.nbytes
 
     def test_root_order_does_not_hang_on_rounding(self):
         # Two roots of this game agree to 1e-16 in their first four
@@ -364,7 +398,7 @@ class TestMultistartOracle:
         for _ in range(50):
             nudged = points + rng.choice([-1e-15, 1e-15], points.shape)
             order = rng.permutation(len(points))
-            kept = solver._dedup(nudged[order], solver.DEDUP_RADIUS)
+            kept, _ = solver._merge(nudged[order], np.zeros(len(points), dtype=int), solver.DEDUP_RADIUS)
             assert np.array_equal(np.array(kept), nudged)
             raw_swaps += not np.array_equal(np.lexsort(nudged.T[::-1]), np.arange(len(points)))
         assert raw_swaps > 0
