@@ -473,8 +473,7 @@ def bifurcation_sweep(
         raise ValueError(f"varying_index must be a whole number, got {varying_index!r}") from None
     if not 0 <= index < n:
         raise ValueError(f"varying_index must be in 0..{n - 1}, got {varying_index}")
-    values = np.arange(_grid(lo), hi + step / 2, step)
-    values = np.array([_grid(v) for v in values])
+    values = np.round(np.arange(_grid(lo), hi + step / 2, step), 12)
 
     fixed = np.asarray(fixed_rates, dtype=float)
     if fixed.shape != (n,):

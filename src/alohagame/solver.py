@@ -320,7 +320,9 @@ def _contract(lo, hi, row, rates, mask, neighbours=False):
     q_i O_ij ranges over [lo_i O_ij(hi), hi_i O_ij(lo)], so q_j lies in
     [1 - y_i / (lo_i O_ij(hi)), 1 - y_i / (hi_i O_ij(lo))], each end
     widened by ``_OUTWARD`` (1 + x) for its quotient x. A box is cut to
-    every equation's bound at once.
+    every equation's bound at once. O_ij over the k boxes' 2k corners,
+    lower corners first, is the (2k, n, n) leave-one-out stack of
+    :func:`_products`.
     """
     y = rates[row]
     corners = np.concatenate([lo, hi])
@@ -423,20 +425,24 @@ def _krawczyk(lo, hi, row, rates, matrix):
 
     Returns the boxes neither test settles, each cut to the
     intersection of X and K, and the Newton points of the retired boxes
-    with their rows; boxes where K misses X are dropped.
+    with their rows; boxes where K misses X are dropped. When the plain
+    test settles or drops every box, the Newton-box test is skipped.
     """
     y = rates[row]
     active = y > 0.0
     centre, k_lo, k_hi, inside = _krawczyk_test(lo, hi, y, matrix)
     lo, hi = np.where(active, np.fmax(lo, k_lo), lo), np.where(active, np.fmin(hi, k_hi), hi)
     left = np.flatnonzero(~(inside | (lo > hi).any(axis=1)))
-    # A silent axis of B is X's, [0, 0].
-    b_lo = np.where(active, np.clip(k_lo - _NEWTON_PAD, 0.0, 1.0), lo)[left]
-    b_hi = np.where(active, np.clip(k_hi + _NEWTON_PAD, 0.0, 1.0), hi)[left]
-    newton_centre, _, _, newton = _krawczyk_test(b_lo, b_hi, y[left], matrix)
-    retired, left = left[newton], left[~newton]
-    proven = np.concatenate([centre[inside], newton_centre[newton]])
-    return lo[left], hi[left], row[left], (proven, np.concatenate([row[inside], row[retired]]))
+    proven, proven_row = centre[inside], row[inside]
+    if len(left):
+        # A silent axis of B is X's, [0, 0].
+        b_lo = np.where(active, np.clip(k_lo - _NEWTON_PAD, 0.0, 1.0), lo)[left]
+        b_hi = np.where(active, np.clip(k_hi + _NEWTON_PAD, 0.0, 1.0), hi)[left]
+        newton_centre, _, _, newton = _krawczyk_test(b_lo, b_hi, y[left], matrix)
+        proven = np.concatenate([proven, newton_centre[newton]])
+        proven_row = np.concatenate([proven_row, row[left[newton]]])
+        left = left[~newton]
+    return lo[left], hi[left], row[left], (proven, proven_row)
 
 
 def _krawczyk_test(lo, hi, y, matrix):
@@ -478,6 +484,9 @@ def _jacobians(m, lo, hi, matrix):
     Each of the three matrices is -a_ij s_i prod_{k != j}(1 - t_k) off
     the diagonal and P_i(s) on it, with (s, t) = (m, m), (hi, lo) and
     (lo, hi); J(m) is bit for bit the Jacobian of :func:`_polynomial`.
+    For k boxes, P(m) is (k, n) and each Jacobian stack a C-contiguous
+    (k, n, n) slice of one (3k, n, n) array, whose leave-one-out
+    factors come from one :func:`_products` call over the 3k points.
     """
     k = len(m)
     prod, others = _products(np.concatenate([m, lo, hi]), matrix)
@@ -528,21 +537,38 @@ def _products(q, matrix):
     Entry [k, i, j] of the second array is the product of P_i's factors
     other than 1 - q_j, from prefix and suffix products, so it has no
     pole where some q_j = 1.
+
+    The factors are stacked player axis first: slice j + 1 of each
+    (n + 1, k, n) stack holds factor 1 - q_j of all k * n products (1
+    where player j does not interfere), and slice 0 is ones. So the
+    prefix and suffix products take n multiplies each, every one over
+    a whole contiguous (k, n) slice; ``np.cumprod`` along a last axis
+    n + 1 long would set up its loop once for each of the k * n
+    products. Each product meets its factors in the same order either
+    way, so it is the same to the bit. The success products are the
+    last (k, n) slice of the prefix stack. The leave-one-out products
+    are written straight into a C-contiguous (k, n, n) array, so the
+    Jacobian stacks built from them keep the layout that ``np.linalg``
+    and ``@`` have always been given.
     """
     k, n = q.shape
-    before, after = np.ones((2, k, n, n + 1))
-    np.subtract(1.0, q[:, np.newaxis, :], out=before[..., 1:], where=matrix.astype(bool))
-    after[..., 1:] = before[..., :0:-1]
-    np.cumprod(before, axis=-1, out=before)
-    np.cumprod(after, axis=-1, out=after)
-    return before[..., -1], before[..., :-1] * after[..., -2::-1]
+    before, after = np.ones((2, n + 1, k, n))
+    np.copyto(before[1:], 1.0 - q.T[..., np.newaxis], where=matrix.T[:, np.newaxis].astype(bool))
+    after[1:] = before[:0:-1]
+    for j in range(1, n + 1):
+        before[j] *= before[j - 1]
+        after[j] *= after[j - 1]
+    others = np.empty((k, n, n))
+    np.multiply(before[:-1], after[-2::-1], out=others.transpose(2, 0, 1))
+    return before[-1], others
 
 
 def _polynomial(q, rates, matrix):
     """Residual q * P(q) - y and its Jacobian, batched over rows of q.
 
     Row k of ``q`` is a point of the game whose target rates are row k
-    of ``rates``.
+    of ``rates``. Returns the (k, n) residuals and the C-contiguous
+    (k, n, n) Jacobians.
     """
     prod, others = _products(q, matrix)
     jac = -matrix * q[..., np.newaxis] * others
@@ -618,9 +644,11 @@ def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
     each against its own target rates. One fixed-point membership test
     then runs over every polished root, and one :func:`_merge` over
     them all deduplicates each game's roots, so every game gets the
-    fixed points it would get alone. Returns ``(roots, owner)``: the
-    kept roots, read-only, ordered by game and within a game as
-    :func:`_merge` keeps them, and the game of each.
+    fixed points it would get alone. A block whose boxes keep no start
+    is not polished, and when no block keeps one the test and the
+    merge are skipped too. Returns ``(roots, owner)``: the kept roots,
+    read-only, ordered by game and within a game as :func:`_merge`
+    keeps them, and the game of each.
     """
     n = matrix.shape[0]
     if n > ORACLE_MAX_PLAYERS:
@@ -634,8 +662,13 @@ def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
     roots, owner = [], []
     for first in range(0, len(rates), block):
         starts, rows = _leaf_centres(rates[first : first + block], matrix, starts_per_axis)
-        roots.append(_polish(starts, rates[first + rows], matrix, max_iter))
-        owner.append(first + rows)
+        if len(starts):
+            roots.append(_polish(starts, rates[first + rows], matrix, max_iter))
+            owner.append(first + rows)
+    if not roots:
+        empty = np.empty((0, n))
+        empty.flags.writeable = False
+        return empty, np.empty(0, dtype=np.intp)
     roots, owner = np.concatenate(roots), np.concatenate(owner)
     leaf_rates = rates[owner]
     # Exact, as for the leaves: a zero rate forces q_i = 0.

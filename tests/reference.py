@@ -15,8 +15,11 @@ of one lockstep search for them all, and common-rate, demand-scale and
 probability-scale searches that bisect the grid instead of following
 the certificate margin, a common-rate search that solves and decides
 every trial on its whole matrix instead of by connected components,
-and the ``solve`` and ``stability`` lines of a CLI that took its
-equilibrium from a best-response ascent.
+the ``solve`` and ``stability`` lines of a CLI that took its
+equilibrium from a best-response ascent, a sweep grid rounded one
+value at a time, and the oracle's success and leave-one-out products
+accumulated along each row's last axis instead of along the player
+axis.
 """
 
 import numpy as np
@@ -131,10 +134,29 @@ def width_only_leaf_centres(rates, matrix, cells_per_axis):
     return np.concatenate(leaves), np.concatenate(owners)
 
 
+def grid_one_value_at_a_time(lo, hi, step):
+    """A sweep's parameter values from lo to hi, each rounded to 12
+    decimals by its own ``round`` call."""
+    return np.array([round(v, 12) for v in np.arange(round(lo, 12), hi + step / 2, step)])
+
+
+def last_axis_products(q, matrix):
+    """The oracle's success products and leave-one-out products of each
+    row of q, every row's factors accumulated along a last axis n + 1
+    long: entry [k, i, j] of the second array is the product of P_i's
+    factors other than 1 - q_j."""
+    k, n = q.shape
+    before, after = np.ones((2, k, n, n + 1))
+    np.subtract(1.0, q[:, np.newaxis, :], out=before[..., 1:], where=matrix.astype(bool))
+    after[..., 1:] = before[..., :0:-1]
+    np.cumprod(before, axis=-1, out=before)
+    np.cumprod(after, axis=-1, out=after)
+    return before[..., -1], before[..., :-1] * after[..., -2::-1]
+
+
 def sweep_one_value_at_a_time(matrix, fixed_rates, varying_index, value_range, step):
     """Bifurcation sweep with one oracle call and one verdict per value."""
-    lo, hi = value_range
-    values = np.array([round(v, 12) for v in np.arange(round(lo, 12), hi + step / 2, step)])
+    values = grid_one_value_at_a_time(*value_range, step)
     branches = []
     critical_value = critical_point = None
     for value in values:
@@ -204,8 +226,7 @@ def fixed_point_sets_per_game(rates, matrix, starts_per_axis=1, max_iter=50):
 def sweep_with_a_finish_per_value(matrix, fixed_rates, varying_index, value_range, step):
     """Bifurcation sweep with one enumeration for every value, then per
     value a sort of its roots, its verdicts and its interior points."""
-    lo, hi = value_range
-    values = np.array([round(v, 12) for v in np.arange(round(lo, 12), hi + step / 2, step)])
+    values = grid_one_value_at_a_time(*value_range, step)
     rates = np.repeat(np.asarray(fixed_rates, dtype=float)[np.newaxis], len(values), axis=0)
     rates[:, varying_index] = values
     matrix = Game(matrix, rates[0]).matrix

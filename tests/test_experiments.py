@@ -32,7 +32,8 @@ from conftest import Q_STAR, instance_rng, random_game, record_calls
 from reference import bisect_common_rate, bisect_demand_scale, bisect_probability_scale, common_rates_dense
 from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate
 from reference import sweep_one_search_per_trial
-from reference import fixed_point_sets_per_game, sweep_one_value_at_a_time, sweep_with_a_finish_per_value
+from reference import fixed_point_sets_per_game, grid_one_value_at_a_time, sweep_one_value_at_a_time
+from reference import sweep_with_a_finish_per_value
 
 CHAIN = chain_matrix(3)
 
@@ -155,6 +156,20 @@ class TestStackedSweep:
                 assert got.parameter_values.size == count
                 _assert_same_branch(got, sweep_one_value_at_a_time(*args))
         assert {(n, True) for n in range(1, 5)} <= counts_seen
+
+
+    def test_values_match_a_rounding_per_value(self):
+        # One rounding of the whole grid gives each value what its own
+        # round() gives, on random starts, lengths and steps.
+        rng = np.random.default_rng(476)
+        lone = np.zeros((1, 1))
+        for _ in range(200):
+            step = float(rng.choice([0.001, 0.003, 0.005, 0.007, rng.uniform(0.0005, 0.01)]))
+            lo = float(rng.uniform(0.0, 0.5))
+            hi = lo + step * float(rng.uniform(0.0, 60.0))
+            want = grid_one_value_at_a_time(lo, hi, step)
+            got = bifurcation_sweep(lone, [0.1], 0, (lo, hi), step).parameter_values
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOneEnumeration:

@@ -21,7 +21,7 @@ from alohagame import (
 from alohagame import solver
 from alohagame.game import success_product
 from conftest import P_SADDLE, Q_STAR, instance_rng, random_game, record_calls
-from reference import greedy_dedup, width_only_leaf_centres
+from reference import fixed_point_sets_per_game, greedy_dedup, last_axis_products, width_only_leaf_centres
 from test_game import two_player_root
 
 
@@ -604,6 +604,56 @@ class TestKrawczykStep:
         assert len(proven) == 0
         assert list(rows) == [0]
         assert np.array_equal(box_lo[0], lo[0]) and np.array_equal(box_hi[0], hi[0])
+
+
+class TestProducts:
+    def test_player_axis_products_match_the_last_axis_ones_bit_for_bit(self):
+        # Stacks of every oracle size, empty ones included, with
+        # coordinates exactly 1 (a zero factor, the pole a quotient
+        # by P_i would have) and exactly 0.
+        rng = np.random.default_rng(525)
+        poles = 0
+        for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            for k in (0, 1, 4, *rng.integers(2, 300, 20)):
+                a = (rng.random((n, n)) < rng.uniform(0.2, 1.0)).astype(float)
+                np.fill_diagonal(a, 0.0)
+                q = rng.random((k, n))
+                q[rng.random((k, n)) < 0.1] = 1.0
+                q[rng.random((k, n)) < 0.05] = 0.0
+                poles += int((q == 1.0).sum())
+                for matrix in (a, a.astype(bool)):
+                    prod, others = solver._products(q, matrix)
+                    want_prod, want_others = last_axis_products(q, matrix)
+                    assert prod.shape == (k, n) and others.shape == (k, n, n)
+                    assert others.flags.c_contiguous
+                    assert prod.tobytes() == want_prod.tobytes()
+                    assert others.tobytes() == want_others.tobytes()
+        assert poles >= 1000
+
+
+class TestEmptyStacks:
+    def test_rootless_game_polishes_and_merges_nothing(self, monkeypatch):
+        # chain3 past its fold at y2 = 0.2459 has no fixed point: no box
+        # retires and no leaf is kept, so nothing is polished or merged.
+        game = Game(chain_matrix(3), [0.15, 0.26, 0.15])
+        (want,) = fixed_point_sets_per_game(game.rates[np.newaxis], game.matrix)
+        polished = record_calls(monkeypatch, solver, "_polish")
+        merged = record_calls(monkeypatch, solver, "_merge")
+        got = multistart_fixed_points(game)
+        assert polished == [] and merged == []
+        assert got == want == FixedPointSet(points=[], includes_extraneous=True)
+        roots, owner = solver._roots(game.rates[np.newaxis], game.matrix)
+        assert roots.shape == (0, 3) and roots.dtype == float and not roots.flags.writeable
+        assert owner.shape == (0,) and owner.dtype == np.intp
+
+    def test_newton_box_test_never_runs_on_no_boxes(self, monkeypatch, chain3):
+        # chain3's last Krawczyk step settles every box it takes, so it
+        # leaves none to the Newton-box test, which it skips.
+        tests = record_calls(monkeypatch, solver, "_krawczyk_test")
+        steps = record_calls(monkeypatch, solver, "_krawczyk")
+        assert multistart_fixed_points(chain3).n_points == 2
+        assert [len(args[0]) for args, _ in tests] == [1, 1, 2, 2, 2, 2, 1]
+        assert len(steps) == 4
 
 
 class TestAgainstWidthOnlyEnumeration:
