@@ -40,7 +40,7 @@ import numpy as np
 from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _response, _write_csv
 from .game import achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
 from .solver import DEFAULT_MAX_ITER, _newton_rows, _roots, _solve_rows
-from .stability import DEFAULT_FP_TOL, _certificate, _jacobian, _margin, _smallest_eigenvalue, _verdicts, krasovskii_verdict
+from .stability import DEFAULT_FP_TOL, _certificate, _classify, _jacobian, _margin, _smallest_eigenvalue, krasovskii_verdict
 from .topology import _Layout, _pack, _whole, connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
@@ -220,18 +220,19 @@ def _stable_lfps(rates: np.ndarray, mask, warm_starts: np.ndarray, direction: np
     found = [None] * count
     margins, slopes = np.full(count, np.nan), np.full(count, np.nan)
     games = np.flatnonzero((rates <= 1.0).all(axis=-1))
-    rows = layout.rows(games)
-    y = layout.gather(rates, rows)
-    points, _, converged, _, _ = _newton_rows(
-        layout.gather(warm_starts, rows), y, layout.mask[rows], DEFAULT_MAX_ITER
-    )
+    # the probed games' blocks; their masks and slots are copied only
+    # when some game drops out
+    if len(games) < count:
+        layout, rates, warm_starts = layout.take(games), rates[games], warm_starts[games]
+    y = layout.gather(rates)
+    points, _, converged, _, _ = _newton_rows(layout.gather(warm_starts), y, layout.mask, DEFAULT_MAX_ITER)
     # a game is solved when each of its blocks is
     solved = converged.reshape(-1, blocks).all(axis=1)
-    games, keep = games[solved], solved.repeat(blocks)
-    rows, y, points = rows[keep], y[keep], points[keep]
-    d = layout.gather(direction, rows)
-    margins[games], slopes[games] = _stable_above(points, y, layout.mask[rows], d, blocks, layout.n)
-    for game, point in zip(games, layout.scatter(points, rows)):
+    if not solved.all():
+        keep = solved.repeat(blocks)
+        games, layout, y, points = games[solved], layout.take(np.flatnonzero(solved)), y[keep], points[keep]
+    margins[games], slopes[games] = _stable_above(points, y, layout.mask, layout.gather(direction), blocks, layout.n)
+    for game, point in zip(games, layout.scatter(points)):
         if margins[game] > 0.0:
             point = point.copy()
             point.flags.writeable = False
@@ -455,11 +456,14 @@ def bifurcation_sweep(
     oracle's size limit), in one enumeration whose boxes for all values
     contract and bisect together, and one merge of every value's roots.
     One sort then orders every value's roots by their sum, one batched
-    verdict classifies them all with the Krasovskii certificate, and
-    per-value counts of strictly interior roots locate the fold. A root
-    whose Jacobian is singular (a neighbour coordinate at 1) is marked
-    "singular". ``varying_index`` must name a player, 0..n-1. The matrix
-    and the rates of every value are validated once, before any solve.
+    verdict classifies them all with the Krasovskii certificate
+    (:func:`alohagame.stability._classify`), whose arrays give every
+    branch point its ``stable`` flag and classification with no verdict
+    object per root, and per-value counts of strictly interior roots
+    locate the fold. A root whose Jacobian is singular (a neighbour
+    coordinate at 1) is marked "singular". ``varying_index`` must name
+    a player, 0..n-1. The matrix and the rates of every value are
+    validated once, before any solve.
     """
     _check_positive_finite(step, "step")
     lo, hi = value_range
@@ -488,10 +492,12 @@ def bifurcation_sweep(
     order = np.lexsort((*roots.T[::-1], roots.sum(axis=1), owner))
     roots, owner = roots[order], owner[order]
     roots.flags.writeable = False
-    points = [
-        BranchPoint(p, False, "singular") if isinstance(v, ValueError) else BranchPoint(p, v.stable, v.classification)
-        for p, v in zip(roots, _verdicts(roots, rates[owner], a, DEFAULT_FP_TOL))
-    ]
+    classes = _classify(roots, rates[owner], a, DEFAULT_FP_TOL)
+    stable = np.zeros(len(roots), dtype=bool)
+    stable[classes.decided] = classes.positive_definite
+    classification = np.full(len(roots), "singular", dtype=object)
+    classification[classes.decided] = classes.classification
+    points = list(map(BranchPoint, roots, stable.tolist(), classification.tolist()))
     ends = np.searchsorted(owner, np.arange(len(values) + 1))
     branches = [points[start:stop] for start, stop in zip(ends[:-1], ends[1:])]
     interior = ((roots > 0.0) & (roots < 1.0)).all(axis=1)

@@ -16,7 +16,9 @@ certificate matrix, the margin and the verdicts take stacks of points
 or matrices as well as single ones: a stack of points, each with its
 own target rates, gets its verdicts from one response evaluation, one
 certificate stack and one eigenvalue solve, which is how a consistency
-check and a bifurcation sweep classify all their roots. The Jacobian
+check and a bifurcation sweep classify all their roots; the sweep
+reads the verdicts as arrays, a consistency check as one
+:class:`StabilityVerdict` per point. The Jacobian
 and the certificate matrix also take a stack of interference
 matrices, one per point, which is how the rate searches decide many
 games at once. The region-of-attraction grid goes through the
@@ -28,6 +30,7 @@ cells, in numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,50 +227,74 @@ def diag_dominant(q_s, game: Game) -> bool:
     return bool(_diag_dominant(np.asarray(q_s, dtype=float), game.matrix))
 
 
-def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
-    """Krasovskii verdicts at the rows of ``q``, each in its own game.
+class _Classes(NamedTuple):
+    """The arrays of :func:`_classify`.
+
+    The first five run over every point: the residual norm, and whether
+    it is a fixed point, has a neighbour coordinate at 1, is decided (a
+    fixed point with none) and clips. The rest run over the decided
+    points, in the order of the :class:`StabilityVerdict` fields.
+    """
+
+    residual: np.ndarray
+    fixed: np.ndarray
+    singular: np.ndarray
+    decided: np.ndarray
+    clipped: np.ndarray
+    certificate: np.ndarray
+    positive_definite: np.ndarray
+    diag_dominant: np.ndarray
+    classification: np.ndarray
+
+
+def _classify(q: np.ndarray, rates, matrix, fp_tol: float) -> _Classes:
+    """Krasovskii verdicts at the rows of ``q``, each in its own game, as arrays.
 
     Row k of ``q`` is a point of the game with interference ``matrix``
     and target rates ``rates[k]``, or ``rates`` for every row. One
     response evaluation serves every point's membership test, Jacobian
     and clipping flag; one certificate stack, one eigenvalue solve and
-    one dominance test serve every fixed point. Returns, per point, its
-    :class:`StabilityVerdict`, or the ``ValueError`` that
-    :func:`krasovskii_verdict` raises there: the point is not a fixed
-    point at ``fp_tol``, or a neighbour coordinate equals 1.
+    one dominance test serve every decided point. The classification
+    rule lives here alone: positive definite (:func:`pd_margin` > 0) is
+    "stable", else a smallest eigenvalue above -``PD_TOL`` is
+    "critical", and the rest are "unstable".
     """
     mask = np.asarray(matrix, dtype=bool)
     f = _response(q, rates, mask)
     res = np.abs(f - q).max(axis=-1)
     fixed = res <= fp_tol
     singular = _singular(q, mask)
-    good = fixed & ~singular
-    c = _certificate(q[good], f[good], mask)
+    decided = fixed & ~singular
+    c = _certificate(q[decided], f[decided], mask)
     lam, norm = _smallest_eigenvalue(c)
-    margin = _margin(lam, norm, c.shape[-1])
+    pd = _margin(lam, norm, c.shape[-1]) > 0.0
     clipped = ((f >= 1.0) & (rates > 0.0)).any(axis=-1)
+    classification = np.where(pd, "stable", np.where(lam > -PD_TOL, "critical", "unstable"))
+    return _Classes(res, fixed, singular, decided, clipped, c, pd, _diag_dominant(q[decided], mask), classification)
+
+
+def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
+    """:func:`_classify` at the rows of ``q`` as one object per point.
+
+    Returns, per point, its :class:`StabilityVerdict`, or the
+    ``ValueError`` that :func:`krasovskii_verdict` raises there: the
+    point is not a fixed point at ``fp_tol``, or a neighbour coordinate
+    equals 1.
+    """
+    classes = _classify(q, rates, matrix, fp_tol)
     points = q.copy()
-    for arr in (points, c):
+    for arr in (points, classes.certificate):
         arr.flags.writeable = False
-    decided = zip(c, margin > 0.0, lam, _diag_dominant(q[good], mask))
+    decided = zip(classes.certificate, *(a.tolist() for a in classes[6:]))
     verdicts = []
-    for k in range(len(q)):
-        if not fixed[k]:
-            verdicts.append(ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {float(res[k]):.3e})"))
-        elif singular[k]:
+    for k, point in enumerate(points):
+        if not classes.fixed[k]:
+            res = float(classes.residual[k])
+            verdicts.append(ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {res:.3e})"))
+        elif classes.singular[k]:
             verdicts.append(ValueError(_SINGULAR_MESSAGE))
         else:
-            cert, pd, lam_k, dominant = next(decided)
-            verdicts.append(
-                StabilityVerdict(
-                    point=points[k],
-                    certificate=cert,
-                    positive_definite=bool(pd),
-                    diag_dominant=bool(dominant),
-                    classification="stable" if pd else "critical" if lam_k > -PD_TOL else "unstable",
-                    clipped=bool(clipped[k]),
-                )
-            )
+            verdicts.append(StabilityVerdict(point, *next(decided), bool(classes.clipped[k])))
     return verdicts
 
 

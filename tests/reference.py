@@ -17,9 +17,11 @@ the certificate margin, a common-rate search that solves and decides
 every trial on its whole matrix instead of by connected components,
 the ``solve`` and ``stability`` lines of a CLI that took its
 equilibrium from a best-response ascent, a sweep grid rounded one
-value at a time, and the oracle's success and leave-one-out products
+value at a time, the oracle's success and leave-one-out products
 accumulated along each row's last axis instead of along the player
-axis.
+axis, a neighbour contraction that forms its two halves apart, a
+Newton polish that re-indexes its rows at every step, and a sweep
+that finishes through one verdict object per root.
 """
 
 import numpy as np
@@ -50,8 +52,8 @@ from alohagame import (
     residual,
     side_for_density,
 )
-from alohagame import experiments, solver
-from alohagame.game import _response
+from alohagame import experiments, solver, stability
+from alohagame.game import _as_binary_matrix, _response
 from alohagame.stability import _certificate, _jacobian
 from alohagame.cli import _fmt_vec
 
@@ -98,6 +100,49 @@ def diagonal_contraction(lo, hi, row, rates, mask):
     hi = np.fmin(hi, bounds[1] * (1.0 + 16 * np.finfo(float).eps))
     keep = (lo <= hi).all(axis=1)
     return lo[keep], hi[keep], row[keep]
+
+
+def neighbour_contraction(lo, hi, row, rates, mask):
+    """One contraction with the neighbour bounds, its two halves formed
+    apart: the diagonal cut, then lo_i O_ij(hi) and hi_i O_ij(lo) as
+    two multiplies stacked, and 1 - x and its padding taken for each
+    half, with the products of :func:`last_axis_products`."""
+    y = rates[row]
+    k = len(lo)
+    prod, others = last_axis_products(np.concatenate([lo, hi]), mask)
+    bounds = y / prod.reshape(2, *lo.shape)
+    new_lo = np.fmax(lo, bounds[0] * (1.0 - solver._OUTWARD))
+    new_hi = np.fmin(hi, bounds[1] * (1.0 + solver._OUTWARD))
+    spans = np.stack([lo[..., np.newaxis] * others[k:], hi[..., np.newaxis] * others[:k]])
+    bounding = mask & (y > 0.0)[..., np.newaxis]
+    x = np.divide(y[..., np.newaxis], spans, out=np.full_like(spans, np.nan), where=bounding)
+    new_lo = np.fmax(new_lo, np.fmax.reduce(1.0 - x[0] - solver._OUTWARD * (1.0 + x[0]), axis=1))
+    new_hi = np.fmin(new_hi, np.fmin.reduce(1.0 - x[1] + solver._OUTWARD * (1.0 + x[1]), axis=1))
+    keep = (new_lo <= new_hi).all(axis=1)
+    return new_lo[keep], new_hi[keep], row[keep]
+
+
+def polish_compacting_every_step(starts, rates, matrix, max_iter):
+    """The oracle's Newton polish with its live rows re-indexed at every
+    step, whether or not some row stopped."""
+    best = starts.copy()
+    h, jac = solver._polynomial(best, rates, matrix)
+    best_norm = np.abs(h).max(axis=1)
+    rows = np.arange(len(best))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            ok = np.isfinite(jac).all(axis=(1, 2))
+            ok[ok] = np.abs(np.linalg.det(jac[ok])) > 1e-300
+            rows, h, jac = rows[ok], h[ok], jac[ok]
+            if not len(rows):
+                break
+            q = best[rows] - np.linalg.solve(jac, h[..., np.newaxis])[..., 0]
+            h, jac = solver._polynomial(q, rates[rows], matrix)
+            norm = np.abs(h).max(axis=1)
+            better = norm < best_norm[rows]
+            rows, q, h, jac = rows[better], q[better], h[better], jac[better]
+            best[rows], best_norm[rows] = q, norm[better]
+    return best
 
 
 def width_only_leaf_centres(rates, matrix, cells_per_axis):
@@ -253,6 +298,40 @@ def sweep_with_a_finish_per_value(matrix, fixed_rates, varying_index, value_rang
             ]
             _, i, j = min(gaps)
             critical_point = (interior[i] + interior[j]) / 2.0
+    return BifurcationBranch(varying_index, values, branches, critical_value, critical_point)
+
+
+def sweep_through_verdict_objects(matrix, fixed_rates, varying_index, value_range, step):
+    """Bifurcation sweep whose finishing pass builds one verdict object per
+    root (``stability._verdicts``) and reads each branch point's
+    ``stable`` and ``classification`` back out of it."""
+    a = _as_binary_matrix(matrix)
+    lo, hi = value_range
+    values = np.round(np.arange(experiments._grid(lo), hi + step / 2, step), 12)
+    rates = np.repeat(np.asarray(fixed_rates, dtype=float)[np.newaxis], len(values), axis=0)
+    rates[:, varying_index] = values
+    roots, owner = solver._roots(rates, a)
+    order = np.lexsort((*roots.T[::-1], roots.sum(axis=1), owner))
+    roots, owner = roots[order], owner[order]
+    roots.flags.writeable = False
+    points = [
+        BranchPoint(p, False, "singular") if isinstance(v, ValueError) else BranchPoint(p, v.stable, v.classification)
+        for p, v in zip(roots, stability._verdicts(roots, rates[owner], a, stability.DEFAULT_FP_TOL))
+    ]
+    ends = np.searchsorted(owner, np.arange(len(values) + 1))
+    branches = [points[start:stop] for start, stop in zip(ends[:-1], ends[1:])]
+    interior = ((roots > 0.0) & (roots < 1.0)).all(axis=1)
+    critical_value = critical_point = None
+    (folded,) = np.nonzero(np.bincount(owner[interior], minlength=len(values)) >= 2)
+    if len(folded):
+        last = folded[-1]
+        critical_value = float(values[last])
+        span = slice(ends[last], ends[last + 1])
+        inner = roots[span][interior[span]]
+        i, j = np.triu_indices(len(inner), 1)
+        pair = np.abs(inner[i] - inner[j]).max(axis=1).argmin()
+        critical_point = (inner[i[pair]] + inner[j[pair]]) / 2.0
+        critical_point.flags.writeable = False
     return BifurcationBranch(varying_index, values, branches, critical_value, critical_point)
 
 

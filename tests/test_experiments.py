@@ -33,7 +33,7 @@ from reference import bisect_common_rate, bisect_demand_scale, bisect_probabilit
 from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate
 from reference import sweep_one_search_per_trial
 from reference import fixed_point_sets_per_game, grid_one_value_at_a_time, sweep_one_value_at_a_time
-from reference import sweep_with_a_finish_per_value
+from reference import sweep_through_verdict_objects, sweep_with_a_finish_per_value
 
 CHAIN = chain_matrix(3)
 
@@ -278,6 +278,42 @@ class TestOneFinishingPass:
             assert got.includes_extraneous == want.includes_extraneous
             roots += got.n_points
         assert roots >= 1000
+
+
+class TestArrayFinish:
+    """Branch points built from the verdicts' arrays are, byte for byte
+    and type for type, those read out of one verdict object per root."""
+
+    @staticmethod
+    def _assert_same(args, tmp_path):
+        got, want = bifurcation_sweep(*args), sweep_through_verdict_objects(*args)
+        _assert_same_bytes(got, want)
+        assert [[(type(bp.stable), type(bp.classification)) for bp in row] for row in got.branches] == [
+            [(bool, str)] * len(row) for row in want.branches
+        ]
+        got.to_csv(tmp_path / "got.csv")
+        want.to_csv(tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        return got
+
+    @pytest.mark.parametrize("step", [0.005, 0.001])
+    def test_fold(self, step, tmp_path):
+        got = self._assert_same((CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), step), tmp_path)
+        assert got.critical_value == 0.245 and got.critical_point is not None
+        assert {bp.classification for row in got.branches for bp in row} == {"stable", "unstable"}
+
+    def test_chain5(self, tmp_path):
+        got = self._assert_same((chain_matrix(5), [0.15] * 5, 2, (0.0, 0.30), 0.005), tmp_path)
+        assert got.critical_value is not None
+
+    def test_random_sweeps(self, tmp_path):
+        # game 17's sweep reaches a root with a neighbour at 1, "singular"
+        labels = []
+        for i in range(20):
+            game = random_game(instance_rng(2525, i))
+            got = self._assert_same((game.matrix, game.rates, i % game.n, (0.0, 1.0), 0.02), tmp_path)
+            labels += [bp.classification for row in got.branches for bp in row]
+        assert set(labels) == {"stable", "unstable", "singular"}
 
 
 class TestMaxCommonRate:

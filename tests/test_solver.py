@@ -21,7 +21,8 @@ from alohagame import (
 from alohagame import solver
 from alohagame.game import success_product
 from conftest import P_SADDLE, Q_STAR, instance_rng, random_game, record_calls
-from reference import fixed_point_sets_per_game, greedy_dedup, last_axis_products, width_only_leaf_centres
+from reference import diagonal_contraction, fixed_point_sets_per_game, greedy_dedup, last_axis_products
+from reference import neighbour_contraction, polish_compacting_every_step, width_only_leaf_centres
 from test_game import two_player_root
 
 
@@ -629,6 +630,79 @@ class TestProducts:
                     assert prod.tobytes() == want_prod.tobytes()
                     assert others.tobytes() == want_others.tobytes()
         assert poles >= 1000
+
+
+def _random_boxes(rng, n, k):
+    """k random boxes of [0, 1]^n with faces exactly at 0 and 1, owned by
+    three games whose rates include silent players."""
+    lo, hi = np.sort(rng.random((2, k, n)), axis=0)
+    lo[rng.random((k, n)) < 0.1] = 0.0
+    hi[rng.random((k, n)) < 0.1] = 1.0
+    lo[rng.random((k, n)) < 0.05] = 1.0
+    hi = np.maximum(lo, hi)
+    rates = rng.uniform(0.0, 0.5, (3, n))
+    rates[rng.random((3, n)) < 0.2] = 0.0
+    return lo, hi, rng.integers(0, 3, k), rates
+
+
+class TestContractRounds:
+    """The contraction rounds give, bit for bit, the boxes of the plain
+    forms in ``tests/reference.py``."""
+
+    def test_diagonal_rounds_match_the_last_axis_products(self):
+        rng = np.random.default_rng(2525)
+        corners = set()
+        for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            for k in (1, 4, 300, *rng.integers(2, 300, 12)):
+                lo, hi, row, rates = _random_boxes(rng, n, k)
+                a = (rng.random((n, n)) < rng.uniform(0.2, 1.0)).astype(float)
+                np.fill_diagonal(a, 0.0)
+                for mask in (a, a.astype(bool)):
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        got = solver._contract(lo, hi, row, rates, mask)
+                        want = diagonal_contraction(lo, hi, row, rates, mask)
+                    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+                corners.add(2 * k)
+        assert min(corners) == 2 and max(corners) == 600
+
+    def test_neighbour_rounds_match_two_halves_formed_apart(self):
+        rng = np.random.default_rng(2526)
+        cut = 0
+        for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            for k in (1, 4, 300, *rng.integers(2, 300, 12)):
+                lo, hi, row, rates = _random_boxes(rng, n, k)
+                mask = rng.random((n, n)) < rng.uniform(0.2, 1.0)
+                np.fill_diagonal(mask, False)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    got = solver._contract(lo, hi, row, rates, mask, neighbours=True)
+                    want = neighbour_contraction(lo, hi, row, rates, mask)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+                cut += len(got[0]) < k
+        assert cut >= 50
+
+
+class TestPolish:
+    def test_matches_a_polish_that_compacts_every_step(self):
+        # Starts with NaN coordinates or at 1 stop at once or early, so
+        # steps where every row goes on and steps where some stop mix.
+        rng = np.random.default_rng(2527)
+        changed = 0
+        for n in range(1, 7):
+            for _ in range(15):
+                a = (rng.random((n, n)) < rng.uniform(0.2, 1.0)).astype(np.int8)
+                np.fill_diagonal(a, 0)
+                k = int(rng.integers(1, 200))
+                starts = rng.random((k, n))
+                starts[rng.random((k, n)) < 0.02] = np.nan
+                starts[rng.random((k, n)) < 0.05] = 1.0
+                rates = rng.uniform(0.0, 0.4, (k, n))
+                rates[rng.random((k, n)) < 0.1] = 0.0
+                for max_iter in (1, 4, 50):
+                    got = solver._polish(starts, rates, a, max_iter)
+                    want = polish_compacting_every_step(starts, rates, a, max_iter)
+                    assert got.tobytes() == want.tobytes()
+                    changed += int((got != starts).any(axis=1).sum())
+        assert changed >= 1000
 
 
 class TestEmptyStacks:
