@@ -454,7 +454,7 @@ def bifurcation_sweep(
     Finds every parameter value's roots with the box-exclusion oracle
     of :func:`multistart_fixed_points` (so the instance must respect the
     oracle's size limit), in one enumeration whose boxes for all values
-    contract and bisect together, and one merge of every value's roots.
+    contract and split together, and one merge of every value's roots.
     One sort then orders every value's roots by their sum, one batched
     verdict classifies them all with the Krasovskii certificate
     (:func:`alohagame.stability._classify`), whose arrays give every

@@ -24,15 +24,15 @@ Three routes to the fixed points of the best-response map:
   retires at once, one proven to hold none is dropped, and one whose
   Newton box (the Krawczyk box, padded) is proven to hold exactly one
   root retires too, since it holds at most that root; the rest are cut
-  and bisected. Newton's method on the polynomial form polishes a root
-  from each retired box and each small leaf, and the genuine fixed
-  points are kept. The oracle is used to
-  cross-check the iterative solvers. Games that share a topology are
-  enumerated together, their boxes contracted and split in the same
-  rounds, in blocks of games whose boxes fit a fixed budget, and one
-  merge then deduplicates every game's roots at once: a bifurcation
-  sweep finds every parameter value's roots in one enumeration per
-  block and one finishing pass.
+  and halved along up to three of their widest axes at once. Newton's
+  method on the polynomial form polishes a root from each retired box
+  and each small leaf, and the genuine fixed points are kept. The
+  oracle is used to cross-check the iterative solvers. Games that share
+  a topology are enumerated together, their boxes contracted and split
+  in the same rounds, in blocks of games whose boxes fit a fixed
+  budget, and one merge then deduplicates every game's roots at once:
+  a bifurcation sweep finds every parameter value's roots in one
+  enumeration per block and one finishing pass.
 """
 
 from __future__ import annotations
@@ -66,15 +66,18 @@ DEFAULT_MAX_ITER = 100_000
 # Oracle roots closer than this (infinity norm) are one root.
 DEDUP_RADIUS = 1e-6
 
-# The oracle bisects boxes down to this width (infinity norm) and
-# contracts each box this many times per bisection.
+# The oracle splits boxes down to this width (infinity norm), contracts
+# each box this many times per round and halves an unsettled box along
+# up to this many of its widest axes at once.
 _LEAF_WIDTH = 1e-3
 _CONTRACT_ROUNDS = 3
+_SPLIT_AXES = 3
 
 # Games are enumerated in blocks of rows, so that a long sweep does not
 # hold every value's boxes at once. A row is budgeted its initial cells
-# each split once along every axis, (2 * cells_per_axis)^n boxes, and a
-# block holds as many rows as fit this many boxes (at least one).
+# each halved once along every axis, (2 * cells_per_axis)^n boxes,
+# whatever a round's split cuts, and a block holds as many rows as fit
+# this many boxes (at least one).
 _BLOCK_BOXES = 2048
 
 # Relative outward rounding of contracted bounds. It covers the
@@ -366,7 +369,11 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
     started from their centres. The wider boxes take one Krawczyk step
     (:func:`_krawczyk`): a box proven to hold at most one root retires
     too, started from a Newton point; the others are cut by the step
-    and split in half along their widest side.
+    and halved along up to ``_SPLIT_AXES`` of their widest axes at once
+    (:func:`_split`), into up to 8 children. A round costs about the
+    same numpy calls however few boxes it holds, so cutting three axes
+    in one round saves the two rounds that cutting them one at a time
+    would take.
     """
     mask = matrix.astype(bool)
     edges, cells = _partition(rates.shape[1], cells_per_axis)
@@ -386,13 +393,49 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
             lo, hi, row, (proven, proven_row) = _krawczyk(lo[~leaf], hi[~leaf], row[~leaf], rates, matrix)
             starts.append(proven)
             owners.append(proven_row)
-            width = hi - lo
-            boxes, axis = np.arange(len(lo)), width.argmax(axis=1)
-            mid = (lo[boxes, axis] + hi[boxes, axis]) / 2.0
-            # Lower halves first, then upper halves.
-            lo, hi, row = np.concatenate([lo, lo]), np.concatenate([hi, hi]), np.concatenate([row, row])
-            hi[boxes, axis] = lo[len(boxes) + boxes, axis] = mid
+            lo, hi, row = _split(lo, hi, row)
     return np.concatenate(starts), np.concatenate(owners)
+
+
+def _split(lo, hi, row):
+    """Halve each box [lo, hi] along up to ``_SPLIT_AXES`` of its widest axes at once.
+
+    The widest axis is always cut (ties go to the lower index), and the
+    next ``_SPLIT_AXES - 1`` widest only where wider than a leaf, so a
+    silent [0, 0] axis never is. Cutting s axes at their midpoints
+    gives a box the 2^s orthants of :func:`_orthants` as children;
+    those that take the upper half of an axis left uncut, copies of a
+    lower twin, are dropped. Since the cut axes are the widest, a box
+    keeps its first 2^s orthants. It makes the same numpy calls
+    whatever the number of boxes, and a box's children depend only on
+    the box. Returns the children with the rate row of each, the lowest
+    orthant of every box first, in box order, then the next orthant.
+    """
+    k, n = lo.shape
+    width = hi - lo
+    # rank[b, j]: how many axes of box b come before axis j, widest first
+    rank = np.argsort(np.argsort(-width, axis=1, kind="stable"), axis=1)
+    cut = (rank == 0) | (rank < _SPLIT_AXES) & (width > _LEAF_WIDTH)
+    table = _orthants(n)
+    kept = np.flatnonzero(np.arange(len(table))[:, np.newaxis] < 1 << cut.sum(axis=1))
+    upper = table.take(rank, axis=1)
+    mid = (lo + hi) / 2.0
+    child_lo = np.where(upper, mid, lo).reshape(-1, n).take(kept, axis=0)
+    child_hi = np.where(cut & ~upper, mid, hi).reshape(-1, n).take(kept, axis=0)
+    return child_lo, child_hi, row.take(kept % k)
+
+
+@functools.lru_cache(maxsize=16)
+def _orthants(n: int):
+    """Read-only table of the children of a box of n axes split along its widest ones.
+
+    Entry [c, r] says whether child c takes the upper half of the box's
+    axis of rank r (0 the widest): bit r of c, for the 2^s children of
+    the s = min(n, ``_SPLIT_AXES``) widest axes, and False for r >= s.
+    """
+    table = ((np.arange(2 ** min(n, _SPLIT_AXES))[:, np.newaxis] >> np.arange(n)) & 1).astype(bool)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -424,15 +467,16 @@ def _krawczyk(lo, hi, row, rates, matrix):
     cannot pass the plain test, but its Newton box, as wide as the pad
     there, can.
 
-    A silent player's axis has width 0 and is neither tested nor cut:
-    its row of J(X) is zero off the diagonal and h_i(m) = 0, so the
-    other axes of K are the Krawczyk box of the system without it.
+    A silent player's axis has width 0 and is neither tested, cut nor
+    halved: its row of J(X) is zero off the diagonal and h_i(m) = 0, so
+    the other axes of K are the Krawczyk box of the system without it.
     A box whose J(m) is singular or not finite is passed on as it is.
 
     Returns the boxes neither test settles, each cut to the
-    intersection of X and K, and the Newton points of the retired boxes
-    with their rows; boxes where K misses X are dropped. When the plain
-    test settles or drops every box, the Newton-box test is skipped.
+    intersection of X and K for the caller to halve (:func:`_split`),
+    and the Newton points of the retired boxes with their rows; boxes
+    where K misses X are dropped. When the plain test settles or drops
+    every box, the Newton-box test is skipped.
     """
     y = rates[row]
     active = y > 0.0
@@ -614,8 +658,9 @@ def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
     Start k solves the system of the game whose target rates are row k
     of ``rates``. A start stops at its first step that does not lower
     the residual, or whose Jacobian is singular or not finite, and
-    otherwise after ``max_iter`` steps. The live rows are compacted
-    only in a step where some row stops.
+    otherwise after ``max_iter`` steps: a singular Jacobian gives a NaN
+    step (:func:`_solve_rows`), whose residual is not lower. The live
+    rows are compacted only in a step where some row stops.
     """
     best = starts.copy()
     h, jac = _polynomial(best, rates, matrix)
@@ -625,12 +670,11 @@ def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             ok = np.isfinite(jac).all(axis=(1, 2))
-            ok[ok] = np.abs(np.linalg.det(jac if ok.all() else jac[ok])) > 1e-300
             if not ok.all():
                 rows, q, h, jac, rates = rows[ok], q[ok], h[ok], jac[ok], rates[ok]
                 if not len(rows):
                     break
-            q = q - np.linalg.solve(jac, h[..., np.newaxis])[..., 0]
+            q = q - _solve_rows(jac, h)
             h, jac = _polynomial(q, rates, matrix)
             norm = np.abs(h).max(axis=1)
             better = norm < best_norm[rows]
@@ -749,11 +793,12 @@ def multistart_fixed_points(
     none. A box the step leaves is retired too when its Newton box,
     the Krawczyk box padded by 1e-12 and clipped to [0, 1]^n, holds
     all its roots and is proven to hold exactly one; the others are
-    cut before they are bisected. Newton on the polynomial form
-    polishes a root from the Newton point of each retired box (of its
-    Newton box, for one retired there) and from the centre of each
-    small leaf. The roots that are fixed points of the clipped
-    map at 1e-9 are kept, and those within 1e-6 of one kept before
+    cut, then halved along their widest axis and along the next two
+    widest that are wider than a leaf, all in one round. Newton on the
+    polynomial form polishes a root from the Newton point of each
+    retired box (of its Newton box, for one retired there) and from the
+    centre of each small leaf. The roots that are fixed points of the
+    clipped map at 1e-9 are kept, and those within 1e-6 of one kept before
     them, in lexicographic order of the coordinates rounded to 1e-9,
     are dropped (:func:`_merge`). The clipping-induced
     all-ones point is reported through ``includes_extraneous``
@@ -766,7 +811,7 @@ def multistart_fixed_points(
     whatever the partition, so neither changes which roots are found,
     only the cost. The cost is set by the roots: a box around a simple
     root retires after a round or two, while neither Krawczyk test can
-    succeed at a double root, whose box is bisected down to a leaf. At
+    succeed at a double root, whose box is split down to a leaf. At
     a double root, where Newton converges linearly, too small a cap
     leaves several nearby points instead of one.
     """

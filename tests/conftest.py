@@ -15,13 +15,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def random_game(rng, n_max=4):
+def random_game(rng, n_max=4, n_min=1):
     """Random small instance: asymmetric binary topology, rates in [0, 1].
 
-    Half the draws symmetrize the matrix; occasionally one rate is
-    zeroed to exercise the silent-player path.
+    The players number from ``n_min`` to ``n_max``. Half the draws
+    symmetrize the matrix; occasionally one rate is zeroed to exercise
+    the silent-player path.
     """
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(n_min, n_max + 1))
     density = rng.uniform(0.2, 0.95)
     a = (rng.random((n, n)) < density).astype(int)
     if rng.random() < 0.5:

@@ -20,7 +20,9 @@ equilibrium from a best-response ascent, a sweep grid rounded one
 value at a time, the oracle's success and leave-one-out products
 accumulated along each row's last axis instead of along the player
 axis, a neighbour contraction that forms its two halves apart, a
-Newton polish that re-indexes its rows at every step, and a sweep
+Newton polish that re-indexes its rows at every step and stops a row
+whose Jacobian determinant is at most 1e-300, a box enumeration that
+halves each unsettled box along its widest side alone, and a sweep
 that finishes through one verdict object per root.
 """
 
@@ -143,6 +145,37 @@ def polish_compacting_every_step(starts, rates, matrix, max_iter):
             rows, q, h, jac = rows[better], q[better], h[better], jac[better]
             best[rows], best_norm[rows] = q, norm[better]
     return best
+
+
+def widest_axis_leaf_centres(rates, matrix, cells_per_axis):
+    """The oracle's box enumeration with each box that the Krawczyk step
+    leaves open halved along its widest side alone, lower halves first,
+    then upper halves: the contractions, both Krawczyk tests and the
+    leaves of :func:`alohagame.solver._leaf_centres`, one cut per round.
+    Returns the polishing starts with the rate row of each."""
+    mask = matrix.astype(bool)
+    edges, cells = solver._partition(rates.shape[1], cells_per_axis)
+    silent = rates == 0.0
+    row, box = np.nonzero(~(silent[:, np.newaxis] & (cells > 0)).any(axis=-1))
+    lo, hi = edges[cells[box]], np.where(silent[row], 0.0, edges[cells[box] + 1])
+    starts, owners = [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while len(lo):
+            for r in range(solver._CONTRACT_ROUNDS):
+                lo, hi, row = solver._contract(lo, hi, row, rates, mask, neighbours=r == solver._CONTRACT_ROUNDS - 1)
+            leaf = (hi - lo).max(axis=1) <= solver._LEAF_WIDTH
+            starts.append((lo[leaf] + hi[leaf]) / 2.0)
+            owners.append(row[leaf])
+            if leaf.all():
+                break
+            lo, hi, row, (proven, proven_row) = solver._krawczyk(lo[~leaf], hi[~leaf], row[~leaf], rates, matrix)
+            starts.append(proven)
+            owners.append(proven_row)
+            boxes, axis = np.arange(len(lo)), (hi - lo).argmax(axis=1)
+            mid = (lo[boxes, axis] + hi[boxes, axis]) / 2.0
+            lo, hi, row = np.concatenate([lo, lo]), np.concatenate([hi, hi]), np.concatenate([row, row])
+            hi[boxes, axis] = lo[len(boxes) + boxes, axis] = mid
+    return np.concatenate(starts), np.concatenate(owners)
 
 
 def width_only_leaf_centres(rates, matrix, cells_per_axis):

@@ -193,14 +193,16 @@ class TestOneEnumeration:
         # An enumeration per value makes 3,945 contractions here, one
         # enumeration for all 61 values 93 when every box is bisected
         # down to the leaf width, 30 when the plain Krawczyk test
-        # retires the boxes it proves to hold one root, and 18 when the
+        # retires the boxes it proves to hold one root, 18 when the
         # contraction also bounds each neighbour and boxes retire at
-        # their Newton box. The 61 values are one block.
+        # their Newton box, and 15 when a box the Krawczyk step leaves
+        # open is halved along every axis at once instead of its widest
+        # alone: 5 rounds, not 6. The 61 values are one block.
         calls = record_calls(monkeypatch, solver, "_contract")
         blocks = record_calls(monkeypatch, solver, "_leaf_centres")
         branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.0, 0.30), 0.005)
         assert branch.parameter_values.size == 61
-        assert len(calls) == 18
+        assert len(calls) == 15
         assert len(blocks) == 1
 
     def test_blocks_give_the_one_block_roots(self, monkeypatch):

@@ -8,6 +8,7 @@ from alohagame import (
     Game,
     achieved_rate,
     best_response,
+    bifurcation_sweep,
     chain_matrix,
     fully_connected_matrix,
     is_fixed_point,
@@ -23,6 +24,7 @@ from alohagame.game import success_product
 from conftest import P_SADDLE, Q_STAR, instance_rng, random_game, record_calls
 from reference import diagonal_contraction, fixed_point_sets_per_game, greedy_dedup, last_axis_products
 from reference import neighbour_contraction, polish_compacting_every_step, width_only_leaf_centres
+from reference import widest_axis_leaf_centres
 from test_game import two_player_root
 
 
@@ -704,6 +706,205 @@ class TestPolish:
                     changed += int((got != starts).any(axis=1).sum())
         assert changed >= 1000
 
+    def test_singular_jacobian_stops_where_the_determinant_rule_stops(self):
+        # The collision pair's Jacobian [[1 - q2, -q1], [-q2, 1 - q1]]
+        # is exactly singular at (0.5, 0.5), so the stacked solve fails
+        # and its rows are solved one at a time; the singular rows keep
+        # their starts, as when a zero determinant stopped them.
+        a = fully_connected_matrix(2)
+        starts = np.array([[0.5, 0.5], [0.1, 0.3], [0.5, 0.5], [0.2, 0.25]])
+        rates = np.array([[0.2, 0.2], [0.2, 0.2], [0.25, 0.25], [0.1, 0.15]])
+        assert np.linalg.det(solver._polynomial(starts, rates, a)[1])[[0, 2]].tolist() == [0.0, 0.0]
+        for max_iter in (1, 50):
+            got = solver._polish(starts, rates, a, max_iter)
+            assert got.tobytes() == polish_compacting_every_step(starts, rates, a, max_iter).tobytes()
+            assert np.array_equal(got[[0, 2]], starts[[0, 2]])
+            assert (got[[1, 3]] != starts[[1, 3]]).all()
+
+
+class TestSplit:
+    """A box the Krawczyk step leaves open is halved along up to three of
+    its widest axes in one round, into children that tile it."""
+
+    def test_children_tile_their_parent(self):
+        # Boxes of every oracle size with silent [0, 0] axes, axes
+        # exactly a leaf wide or narrower, and tied widths; a fifth of
+        # them, as the Krawczyk step may leave them, no wider than a leaf.
+        rng = np.random.default_rng(2601)
+        seen = {"silent": 0, "past_widest": 0, "narrow_kept": 0, "capped": 0, "narrow_box": 0}
+        for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            for k in (1, 7, 300):
+                lo = rng.random((k, n)) * 0.5
+                width = rng.random((k, n)) * 0.5
+                pick = rng.random((k, n))
+                lo[pick < 0.4], width[pick < 0.4] = 0.0, rng.choice([1e-3, 5e-4, 0.25, 0.5], (k, n))[pick < 0.4]
+                lo[pick < 0.1] = width[pick < 0.1] = 0.0
+                narrow = rng.random(k) < 0.2
+                width[narrow] *= 1e-3
+                # one axis of each box is not silent
+                width[np.arange(k), rng.integers(0, n, k)] = np.where(narrow, 4e-4, 0.5)
+                hi = lo + width
+                width = hi - lo
+                child_lo, child_hi, parent = solver._split(lo, hi, np.arange(k))
+                assert child_lo.shape == child_hi.shape == (len(parent), n)
+                assert (np.diff(parent[:k]) > 0).all()
+                for b in range(k):
+                    order = sorted(range(n), key=lambda j: -width[b, j])
+                    cut = [order[0]] + [j for j in order[1:3] if width[b, j] > solver._LEAF_WIDTH]
+                    mine = parent == b
+                    c_lo, c_hi = child_lo[mine], child_hi[mine]
+                    assert len(c_lo) == 2 ** len(cut) <= 8
+                    mid = (lo[b] + hi[b]) / 2.0
+                    for j in range(n):
+                        if j in cut:
+                            upper = c_lo[:, j] == mid[j]
+                            assert np.array_equal(np.where(upper, mid[j], lo[b, j]), c_lo[:, j])
+                            assert np.array_equal(np.where(upper, hi[b, j], mid[j]), c_hi[:, j])
+                        else:
+                            assert (c_lo[:, j] == lo[b, j]).all() and (c_hi[:, j] == hi[b, j]).all()
+                    # every child takes a different half on some cut axis
+                    assert len({tuple(p) for p in (c_lo[:, cut] == mid[cut])}) == len(c_lo)
+                    seen["silent"] += int(((lo[b] == 0.0) & (hi[b] == 0.0)).sum())
+                    seen["past_widest"] += len(cut) > 1
+                    seen["narrow_kept"] += any(0.0 < width[b, j] <= solver._LEAF_WIDTH for j in order[1:3])
+                    seen["capped"] += len(cut) == 3 and (width[b] > solver._LEAF_WIDTH).sum() > 3
+                    seen["narrow_box"] += bool(width[b].max() <= solver._LEAF_WIDTH)
+        assert min(seen.values()) >= 50
+
+    def test_children_come_lowest_orthant_first(self):
+        # Cut along its widest axis alone, a stack splits as the
+        # widest-side bisection split it: lower halves, then upper.
+        lo = np.array([[0.0, 0.2, 0.0], [0.1, 0.3, 0.0]])
+        hi = np.array([[0.5, 0.2005, 0.0], [0.1005, 0.5, 0.0]])
+        child_lo, child_hi, row = solver._split(lo, hi, np.array([3, 1]))
+        assert child_lo.tolist() == [[0.0, 0.2, 0.0], [0.1, 0.3, 0.0], [0.25, 0.2, 0.0], [0.1, 0.4, 0.0]]
+        assert child_hi.tolist() == [[0.25, 0.2005, 0.0], [0.1005, 0.4, 0.0], [0.5, 0.2005, 0.0], [0.1005, 0.5, 0.0]]
+        assert row.tolist() == [3, 1, 3, 1]
+
+    def test_orthant_table_is_small_and_read_only(self):
+        for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            table = solver._orthants(n)
+            assert table.shape == (2 ** min(n, 3), n) and not table.flags.writeable
+            assert not table[:, 3:].any()
+            assert len({tuple(r) for r in table}) == len(table)
+
+    def test_a_games_roots_do_not_depend_on_its_stack(self):
+        # 4-player games sharing a topology, each alone and with 11
+        # others in one block: the same roots, byte for byte.
+        kept = 0
+        for index in range(6):
+            rng = instance_rng(2602, index)
+            matrix = random_game(rng, 4, 4).matrix
+            rates = rng.uniform(0.0, 0.2, (12, 4))
+            rates[rng.random((12, 4)) < 0.1] = 0.0
+            together = solver._fixed_point_sets(rates, matrix)
+            for y, got in zip(rates, together):
+                alone = multistart_fixed_points(Game(matrix, y))
+                assert [p.tobytes() for p in got.points] == [p.tobytes() for p in alone.points]
+                kept += got.n_points
+        assert kept >= 50
+
+
+def _widest_axis_oracle(patch):
+    """Give ``solver`` the box enumeration that halves each box along its
+    widest side alone and the polish that stops at a tiny determinant."""
+    patch.setattr(solver, "_leaf_centres", widest_axis_leaf_centres)
+    patch.setattr(solver, "_polish", polish_compacting_every_step)
+
+
+def _verdicts(points, game):
+    rows = []
+    for p in points:
+        try:
+            verdict = krasovskii_verdict(p, game, fp_tol=1e-6)
+            rows.append((verdict.stable, verdict.classification))
+        except ValueError:
+            rows.append("singular")
+    return rows
+
+
+def _four_player_pool():
+    return [random_game(instance_rng(2604, index), 4, 4) for index in range(60)]
+
+
+def _eight_player_pool():
+    # rates below 0.15: most of these games have roots
+    games = [random_game(instance_rng(2608, index), 8, 8) for index in range(20)]
+    return [Game(g.matrix, g.rates / 4.0) for g in games]
+
+
+class TestAgainstWidestAxisBisection:
+    """Halving a box along up to three of its widest axes at once finds
+    the roots, verdicts and fold that halving it along its widest side
+    alone found, the points within 1e-12."""
+
+    @staticmethod
+    def _assert_same_sets(monkeypatch, games, **kwargs):
+        got = [multistart_fixed_points(g, **kwargs) for g in games]
+        with monkeypatch.context() as patch:
+            _widest_axis_oracle(patch)
+            want = [multistart_fixed_points(g, **kwargs) for g in games]
+        for game, f, w in zip(games, got, want):
+            assert f.includes_extraneous == w.includes_extraneous
+            assert len(f.points) == len(w.points)
+            assert all(np.abs(p - q).max() <= 1e-12 for p, q in zip(f.points, w.points))
+            assert _verdicts(f.points, game) == _verdicts(w.points, game)
+        return sum(f.n_points for f in got)
+
+    def test_criterion_7_games(self, monkeypatch):
+        games = [random_game(instance_rng(20240, index)) for index in range(1000)]
+        assert self._assert_same_sets(monkeypatch, games, starts_per_axis=4, max_iter=50) >= 1000
+
+    def test_four_player_pool(self, monkeypatch):
+        assert self._assert_same_sets(monkeypatch, _four_player_pool()) >= 50
+
+    def test_eight_player_games(self, monkeypatch):
+        y = np.full(8, 0.1)
+        y[4] = 0.0
+        games = [Game(chain_matrix(8), y), *_eight_player_pool()]
+        assert self._assert_same_sets(monkeypatch, games) >= 30
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (chain_matrix(3), [0.15] * 3, 1, (0.0, 0.30), 0.005),
+            (chain_matrix(3), [0.15] * 3, 1, (0.0, 0.30), 0.001),
+            (chain_matrix(5), [0.15] * 5, 2, (0.0, 0.30), 0.005),
+            (chain_matrix(8), [0.1] * 8, 3, (0.284, 0.304), 0.004),
+        ],
+        ids=["fold-0.005", "fold-0.001", "chain5", "chain8"],
+    )
+    def test_sweeps(self, monkeypatch, args):
+        got = bifurcation_sweep(*args)
+        with monkeypatch.context() as patch:
+            _widest_axis_oracle(patch)
+            want = bifurcation_sweep(*args)
+        assert got.critical_value is not None and got.critical_value == want.critical_value
+        assert np.abs(got.critical_point - want.critical_point).max() <= 1e-12
+        assert got.parameter_values.tobytes() == want.parameter_values.tobytes()
+        for row, ref in zip(got.branches, want.branches, strict=True):
+            # Mirror-image roots have equal sums up to rounding, so a
+            # row, which is sorted by sum, may list them in either order.
+            row, ref = (sorted(r, key=lambda bp: tuple(np.round(bp.point, 9))) for r in (row, ref))
+            assert [(bp.stable, bp.classification) for bp in row] == [(bp.stable, bp.classification) for bp in ref]
+            assert all(np.abs(bp.point - r.point).max() <= 1e-12 for bp, r in zip(row, ref))
+
+    def test_four_player_pool_work(self, monkeypatch):
+        # Halved along their widest side alone, the pool's boxes took
+        # 307 Krawczyk tests and 561 contractions.
+        tests = record_calls(monkeypatch, solver, "_krawczyk_test")
+        contractions = record_calls(monkeypatch, solver, "_contract")
+        for game in _four_player_pool():
+            multistart_fixed_points(game)
+        assert (len(tests), len(contractions)) == (200, 405)
+        tests.clear()
+        contractions.clear()
+        with monkeypatch.context() as patch:
+            _widest_axis_oracle(patch)
+            for game in _four_player_pool():
+                multistart_fixed_points(game)
+        assert (len(tests), len(contractions)) == (307, 561)
+
 
 class TestEmptyStacks:
     def test_rootless_game_polishes_and_merges_nothing(self, monkeypatch):
@@ -721,13 +922,22 @@ class TestEmptyStacks:
         assert owner.shape == (0,) and owner.dtype == np.intp
 
     def test_newton_box_test_never_runs_on_no_boxes(self, monkeypatch, chain3):
-        # chain3's last Krawczyk step settles every box it takes, so it
-        # leaves none to the Newton-box test, which it skips.
+        # Halved along its widest side alone, chain3's box took 4
+        # Krawczyk steps, the last settling every box it took, so it
+        # left none to the Newton-box test, which it skipped: tests on
+        # [1, 1, 2, 2, 2, 2, 1] boxes. Halved along every axis, it takes
+        # 2 steps, each leaving the Newton-box test some boxes. At rate
+        # 0.05 the last step's plain test settles all 3 boxes it takes.
         tests = record_calls(monkeypatch, solver, "_krawczyk_test")
         steps = record_calls(monkeypatch, solver, "_krawczyk")
         assert multistart_fixed_points(chain3).n_points == 2
-        assert [len(args[0]) for args, _ in tests] == [1, 1, 2, 2, 2, 2, 1]
-        assert len(steps) == 4
+        assert [len(args[0]) for args, _ in tests] == [1, 1, 4, 2]
+        assert len(steps) == 2
+        tests.clear()
+        steps.clear()
+        assert multistart_fixed_points(Game(chain_matrix(3), [0.05] * 3)).n_points == 2
+        assert [len(args[0]) for args, _ in tests] == [1, 1, 4, 2, 3]
+        assert len(steps) == 3
 
 
 class TestAgainstWidthOnlyEnumeration:
@@ -770,10 +980,12 @@ class TestAgainstWidthOnlyEnumeration:
     def test_saddle_game_contractions(self, monkeypatch, chain3):
         # chain3 at 0.15 holds a saddle, near which contraction stalls:
         # bisecting it down to the leaf width takes 81 contractions, the
-        # plain Krawczyk test with diagonal bounds alone 21.
+        # plain Krawczyk test with diagonal bounds alone 21, both tests
+        # with neighbour bounds 12 while a box is halved along its
+        # widest side alone, and 6 when it is halved along every axis.
         calls = record_calls(monkeypatch, solver, "_contract")
         assert multistart_fixed_points(chain3).n_points == 2
-        assert len(calls) == 12
+        assert len(calls) == 6
 
 
 class TestLeastOf:
