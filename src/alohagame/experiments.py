@@ -242,15 +242,15 @@ def _stable_lfps(rates: np.ndarray, mask, warm_starts: np.ndarray, direction: np
 
 # Probe choice of the margin-guided searches. None of these constants
 # changes a result, only how many probes a search makes. The first
-# probe of a common-rate search sits just below _FIRST_PROBE_FRACTION /
-# lambda (see _common_rates). A bracket of at most _NARROW_BRACKET steps
-# is closed by probing every value inside it. A prediction more than
-# _FAR_STEPS steps above the last passing value is approached by
-# _DAMPING of the way. Newton calls over the 14 settings of the
-# benchmark's sweep workload, seeds 1-3 together, against 420 for
-# bisection: damping 0.5 makes 179, 0.6 makes 162, 0.65 makes 140, 0.7
-# makes 133, 0.75 makes 154 and 0.8 makes 221.
-_FIRST_PROBE_FRACTION = 0.25
+# probe of a common-rate search sits just below the clique edge of its
+# largest interferer count, a proven pass (see _common_rates). A bracket
+# of at most _NARROW_BRACKET steps is closed by probing every value
+# inside it. A prediction more than _FAR_STEPS steps above the last
+# passing value is approached by _DAMPING of the way. Newton calls over
+# the 14 settings of the benchmark's sweep workload, seeds 1-3
+# together, against 420 for bisection: damping 0.5 makes 179, 0.6
+# makes 158, 0.65 makes 140, 0.7 makes 133, 0.75 makes 184 and 0.8
+# makes 234.
 _NARROW_BRACKET = 3
 _FAR_STEPS = 4
 _DAMPING = 0.7
@@ -349,15 +349,13 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
     return [(_grid(origin + k * step), solution) for k, solution in zip(lo, best)]
 
 
-def _first_guesses(layout: _Layout) -> list:
-    """1/(4 lambda) per game of ``layout``, lambda the largest eigenvalue of
-    the symmetric part of its interference matrix (infinite for lambda =
-    0): the largest of its blocks'."""
-    # twice the symmetric part, built in place
-    doubled = layout.mask.astype(float)
-    doubled += np.swapaxes(layout.mask, -1, -2)
-    spread = np.linalg.eigvalsh(doubled)[..., -1].reshape(-1, layout.blocks).max(axis=1) / 2.0
-    return [_FIRST_PROBE_FRACTION / lam if lam > 0.0 else np.inf for lam in spread]
+def _first_guesses(layout: _Layout) -> np.ndarray:
+    """The clique edge (1/(D+1)) (D/(D+1))^D per game of ``layout``, D its
+    largest interferer count: the largest row or column sum of its
+    blocks' masks."""
+    sums = np.concatenate([layout.mask.sum(axis=-1), layout.mask.sum(axis=-2)], axis=-1)
+    d = sums.max(axis=-1).reshape(-1, layout.blocks).max(axis=1).astype(float)
+    return (d / (d + 1.0)) ** d / (d + 1.0)
 
 
 def _rate_searches(base, direction, layout, starts, step, origin=0.0, limit=1.0, guesses=None) -> list:
@@ -386,15 +384,22 @@ def _common_rates(matrices, step: float) -> list:
     """``(y_max, point)`` of :func:`max_common_rate` for each of ``matrices``, all of one size, in one lockstep search.
 
     The lanes are laid out by connected components (:func:`_pack`).
-    Each lane's first guess is 1/(4 lambda), with lambda the largest
-    eigenvalue of the symmetric part of its interference matrix A. No
-    rate y >= 1/lambda passes: q* >= y gives F' >= y A entrywise, so the
-    largest eigenvalue of F' + F'^T is at least 2 y lambda, and the
-    certificate needs it below 2. An isolated pair, lambda = 1, fails
-    from 0.25 on, and a lane without interference first probes just
-    below the limit. The cells of a feasible grid take no guess: their
-    fixed players interfere too, and the guess, blind to them, cost
-    them a round.
+    Each lane first probes just below the clique edge
+    (1/(D+1)) (D/(D+1))^D of its interference matrix A
+    (:func:`_first_guesses`), D the largest row or column sum of A, and
+    below that edge the certificate at the least fixed point q* is
+    positive definite. Let p be the least root of p (1 - p)^D = y. Then
+    F(p 1) <= p 1, so q* <= p 1 (Knaster-Tarski), and F'_ij =
+    a_ij q*_i / (1 - q*_j) <= a_ij p / (1 - p). The largest eigenvalue
+    of the nonnegative F' + F'^T is at most its largest row sum,
+    (p / (1 - p)) max_i (row_i + col_i) <= 2 D p / (1 - p), which is
+    below 2, as the certificate needs, exactly when p < 1/(D+1), that
+    is, when y is below the edge. Counting both rows and columns keeps
+    the bound true for a directed A. The edge is K_(D+1)'s own
+    certificate edge, so a pair first probes 0.249, its answer, and a
+    lane without interference (D = 0, edge 1) just below the limit. The
+    cells of a feasible grid take no guess: their fixed players
+    interfere too, and the guess, blind to them, cost them a round.
     """
     mask = np.array([_as_binary_matrix(m) for m in matrices], dtype=bool)
     layout = _pack(mask)

@@ -508,7 +508,7 @@ def _krawczyk_test(lo, hi, y, matrix):
     n = lo.shape[1]
     m = (lo + hi) / 2.0
     prod, jm, j_lo, j_hi = _jacobians(m, lo, hi, matrix)
-    y_inv = _inverse(jm)
+    y_inv = _solve_rows(jm, np.broadcast_to(np.eye(n), jm.shape))
     # X lies in [m - r, m + r] despite the rounding of m and r.
     r = np.maximum(hi - m, m - lo) * (1.0 + np.finfo(float).eps)
     centre = m - _times(y_inv, m * prod - y)
@@ -543,17 +543,6 @@ def _jacobians(m, lo, hi, matrix):
     jac = -matrix * np.concatenate([m, hi, lo])[..., np.newaxis] * others
     _diagonal(jac)[...] = np.concatenate([prod[:k], prod[2 * k :], prod[k : 2 * k]])
     return prod[:k], jac[:k], jac[k : 2 * k], jac[2 * k :]
-
-
-def _inverse(jac):
-    """Inverses of a stack of matrices; NaN for those that are singular."""
-    try:
-        return np.linalg.inv(jac)
-    except np.linalg.LinAlgError:
-        out = np.full_like(jac, np.nan)
-        regular = np.abs(np.linalg.det(jac)) > 0.0
-        out[regular] = np.linalg.inv(jac[regular])
-        return out
 
 
 def _diagonal(stack):

@@ -217,26 +217,23 @@ class _Layout(NamedTuple):
         rows = self.rows(games)
         return _Layout(self.mask[rows], self.slots[rows], self.n, self.blocks)
 
-    def gather(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """The entries of ``x`` in the blocks ``rows`` (all blocks for None), 0 for padding.
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The entries of ``x`` in every block, 0 for padding.
 
         ``x`` holds one row of n per game, or one vector of n for every
         game.
         """
-        slots = self.slots if rows is None else self.slots[rows]
         if x.ndim == 1:
-            return np.append(x, 0.0)[slots]
+            return np.append(x, 0.0)[self.slots]
         padded = np.zeros((len(x), self.n + 1))
         padded[:, : self.n] = x
-        games = (np.arange(len(slots)) if rows is None else rows) // self.blocks
-        return padded[games[:, np.newaxis], slots]
+        return padded[np.arange(len(self.slots))[:, np.newaxis] // self.blocks, self.slots]
 
-    def scatter(self, y: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """The points ``y`` of the blocks ``rows`` (all blocks for None), all blocks of some games, in player order: one row of n per game."""
-        slots = self.slots if rows is None else self.slots[rows]
-        games = len(slots) // self.blocks
+    def scatter(self, y: np.ndarray) -> np.ndarray:
+        """The points ``y`` of every block in player order: one row of n per game."""
+        games = len(self.slots) // self.blocks
         out = np.empty((games, self.n + 1))
-        out[np.arange(games).repeat(self.blocks)[:, np.newaxis], slots] = y
+        out[np.arange(games).repeat(self.blocks)[:, np.newaxis], self.slots] = y
         return out[:, : self.n]
 
 

@@ -54,7 +54,7 @@ from alohagame import (
     residual,
     side_for_density,
 )
-from alohagame import experiments, solver, stability
+from alohagame import experiments, solver, stability, topology
 from alohagame.game import _as_binary_matrix, _response
 from alohagame.stability import _certificate, _jacobian
 from alohagame.cli import _fmt_vec
@@ -494,9 +494,7 @@ def common_rates_dense(matrices, step=0.001):
                 found[row] = point
         return found, margins, slopes
 
-    doubled = mask + np.swapaxes(mask, -1, -2).astype(float)
-    spread = np.linalg.eigvalsh(doubled)[..., -1] / 2.0
-    guesses = [experiments._FIRST_PROBE_FRACTION / lam if lam > 0.0 else np.inf for lam in spread]
+    guesses = experiments._first_guesses(topology._whole(mask))
     return experiments._last_passing(probe, list(np.zeros((len(mask), n))), step, guesses=guesses)
 
 

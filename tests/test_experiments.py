@@ -848,17 +848,24 @@ class TestComponentBlocks:
         q = rng.uniform(0.0, 0.2, (4, 60))
         rates = achieved_rate(q, mask)
         f = stability._response(q, rates, mask)
-        rows = np.arange(len(layout.mask))
-        blocks = layout.gather(q, rows)
+        blocks = layout.gather(q)
         margins, passing, limiting, _ = experiments._margins_and_vectors(
-            blocks, layout.gather(f, rows), layout.mask, layout.blocks, 60
+            blocks, layout.gather(f), layout.mask, layout.blocks, 60
         )
         whole = pd_margin(stability._certificate(q, f, mask))
         assert passing.all() and np.abs(margins - whole).max() <= 1e-14
-        lam = np.linalg.eigvalsh(stability._certificate(blocks, layout.gather(f, rows), layout.mask))[:, 0]
+        lam = np.linalg.eigvalsh(stability._certificate(blocks, layout.gather(f), layout.mask))[:, 0]
         assert (limiting // layout.blocks == np.arange(4)).all()
         for k, b in enumerate(limiting):
             assert lam[b] == lam[k * layout.blocks : (k + 1) * layout.blocks].min()
+        # games reached through take keep their margins and limiting blocks
+        games = np.array([3, 1])
+        taken = layout.take(games)
+        some, _, some_limiting, _ = experiments._margins_and_vectors(
+            taken.gather(q[games]), taken.gather(f[games]), taken.mask, taken.blocks, 60
+        )
+        assert some.tobytes() == margins[games].tobytes()
+        assert np.array_equal(some_limiting % layout.blocks, limiting[games] % layout.blocks)
 
     def test_padding_only_blocks_limit_nothing(self):
         # 30 disjoint pairs need 30 blocks of 3 players, 20 disjoint
@@ -969,25 +976,87 @@ def _search_pool() -> list:
     return pool
 
 
+def _criterion_6_pool() -> list:
+    """The topologies of criterion 6's 14 sweep settings, one list per setting."""
+    settings = [(20, d, 2024, i) for i, d in enumerate([0.008, 0.02, 0.05, 0.15, 0.5, 2.0])]
+    settings += [(n, 0.1, 4025, i) for i, n in enumerate([10, 20, 30, 40, 60])]
+    settings += [(n, 0.03, 77, i) for i, n in enumerate([20, 40, 60])]
+    return [_setting(n, density, seed, index, 30) for n, density, seed, index in settings]
+
+
+def _directed_pool() -> list:
+    """Seeded directed interference matrices, one list per size."""
+    rng = np.random.default_rng(1304)
+    pool = []
+    for n in (2, 3, 5, 8, 12, 20, 40):
+        matrices = [rng.uniform(size=(n, n)) < p for p in np.repeat([0.05, 0.2, 0.5, 0.9], 6)]
+        for a in matrices:
+            np.fill_diagonal(a, False)
+        pool.append([a.astype(int) for a in matrices])
+    return pool
+
+
+class TestCliqueEdgeFirstProbe:
+    """A common-rate search first probes just below the clique edge of
+    its largest interferer count, where the certificate is proven
+    positive definite."""
+
+    def test_guess_is_the_clique_edge(self):
+        for n in range(2, 61):
+            (edge,) = experiments._first_guesses(topology._whole(fully_connected_matrix(n)[np.newaxis] == 1))
+            assert abs(edge - (1.0 / n) * (1.0 - 1.0 / n) ** (n - 1)) <= 1e-12
+        pairs, chains = _pairs_and_chains()
+        empty = np.zeros((60, 60), dtype=int)
+        # a directed star: player 0 interferes with 5 players, and they not with it
+        star = np.zeros((60, 60), dtype=int)
+        star[1:6, 0] = 1
+        layout = topology._pack(np.array([pairs, chains, empty, star], dtype=bool))
+        assert layout.blocks > 1
+        expected = [0.25, 4.0 / 27.0, 1.0, 5.0**5 / 6.0**6]
+        assert np.abs(experiments._first_guesses(layout) - expected).max() <= 1e-16
+
+    @pytest.mark.parametrize(
+        "pool",
+        [lambda: [[fully_connected_matrix(n)] for n in range(2, 61)], _criterion_6_pool, _directed_pool],
+        ids=["cliques", "criterion_6", "directed"],
+    )
+    def test_first_probe_passes(self, monkeypatch, pool):
+        first = []
+        original = experiments._stable_lfps
+
+        def recording(rates, mask, warm_starts, direction):
+            found = original(rates, mask, warm_starts, direction)
+            first.append(found[0])
+            return found
+
+        monkeypatch.setattr(experiments, "_stable_lfps", recording)
+        for matrices in pool():
+            del first[:]
+            experiments._common_rates(matrices, experiments.RATE_STEP)
+            # the first round probes each lane once
+            assert len(first[0]) == len(matrices) and all(point is not None for point in first[0])
+
+
 class TestMarginGuidedSearch:
     """The common-rate searches follow the certificate margin instead of
     bisecting, and find what bisection finds in far fewer rounds."""
 
-    @pytest.mark.parametrize("fraction", [experiments._FIRST_PROBE_FRACTION, 0.95])
-    def test_matches_bisection(self, monkeypatch, fraction):
-        # At 0.95 / lambda every first probe of a lane with interference
-        # fails, so those searches go on from a failed probe.
-        monkeypatch.setattr(experiments, "_FIRST_PROBE_FRACTION", fraction)
+    @pytest.mark.parametrize("factor", [1.0, 4.0])
+    def test_matches_bisection(self, monkeypatch, factor):
+        # At 4 times the clique edge every first probe of a lane with
+        # interference fails, so those searches go on from a failed probe.
+        edges = experiments._first_guesses
+        monkeypatch.setattr(experiments, "_first_guesses", lambda layout: factor * edges(layout))
         interfering = first_failed = 0
         for matrix in _search_pool():
             y_max, point = max_common_rate(matrix)
             y_ref, point_ref = bisect_common_rate(matrix)
             assert y_max == y_ref
             assert np.abs(point - point_ref).max() <= 1e-8
-            lam = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)[-1]
-            interfering += bool(lam > 0.0)
-            first_failed += bool(lam > 0.0 and y_max < fraction / lam - experiments.RATE_STEP)
-        assert interfering >= 65 and first_failed == (0 if fraction < 0.5 else interfering)
+            (edge,) = edges(topology._whole(np.asarray(matrix, dtype=bool)[np.newaxis]))
+            interfering += bool(edge < 1.0)
+            first_failed += bool(edge < 1.0 and y_max < min(1.0, factor * edge) - experiments.RATE_STEP)
+        assert interfering >= 65 and first_failed == (0 if factor == 1.0 else interfering)
 
     def test_returned_points_are_stable_fixed_points(self):
         for matrix in _search_pool():

@@ -1,5 +1,8 @@
 """The package's public names and the exact bytes of its CSV files."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 
 import alohagame
@@ -50,6 +53,25 @@ class TestPublicNames:
         for module in SUBMODULES:
             for name in module.__all__:
                 assert getattr(alohagame, name) is getattr(module, name), name
+
+    def test_every_import_is_used(self):
+        # bench/test_bench.py reads experiments.best_response and
+        # solver.best_response, so the benchmark holds those two imports
+        held = [("experiments", "best_response"), ("solver", "best_response")]
+        unused = []
+        for path in sorted(Path(alohagame.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = [
+                alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            ]
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [(path.stem, name) for name in imported if name not in used]
+        assert unused == held
 
 
 class TestCsvBytes:

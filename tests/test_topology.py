@@ -232,19 +232,18 @@ class TestLayouts:
                     links += block.sum()
                 assert links == a.sum()
             x = rng.uniform(size=(games, n))
-            rows = np.arange(games * b)
-            assert layout.scatter(layout.gather(x, rows), rows).tobytes() == x.tobytes()
-            some = layout.rows(np.arange(0, games, 2))
-            assert layout.scatter(layout.gather(x, some), some).tobytes() == x[::2].tobytes()
-            assert (layout.gather(x[0], rows) == layout.gather(np.tile(x[0], (games, 1)), rows)).all()
-            picks = np.array([games - 1, 0, games - 1])
-            taken = layout.take(picks)
-            assert taken.blocks == b and np.array_equal(taken.rows(np.arange(3)), np.arange(3 * b))
-            for i, k in enumerate(picks):
-                assert np.array_equal(taken.mask[i * b : (i + 1) * b], layout.mask[k * b : (k + 1) * b])
-                assert np.array_equal(taken.slots[i * b : (i + 1) * b], layout.slots[k * b : (k + 1) * b])
-            gathered = taken.gather(x[picks], taken.rows(np.arange(3)))
-            assert np.array_equal(gathered, layout.gather(x, layout.rows(picks)))
+            assert layout.scatter(layout.gather(x)).tobytes() == x.tobytes()
+            assert (layout.gather(x[0]) == layout.gather(np.tile(x[0], (games, 1)))).all()
+            for picks in (np.arange(0, games, 2), np.array([games - 1, 0, games - 1])):
+                taken = layout.take(picks)
+                rows = layout.rows(picks)
+                assert taken.blocks == b and np.array_equal(taken.rows(np.arange(len(picks))), np.arange(len(rows)))
+                for i, k in enumerate(picks):
+                    assert np.array_equal(taken.mask[i * b : (i + 1) * b], layout.mask[k * b : (k + 1) * b])
+                    assert np.array_equal(taken.slots[i * b : (i + 1) * b], layout.slots[k * b : (k + 1) * b])
+                gathered = taken.gather(x[picks])
+                assert np.array_equal(gathered, layout.gather(x)[rows])
+                assert taken.scatter(gathered).tobytes() == x[picks].tobytes()
         assert packed == (0 if layout_of is _whole else 5)
 
 
