@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _write_csv, residual
-from .game import _check_count, _check_positive_finite, _check_start, _response
+from .game import Game, _write_csv
+from .game import _best_responses, _check_count, _check_positive_finite, _check_start, _response
 
 __all__ = [
     "Trajectory",
@@ -126,28 +126,22 @@ def iterate_game(
     q = np.clip(q, 0.0, 1.0)
     mask = game.matrix.astype(bool)
 
-    states = [q]
+    states = []
     outcome = BUDGET_EXHAUSTED
     period = None
-    for step in range(max_iter + 1):
-        f = _response(q, game.rates, mask)
-        move = epsilon * (f - q)
-        if np.abs(move).max() <= tol:
-            outcome = CONVERGED
-            break
-        if step == max_iter:
-            break
-        q = f if epsilon == 1.0 else np.clip(q + move, 0.0, 1.0)
+    for step, (q, norm) in enumerate(_best_responses(q, game.rates, mask, epsilon)):
         states.append(q)
-        if len(states) >= 4 and len(states) % _CYCLE_CHECK_STRIDE == 0:
+        budget = step == max_iter and norm > tol
+        if len(states) % _CYCLE_CHECK_STRIDE == 0 or budget:
             period = detect_cycle(states)
             if period is not None:
                 outcome = CYCLE
                 break
-    if outcome == BUDGET_EXHAUSTED:
-        period = detect_cycle(states)
-        if period is not None:
-            outcome = CYCLE
+        if norm <= tol:
+            outcome = CONVERGED
+            break
+        if budget:
+            break
     return Trajectory(states=np.asarray(states), outcome=outcome, epsilon=epsilon, period=period)
 
 
@@ -168,9 +162,11 @@ def integrate_ode(
         raise ValueError("t_end must be nonnegative and finite")
     _check_positive_finite(tol, "tol")
     q = _check_start(q0, game.n, "q0")
+    mask = game.matrix.astype(bool)
 
     def drift(p):
-        return residual(np.clip(p, 0.0, 1.0), game)
+        p = np.clip(p, 0.0, 1.0)
+        return _response(p, game.rates, mask) - p
 
     n_steps = int(round(t_end / dt))
     states = [q]

@@ -185,6 +185,19 @@ def _response(q: np.ndarray, rates, mask: np.ndarray) -> np.ndarray:
     return np.where(positive, np.minimum(raw, 1.0), jammed)
 
 
+def _best_responses(q: np.ndarray, rates, mask: np.ndarray, epsilon: float = 1.0):
+    """Best-response iterates from ``q`` (arguments as for :func:`_response`), each with its step's infinity norm.
+
+    The step is epsilon (F(q) - q); the next iterate is F(q) at
+    ``epsilon`` = 1, else q + step clipped to [0, 1]^n. Nothing is kept.
+    """
+    while True:
+        f = _response(q, rates, mask)
+        step = f - q if epsilon == 1.0 else epsilon * (f - q)
+        yield q, float(np.abs(step).max())
+        q = f if epsilon == 1.0 else np.clip(q + step, 0.0, 1.0)
+
+
 def residual(q, game: Game) -> np.ndarray:
     """best_response(q) - q, the drift of the game dynamics."""
     return best_response(q, game) - _check_vector(q, game.n)

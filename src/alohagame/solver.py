@@ -44,7 +44,7 @@ import numpy as np
 
 from .game import FIXED_POINT_TOL, Game, leq
 from .game import best_response  # noqa: F401  bench/tracer.py rebinds it here
-from .game import _check_count, _check_positive_finite, _check_start, _response
+from .game import _best_responses, _check_count, _check_positive_finite, _check_start, _response
 
 __all__ = [
     "LfpResult",
@@ -139,20 +139,6 @@ class FixedPointSet:
         return [p for p in self.points if (p > 0.0).all() and (p < 1.0).all()]
 
 
-def _ascend(game: Game, q0: np.ndarray, tol: float, max_iter: int):
-    """Iterate the best-response map; valid whenever q0 is below the LFP."""
-    mask = game.matrix.astype(bool)
-    q = q0
-    for it in range(max_iter + 1):
-        f = _response(q, game.rates, mask)
-        r = float(np.abs(f - q).max())
-        if r <= tol:
-            return q, it, True, r
-        if it == max_iter:
-            return q, max_iter, False, r
-        q = f
-
-
 def _result(game: Game, q, iterations, converged, res_norm, tol, infeasible=False) -> LfpResult:
     point = np.asarray(q, dtype=float).copy()
     point.flags.writeable = False
@@ -184,8 +170,10 @@ def kleene_lfp(
     q0 = _check_start(np.zeros(game.n) if q0 is None else q0, game.n, "q0")
     if (q0 < 0.0).any() or not leq(q0, game.rates):
         raise ValueError("q0 must lie in the box [0, rates] (start region for the ascent)")
-    q, iterations, converged, res_norm = _ascend(game, q0, tol, max_iter)
-    return _result(game, q, iterations, converged, res_norm, tol)
+    for iterations, (q, res_norm) in enumerate(_best_responses(q0, game.rates, game.matrix.astype(bool))):
+        if res_norm <= tol or iterations == max_iter:
+            break
+    return _result(game, q, iterations, res_norm <= tol, res_norm, tol)
 
 
 def newton_lfp(game: Game, q0=None, max_iter: int = DEFAULT_MAX_ITER) -> LfpResult:
@@ -373,7 +361,7 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
     (:func:`_split`), into up to 8 children. A round costs about the
     same numpy calls however few boxes it holds, so cutting three axes
     in one round saves the two rounds that cutting them one at a time
-    would take.
+    would take. Nothing is called once no box is left.
     """
     mask = matrix.astype(bool)
     edges, cells = _partition(rates.shape[1], cells_per_axis)
@@ -385,6 +373,8 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
         while len(lo):
             for r in range(_CONTRACT_ROUNDS):
                 lo, hi, row = _contract(lo, hi, row, rates, mask, neighbours=r == _CONTRACT_ROUNDS - 1)
+                if not len(lo):
+                    break
             leaf = (hi - lo).max(axis=1) <= _LEAF_WIDTH
             starts.append((lo[leaf] + hi[leaf]) / 2.0)
             owners.append(row[leaf])
@@ -393,7 +383,8 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
             lo, hi, row, (proven, proven_row) = _krawczyk(lo[~leaf], hi[~leaf], row[~leaf], rates, matrix)
             starts.append(proven)
             owners.append(proven_row)
-            lo, hi, row = _split(lo, hi, row)
+            if len(lo):
+                lo, hi, row = _split(lo, hi, row)
     return np.concatenate(starts), np.concatenate(owners)
 
 

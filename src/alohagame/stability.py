@@ -233,7 +233,7 @@ class _Classes(NamedTuple):
     The first five run over every point: the residual norm, and whether
     it is a fixed point, has a neighbour coordinate at 1, is decided (a
     fixed point with none) and clips. The rest run over the decided
-    points, in the order of the :class:`StabilityVerdict` fields.
+    points: the certificate, positive definiteness and classification.
     """
 
     residual: np.ndarray
@@ -243,7 +243,6 @@ class _Classes(NamedTuple):
     clipped: np.ndarray
     certificate: np.ndarray
     positive_definite: np.ndarray
-    diag_dominant: np.ndarray
     classification: np.ndarray
 
 
@@ -253,11 +252,11 @@ def _classify(q: np.ndarray, rates, matrix, fp_tol: float) -> _Classes:
     Row k of ``q`` is a point of the game with interference ``matrix``
     and target rates ``rates[k]``, or ``rates`` for every row. One
     response evaluation serves every point's membership test, Jacobian
-    and clipping flag; one certificate stack, one eigenvalue solve and
-    one dominance test serve every decided point. The classification
-    rule lives here alone: positive definite (:func:`pd_margin` > 0) is
-    "stable", else a smallest eigenvalue above -``PD_TOL`` is
-    "critical", and the rest are "unstable".
+    and clipping flag; one certificate stack and one eigenvalue solve
+    serve every decided point. The classification rule lives here
+    alone: positive definite (:func:`pd_margin` > 0) is "stable", else
+    a smallest eigenvalue above -``PD_TOL`` is "critical", and the rest
+    are "unstable".
     """
     mask = np.asarray(matrix, dtype=bool)
     f = _response(q, rates, mask)
@@ -270,7 +269,7 @@ def _classify(q: np.ndarray, rates, matrix, fp_tol: float) -> _Classes:
     pd = _margin(lam, norm, c.shape[-1]) > 0.0
     clipped = ((f >= 1.0) & (rates > 0.0)).any(axis=-1)
     classification = np.where(pd, "stable", np.where(lam > -PD_TOL, "critical", "unstable"))
-    return _Classes(res, fixed, singular, decided, clipped, c, pd, _diag_dominant(q[decided], mask), classification)
+    return _Classes(res, fixed, singular, decided, clipped, c, pd, classification)
 
 
 def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
@@ -279,13 +278,14 @@ def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
     Returns, per point, its :class:`StabilityVerdict`, or the
     ``ValueError`` that :func:`krasovskii_verdict` raises there: the
     point is not a fixed point at ``fp_tol``, or a neighbour coordinate
-    equals 1.
+    equals 1. Only the verdicts report dominance, so it is tested here.
     """
     classes = _classify(q, rates, matrix, fp_tol)
     points = q.copy()
     for arr in (points, classes.certificate):
         arr.flags.writeable = False
-    decided = zip(classes.certificate, *(a.tolist() for a in classes[6:]))
+    columns = classes.positive_definite, _diag_dominant(q[classes.decided], matrix), classes.classification
+    decided = zip(classes.certificate, *(a.tolist() for a in columns))
     verdicts = []
     for k, point in enumerate(points):
         if not classes.fixed[k]:

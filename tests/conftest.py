@@ -40,6 +40,25 @@ def instance_rng(master: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master, index]))
 
 
+def batch_games(seed):
+    """The 162 games of the benchmark's ``batch`` workload for ``seed``
+    (``bench/workloads.py``): 1-4 players, rates up to 0.15, 0.3 or 0.6,
+    asymmetric or symmetrised, about one game in seven with a silent player."""
+    sizes, scales = (1, 2, 3, 4, 4, 4, 4, 4, 4), (0.15, 0.3, 0.6)
+    for i in range(3 * len(sizes) * len(scales) * 2):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        n = sizes[i % len(sizes)]
+        density = rng.uniform(0.2, 0.95)
+        a = (rng.random((n, n)) < density).astype(int)
+        if (i // (len(sizes) * len(scales))) % 2 == 1:
+            a = np.maximum(a, a.T)
+        np.fill_diagonal(a, 0)
+        y = rng.uniform(0.0, scales[(i // len(sizes)) % len(scales)], n)
+        if rng.random() < 0.15:
+            y[int(rng.integers(0, n))] = 0.0
+        yield Game(a, y)
+
+
 def record_calls(monkeypatch, module, name):
     """Rebind ``module.<name>`` to a wrapper that records each call as (positional args, result)."""
     calls = []

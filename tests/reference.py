@@ -22,13 +22,18 @@ accumulated along each row's last axis instead of along the player
 axis, a neighbour contraction that forms its two halves apart, a
 Newton polish that re-indexes its rows at every step and stops a row
 whose Jacobian determinant is at most 1e-300, a box enumeration that
-halves each unsettled box along its widest side alone, and a sweep
-that finishes through one verdict object per root.
+halves each unsettled box along its widest side alone, a sweep
+that finishes through one verdict object per root, a least-fixed-point
+ascent and a game iteration that each run a best-response loop of
+their own, and a flow whose drift is the checked residual.
 """
 
 import numpy as np
 
 from alohagame import (
+    BUDGET_EXHAUSTED,
+    CONVERGED,
+    CYCLE,
     PD_TOL,
     BifurcationBranch,
     BranchPoint,
@@ -37,9 +42,11 @@ from alohagame import (
     Game,
     StabilityVerdict,
     SweepRecord,
+    Trajectory,
     achieved_rate,
     best_response,
     connectivity,
+    detect_cycle,
     diag_dominant,
     feasible_contour,
     is_fixed_point,
@@ -54,7 +61,7 @@ from alohagame import (
     residual,
     side_for_density,
 )
-from alohagame import experiments, solver, stability, topology
+from alohagame import dynamics, experiments, solver, stability, topology
 from alohagame.game import _as_binary_matrix, _response
 from alohagame.stability import _certificate, _jacobian
 from alohagame.cli import _fmt_vec
@@ -596,3 +603,77 @@ def ascent_cli_lines(game):
         f"minors={_fmt_vec(verdict.leading_minors)}"
     )
     return solve, stability
+
+
+def kleene_lfp_own_loop(game, q0=None, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER):
+    """:func:`kleene_lfp` from a valid start through a best-response loop of its own."""
+    mask = game.matrix.astype(bool)
+    q = np.zeros(game.n) if q0 is None else np.asarray(q0, dtype=float)
+    for it in range(max_iter + 1):
+        f = _response(q, game.rates, mask)
+        r = float(np.abs(f - q).max())
+        if r <= tol:
+            return solver._result(game, q, it, True, r, tol)
+        if it == max_iter:
+            return solver._result(game, q, max_iter, False, r, tol)
+        q = f
+
+
+def iterate_game_own_loop(
+    q0, game, tol=dynamics.DEFAULT_TOL, max_iter=dynamics.DEFAULT_MAX_ITER, epsilon=1.0, perturb=0.0
+):
+    """:func:`iterate_game` from a valid start through a best-response loop
+    of its own, scanning for cycles after every ``_CYCLE_CHECK_STRIDE``-th
+    recorded state and once more at the budget."""
+    q = np.clip(np.asarray(q0, dtype=float) + perturb, 0.0, 1.0)
+    mask = game.matrix.astype(bool)
+    states = [q]
+    outcome = BUDGET_EXHAUSTED
+    period = None
+    for step in range(max_iter + 1):
+        f = _response(q, game.rates, mask)
+        move = epsilon * (f - q)
+        if np.abs(move).max() <= tol:
+            outcome = CONVERGED
+            break
+        if step == max_iter:
+            break
+        q = f if epsilon == 1.0 else np.clip(q + move, 0.0, 1.0)
+        states.append(q)
+        if len(states) >= 4 and len(states) % dynamics._CYCLE_CHECK_STRIDE == 0:
+            period = detect_cycle(states)
+            if period is not None:
+                outcome = CYCLE
+                break
+    if outcome == BUDGET_EXHAUSTED:
+        period = detect_cycle(states)
+        if period is not None:
+            outcome = CYCLE
+    return Trajectory(states=np.asarray(states), outcome=outcome, epsilon=epsilon, period=period)
+
+
+def integrate_ode_residual_drift(
+    q0, game, dt=dynamics.DEFAULT_DT, t_end=dynamics.DEFAULT_T_END, tol=dynamics.DEFAULT_TOL
+):
+    """:func:`integrate_ode` from a valid start, its drift the checked :func:`residual` at every stage."""
+    q = np.asarray(q0, dtype=float)
+
+    def drift(p):
+        return residual(np.clip(p, 0.0, 1.0), game)
+
+    n_steps = int(round(t_end / dt))
+    states = [q]
+    outcome = BUDGET_EXHAUSTED
+    for step in range(n_steps + 1):
+        k1 = drift(q)
+        if np.abs(k1).max() <= tol:
+            outcome = CONVERGED
+            break
+        if step == n_steps:
+            break
+        k2 = drift(q + 0.5 * dt * k1)
+        k3 = drift(q + 0.5 * dt * k2)
+        k4 = drift(q + dt * k3)
+        q = np.clip(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, 1.0)
+        states.append(q)
+    return Trajectory(states=np.asarray(states), outcome=outcome, epsilon=dt)

@@ -131,7 +131,8 @@ class TestSolve:
             raise AssertionError(f"{command} ran a best-response ascent")
 
         monkeypatch.setattr(dynamics, "iterate_game", ascent)
-        monkeypatch.setattr(solver, "_ascend", ascent)
+        monkeypatch.setattr(solver, "_best_responses", ascent)
+        monkeypatch.setattr(dynamics, "_best_responses", ascent)
         assert main([command, "--topology", chain_file, "--rates", "0.15"]) == 0
         assert "[0.1952,0.2316,0.1952] stable=true" in capsys.readouterr().out
 

@@ -16,7 +16,8 @@ from alohagame import (
     kleene_lfp,
     lyapunov_value,
 )
-from conftest import P_SADDLE, Q_STAR
+from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game
+from reference import integrate_ode_residual_drift, iterate_game_own_loop, kleene_lfp_own_loop
 
 CYCLE_A = np.array([0.1952, 1.0, 0.1952])
 CYCLE_B = np.array([1.0, 0.2316, 1.0])
@@ -149,6 +150,61 @@ class TestIntegrateOde:
     def test_nonfinite_start_rejected(self, chain3):
         with pytest.raises(ValueError, match="q0 must be finite"):
             integrate_ode([np.nan, 0.0, 0.0], chain3)
+
+
+def _lfp(result):
+    fields = (result.iterations, result.converged, result.residual_norm, result.extraneous, result.infeasible)
+    return result.point.tobytes(), [(type(v), v) for v in fields]
+
+
+def _run(run):
+    return run.states.shape, run.states.tobytes(), run.outcome, run.epsilon, run.period
+
+
+class TestAgainstOwnLoops:
+    """kleene_lfp and iterate_game read one best-response iteration, and
+    integrate_ode's drift evaluates the response map directly: each gives,
+    byte for byte, what a loop of its own gives."""
+
+    @pytest.mark.parametrize("pool", ["batch", "criterion 7"])
+    def test_game_pools(self, pool):
+        if pool == "batch":
+            games = [game for seed in (1, 2, 3) for game in batch_games(seed)]
+        else:
+            games = [random_game(instance_rng(20240, index)) for index in range(1000)]
+        outcomes = set()
+        for game in games:
+            for q0, tol in ((None, 1e-10), (game.rates / 2.0, 1e-12)):
+                assert _lfp(kleene_lfp(game, q0, tol)) == _lfp(kleene_lfp_own_loop(game, q0, tol))
+            for epsilon in (1.0, 0.5):
+                got = _run(iterate_game(game.rates, game, epsilon=epsilon))
+                assert got == _run(iterate_game_own_loop(game.rates, game, epsilon=epsilon))
+                outcomes.add(got[2])
+        assert CONVERGED in outcomes
+
+    @pytest.mark.parametrize("budget", [{"max_iter": 8}, {"max_iter": 200}, {}], ids=["8", "200", "default"])
+    def test_pair_fold(self, budget):
+        pair = Game(chain_matrix(2), [0.25, 0.25])
+        assert _lfp(kleene_lfp(pair, **budget)) == _lfp(kleene_lfp_own_loop(pair, **budget))
+        for epsilon in (1.0, 0.5):
+            got = _run(iterate_game(np.zeros(2), pair, epsilon=epsilon, **budget))
+            assert got == _run(iterate_game_own_loop(np.zeros(2), pair, epsilon=epsilon, **budget))
+
+    @pytest.mark.parametrize("budget", [{"max_iter": 30}, {}], ids=["30", "default"])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5])
+    def test_saddle_escape(self, chain3, budget, epsilon):
+        got = _run(iterate_game(P_SADDLE, chain3, epsilon=epsilon, perturb=1e-6, **budget))
+        assert got == _run(iterate_game_own_loop(P_SADDLE, chain3, epsilon=epsilon, perturb=1e-6, **budget))
+        assert epsilon < 1.0 or got[2] == CYCLE
+
+    def test_flows(self, chain3):
+        # a coarse step keeps the 486 flows short; each step takes the
+        # drift at four points, whatever its length
+        for game in (game for seed in (1, 2, 3) for game in batch_games(seed)):
+            args = (np.zeros(game.n), game, 0.1, 2.0, 1e-4)
+            assert _run(integrate_ode(*args)) == _run(integrate_ode_residual_drift(*args))
+        for args in ((np.zeros(3), chain3), (np.zeros(2), Game(chain_matrix(2), [0.25, 0.25]), 0.01, 20.0)):
+            assert _run(integrate_ode(*args)) == _run(integrate_ode_residual_drift(*args))
 
 
 class TestDetectCycle:

@@ -73,6 +73,22 @@ class TestPublicNames:
             unused += [(path.stem, name) for name in imported if name not in used]
         assert unused == held
 
+    def test_every_private_definition_is_named(self):
+        # a private function or class that no code in the package names,
+        # whatever the docstrings say, is a dead helper
+        defined, named = [], set()
+        for path in sorted(Path(alohagame.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if node.name.startswith("_") and not node.name.endswith("__"):
+                        defined.append((path.stem, node.name))
+                elif isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+        assert len(defined) >= 80
+        assert [(module, name) for module, name in defined if name not in named] == []
+
 
 class TestCsvBytes:
     """Every CSV writer on tiny inputs, byte for byte: floats as .12g, csv's \\r\\n rows."""

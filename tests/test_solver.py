@@ -21,7 +21,7 @@ from alohagame import (
 )
 from alohagame import solver
 from alohagame.game import success_product
-from conftest import P_SADDLE, Q_STAR, instance_rng, random_game, record_calls
+from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game, record_calls
 from reference import diagonal_contraction, fixed_point_sets_per_game, greedy_dedup, last_axis_products
 from reference import neighbour_contraction, polish_compacting_every_step, width_only_leaf_centres
 from reference import widest_axis_leaf_centres
@@ -891,12 +891,13 @@ class TestAgainstWidestAxisBisection:
 
     def test_four_player_pool_work(self, monkeypatch):
         # Halved along their widest side alone, the pool's boxes took
-        # 307 Krawczyk tests and 561 contractions.
+        # 307 Krawczyk tests and 561 contractions. Contracting on after
+        # a contraction had left no box took 405.
         tests = record_calls(monkeypatch, solver, "_krawczyk_test")
         contractions = record_calls(monkeypatch, solver, "_contract")
         for game in _four_player_pool():
             multistart_fixed_points(game)
-        assert (len(tests), len(contractions)) == (200, 405)
+        assert (len(tests), len(contractions)) == (200, 389)
         tests.clear()
         contractions.clear()
         with monkeypatch.context() as patch:
@@ -938,6 +939,18 @@ class TestEmptyStacks:
         assert multistart_fixed_points(Game(chain_matrix(3), [0.05] * 3)).n_points == 2
         assert [len(args[0]) for args, _ in tests] == [1, 1, 4, 2, 3]
         assert len(steps) == 3
+
+    def test_no_contraction_or_split_of_no_boxes(self, monkeypatch):
+        # A round stops contracting once a contraction leaves no box, and
+        # a Krawczyk step that settles every box leaves nothing to split.
+        contractions = record_calls(monkeypatch, solver, "_contract")
+        splits = record_calls(monkeypatch, solver, "_split")
+        for game in (game for seed in (1, 2, 3) for game in batch_games(seed)):
+            multistart_fixed_points(game, starts_per_axis=4, max_iter=50)
+        for step in (0.005, 0.001):
+            bifurcation_sweep(chain_matrix(3), [0.15] * 3, 1, (0.0, 0.30), step)
+        assert len(contractions) > 1000 and len(splits) > 100
+        assert all(len(args[0]) for args, _ in contractions + splits)
 
 
 class TestAgainstWidthOnlyEnumeration:

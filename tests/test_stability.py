@@ -30,7 +30,7 @@ from alohagame import (
 from alohagame import stability
 from alohagame.game import _response, success_product
 from alohagame.stability import _component
-from conftest import P_SADDLE, Q_STAR, instance_rng, random_game, record_calls
+from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game, record_calls
 from reference import reference_consistency, reference_verdict
 
 CHAIN = chain_matrix(3)
@@ -450,25 +450,6 @@ class TestBatchedVerdict:
         assert stability._verdicts(np.empty((0, 3)), chain3.rates, chain3.matrix, 1e-6) == []
 
 
-def _batch_games(seed):
-    """The 162 games of the benchmark's ``batch`` workload for ``seed``
-    (``bench/workloads.py``): 1-4 players, rates up to 0.15, 0.3 or 0.6,
-    asymmetric or symmetrised, about one game in seven with a silent player."""
-    sizes, scales = (1, 2, 3, 4, 4, 4, 4, 4, 4), (0.15, 0.3, 0.6)
-    for i in range(3 * len(sizes) * len(scales) * 2):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        n = sizes[i % len(sizes)]
-        density = rng.uniform(0.2, 0.95)
-        a = (rng.random((n, n)) < density).astype(int)
-        if (i // (len(sizes) * len(scales))) % 2 == 1:
-            a = np.maximum(a, a.T)
-        np.fill_diagonal(a, 0)
-        y = rng.uniform(0.0, scales[(i // len(sizes)) % len(scales)], n)
-        if rng.random() < 0.15:
-            y[int(rng.integers(0, n))] = 0.0
-        yield Game(a, y)
-
-
 class TestBatchVerdicts:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_match_separate_evaluations(self, seed):
@@ -476,7 +457,7 @@ class TestBatchVerdicts:
         # field by field against the reference verdict
         seen = set()
         checked = 0
-        for game in _batch_games(seed):
+        for game in batch_games(seed):
             fps = multistart_fixed_points(game, starts_per_axis=4, max_iter=50)
             for p in fps.points:
                 want = _outcome(reference_verdict, p, game, 1e-6)
