@@ -285,7 +285,7 @@ def _next_probes(lo: int, hi: int, mu: float, slope: float) -> list:
     return sorted({min(max(k, lo + 1), hi - 1) for k in picks})
 
 
-def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float = 1.0, guesses=None) -> list:
+def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float = 1.0, guesses=None, ceilings=None) -> list:
     """Search the grid ``origin + k*step`` for each lane's last passing value.
 
     Lane i passes at ``origin`` with solution ``starts[i]``, and no
@@ -304,13 +304,17 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
 
     Lane i first probes the largest grid value strictly below
     min(limit, ``guesses[i]``) when guesses are given, and its midpoint
-    otherwise. After a round whose largest passing probe has mu > 0 and
-    mu' < 0, the lane predicts its edge at y - mu / (2 mu'): near a fold
-    mu falls like the square root of the distance to it, so this is
-    Newton's step on mu^2. A far prediction is approached by part of
-    the way, a near one is bracketed by the two grid values around it,
-    and a bracket of a few steps is closed by probing all of it. A lane
-    whose last round gained no pass probes its midpoint.
+    otherwise. ``ceilings[i]``, when given and finite, is a proven bound
+    of lane i: no value at or above it passes, so the lane's bracket
+    starts at the first grid value there, and a lane whose ceiling is
+    also its guess closes after its first probe. After a round whose
+    largest passing probe has mu > 0 and mu' < 0, the lane predicts
+    its edge at y - mu / (2 mu'): near a fold mu falls like the square
+    root of the distance to it, so this is Newton's step on mu^2. A far
+    prediction is approached by part of the way, a near one is
+    bracketed by the two grid values around it, and a bracket of a few
+    steps is closed by probing all of it. A lane whose last round
+    gained no pass probes its midpoint.
 
     Any probe order finds the value bisection or a walk up the grid
     finds, because the passing values form an interval: along a
@@ -323,11 +327,13 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
     top = int((limit - origin) / step) + 2
     count = len(starts)
     lo, hi, best = [0] * count, [top] * count, list(starts)
+    if ceilings is not None:
+        hi = [top if c == np.inf else min(top, _below(c, origin, step) + 1) for c in ceilings]
+    live = [i for i in range(count) if hi[i] > 1]
     if guesses is None:
-        picks = [[top // 2]] * count
+        picks = [[hi[i] // 2] for i in live]
     else:
-        picks = [[max(1, min(top - 1, _below(min(limit, g), origin, step)))] for g in guesses]
-    live = list(range(count))
+        picks = [[max(1, min(hi[i] - 1, _below(min(limit, guesses[i]), origin, step)))] for i in live]
     while live:
         lanes = [i for i, ks in zip(live, picks) for _ in ks]
         ks = [k for lane_ks in picks for k in lane_ks]
@@ -358,7 +364,7 @@ def _first_guesses(layout: _Layout) -> np.ndarray:
     return (d / (d + 1.0)) ** d / (d + 1.0)
 
 
-def _rate_searches(base, direction, layout, starts, step, origin=0.0, limit=1.0, guesses=None) -> list:
+def _rate_searches(base, direction, layout, starts, step, origin=0.0, limit=1.0, guesses=None, ceilings=None) -> list:
     """Last stable grid value t of every lane along its rate path, all lanes in one lockstep search.
 
     Lane k is game k of ``layout`` (:class:`_Layout`) with target rates
@@ -367,17 +373,17 @@ def _rate_searches(base, direction, layout, starts, step, origin=0.0, limit=1.0,
     round solves the blocks of the live lanes' probes in one
     :func:`_stable_lfps` call, all of a lane's blocks at the lane's
     value, and the lanes' margins and slopes along ``direction`` guide
-    the search (:func:`_last_passing`, which also takes ``limit`` and
-    ``guesses``). Callers keep a call within ``_LANE_ENTRIES`` by
-    searching in :func:`_lane_blocks`. Returns ``(t_max, point)`` per
-    lane, as :func:`_last_passing` does.
+    the search (:func:`_last_passing`, which also takes ``limit``,
+    ``guesses`` and ``ceilings``). Callers keep a call within
+    ``_LANE_ENTRIES`` by searching in :func:`_lane_blocks`. Returns
+    ``(t_max, point)`` per lane, as :func:`_last_passing` does.
     """
 
     def probe(lanes, values, warms):
         rates = base[lanes] + np.array(values)[:, np.newaxis] * direction
         return _stable_lfps(rates, layout.take(lanes), np.array(warms), direction)
 
-    return _last_passing(probe, starts, step, origin, limit, guesses)
+    return _last_passing(probe, starts, step, origin, limit, guesses, ceilings)
 
 
 def _common_rates(matrices, step: float) -> list:
@@ -400,11 +406,21 @@ def _common_rates(matrices, step: float) -> list:
     lane without interference (D = 0, edge 1) just below the limit. The
     cells of a feasible grid take no guess: their fixed players
     interfere too, and the guess, blind to them, cost them a round.
+
+    The edge is also the ceiling of a lane with D = 0, and of a
+    symmetric one with D = 1, so such a lane closes after its first
+    probe. With no links, y = 1 puts q = 1 on the boundary. A symmetric
+    A with D = 1 holds pairs and single players, and a pair's edge is
+    its fold at 0.25, where the margin fails. A directed A with D = 1
+    may hold a single link, whose edge lies near 0.5.
     """
     mask = np.array([_as_binary_matrix(m) for m in matrices], dtype=bool)
     layout = _pack(mask)
     zeros = np.zeros(mask.shape[:2])
-    return _rate_searches(zeros, np.ones(mask.shape[-1]), layout, list(zeros), step, guesses=_first_guesses(layout))
+    guesses = _first_guesses(layout)
+    closed = (mask.sum(axis=-1) <= 1).all(axis=-1) & (mask == mask.transpose(0, 2, 1)).all(axis=(1, 2))
+    ceilings = np.where(closed, guesses, np.inf)
+    return _rate_searches(zeros, np.ones(mask.shape[-1]), layout, list(zeros), step, guesses=guesses, ceilings=ceilings)
 
 
 # ---------------------------------------------------------------------------

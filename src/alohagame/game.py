@@ -185,17 +185,70 @@ def _response(q: np.ndarray, rates, mask: np.ndarray) -> np.ndarray:
     return np.where(positive, np.minimum(raw, 1.0), jammed)
 
 
-def _best_responses(q: np.ndarray, rates, mask: np.ndarray, epsilon: float = 1.0):
-    """Best-response iterates from ``q`` (arguments as for :func:`_response`), each with its step's infinity norm.
+# A game with at most this many links (interferer entries) steps on
+# Python floats over each player's interferers, a larger one on numpy
+# rows. One step of the plain update, floats against rows, on a 2-core
+# x86-64 guest (Python 3.11, numpy 2.4): 1.4 against 8.1 us at 4 players
+# and 12 links, 3.5 against 8.3 at 8 and 54, 7.3 against 9.3 at 16 and
+# 136, 10.6 against 9.2 at 16 and 240, 20.9 against 18.2 at 60 and 360.
+# Floats cost about 0.2 us a player and 0.03 a link, rows about 8 us a
+# step. Every game of up to 8 players steps on floats, and floats won
+# on every game measured with at most 64 links, at up to 60 players.
+_SCALAR_LINKS = 64
+
+
+def _best_responses(q: np.ndarray, rates: np.ndarray, mask: np.ndarray, epsilon: float = 1.0):
+    """Best-response iterates from the point ``q`` of a game with target rates ``rates`` and boolean matrix ``mask``, each with its step's infinity norm.
 
     The step is epsilon (F(q) - q); the next iterate is F(q) at
     ``epsilon`` = 1, else q + step clipped to [0, 1]^n. Nothing is kept.
+    A game of up to ``_SCALAR_LINKS`` links steps on Python floats
+    (:func:`_scalar_best_responses`), with the same bits, and its
+    iterates are lists of floats; a larger one steps on arrays through
+    :func:`_response`.
+    """
+    rows, cols = np.nonzero(mask)
+    if len(rows) <= _SCALAR_LINKS:
+        interferers = [[] for _ in range(len(q))]
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            interferers[i].append(j)
+        yield from _scalar_best_responses(q.tolist(), list(zip(rates.tolist(), interferers)), epsilon)
+    else:
+        while True:
+            f = _response(q, rates, mask)
+            step = f - q if epsilon == 1.0 else epsilon * (f - q)
+            yield q, float(np.abs(step).max())
+            q = f if epsilon == 1.0 else np.clip(q + step, 0.0, 1.0)
+
+
+def _scalar_best_responses(q: list, players: list, epsilon: float):
+    """:func:`_best_responses` on a list of floats, each player a ``(rate, interferers)`` pair.
+
+    A success product multiplies the factors 1 - q_j of the player's
+    interferers in index order, from the first, as :func:`_product`
+    does along the whole row less its exact products with 1.0. The
+    quotient's clip at 1, the jammed rule, the step and its clip to
+    [0, 1] are those of :func:`_response` and of the rows' step, on
+    floats, so every iterate and norm has their bits.
     """
     while True:
-        f = _response(q, rates, mask)
-        step = f - q if epsilon == 1.0 else epsilon * (f - q)
-        yield q, float(np.abs(step).max())
-        q = f if epsilon == 1.0 else np.clip(q + step, 0.0, 1.0)
+        f = []
+        for rate, interferers in players:
+            product = 1.0
+            for j in interferers:
+                product *= 1.0 - q[j]
+            if product > 0.0:
+                quotient = rate / product
+                f.append(quotient if quotient < 1.0 else 1.0)
+            else:
+                f.append(1.0 if rate > 0.0 else 0.0)
+        if epsilon == 1.0:
+            yield q, max(map(abs, map(operator.sub, f, q)))
+            q = f
+        else:
+            step = [epsilon * (b - a) for a, b in zip(q, f)]
+            yield q, max(map(abs, step))
+            q = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in map(operator.add, q, step)]
 
 
 def residual(q, game: Game) -> np.ndarray:

@@ -80,6 +80,13 @@ _SPLIT_AXES = 3
 # this many boxes (at least one).
 _BLOCK_BOXES = 2048
 
+# One contraction takes its boxes in slices of at most this many, which
+# bounds the stacks its neighbour bounds hold: several (2k, n, n)
+# arrays for k boxes, 14.6 MiB at 1,996 boxes of 8 players. The
+# benchmark's tallest contractions, 480 boxes in `fold` and 256 in
+# `batch`, are never sliced.
+_CONTRACT_BOXES = 1024
+
 # Relative outward rounding of contracted bounds. It covers the
 # rounding of a success product of up to seven factors and of one
 # quotient, so rounding cannot drop a root on a box face. A neighbour
@@ -294,7 +301,21 @@ def _newton_rows(q: np.ndarray, rates: np.ndarray, mask: np.ndarray, max_iter: i
 
 
 def _contract(lo, hi, row, rates, mask, neighbours=False):
-    """One round of the monotone interval map over the boxes [lo, hi].
+    """One round of the monotone interval map over the boxes [lo, hi] (:func:`_contract_slice`).
+
+    The boxes are taken ``_CONTRACT_BOXES`` at a time, which bounds the
+    memory. Each box is contracted on its own, so the slices change no
+    bit.
+    """
+    if len(lo) <= _CONTRACT_BOXES:
+        return _contract_slice(lo, hi, row, rates, mask, neighbours)
+    slices = [slice(start, start + _CONTRACT_BOXES) for start in range(0, len(lo), _CONTRACT_BOXES)]
+    parts = [_contract_slice(lo[s], hi[s], row[s], rates, mask, neighbours) for s in slices]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _contract_slice(lo, hi, row, rates, mask, neighbours):
+    """One round of the monotone interval map over a slice of boxes [lo, hi].
 
     Box k belongs to the game whose target rates are ``rates[row[k]]``;
     ``mask`` is the games' interference matrix as booleans. Over a box
@@ -639,17 +660,19 @@ def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
     of ``rates``. A start stops at its first step that does not lower
     the residual, or whose Jacobian is singular or not finite, and
     otherwise after ``max_iter`` steps: a singular Jacobian gives a NaN
-    step (:func:`_solve_rows`), whose residual is not lower. The live
-    rows are compacted only in a step where some row stops.
+    step (:func:`_solve_rows`), whose residual is not lower. A start
+    whose residual is exactly zero stops before its next step, which
+    could not lower it. The live rows are compacted only in a step
+    where some row stops.
     """
     best = starts.copy()
     h, jac = _polynomial(best, rates, matrix)
-    best_norm = np.abs(h).max(axis=1)
+    best_norm = norm = np.abs(h).max(axis=1)
     rows = np.arange(len(best))
     q = best
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            ok = np.isfinite(jac).all(axis=(1, 2))
+            ok = np.isfinite(jac).all(axis=(1, 2)) & (norm > 0.0)
             if not ok.all():
                 rows, q, h, jac, rates = rows[ok], q[ok], h[ok], jac[ok], rates[ok]
                 if not len(rows):

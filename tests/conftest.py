@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alohagame import Game, chain_matrix
+from alohagame import Game, chain_matrix, connected_components, experiments, random_topology, side_for_density
 
 # Verdict lines from the acceptance suite, replayed after the run so
 # they stay visible under pytest's output capture.
@@ -57,6 +57,27 @@ def batch_games(seed):
         if rng.random() < 0.15:
             y[int(rng.integers(0, n))] = 0.0
         yield Game(a, y)
+
+
+def sweep_topologies(seed):
+    """The topologies of the benchmark's ``sweep`` workload for ``seed``
+    (``bench/workloads.py``), one list of 4 trials per setting. Each
+    setting's master seed is drawn until its trials hold one whose
+    largest component is a pair at densities 0.008 and 0.02, and none
+    at the other settings."""
+    settings = [(20, d) for d in (0.008, 0.02, 0.05, 0.15, 0.5, 2.0)]
+    settings += [(n, 0.1) for n in (10, 20, 30, 40, 60)] + [(n, 0.03) for n in (20, 40, 60)]
+    pool = []
+    for index, (n, density) in enumerate(settings):
+        side = side_for_density(n, density)
+        wanted = {0.008: 1, 0.02: 1}.get(density, 0)
+        for attempt in range(10_000):
+            master = int(np.random.SeedSequence([seed, index, attempt]).generate_state(1)[0])
+            trials = [random_topology(n, side, experiments._trial_seed(master, 0, t))[1] for t in range(4)]
+            if sum(max(len(c) for c in connected_components(m)) == 2 for m in trials) == wanted:
+                break
+        pool.append(trials)
+    return pool
 
 
 def record_calls(monkeypatch, module, name):

@@ -11,12 +11,14 @@ from alohagame import (
     Game,
     chain_matrix,
     detect_cycle,
+    fully_connected_matrix,
     integrate_ode,
     iterate_game,
     kleene_lfp,
     lyapunov_value,
 )
-from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game
+from alohagame import game as game_module
+from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game, record_calls
 from reference import integrate_ode_residual_drift, iterate_game_own_loop, kleene_lfp_own_loop
 
 CYCLE_A = np.array([0.1952, 1.0, 0.1952])
@@ -205,6 +207,77 @@ class TestAgainstOwnLoops:
             assert _run(integrate_ode(*args)) == _run(integrate_ode_residual_drift(*args))
         for args in ((np.zeros(3), chain3), (np.zeros(2), Game(chain_matrix(2), [0.25, 0.25]), 0.01, 20.0)):
             assert _run(integrate_ode(*args)) == _run(integrate_ode_residual_drift(*args))
+
+
+def _kernel_games():
+    """Chains, stars and dense matrices, directed and symmetric, on both
+    sides of ``game._SCALAR_LINKS``, each with a silent player, and again
+    with a player at rate 1, who jams its neighbours once it transmits
+    always."""
+    rng = np.random.default_rng(2901)
+    games = []
+    for n in (1, 2, 5, 8, 12, 40, 65, 66):
+        chain = np.eye(n, k=1, dtype=int)
+        star = np.zeros((n, n), dtype=int)
+        star[0, 1:] = 1
+        dense = (rng.random((n, n)) < 0.7).astype(int)
+        np.fill_diagonal(dense, 0)
+        for a in (chain, star, dense):
+            for matrix in (a, np.maximum(a, a.T)):
+                rates = rng.uniform(0.0, rng.choice([0.05, 0.3]), n)
+                rates[-1] = 0.0
+                games.append(Game(matrix, rates))
+                jammer = rates.copy()
+                jammer[0], jammer[1 % n] = 1.0, rng.uniform(0.0, 0.3)
+                games.append(Game(matrix, jammer))
+    # near its fold at 0.25 a pair creeps up for thousands of steps
+    return games + [Game(chain_matrix(2), [0.2499, 0.2499])]
+
+
+class TestStepKernels:
+    """Small games step on Python floats and large ones on numpy rows, and
+    both give the bits of a loop of :func:`alohagame.game._response`."""
+
+    def test_both_kernels_match_the_response_loops(self):
+        games = _kernel_games()
+        links = [int(game.matrix.sum()) for game in games]
+        assert min(links) == 0 and max(links) > 1000
+        assert {64, 65} <= set(links)
+        outcomes = set()
+        # Next to a jammer, a rows step divides by products as small as
+        # 1e-310, whose quotients overflow to inf before the clip at 1.
+        with np.errstate(over="ignore"):
+            for game in games:
+                for q0 in (None, game.rates):
+                    got = _lfp(kleene_lfp(game, q0, max_iter=400))
+                    assert got == _lfp(kleene_lfp_own_loop(game, q0, max_iter=400))
+                # alternate players at 1 jam their neighbours, and chains cycle
+                for q0 in (np.zeros(game.n), game.rates, np.ones(game.n), np.arange(game.n) % 2.0):
+                    for epsilon in (1.0, 0.5):
+                        got = _run(iterate_game(q0, game, epsilon=epsilon, max_iter=400))
+                        assert got == _run(iterate_game_own_loop(q0, game, epsilon=epsilon, max_iter=400))
+                        outcomes.add(got[2])
+        assert outcomes == {CONVERGED, CYCLE, BUDGET_EXHAUSTED}
+
+    def test_jammed_players(self):
+        # player 0 transmits always: player 1, with a positive rate, is
+        # jammed to 1, and player 2, silent, stays at 0
+        game = Game([[0, 0, 0], [1, 0, 0], [1, 0, 0]], [1.0, 0.2, 0.0])
+        assert iterate_game(np.zeros(3), game).final.tolist() == [1.0, 1.0, 0.0]
+        for q0 in (np.zeros(3), np.ones(3), [1.0, 0.5, 0.5]):
+            for epsilon in (1.0, 0.5):
+                got = _run(iterate_game(q0, game, epsilon=epsilon))
+                assert got == _run(iterate_game_own_loop(q0, game, epsilon=epsilon))
+
+    def test_the_game_size_picks_the_kernel(self, monkeypatch):
+        rows = record_calls(monkeypatch, game_module, "_response")
+        # 56 and 64 links step on floats, 66 on rows
+        for matrix, on_rows in ((fully_connected_matrix(8), False), (chain_matrix(33), False), (chain_matrix(34), True)):
+            game = Game(matrix, np.full(len(matrix), 0.01))
+            del rows[:]
+            kleene_lfp(game)
+            iterate_game(game.rates, game, epsilon=0.5)
+            assert bool(rows) == on_rows
 
 
 class TestDetectCycle:

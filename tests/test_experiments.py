@@ -28,7 +28,7 @@ from alohagame import (
     write_records_csv,
 )
 from alohagame import experiments, solver, stability, topology
-from conftest import Q_STAR, instance_rng, random_game, record_calls
+from conftest import Q_STAR, instance_rng, random_game, record_calls, sweep_topologies
 from reference import bisect_common_rate, bisect_demand_scale, bisect_probability_scale, common_rates_dense
 from reference import contour_one_cell_at_a_time, linear_walk_max_common_rate
 from reference import sweep_one_search_per_trial
@@ -1035,6 +1035,99 @@ class TestCliqueEdgeFirstProbe:
             experiments._common_rates(matrices, experiments.RATE_STEP)
             # the first round probes each lane once
             assert len(first[0]) == len(matrices) and all(point is not None for point in first[0])
+
+
+def _clique_edge(d: int) -> float:
+    return (d / (d + 1.0)) ** d / (d + 1.0)
+
+
+def _star_edge(d: int) -> float:
+    """The certificate edge of the star K_(1,d) at a common rate.
+
+    On its least fixed points a leaf's coordinate l sets the centre's,
+    c = l / (l + (1 - l)^d), and the rate, y = l (1 - c). The
+    certificate 2I - F' - F'^T is positive definite while
+    sqrt(d) (c / (1 - l) + l / (1 - c)) < 2, whose left side grows with
+    l, so bisection on l finds the edge, here to rounding.
+    """
+    if d == 0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-15:
+        leaf = (lo + hi) / 2.0
+        centre = leaf / (leaf + (1.0 - leaf) ** d)
+        if np.sqrt(d) * (centre / (1.0 - leaf) + leaf / (1.0 - centre)) < 2.0:
+            lo = leaf
+        else:
+            hi = leaf
+    return lo * (1.0 - lo / (lo + (1.0 - lo) ** d))
+
+
+class TestInterfererCountBracket:
+    """A symmetric topology's grid y_max lies between the clique edge of its
+    largest interferer count D, less one step, and the edge of the star
+    with D leaves."""
+
+    def test_edges_meet_at_one_interferer(self):
+        assert _clique_edge(1) == 0.25
+        assert abs(_star_edge(1) - 0.25) <= 1e-12
+        assert _clique_edge(0) == _star_edge(0) == 1.0
+
+    def test_a_star_searches_to_its_own_edge(self):
+        for d in range(1, 12):
+            star = np.zeros((d + 1, d + 1), dtype=int)
+            star[0, 1:] = star[1:, 0] = 1
+            y_max, _ = max_common_rate(star)
+            assert _star_edge(d) - experiments.RATE_STEP - 1e-12 <= y_max < _star_edge(d)
+
+    @pytest.mark.parametrize("pool", ["criterion 6", "sweep"])
+    def test_grid_rates_lie_in_the_bracket(self, pool):
+        settings = _criterion_6_pool() if pool == "criterion 6" else [s for seed in (1, 2, 3) for s in sweep_topologies(seed)]
+        step = experiments.RATE_STEP
+        checked = set()
+        for matrices in settings:
+            for (y_max, _), matrix in zip(experiments._common_rates(matrices, step), matrices):
+                assert np.array_equal(matrix, matrix.T)
+                d = int(matrix.sum(axis=1).max())
+                assert _clique_edge(d) - step - 1e-12 <= y_max <= _star_edge(d)
+                checked.add(d)
+        assert sum(map(len, settings)) == (420 if pool == "criterion 6" else 3 * 14 * 4)
+        assert {0, 1, 2} <= checked and max(checked) >= 8
+
+
+class TestCommonRateCeilings:
+    """A lane with no links, or with symmetric links and at most one
+    interferer per player, closes after its first probe: its clique edge
+    is also its ceiling."""
+
+    def test_edge_values(self):
+        assert max_common_rate([[0, 1], [0, 0]])[0] == 0.499
+        assert max_common_rate(chain_matrix(2))[0] == 0.249
+        assert max_common_rate(np.zeros((3, 3), dtype=int))[0] == 0.999
+
+    def test_closed_lanes_probe_once(self, monkeypatch):
+        rounds = record_calls(monkeypatch, experiments, "_stable_lfps")
+        pairs, chains = _pairs_and_chains()
+        singles = pairs.copy()
+        singles[:10] = singles[:, :10] = 0
+        link = np.zeros((60, 60), dtype=int)
+        link[0, 1] = 1
+        found = experiments._common_rates([pairs, singles, np.zeros((60, 60), dtype=int), chains, link], 0.001)
+        assert [y for y, _ in found] == [0.249, 0.249, 0.999, 0.191, 0.499]
+        # a round probes each live lane once or twice, and after the
+        # first only the last two lanes are live
+        probes = [len(args[0]) for args, _ in rounds]
+        assert probes[0] == 5 and len(probes) > 2 and max(probes[1:]) <= 4
+        for matrix in (pairs, singles, np.zeros((4, 4), dtype=int)):
+            del rounds[:]
+            experiments._common_rates([matrix], 0.001)
+            assert len(rounds) == 1
+
+    def test_a_ceiling_below_the_first_step_probes_nothing(self, monkeypatch):
+        rounds = record_calls(monkeypatch, experiments, "_stable_lfps")
+        y_max, point = max_common_rate(chain_matrix(2), step=0.3)
+        assert (y_max, point.tolist()) == (0.0, [0.0, 0.0])
+        assert rounds == []
 
 
 class TestMarginGuidedSearch:

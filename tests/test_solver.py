@@ -682,6 +682,43 @@ class TestContractRounds:
                 cut += len(got[0]) < k
         assert cut >= 50
 
+    def test_slices_change_no_bit(self, monkeypatch):
+        monkeypatch.setattr(solver, "_CONTRACT_BOXES", 7)
+        rng = np.random.default_rng(2907)
+        for n in (1, 3, 8):
+            for k in (6, 7, 8, 300):
+                lo, hi, row, rates = _random_boxes(rng, n, k)
+                mask = rng.random((n, n)) < 0.6
+                np.fill_diagonal(mask, False)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    for neighbours, reference in ((False, diagonal_contraction), (True, neighbour_contraction)):
+                        got = solver._contract(lo, hi, row, rates, mask, neighbours=neighbours)
+                        want = reference(lo, hi, row, rates, mask)
+                        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_an_eight_player_enumeration_is_bounded(self, monkeypatch):
+        # One contraction of this game held 5,416 boxes; its neighbour
+        # contraction of 1,996 boxes took 14.6 of the call's 14.9 MiB.
+        game = _eight_player_pool()[2]
+        boxes = solver._CONTRACT_BOXES
+        points, peaks = [], []
+        for cap in (boxes, 10**9):
+            monkeypatch.setattr(solver, "_CONTRACT_BOXES", cap)
+            tracemalloc.start()
+            try:
+                points.append([p.tobytes() for p in multistart_fixed_points(game).points])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert points[0] == points[1] and len(points[0]) == 2
+        assert peaks[0] <= 0.6 * peaks[1]
+        monkeypatch.setattr(solver, "_CONTRACT_BOXES", boxes)
+        stacks = record_calls(monkeypatch, solver, "_contract")
+        slices = record_calls(monkeypatch, solver, "_contract_slice")
+        multistart_fixed_points(game)
+        assert max(len(args[0]) for args, _ in stacks) > 4 * boxes
+        assert max(len(args[0]) for args, _ in slices) <= boxes
+
 
 class TestPolish:
     def test_matches_a_polish_that_compacts_every_step(self):
@@ -705,6 +742,15 @@ class TestPolish:
                     assert got.tobytes() == want.tobytes()
                     changed += int((got != starts).any(axis=1).sum())
         assert changed >= 1000
+
+    def test_a_zero_residual_takes_no_step(self, monkeypatch):
+        # A player without interferers at q = y has the exact residual
+        # y * 1 - y = 0; the second start reaches it in one step.
+        calls = record_calls(monkeypatch, solver, "_polynomial")
+        a = np.zeros((1, 1), dtype=np.int8)
+        got = solver._polish(np.array([[0.25], [0.1]]), np.array([[0.25], [0.25]]), a, 50)
+        assert got.tolist() == [[0.25], [0.25]]
+        assert [len(args[0]) for args, _ in calls] == [2, 1]
 
     def test_singular_jacobian_stops_where_the_determinant_rule_stops(self):
         # The collision pair's Jacobian [[1 - q2, -q1], [-q2, 1 - q1]]
