@@ -231,6 +231,8 @@ def _stable_lfps(rates: np.ndarray, mask, warm_starts: np.ndarray, direction: np
     if not solved.all():
         keep = solved.repeat(blocks)
         games, layout, y, points = games[solved], layout.take(np.flatnonzero(solved)), y[keep], points[keep]
+    if not len(games):
+        return found, margins, slopes
     margins[games], slopes[games] = _stable_above(points, y, layout.mask, layout.gather(direction), blocks, layout.n)
     for game, point in zip(games, layout.scatter(points)):
         if margins[game] > 0.0:

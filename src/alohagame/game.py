@@ -172,17 +172,18 @@ def _response(q: np.ndarray, rates, mask: np.ndarray) -> np.ndarray:
     is one boolean interference matrix for every row or a stack with
     row k's matrix at ``mask[k]``. The caller prepares the mask once,
     and nothing is checked here: the solvers call this on every step.
-    Where every product is positive the quotient is clipped directly,
-    with the same operations, and so the same bits, as the general
-    path.
+    The quotient is clipped at 1 by dividing by max(product, rate): a
+    quotient of at most 1 is unchanged, a larger one is rate / rate = 1
+    exactly, and none overflows, however small a positive product.
+    Where every product is positive it is taken directly, with the same
+    operations, and so the same bits, as the general path.
     """
     prod = _product(q, mask)
     positive = prod > 0.0
     if positive.all():
-        return np.minimum(rates / prod, 1.0)
-    raw = np.divide(rates, prod, out=np.zeros_like(prod), where=positive)
-    jammed = np.where(rates > 0.0, 1.0, 0.0)
-    return np.where(positive, np.minimum(raw, 1.0), jammed)
+        return rates / np.maximum(prod, rates)
+    raw = np.divide(rates, np.maximum(prod, rates), out=np.zeros_like(prod), where=positive)
+    return np.where(positive, raw, np.where(rates > 0.0, 1.0, 0.0))
 
 
 # A game with at most this many links (interferer entries) steps on
@@ -227,9 +228,9 @@ def _scalar_best_responses(q: list, players: list, epsilon: float):
     A success product multiplies the factors 1 - q_j of the player's
     interferers in index order, from the first, as :func:`_product`
     does along the whole row less its exact products with 1.0. The
-    quotient's clip at 1, the jammed rule, the step and its clip to
-    [0, 1] are those of :func:`_response` and of the rows' step, on
-    floats, so every iterate and norm has their bits.
+    quotient clipped at 1 is :func:`_response`'s rate / max(product,
+    rate), and the jammed rule, the step and its clip to [0, 1] are
+    those of the rows' step, so every iterate and norm has their bits.
     """
     while True:
         f = []

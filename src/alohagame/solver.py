@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import FIXED_POINT_TOL, Game, leq
+from .game import FIXED_POINT_TOL, Game
 from .game import best_response  # noqa: F401  bench/tracer.py rebinds it here
 from .game import _best_responses, _check_count, _check_positive_finite, _check_start, _response
 
@@ -147,7 +147,7 @@ class FixedPointSet:
 
 
 def _result(game: Game, q, iterations, converged, res_norm, tol, infeasible=False) -> LfpResult:
-    point = np.asarray(q, dtype=float).copy()
+    point = np.array(q, dtype=float)
     point.flags.writeable = False
     extraneous = converged and bool((point >= 1.0 - 10.0 * tol).all()) and bool(
         (game.rates > 0.0).any()
@@ -175,7 +175,7 @@ def kleene_lfp(
     _check_positive_finite(tol, "tol")
     _check_count(max_iter, "max_iter")
     q0 = _check_start(np.zeros(game.n) if q0 is None else q0, game.n, "q0")
-    if (q0 < 0.0).any() or not leq(q0, game.rates):
+    if not ((q0 >= 0.0) & (q0 <= game.rates)).all():
         raise ValueError("q0 must lie in the box [0, rates] (start region for the ascent)")
     for iterations, (q, res_norm) in enumerate(_best_responses(q0, game.rates, game.matrix.astype(bool))):
         if res_norm <= tol or iterations == max_iter:
@@ -325,9 +325,9 @@ def _contract_slice(lo, hi, row, rates, mask, neighbours):
     boxes left empty are dropped: they hold no root. A zero product
     gives an infinite bound (or none, for a silent player), which the
     fmax/fmin pair handles; the caller silences the division warnings.
-    The success products over the 2k corners are accumulated along the
-    player axis (:func:`_prefix_products`), bit for bit the products
-    :func:`alohagame.game.success_product` takes along each row.
+    The success products over the 2k corners multiply a
+    :func:`_factors` stack along its player axis in one reduction, in
+    the order :func:`alohagame.game.success_product` takes each row.
 
     With ``neighbours``, equation i with y_i > 0 also bounds each
     interfering neighbour j: q_j = 1 - y_i / (q_i O_ij(q)), where O_ij
@@ -335,33 +335,33 @@ def _contract_slice(lo, hi, row, rates, mask, neighbours):
     q_i O_ij ranges over [lo_i O_ij(hi), hi_i O_ij(lo)], so q_j lies in
     [1 - y_i / (lo_i O_ij(hi)), 1 - y_i / (hi_i O_ij(lo))], each end
     widened by ``_OUTWARD`` (1 + x) for its quotient x. A box is cut to
-    every equation's bound at once. O_ij over the swapped corners, upper
+    every equation's bound at once. O_ij over the corners, upper
     corners first, is the (2k, n, n) leave-one-out stack of
-    :func:`_products`, so one multiply by the corners, lower first,
-    forms every span, and 1 - x and its padding are taken once over
-    both halves.
+    :func:`_products`, so one multiply by the corners, their halves
+    swapped, forms every span, and 1 - x and its padding are taken once
+    over both halves.
     """
-    y = rates[row]
+    y = rates.take(row, axis=0)
     k, n = lo.shape
+    corners = np.concatenate([hi, lo])
     if neighbours:
-        prod, others = _products(np.concatenate([hi, lo]), mask)
-        prod = prod.reshape(2, k, n)[::-1]
+        prod, others = _products(corners, mask)
     else:
-        prod = _prefix_products(_factors(np.concatenate([lo, hi]), mask))[-1].reshape(2, k, n)
-    bounds = y / prod
+        prod = np.multiply.reduce(_factors(corners, mask), axis=0).T.copy()
+    bounds = y / prod.reshape(2, k, n)[::-1]
     new_lo = np.fmax(lo, bounds[0] * (1.0 - _OUTWARD))
     new_hi = np.fmin(hi, bounds[1] * (1.0 + _OUTWARD))
     if neighbours:
         # x[0, :, i, j] is y_i over lo_i O_ij(hi), x[1] over hi_i
         # O_ij(lo), NaN where equation i does not bound q_j
-        spans = (np.concatenate([lo, hi])[..., np.newaxis] * others).reshape(2, k, n, n)
+        spans = corners.reshape(2, k, n, 1)[::-1] * others.reshape(2, k, n, n)
         bounding = mask & (y > 0.0)[..., np.newaxis]
         x = np.divide(y[..., np.newaxis], spans, out=np.full_like(spans, np.nan), where=bounding)
         edge, pad = 1.0 - x, _OUTWARD * (1.0 + x)
         new_lo = np.fmax(new_lo, np.fmax.reduce(edge[0] - pad[0], axis=1))
         new_hi = np.fmin(new_hi, np.fmin.reduce(edge[1] + pad[1], axis=1))
-    keep = (new_lo <= new_hi).all(axis=1)
-    return new_lo[keep], new_hi[keep], row[keep]
+    (keep,) = (new_lo <= new_hi).all(axis=1).nonzero()
+    return new_lo.take(keep, axis=0), new_hi.take(keep, axis=0), row.take(keep)
 
 
 def _leaf_centres(rates, matrix, cells_per_axis: int):
@@ -385,10 +385,11 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
     would take. Nothing is called once no box is left.
     """
     mask = matrix.astype(bool)
-    edges, cells = _partition(rates.shape[1], cells_per_axis)
+    cell_lo, cell_hi = _partition(rates.shape[1], cells_per_axis)
     silent = rates == 0.0
-    row, box = np.nonzero(~(silent[:, np.newaxis] & (cells > 0)).any(axis=-1))
-    lo, hi = edges[cells[box]], np.where(silent[row], 0.0, edges[cells[box] + 1])
+    # a cell is kept where every silent axis has its lower edge at 0
+    row, box = np.nonzero(silent @ cell_lo.T == 0.0)
+    lo, hi = cell_lo.take(box, axis=0), np.where(silent.take(row, axis=0), 0.0, cell_hi.take(box, axis=0))
     starts, owners = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(lo):
@@ -397,7 +398,7 @@ def _leaf_centres(rates, matrix, cells_per_axis: int):
                 if not len(lo):
                     break
             leaf = (hi - lo).max(axis=1) <= _LEAF_WIDTH
-            starts.append((lo[leaf] + hi[leaf]) / 2.0)
+            starts.append(((lo + hi) / 2.0)[leaf])
             owners.append(row[leaf])
             if leaf.all():
                 break
@@ -452,11 +453,12 @@ def _orthants(n: int):
 
 @functools.lru_cache(maxsize=64)
 def _partition(n: int, cells_per_axis: int):
-    """Read-only cell edges of one axis, and the index of every cell of [0, 1]^n along each axis."""
+    """Read-only lower and upper corners of every cell of [0, 1]^n, cells_per_axis to an axis, in index order."""
     edges = np.linspace(0.0, 1.0, cells_per_axis + 1)
     cells = np.stack(np.meshgrid(*[np.arange(cells_per_axis)] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    edges.flags.writeable = cells.flags.writeable = False
-    return edges, cells
+    lo, hi = edges[cells], edges[cells + 1]
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def _krawczyk(lo, hi, row, rates, matrix):
@@ -490,7 +492,7 @@ def _krawczyk(lo, hi, row, rates, matrix):
     where K misses X are dropped. When the plain test settles or drops
     every box, the Newton-box test is skipped.
     """
-    y = rates[row]
+    y = rates.take(row, axis=0)
     active = y > 0.0
     centre, k_lo, k_hi, inside = _krawczyk_test(lo, hi, y, matrix)
     lo, hi = np.where(active, np.fmax(lo, k_lo), lo), np.where(active, np.fmin(hi, k_hi), hi)
@@ -498,13 +500,13 @@ def _krawczyk(lo, hi, row, rates, matrix):
     proven, proven_row = centre[inside], row[inside]
     if len(left):
         # A silent axis of B is X's, [0, 0].
-        b_lo = np.where(active, np.clip(k_lo - _NEWTON_PAD, 0.0, 1.0), lo)[left]
-        b_hi = np.where(active, np.clip(k_hi + _NEWTON_PAD, 0.0, 1.0), hi)[left]
-        newton_centre, _, _, newton = _krawczyk_test(b_lo, b_hi, y[left], matrix)
+        b_lo = np.where(active, np.clip(k_lo - _NEWTON_PAD, 0.0, 1.0), lo).take(left, axis=0)
+        b_hi = np.where(active, np.clip(k_hi + _NEWTON_PAD, 0.0, 1.0), hi).take(left, axis=0)
+        newton_centre, _, _, newton = _krawczyk_test(b_lo, b_hi, y.take(left, axis=0), matrix)
         proven = np.concatenate([proven, newton_centre[newton]])
         proven_row = np.concatenate([proven_row, row[left[newton]]])
         left = left[~newton]
-    return lo[left], hi[left], row[left], (proven, proven_row)
+    return lo.take(left, axis=0), hi.take(left, axis=0), row[left], (proven, proven_row)
 
 
 def _krawczyk_test(lo, hi, y, matrix):
@@ -520,20 +522,28 @@ def _krawczyk_test(lo, hi, y, matrix):
     n = lo.shape[1]
     m = (lo + hi) / 2.0
     prod, jm, j_lo, j_hi = _jacobians(m, lo, hi, matrix)
-    y_inv = _solve_rows(jm, np.broadcast_to(np.eye(n), jm.shape))
+    y_inv = _inverses(jm)
     # X lies in [m - r, m + r] despite the rounding of m and r.
     r = np.maximum(hi - m, m - lo) * (1.0 + np.finfo(float).eps)
     centre = m - _times(y_inv, m * prod - y)
     rounding = _rounding(n)
-    # I - Y J_c, formed in place
-    spread = y_inv @ ((j_lo + j_hi) / 2.0)
-    np.negative(spread, out=spread)
-    _diagonal(spread)[...] += 1.0
-    rho = _times(np.abs(spread), r) + 2.0 * rounding
+    # |I - Y J_c|: the sign of a zero entry is lost to the absolute value
+    spread = np.abs(np.eye(n) - y_inv @ ((j_lo + j_hi) / 2.0))
+    rho = _times(spread, r) + 2.0 * rounding
     rho += _times(np.abs(y_inv), _times(j_hi - j_lo, r / 2.0) + (n + 2) * rounding)
     k_lo, k_hi = centre - rho, centre + rho
     passed = ((k_lo > lo) & (k_hi < hi) | (y == 0.0)).all(axis=1)
     return centre, k_lo, k_hi, passed
+
+
+def _inverses(m):
+    """The inverses of a stack of matrices, NaN where one is singular: LAPACK's
+    solve against the identity, as :func:`_solve_rows` gives it, which takes over
+    when some matrix is singular."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return _solve_rows(m, np.broadcast_to(np.eye(m.shape[-1]), m.shape))
 
 
 def _jacobians(m, lo, hi, matrix):
@@ -585,31 +595,14 @@ def _rounding(n: int) -> float:
 def _factors(q, matrix):
     """The factors of the success products of the rows of q, stacked player axis first.
 
-    Slice j + 1 of the (n + 1, k, n) stack holds factor 1 - q_j of all
-    k * n products (1 where player j does not interfere), and slice 0
-    is ones.
+    Slice j + 1 of the (n + 1, n, k) stack holds factor 1 - q_j of all
+    n * k products, entry [i, r] for player i at row r (1 where j does
+    not interfere with i), and slice 0 is ones. With the rows last, a
+    copy or multiply runs n^2 loops k long, not k n loops n long.
     """
     k, n = q.shape
-    stack = np.ones((n + 1, k, n))
-    np.copyto(stack[1:], 1.0 - q.T[..., np.newaxis], where=matrix.T[:, np.newaxis].astype(bool))
-    return stack
-
-
-def _prefix_products(stack):
-    """Prefix products of a factor stack along its player axis, in place, and the stack.
-
-    Slice j of the result is the product of slices 1 to j, so the last
-    slice of a :func:`_factors` stack is the success products. It takes
-    n multiplies, every one over a whole contiguous (k, n) slice;
-    ``np.prod`` or ``np.cumprod`` along a last axis n long would set up
-    its loop once for each of the k * n products. Each product meets
-    its factors in the same order either way, so it is the same to the
-    bit. From about 32 rows up it is also faster (at 512 x 3, 27 us
-    against 57 us, one BLAS thread on a 2-core x86-64 guest); at 8 rows
-    or fewer the loop's n steps cost a few microseconds more.
-    """
-    for j in range(1, len(stack)):
-        stack[j] *= stack[j - 1]
+    stack = np.ones((n + 1, n, k))
+    np.copyto(stack[1:], (1.0 - q.T)[:, np.newaxis], where=matrix.T.astype(bool, copy=False)[..., np.newaxis])
     return stack
 
 
@@ -620,24 +613,30 @@ def _products(q, matrix):
     other than 1 - q_j, from prefix and suffix products, so it has no
     pole where some q_j = 1.
 
-    Both are :func:`_prefix_products` of a :func:`_factors` stack: the
-    prefix stack of the factors in player order, whose last slice is
-    the success products, and the suffix stack of the same factors in
-    reverse order. The leave-one-out products are written straight
-    into a C-contiguous (k, n, n) array, so the Jacobian stacks built
-    from them keep the layout that ``np.linalg`` and ``@`` have always
-    been given.
+    Both come from the prefix products of one stack laid out as
+    :func:`_factors` lays its (n + 1, n, k) stack, with 2k rows: the
+    first k hold the factors in player order, whose prefix products end
+    in the success products, and the last k the same factors in reverse
+    order, whose prefix products are the suffix products. The prefix
+    products take n in-place multiplies, each over a contiguous slice;
+    ``np.multiply.accumulate`` along the first axis would loop once per
+    product (for 256 points of 4 players, 40 us against 6 us, one BLAS
+    thread on a 2-core x86-64 guest). The leave-one-out products are written
+    straight into a C-contiguous (k, n, n) array, so the Jacobian stacks
+    built from them keep the layout that ``np.linalg`` and ``@`` have
+    always been given, and so are the success products.
     """
     k, n = q.shape
-    before = _factors(q, matrix)
-    after = np.empty_like(before)
-    after[0] = 1.0
-    after[1:] = before[:0:-1]
-    _prefix_products(before)
-    _prefix_products(after)
+    stack = np.ones((n + 1, n, 2 * k))
+    factors = (1.0 - q.T)[:, np.newaxis]
+    where = matrix.T.astype(bool, copy=False)[..., np.newaxis]
+    np.copyto(stack[1:, :, :k], factors, where=where)
+    np.copyto(stack[1:, :, k:], factors[::-1], where=where[::-1])
+    for j in range(1, n + 1):
+        stack[j] *= stack[j - 1]
     others = np.empty((k, n, n))
-    np.multiply(before[:-1], after[-2::-1], out=others.transpose(2, 0, 1))
-    return before[-1], others
+    np.multiply(stack[:-1, :, :k], stack[-2::-1, :, k:], out=others.transpose(2, 1, 0))
+    return stack[-1, :, :k].T.copy(), others
 
 
 def _polynomial(q, rates, matrix):
@@ -667,25 +666,26 @@ def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
     """
     best = starts.copy()
     h, jac = _polynomial(best, rates, matrix)
-    best_norm = norm = np.abs(h).max(axis=1)
+    # the best residual norm of each live row, its last
+    norm = np.abs(h).max(axis=1)
     rows = np.arange(len(best))
     q = best
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             ok = np.isfinite(jac).all(axis=(1, 2)) & (norm > 0.0)
             if not ok.all():
-                rows, q, h, jac, rates = rows[ok], q[ok], h[ok], jac[ok], rates[ok]
+                rows, q, h, jac, norm, rates = rows[ok], q[ok], h[ok], jac[ok], norm[ok], rates[ok]
                 if not len(rows):
                     break
             q = q - _solve_rows(jac, h)
             h, jac = _polynomial(q, rates, matrix)
-            norm = np.abs(h).max(axis=1)
-            better = norm < best_norm[rows]
+            step_norm = np.abs(h).max(axis=1)
+            better = step_norm < norm
             if not better.all():
-                rows, q, h, jac, norm, rates = rows[better], q[better], h[better], jac[better], norm[better], rates[better]
+                rows, q, h, jac, step_norm, rates = (a[better] for a in (rows, q, h, jac, step_norm, rates))
                 if not len(rows):
                     break
-            best[rows], best_norm[rows] = q, norm
+            best[rows], norm = q, step_norm
     return best
 
 
@@ -704,20 +704,23 @@ def _merge(points: np.ndarray, owner: np.ndarray, radius: float):
     of a rounding boundary (an odd multiple of 5e-10). Returns the kept
     points, read-only, and their games, in that order.
     """
-    order = np.lexsort((*np.round(points, 9).T[::-1], owner))
-    points, owner = points[order], owner[order]
-    kept = np.zeros(len(points), dtype=bool)
-    rest = np.arange(len(points))
-    while len(rest):
-        first = np.ones(len(rest), dtype=bool)
-        np.not_equal(owner[rest[1:]], owner[rest[:-1]], out=first[1:])
-        heads = rest[first]
-        kept[heads] = True
-        # each remaining point against its game's head, the head itself included
-        rest = rest[np.abs(points[rest] - points[heads[np.cumsum(first) - 1]]).max(axis=1) > radius]
-    points = points[kept]
+    if len(points) < 2:  # nothing to order or to merge
+        points = points.copy()
+    else:
+        order = np.lexsort((*np.round(points, 9).T[::-1], owner))
+        points, owner = points[order], owner[order]
+        kept = np.zeros(len(points), dtype=bool)
+        rest = np.arange(len(points))
+        while len(rest):
+            first = np.ones(len(rest), dtype=bool)
+            np.not_equal(owner[rest[1:]], owner[rest[:-1]], out=first[1:])
+            heads = rest[first]
+            kept[heads] = True
+            # each remaining point against its game's head, the head itself included
+            rest = rest[np.abs(points[rest] - points[heads[np.cumsum(first) - 1]]).max(axis=1) > radius]
+        points, owner = points[kept], owner[kept]
     points.flags.writeable = False
-    return points, owner[kept]
+    return points, owner
 
 
 def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
@@ -748,21 +751,22 @@ def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
     for first in range(0, len(rates), block):
         starts, rows = _leaf_centres(rates[first : first + block], matrix, starts_per_axis)
         if len(starts):
-            roots.append(_polish(starts, rates[first + rows], matrix, max_iter))
+            roots.append(_polish(starts, rates.take(first + rows, axis=0), matrix, max_iter))
             owner.append(first + rows)
     if not roots:
         empty = np.empty((0, n))
         empty.flags.writeable = False
         return empty, np.empty(0, dtype=np.intp)
     roots, owner = np.concatenate(roots), np.concatenate(owner)
-    leaf_rates = rates[owner]
+    leaf_rates = rates.take(owner, axis=0)
     # Exact, as for the leaves: a zero rate forces q_i = 0.
     roots[leaf_rates == 0.0] = 0.0
     slack = 1e-9
     inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
-    roots, owner, leaf_rates = np.clip(roots[inside], 0.0, 1.0), owner[inside], leaf_rates[inside]
-    fixed = np.abs(_response(roots, leaf_rates, matrix.astype(bool)) - roots).max(axis=1) <= FIXED_POINT_TOL
-    return _merge(roots[fixed], owner[fixed], DEDUP_RADIUS)
+    # roots outside are tested too, and dropped with those not fixed
+    roots = np.clip(roots, 0.0, 1.0)
+    kept = inside & (np.abs(_response(roots, leaf_rates, matrix.astype(bool)) - roots).max(axis=1) <= FIXED_POINT_TOL)
+    return _merge(roots[kept], owner[kept], DEDUP_RADIUS)
 
 
 def _fixed_point_sets(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50) -> list:

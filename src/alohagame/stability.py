@@ -100,20 +100,27 @@ def _singular(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
 _SINGULAR_MESSAGE = "Jacobian is singular: a neighbour coordinate equals 1"
 
 
+def _checked_response(q: np.ndarray, game: Game) -> np.ndarray:
+    """``best_response(q)``, raising where a neighbour coordinate of q equals 1, for the public Jacobian and certificate."""
+    f = best_response(q, game)
+    if _singular(q, game.matrix.astype(bool)).any():
+        raise ValueError(_SINGULAR_MESSAGE)
+    return f
+
+
 def _jacobian(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
     """:func:`residual_jacobian` at q from the response ``f = best_response(q)``.
 
     ``matrix`` is one interference matrix, or a stack whose leading
-    dimensions broadcast against those of ``q``.
+    dimensions broadcast against those of ``q``. Unchecked: no caller
+    passes a neighbour coordinate at 1 (:func:`_checked_response`).
     """
     mask = np.asarray(matrix, dtype=bool)
-    if _singular(q, mask).any():
-        raise ValueError(_SINGULAR_MESSAGE)
     # flat rows: saturated and jammed responses are 1, and a rate of 0
     # gives a response of 0
     f = np.where(f >= 1.0, 0.0, f)
-    # a coordinate at 1 can only survive the check above in an all-zero
-    # column, where the quotient is masked out anyway
+    # a coordinate at 1 only comes in an all-zero column, where the
+    # quotient is masked out anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = f[..., :, np.newaxis] / (1.0 - q)[..., np.newaxis, :]
     jac = np.where(mask, ratio, 0.0)
@@ -134,7 +141,7 @@ def residual_jacobian(q, game: Game) -> np.ndarray:
     is singular.
     """
     q = np.asarray(q, dtype=float)
-    return _jacobian(q, best_response(q, game), game.matrix)
+    return _jacobian(q, _checked_response(q, game), game.matrix)
 
 
 def _certificate(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
@@ -146,7 +153,7 @@ def _certificate(q: np.ndarray, f: np.ndarray, matrix) -> np.ndarray:
 def krasovskii_matrix(q, game: Game) -> np.ndarray:
     """C(q) = -(J + J^T): symmetric, diagonal exactly 2. Takes batches like ``q``."""
     q = np.asarray(q, dtype=float)
-    return _certificate(q, best_response(q, game), game.matrix)
+    return _certificate(q, _checked_response(q, game), game.matrix)
 
 
 def leading_minors(c) -> np.ndarray:
@@ -233,7 +240,7 @@ class _Classes(NamedTuple):
     The first five run over every point: the residual norm, and whether
     it is a fixed point, has a neighbour coordinate at 1, is decided (a
     fixed point with none) and clips. The rest run over the decided
-    points: the certificate, positive definiteness and classification.
+    points: the certificate, positive definiteness and the class list.
     """
 
     residual: np.ndarray
@@ -243,7 +250,7 @@ class _Classes(NamedTuple):
     clipped: np.ndarray
     certificate: np.ndarray
     positive_definite: np.ndarray
-    classification: np.ndarray
+    classification: list
 
 
 def _classify(q: np.ndarray, rates, matrix, fp_tol: float) -> _Classes:
@@ -268,7 +275,8 @@ def _classify(q: np.ndarray, rates, matrix, fp_tol: float) -> _Classes:
     lam, norm = _smallest_eigenvalue(c)
     pd = _margin(lam, norm, c.shape[-1]) > 0.0
     clipped = ((f >= 1.0) & (rates > 0.0)).any(axis=-1)
-    classification = np.where(pd, "stable", np.where(lam > -PD_TOL, "critical", "unstable"))
+    # a positive-definite certificate has lam > 0
+    classification = [("unstable", "critical", "stable")[a + b] for a, b in zip((lam > -PD_TOL).tolist(), pd.tolist())]
     return _Classes(res, fixed, singular, decided, clipped, c, pd, classification)
 
 
@@ -284,17 +292,17 @@ def _verdicts(q: np.ndarray, rates, matrix, fp_tol: float) -> list:
     points = q.copy()
     for arr in (points, classes.certificate):
         arr.flags.writeable = False
-    columns = classes.positive_definite, _diag_dominant(q[classes.decided], matrix), classes.classification
-    decided = zip(classes.certificate, *(a.tolist() for a in columns))
+    dominant = _diag_dominant(q[classes.decided], matrix).tolist()
+    decided = zip(classes.certificate, classes.positive_definite.tolist(), dominant, classes.classification)
     verdicts = []
-    for k, point in enumerate(points):
-        if not classes.fixed[k]:
-            res = float(classes.residual[k])
+    rows = zip(points, classes.fixed.tolist(), classes.singular.tolist(), classes.clipped.tolist(), classes.residual.tolist())
+    for point, fixed, singular, clipped, res in rows:
+        if not fixed:
             verdicts.append(ValueError(f"not a fixed point at tolerance {fp_tol:g} (residual {res:.3e})"))
-        elif classes.singular[k]:
+        elif singular:
             verdicts.append(ValueError(_SINGULAR_MESSAGE))
         else:
-            verdicts.append(StabilityVerdict(point, *next(decided), bool(classes.clipped[k])))
+            verdicts.append(StabilityVerdict(point, *next(decided), clipped))
     return verdicts
 
 

@@ -25,7 +25,10 @@ whose Jacobian determinant is at most 1e-300, a box enumeration that
 halves each unsettled box along its widest side alone, a sweep
 that finishes through one verdict object per root, a least-fixed-point
 ascent and a game iteration that each run a best-response loop of
-their own, and a flow whose drift is the checked residual.
+their own, a flow whose drift is the checked residual, a diagonal
+contraction that accumulates its products by a prefix loop, inverses
+solved against the identity, a merge that sorts however few points it
+gets, and a certificate that checks every point for a neighbour at 1.
 """
 
 import numpy as np
@@ -131,6 +134,63 @@ def neighbour_contraction(lo, hi, row, rates, mask):
     return new_lo[keep], new_hi[keep], row[keep]
 
 
+def prefix_loop_contraction(lo, hi, row, rates, mask):
+    """The diagonal contraction with its success products accumulated by
+    n in-place multiplies over an (n + 1, 2k, n) factor stack, rows
+    before players, the last slice the products."""
+    y = rates[row]
+    k, n = lo.shape
+    q = np.concatenate([lo, hi])
+    stack = np.ones((n + 1, 2 * k, n))
+    np.copyto(stack[1:], 1.0 - q.T[..., np.newaxis], where=mask.T[:, np.newaxis].astype(bool))
+    for j in range(1, n + 1):
+        stack[j] *= stack[j - 1]
+    bounds = y / stack[-1].reshape(2, k, n)
+    new_lo = np.fmax(lo, bounds[0] * (1.0 - solver._OUTWARD))
+    new_hi = np.fmin(hi, bounds[1] * (1.0 + solver._OUTWARD))
+    keep = (new_lo <= new_hi).all(axis=1)
+    return new_lo[keep], new_hi[keep], row[keep]
+
+
+def inverse_by_solving(m):
+    """The inverses of a stack of matrices, solved against the identity
+    (NaN where one is singular)."""
+    return solver._solve_rows(m, np.broadcast_to(np.eye(m.shape[-1]), m.shape))
+
+
+def merge_always_sorting(points, owner, radius):
+    """The oracle's merge, which sorts and scans however few points it
+    gets."""
+    order = np.lexsort((*np.round(points, 9).T[::-1], owner))
+    points, owner = points[order], owner[order]
+    kept = np.zeros(len(points), dtype=bool)
+    rest = np.arange(len(points))
+    while len(rest):
+        first = np.ones(len(rest), dtype=bool)
+        np.not_equal(owner[rest[1:]], owner[rest[:-1]], out=first[1:])
+        heads = rest[first]
+        kept[heads] = True
+        rest = rest[np.abs(points[rest] - points[heads[np.cumsum(first) - 1]]).max(axis=1) > radius]
+    points = points[kept]
+    points.flags.writeable = False
+    return points, owner[kept]
+
+
+def checked_certificate(q, f, matrix):
+    """The certificate -(J + J^T) at q from the response f, checking
+    every point for a neighbour coordinate at 1 before it is built."""
+    mask = np.asarray(matrix, dtype=bool)
+    if stability._singular(q, mask).any():
+        raise ValueError("Jacobian is singular: a neighbour coordinate equals 1")
+    f = np.where(f >= 1.0, 0.0, f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = f[..., :, np.newaxis] / (1.0 - q)[..., np.newaxis, :]
+    jac = np.where(mask, ratio, 0.0)
+    diag = np.arange(mask.shape[-1])
+    jac[..., diag, diag] = -1.0
+    return -(jac + np.swapaxes(jac, -1, -2))
+
+
 def polish_compacting_every_step(starts, rates, matrix, max_iter):
     """The oracle's Newton polish with its live rows re-indexed at every
     step, whether or not some row stopped."""
@@ -161,10 +221,10 @@ def widest_axis_leaf_centres(rates, matrix, cells_per_axis):
     leaves of :func:`alohagame.solver._leaf_centres`, one cut per round.
     Returns the polishing starts with the rate row of each."""
     mask = matrix.astype(bool)
-    edges, cells = solver._partition(rates.shape[1], cells_per_axis)
+    cell_lo, cell_hi = solver._partition(rates.shape[1], cells_per_axis)
     silent = rates == 0.0
-    row, box = np.nonzero(~(silent[:, np.newaxis] & (cells > 0)).any(axis=-1))
-    lo, hi = edges[cells[box]], np.where(silent[row], 0.0, edges[cells[box] + 1])
+    row, box = np.nonzero(~(silent[:, np.newaxis] & (cell_lo > 0.0)).any(axis=-1))
+    lo, hi = cell_lo[box], np.where(silent[row], 0.0, cell_hi[box])
     starts, owners = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(lo):

@@ -245,19 +245,43 @@ class TestStepKernels:
         assert {64, 65} <= set(links)
         outcomes = set()
         # Next to a jammer, a rows step divides by products as small as
-        # 1e-310, whose quotients overflow to inf before the clip at 1.
-        with np.errstate(over="ignore"):
-            for game in games:
-                for q0 in (None, game.rates):
-                    got = _lfp(kleene_lfp(game, q0, max_iter=400))
-                    assert got == _lfp(kleene_lfp_own_loop(game, q0, max_iter=400))
-                # alternate players at 1 jam their neighbours, and chains cycle
-                for q0 in (np.zeros(game.n), game.rates, np.ones(game.n), np.arange(game.n) % 2.0):
-                    for epsilon in (1.0, 0.5):
-                        got = _run(iterate_game(q0, game, epsilon=epsilon, max_iter=400))
-                        assert got == _run(iterate_game_own_loop(q0, game, epsilon=epsilon, max_iter=400))
-                        outcomes.add(got[2])
+        # 1e-310; the pytest configuration makes an overflow an error.
+        for game in games:
+            for q0 in (None, game.rates):
+                got = _lfp(kleene_lfp(game, q0, max_iter=400))
+                assert got == _lfp(kleene_lfp_own_loop(game, q0, max_iter=400))
+            # alternate players at 1 jam their neighbours, and chains cycle
+            for q0 in (np.zeros(game.n), game.rates, np.ones(game.n), np.arange(game.n) % 2.0):
+                for epsilon in (1.0, 0.5):
+                    got = _run(iterate_game(q0, game, epsilon=epsilon, max_iter=400))
+                    assert got == _run(iterate_game_own_loop(q0, game, epsilon=epsilon, max_iter=400))
+                    outcomes.add(got[2])
         assert outcomes == {CONVERGED, CYCLE, BUDGET_EXHAUSTED}
+
+    def test_a_star_around_a_jammer_steps_without_overflow(self):
+        # A symmetric 40-player star whose centre has rate 1: at epsilon
+        # 0.5 the leaves climb to 1 and the centre's success product
+        # falls through 1e-303 and 2e-315 to 0, and a rate over such a
+        # product used to overflow. The rows step and the float step give
+        # the same bits.
+        star = np.zeros((40, 40), dtype=int)
+        star[0, 1:] = star[1:, 0] = 1
+        rates = np.full(40, 0.02)
+        rates[0] = 1.0
+        game = Game(star, rates)
+        assert game.matrix.sum() > game_module._SCALAR_LINKS
+        traj = iterate_game(np.zeros(40), game, epsilon=0.5)
+        assert traj.outcome == CONVERGED and (traj.final > 1.0 - 1e-8).all()
+        mask = game.matrix.astype(bool)
+        rows = game_module._best_responses(np.zeros(40), rates, mask, 0.5)
+        players = [(rate, np.flatnonzero(row).tolist()) for rate, row in zip(rates.tolist(), mask)]
+        floats = game_module._scalar_best_responses([0.0] * 40, players, 0.5)
+        smallest = 1.0
+        for _, (q, norm), (p, p_norm) in zip(range(len(traj.states)), rows, floats):
+            assert np.asarray(q).tobytes() == np.array(p).tobytes() and norm == p_norm
+            product = game_module.success_product(q, star)[0]
+            smallest = min(smallest, product) if product > 0.0 else smallest
+        assert smallest < 1e-310
 
     def test_jammed_players(self):
         # player 0 transmits always: player 1, with a positive rate, is

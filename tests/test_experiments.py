@@ -899,6 +899,17 @@ class TestComponentBlocks:
         assert pairs_point is None and np.isnan(margins[0]) and np.isnan(slopes[0])
         assert chains_point is not None and margins[1] > 0.0
 
+    def test_no_bracket_is_taken_when_no_game_is_solved(self, monkeypatch):
+        # past both folds no game converges, and past 1 none is probed:
+        # no bracket, certificate or slope is computed on no rows
+        layout = topology._pack(np.array(_pairs_and_chains(), dtype=bool))
+        brackets = record_calls(monkeypatch, experiments, "_stable_above")
+        for rate in (0.3, 1.5):
+            args = (np.full((2, 60), rate), layout, np.zeros((2, 60)), np.ones(60))
+            points, margins, slopes = experiments._stable_lfps(*args)
+            assert points == [None, None] and np.isnan(margins).all() and np.isnan(slopes).all()
+        assert brackets == []
+
     def test_matches_the_dense_search_on_criterion_6(self, monkeypatch):
         # the 14 settings of criterion 6, 30 trials each, in as many
         # probe rounds as the search on whole matrices

@@ -22,9 +22,9 @@ from alohagame import (
 from alohagame import solver
 from alohagame.game import success_product
 from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game, record_calls
-from reference import diagonal_contraction, fixed_point_sets_per_game, greedy_dedup, last_axis_products
-from reference import neighbour_contraction, polish_compacting_every_step, width_only_leaf_centres
-from reference import widest_axis_leaf_centres
+from reference import diagonal_contraction, fixed_point_sets_per_game, greedy_dedup, inverse_by_solving
+from reference import last_axis_products, merge_always_sorting, neighbour_contraction, polish_compacting_every_step
+from reference import prefix_loop_contraction, width_only_leaf_centres, widest_axis_leaf_centres
 from test_game import two_player_root
 
 
@@ -374,6 +374,21 @@ class TestMultistartOracle:
                 assert len(got) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_merge_matches_the_one_that_always_sorts(self):
+        # no point and one point are returned as they come, read-only
+        rng = np.random.default_rng(3003)
+        for count in (0, 1, 0, 1, *rng.integers(2, 40, 30)):
+            n, games = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            centres = rng.random((3, n))
+            points = centres[rng.integers(0, 3, count)] + rng.uniform(-2e-6, 2e-6, (count, n))
+            owner = rng.integers(0, games, count)
+            got = solver._merge(points, owner, 1e-6)
+            want = merge_always_sorting(points, owner, 1e-6)
+            for x, y in zip(got, want):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            assert not got[0].flags.writeable and got[0] is not points
+            assert points.flags.writeable
+
     def test_merge_memory_is_linear_in_the_points(self):
         # 20,000 points of 10,000 games: a temporary of either squared
         # would take gigabytes
@@ -441,12 +456,17 @@ class TestBoxExclusion:
                 assert (box_lo[0] <= q).all() and (q <= box_hi[0]).all()
 
     def test_initial_partition_is_cached_read_only(self):
-        edges, cells = solver._partition(3, 4)
+        lo, hi = solver._partition(3, 4)
         again = solver._partition(3, 4)
-        assert again[0] is edges and again[1] is cells
-        assert not edges.flags.writeable and not cells.flags.writeable
-        assert np.array_equal(edges, np.linspace(0.0, 1.0, 5)) and cells.shape == (64, 3)
-        assert len(np.unique(cells, axis=0)) == 64
+        assert again[0] is lo and again[1] is hi
+        assert not lo.flags.writeable and not hi.flags.writeable
+        edges = np.linspace(0.0, 1.0, 5)
+        assert lo.shape == hi.shape == (64, 3) and len(np.unique(lo, axis=0)) == 64
+        # each cell spans one step of the edges along every axis
+        cell = np.searchsorted(edges, lo)
+        assert np.array_equal(lo, edges[cell]) and np.array_equal(hi, edges[cell + 1])
+        # in index order, the last axis fastest
+        assert np.array_equal(cell, np.array(list(np.ndindex(4, 4, 4))))
 
     def test_neighbour_bounds_keep_the_planted_root(self):
         # Each equation also bounds every interfering neighbour. The
@@ -596,6 +616,24 @@ class TestKrawczykStep:
                     retired += 1
         assert retired == 4 * 7 + 2
 
+    def test_inverses_match_the_solve_against_the_identity(self):
+        # J(m) stacks of 1 to 2,048 boxes at every oracle size
+        rng = np.random.default_rng(3002)
+        for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            for k in (1, 2, 5, 64, 2048):
+                lo, hi, _, _ = _random_boxes(rng, n, k)
+                a = (rng.random((n, n)) < 0.6).astype(np.int8)
+                np.fill_diagonal(a, 0)
+                _, jm, _, _ = solver._jacobians((lo + hi) / 2.0, lo, hi, a)
+                assert solver._inverses(jm).tobytes() == inverse_by_solving(jm).tobytes()
+        # The pair's J(m) at m = (0.5, 0.5) is [[0.5, -0.5], [-0.5, 0.5]]:
+        # its inverse is NaN, and the others are solved one by one.
+        m = np.array([[0.2, 0.3], [0.5, 0.5], [0.1, 0.7]])
+        _, jm, _, _ = solver._jacobians(m, m, m, Game(chain_matrix(2), [0.25, 0.25]).matrix)
+        got = solver._inverses(jm)
+        assert got.tobytes() == inverse_by_solving(jm).tobytes()
+        assert np.isnan(got[1]).all() and np.isfinite(got[[0, 2]]).all()
+
     def test_singular_jacobian_passes_the_box_on(self):
         # J(m) of the pair at m = (0.5, 0.5) is [[0.5, -0.5], [-0.5, 0.5]].
         game = Game(chain_matrix(2), [0.25, 0.25])
@@ -681,6 +719,24 @@ class TestContractRounds:
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
                 cut += len(got[0]) < k
         assert cut >= 50
+
+    def test_plain_rounds_match_the_prefix_loop(self):
+        # Stacks of 1 to 2,048 boxes, in one slice, at every oracle size:
+        # the one reduction along the player axis meets each product's
+        # factors in the order the prefix loop did.
+        rng = np.random.default_rng(3001)
+        heights = set()
+        for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            for k in (1, 2, 3, 8, 64, 1024, 2048, *rng.integers(4, 600, 6)):
+                lo, hi, row, rates = _random_boxes(rng, n, k)
+                mask = rng.random((n, n)) < rng.uniform(0.2, 1.0)
+                np.fill_diagonal(mask, False)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    got = solver._contract_slice(lo, hi, row, rates, mask, False)
+                    want = prefix_loop_contraction(lo, hi, row, rates, mask)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+                heights.add(k)
+        assert min(heights) == 1 and max(heights) == 2048
 
     def test_slices_change_no_bit(self, monkeypatch):
         monkeypatch.setattr(solver, "_CONTRACT_BOXES", 7)

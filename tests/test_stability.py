@@ -31,7 +31,7 @@ from alohagame import stability
 from alohagame.game import _response, success_product
 from alohagame.stability import _component
 from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game, record_calls
-from reference import reference_consistency, reference_verdict
+from reference import checked_certificate, reference_consistency, reference_verdict, sweep_through_verdict_objects
 
 CHAIN = chain_matrix(3)
 
@@ -240,6 +240,17 @@ class TestMatrixStack:
                 assert stacked.shape == np.shape(loop)
                 assert stacked.tobytes() == np.array(loop).tobytes()
 
+    @pytest.mark.parametrize("k, n", [(2, 5), (7, 3), (3, 1)])
+    def test_certificate_is_the_checked_one(self, k, n):
+        # no point of these stacks has a neighbour coordinate at 1
+        rng = np.random.default_rng([k, n, 2])
+        for _ in range(20):
+            a, y, q = _matrix_stack(rng, k, n)
+            f = _response(q, y, a)
+            for mask in (a, a[0], a.astype(np.int8)):
+                got = stability._certificate(q, f, mask)
+                assert got.tobytes() == checked_certificate(q, f, mask).tobytes()
+
     @pytest.mark.parametrize("k, n", [(2, 5), (7, 3)])
     def test_singular_rows_match_one_call_per_matrix(self, k, n):
         rng = np.random.default_rng([k, n, 1])
@@ -300,6 +311,42 @@ class TestVerdict:
     def test_all_ones_is_singular_for_the_certificate(self, chain3):
         with pytest.raises(ValueError, match="singular"):
             krasovskii_verdict(np.ones(3), chain3, fp_tol=1e-9)
+
+
+class TestNeighbourAtOne:
+    """A point with a neighbour coordinate at 1 has a singular Jacobian:
+    the public calls raise, and the batched paths classify it apart."""
+
+    def test_public_calls_raise(self, chain3):
+        message = "Jacobian is singular: a neighbour coordinate equals 1"
+        for point in ([0.1, 1.0, 0.1], [[0.1, 0.2, 0.1], [0.1, 1.0, 0.1]]):
+            for call in (residual_jacobian, krasovskii_matrix):
+                with pytest.raises(ValueError, match=message):
+                    call(point, chain3)
+        # player 1 hears player 2, who transmits always; player 1 is silent
+        game = Game([[0, 1], [0, 0]], [0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            krasovskii_verdict([0.0, 1.0], game)
+        # a coordinate at 1 that no one hears is no pole
+        assert krasovskii_verdict([0.0, 1.0], Game(np.zeros((2, 2)), [0.0, 1.0])).stable
+
+    def test_roots_at_one_in_the_batched_paths(self):
+        # the root (0, 1) while player 1 is silent
+        matrix = [[0, 1], [0, 0]]
+        game = Game(matrix, [0.0, 1.0])
+        fps = multistart_fixed_points(game)
+        assert [p.tolist() for p in fps.points] == [[0.0, 1.0]]
+        assert stability_consistency(fps, game) == reference_consistency(fps, game)
+        assert stability_consistency(fps, game).verdicts == []
+        (verdict,) = stability._verdicts(np.array(fps.points), game.rates, game.matrix, 1e-6)
+        assert str(verdict) == "Jacobian is singular: a neighbour coordinate equals 1"
+        args = (matrix, [0.0, 1.0], 0, (0.0, 0.1), 0.05)
+        got = bifurcation_sweep(*args)
+        want = sweep_through_verdict_objects(*args)
+        assert [[(bp.point.tolist(), bp.stable, bp.classification) for bp in row] for row in got.branches] == [
+            [(bp.point.tolist(), bp.stable, bp.classification) for bp in row] for row in want.branches
+        ]
+        assert [bp.classification for bp in got.branches[0]] == ["singular"]
 
 
 def _count_responses(monkeypatch) -> list:
