@@ -6,10 +6,11 @@ a file (see topology.load_topology for the format) or from the seeded
 random generator; numbers are printed with four decimals.
 
 ``solve`` and ``stability`` (without ``--point``) take one equilibrium
-and verdict, whatever the tolerance or budget: Newton's least fixed
-point and the certificate at a proven upper bracket. The best-response
-ascent from zeros, which rises monotonically and so never cycles, runs
-only when ``solve --output`` records it.
+and verdict from one probe call, whatever the tolerance or budget:
+Newton's least fixed point from zeros and the certificate at a proven
+upper bracket. The best-response ascent from zeros, which rises
+monotonically and so never cycles, runs only when ``solve --output``
+records it.
 
 Exit codes: 0 success, 2 an infeasible, unstable or budget_exhausted
 verdict, 1 anything else (bad usage, missing files, oracle size
@@ -39,9 +40,8 @@ from .experiments import (
     write_records_csv,
 )
 from .game import Game, _check_count, _check_positive_finite, _positive_finite, _write_csv
-from .solver import newton_lfp
 from .stability import DEFAULT_FP_TOL, krasovskii_verdict
-from .topology import load_topology, random_topology, side_for_density
+from .topology import _whole, load_topology, random_topology, side_for_density
 
 __all__ = ["main", "parse_args", "run"]
 
@@ -226,15 +226,14 @@ def _load_rates(args, n: int) -> np.ndarray:
 
 
 def _equilibrium(game: Game):
-    """``(point, stable)``: Newton's least fixed point, decided at a proven upper bracket as the
-    rate searches decide; or "infeasible" when Newton proves it unstable or not interior, or "budget_exhausted"."""
-    result = newton_lfp(game)
-    if result.infeasible or not result.converged:
-        return "infeasible" if result.infeasible else "budget_exhausted"
-    (found,), _, _ = _stable_lfps(
-        game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], result.point[np.newaxis], np.ones(game.n)
+    """``(point, stable)``: Newton's least fixed point, decided at a proven upper bracket by the
+    rate searches' probe; or "infeasible" when Newton proves it unstable or not interior, or "budget_exhausted"."""
+    (point,), (margin,), _, (infeasible,) = _stable_lfps(
+        game.rates[np.newaxis], _whole(game.matrix.astype(bool)[np.newaxis]), np.zeros((1, game.n)), np.ones(game.n)
     )
-    return result.point, found is not None
+    if point is None:
+        return "infeasible" if infeasible else "budget_exhausted"
+    return point, bool(margin > 0.0)
 
 
 def _cmd_solve(args) -> int:

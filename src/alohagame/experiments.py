@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _response, _write_csv
-from .game import achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
+from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _check_start, _response
+from .game import _write_csv, achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
 from .solver import DEFAULT_MAX_ITER, _newton_rows, _roots, _solve_rows
 from .stability import DEFAULT_FP_TOL, _certificate, _classify, _jacobian, _margin, _smallest_eigenvalue, krasovskii_verdict
-from .topology import _Layout, _pack, _whole, connectivity, fully_connected_matrix, random_topology, side_for_density
+from .topology import _Layout, _pack, connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
     "BranchPoint",
@@ -189,57 +189,52 @@ def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction
     return margin, slope
 
 
-def _stable_lfps(rates: np.ndarray, mask, warm_starts: np.ndarray, direction: np.ndarray):
-    """Per row, the least fixed point if it is interior with a positive-definite certificate, else None.
+def _stable_lfps(rates: np.ndarray, layout: _Layout, warm_starts: np.ndarray, direction: np.ndarray):
+    """Per row, the least fixed point, its certificate margin and slope, and whether Newton proved it infeasible.
 
-    Row k is the game with target rates ``rates[k]`` and interference
-    ``mask[k]`` (booleans); ``mask`` may also be the rows'
-    :class:`_Layout`. Rates above 1 lie past the end of every search
-    grid and give None. ``warm_starts[k]`` must be a point known to sit
-    below the row's least fixed point (zeros, Newton's point from zeros,
-    or the least fixed point of the same topology at lower rates). The
+    Row k is game k of ``layout`` (:class:`_Layout`) with target rates
+    ``rates[k]``. ``warm_starts[k]`` must be a point known to sit below
+    the row's least fixed point (zeros, Newton's point from zeros, or
+    the least fixed point of the same topology at lower rates). The
     rows' blocks are solved together by the Newton of
     :func:`newton_lfp`, which gives up on a block as soon as it proves
-    the point cannot be interior and stable; a row is solved when each
-    of its blocks is.
+    the point cannot be interior and stable (at its first iterate when
+    a rate is 1 or more); a row is solved when each of its blocks is.
 
     The certificate is decided at a proven upper bracket of the least
     fixed point (:func:`_stable_above`), not at the solver's estimate,
-    so the verdict does not depend on where the solver stops. Marginal
-    certificates, such as a pair's at its fold, count as unstable:
-    boundary points are excluded, which keeps rate searches
-    conservative. A point returned is the solver's estimate, which
-    lies below the least fixed point, as a read-only array.
+    so the verdict does not depend on where the solver stops: a row
+    passes when its margin is positive. Marginal certificates, such as
+    a pair's at its fold, count as unstable: boundary points are
+    excluded, which keeps rate searches conservative.
 
-    Returns ``(points, margins, slopes)``: the list of points or None,
-    and per row the margin and slope of :func:`_stable_above` along the
-    rate ``direction`` (NaN for a row that was not bracketed).
+    Returns ``(points, margins, slopes, infeasible)``: per row the
+    solver's estimate, which lies below the least fixed point, as a
+    read-only array, or None when the row was not solved; the margin
+    and slope of :func:`_stable_above` along the rate ``direction``
+    (NaN for a row that was not bracketed); and whether Newton stopped
+    some block of the row with proof, not for want of budget.
     """
-    layout = mask if isinstance(mask, _Layout) else _whole(mask)
     count, blocks = len(rates), layout.blocks
     found = [None] * count
     margins, slopes = np.full(count, np.nan), np.full(count, np.nan)
-    games = np.flatnonzero((rates <= 1.0).all(axis=-1))
-    # the probed games' blocks; their masks and slots are copied only
-    # when some game drops out
-    if len(games) < count:
-        layout, rates, warm_starts = layout.take(games), rates[games], warm_starts[games]
     y = layout.gather(rates)
-    points, _, converged, _, _ = _newton_rows(layout.gather(warm_starts), y, layout.mask, DEFAULT_MAX_ITER)
-    # a game is solved when each of its blocks is
+    points, _, converged, _, proven = _newton_rows(layout.gather(warm_starts), y, layout.mask, DEFAULT_MAX_ITER)
+    # a game is solved when each of its blocks is, and infeasible when one is proven so
     solved = converged.reshape(-1, blocks).all(axis=1)
-    if not solved.all():
+    infeasible = proven.reshape(-1, blocks).any(axis=1)
+    games = np.flatnonzero(solved)
+    if len(games) < count:
         keep = solved.repeat(blocks)
-        games, layout, y, points = games[solved], layout.take(np.flatnonzero(solved)), y[keep], points[keep]
+        layout, y, points = layout.take(games), y[keep], points[keep]
     if not len(games):
-        return found, margins, slopes
+        return found, margins, slopes, infeasible
     margins[games], slopes[games] = _stable_above(points, y, layout.mask, layout.gather(direction), blocks, layout.n)
     for game, point in zip(games, layout.scatter(points)):
-        if margins[game] > 0.0:
-            point = point.copy()
-            point.flags.writeable = False
-            found[game] = point
-    return found, margins, slopes
+        point = point.copy()
+        point.flags.writeable = False
+        found[game] = point
+    return found, margins, slopes, infeasible
 
 
 # Probe choice of the margin-guided searches. None of these constants
@@ -296,12 +291,13 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
     ``probe(lanes, values, warms)`` gets the lane of each probe (an
     integer array, in which a lane may appear twice), the grid values
     and the warm starts, and returns ``(solutions, margins, slopes)``:
-    per probe the solution at its value, or None when the value fails,
-    the certificate margin mu, and its slope mu' in the searched value
-    (:func:`_stable_above`). A lane's warm start is the solution at its
-    last passing value, which lies below the solution at any higher
-    one. A lane drops out when its bracket closes, so lanes may finish
-    a round apart. Returns ``(value, solution)`` per lane for its
+    per probe the solution at its value, the certificate margin mu, and
+    its slope mu' in the searched value (:func:`_stable_above`). A
+    probe passes when its margin is positive, and its solution is read
+    only then. A lane's warm start is the solution at its last passing
+    value, which lies below the solution at any higher one. A lane
+    drops out when its bracket closes, so lanes may finish a round
+    apart. Returns ``(value, solution)`` per lane for its
     largest passing value.
 
     Lane i first probes the largest grid value strictly below
@@ -347,10 +343,10 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
             # a lane's probes rise, and none above its first failure counts
             if k >= hi[i]:
                 continue
-            if solution is None:
-                hi[i] = k
-            else:
+            if margins[row] > 0.0:
                 lo[i], best[i], passed[i] = k, solution, row
+            else:
+                hi[i] = k
         live = [i for i in live if hi[i] - lo[i] > 1]
         lead = {i: (margins[row], slopes[row] * step) for i, row in passed.items()}
         picks = [_next_probes(lo[i], hi[i], *lead.get(i, (np.nan, np.nan))) for i in live]
@@ -383,7 +379,7 @@ def _rate_searches(base, direction, layout, starts, step, origin=0.0, limit=1.0,
 
     def probe(lanes, values, warms):
         rates = base[lanes] + np.array(values)[:, np.newaxis] * direction
-        return _stable_lfps(rates, layout.take(lanes), np.array(warms), direction)
+        return _stable_lfps(rates, layout.take(lanes), np.array(warms), direction)[:3]
 
     return _last_passing(probe, starts, step, origin, limit, guesses, ceilings)
 
@@ -593,11 +589,11 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     surface = np.full(len(outer), np.nan)
     for block in _lane_blocks(len(outer), 3):
         cells = outer[block.start : block.stop]
-        masks = np.broadcast_to(mask, (len(cells), 3, 3))
-        bases, _, _ = _stable_lfps(cells, masks, np.zeros_like(cells), middle)
-        live = [i for i, base in enumerate(bases) if base is not None]
-        found = _rate_searches(cells[live], middle, _pack(masks[live]), [bases[i] for i in live], step)
-        surface[[block.start + i for i in live]] = [y2 for y2, _ in found]
+        layout = _pack(np.broadcast_to(mask, (len(cells), 3, 3)))
+        bases, margins, _, _ = _stable_lfps(cells, layout, np.zeros_like(cells), middle)
+        live = np.flatnonzero(margins > 0.0)
+        found = _rate_searches(cells[live], middle, layout.take(live), [bases[i] for i in live], step)
+        surface[block.start + live] = [y2 for y2, _ in found]
     return surface.reshape(len(y1_values), len(y3_values))
 
 
@@ -621,15 +617,15 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     must be positive (otherwise every factor works).
     """
     _check_positive_finite(step, "step")
-    mask = game.matrix.astype(bool)[np.newaxis]
-    (base_point,), _, _ = _stable_lfps(game.rates[np.newaxis], mask, np.zeros((1, game.n)), game.rates)
-    if base_point is None:
+    layout = _pack(game.matrix.astype(bool)[np.newaxis])
+    (base_point,), (margin,), _, _ = _stable_lfps(game.rates[np.newaxis], layout, np.zeros((1, game.n)), game.rates)
+    if not margin > 0.0:
         raise ValueError("base rates admit no stable interior equilibrium")
     top = float(game.rates.max())
     if top == 0.0:
         raise ValueError("all base rates are zero: the demand scale is unbounded")
     ((factor, point),) = _rate_searches(
-        np.zeros((1, game.n)), game.rates, _pack(mask), [base_point], step, origin=1.0, limit=1.0 / top
+        np.zeros((1, game.n)), game.rates, layout, [base_point], step, origin=1.0, limit=1.0 / top
     )
     rates = factor * game.rates
     return ScaleResult(factor=factor, rates=rates, point=point, sum_rate=float(rates.sum()))
@@ -647,7 +643,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     with some positive component.
     """
     _check_positive_finite(step, "step")
-    q_star = np.asarray(q_star, dtype=float)
+    q_star = _check_start(q_star, game.n, "q_star")
     if not krasovskii_verdict(q_star, game).stable:
         raise ValueError("q_star must be a stable equilibrium of the base game")
     top = float(q_star.max())
@@ -658,16 +654,13 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     def probe(lanes, factors, warms):
         q = np.array(factors)[:, np.newaxis] * q_star
         rows = np.flatnonzero((q < 1.0).all(axis=-1))
-        induced = achieved_rate(q[rows], mask)
+        induced = achieved_rate(q, mask)
         margins, slopes = np.full(len(q), np.nan), np.full(len(q), np.nan)
-        f = _response(q[rows], induced, mask)
+        f = _response(q[rows], induced[rows], mask)
         margins[rows], passing, _, v = _margins_and_vectors(q[rows], f, mask, 1, game.n)
         rows = rows[passing]
         slopes[rows] = _margin_slopes(v, q[rows], q_star, mask)
-        found = [None] * len(q)
-        for row, rates in zip(rows, induced[passing]):
-            found[row] = (q[row], rates)
-        return found, margins, slopes
+        return list(zip(q, induced)), margins, slopes
 
     base = (q_star, achieved_rate(q_star, game.matrix))
     ((factor, (point, rates)),) = _last_passing(probe, [base], step, origin=1.0, limit=1.0 / top)

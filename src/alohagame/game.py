@@ -192,9 +192,12 @@ def _response(q: np.ndarray, rates, mask: np.ndarray) -> np.ndarray:
 # x86-64 guest (Python 3.11, numpy 2.4): 1.4 against 8.1 us at 4 players
 # and 12 links, 3.5 against 8.3 at 8 and 54, 7.3 against 9.3 at 16 and
 # 136, 10.6 against 9.2 at 16 and 240, 20.9 against 18.2 at 60 and 360.
-# Floats cost about 0.2 us a player and 0.03 a link, rows about 8 us a
-# step. Every game of up to 8 players steps on floats, and floats won
-# on every game measured with at most 64 links, at up to 60 players.
+# Floats cost about 0.2 us a player and 0.03 a link, rows about
+# 7 + 0.003 n^2 us at n players however few the links. Floats won on
+# every game measured with at most 64 links. Above that the rule
+# mis-picks: sparse games step faster on floats (430 against 2,770 us
+# at 1,000 players and 3,910 links), dense ones on rows (113 against 19
+# on K60).
 _SCALAR_LINKS = 64
 
 

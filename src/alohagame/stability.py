@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import Game, _check_positive_finite, _response, best_response, residual
+from .game import Game, _check_count, _check_positive_finite, _response, best_response, residual
 from .solver import FixedPointSet, least_of
 
 __all__ = [
@@ -408,6 +408,7 @@ def roa_estimate(
     """
     if game.n > ROA_MAX_PLAYERS:
         raise ValueError(f"grid estimate limited to {ROA_MAX_PLAYERS} players (got {game.n})")
+    _check_count(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     verdict = krasovskii_verdict(q_star, game)

@@ -579,10 +579,10 @@ def bisect_common_rate(matrix, step=0.001):
     lo, hi, best = 0, int(1.0 / step) + 2, np.zeros(n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        (point,), _, _ = experiments._stable_lfps(
-            np.full((1, n), round(mid * step, 12)), mask, best[np.newaxis], np.ones(n)
+        (point,), (margin,), _, _ = experiments._stable_lfps(
+            np.full((1, n), round(mid * step, 12)), topology._whole(mask), best[np.newaxis], np.ones(n)
         )
-        if point is None:
+        if not margin > 0.0:
             hi = mid
         else:
             lo, best = mid, point
@@ -613,8 +613,8 @@ def bisect_demand_scale(game, step=0.01):
 
     def passing(factor, warm):
         rates = (factor * game.rates)[np.newaxis]
-        (point,), _, _ = experiments._stable_lfps(rates, mask, warm[np.newaxis], game.rates)
-        return point
+        (point,), (margin,), _, _ = experiments._stable_lfps(rates, topology._whole(mask), warm[np.newaxis], game.rates)
+        return point if margin > 0.0 else None
 
     base = passing(1.0, np.zeros(game.n))
     return _bisect_scale(passing, base, float(game.rates.max()), step)
@@ -649,10 +649,13 @@ def ascent_cli_lines(game):
     elif not (result.point < 1.0).all():
         solve = "infeasible"
     else:
-        (found,), _, _ = experiments._stable_lfps(
-            game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], result.point[np.newaxis], np.ones(game.n)
+        _, (margin,), _, _ = experiments._stable_lfps(
+            game.rates[np.newaxis],
+            topology._whole(game.matrix.astype(bool)[np.newaxis]),
+            result.point[np.newaxis],
+            np.ones(game.n),
         )
-        solve = f"NE={_fmt_vec(result.point)} stable={str(found is not None).lower()}"
+        solve = f"NE={_fmt_vec(result.point)} stable={str(margin > 0.0).lower()}"
     if not result.interior:
         return solve, "infeasible"
     verdict = krasovskii_verdict(result.point, game)

@@ -21,7 +21,7 @@ from alohagame import (
     stability,
 )
 from alohagame.cli import main, parse_args
-from conftest import instance_rng, random_game
+from conftest import instance_rng, random_game, record_calls
 from reference import ascent_cli_lines
 
 
@@ -112,6 +112,28 @@ class TestSolve:
         run = ["solve", "--topology", str(path), "--rates", "0.25", "--tol", "1e-3"]
         code = main([*run, "--output", str(tmp_path / "run.csv")])
         assert (code, capsys.readouterr().out) == (2, "NE=[0.5000,0.5000] stable=false\n")
+
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    def test_one_newton_solve(self, chain_file, command, monkeypatch, capsys):
+        probes = record_calls(monkeypatch, experiments, "_newton_rows")
+        solves = record_calls(monkeypatch, solver, "_newton_rows")
+        assert main([command, "--topology", chain_file, "--rates", "0.15"]) == 0
+        assert "[0.1952,0.2316,0.1952] stable=true" in capsys.readouterr().out
+        assert (len(probes), len(solves)) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "rates, verdict",
+        [("0.15,0.15,0.15", "budget_exhausted"), ("1.0,0.1", "infeasible"), ("0.3,0.3", "budget_exhausted")],
+    )
+    def test_infeasible_is_told_from_budget_exhausted(self, tmp_path, rates, verdict, monkeypatch, capsys):
+        # with one Newton step, chain3 at 0.15 and the pair at 0.3 are
+        # unsolved, and only the pair at (1.0, 0.1) is proven infeasible
+        monkeypatch.setattr(experiments, "DEFAULT_MAX_ITER", 1)
+        path = tmp_path / "game.txt"
+        save_topology(path, chain_matrix(len(rates.split(","))))
+        for command in ("solve", "stability"):
+            assert main([command, "--topology", str(path), "--rates", rates]) == 2
+            assert capsys.readouterr().out == f"{verdict}\n"
 
     def test_complete_graph_edge_is_not_stable(self, tmp_path, capsys):
         # K5 at its certificate edge (1/5)(4/5)^4, where the least fixed

@@ -29,6 +29,7 @@ from alohagame import (
     multistart_fixed_points,
     newton_lfp,
     random_topology,
+    roa_estimate,
     side_for_density,
     size_sweep,
 )
@@ -70,6 +71,7 @@ TABLE = {
     "feasible_contour": {"step": lambda v: feasible_contour(CHAIN, [0.15], [0.15], step=v)},
     "max_demand_scale": {"step": lambda v: max_demand_scale(GAME, step=v)},
     "max_probability_scale": {"step": lambda v: max_probability_scale(GAME, Q_STAR, step=v)},
+    "roa_estimate": {"resolution": lambda v: roa_estimate(GAME, Q_STAR, resolution=v)},
     "density_sweep": {
         "step": lambda v: density_sweep(4, [0.3], 1, step=v),
         "trials": lambda v: density_sweep(4, [0.3], v),
@@ -108,6 +110,7 @@ BAD_VALUES = {
     "starts_per_axis": COUNT,
     "trials": COUNT,
     "n": COUNT,
+    "resolution": COUNT,
     "q0": START,
 }
 
@@ -121,10 +124,11 @@ CASES = [
 RULES = {"_check_positive_finite", "_check_count", "_check_start"}
 
 # Parameters the signature walk checks for a table entry.
-WATCHED = {"tol", "fp_tol", "step", "dt", "max_iter", "starts_per_axis", "q0"}
+WATCHED = {"tol", "fp_tol", "step", "dt", "max_iter", "starts_per_axis", "resolution", "q0"}
 # Watched names whose domain is not the contract's: least_of's tol is a
-# comparison slack, where 0 keeps the comparisons exact.
-OTHER_DOMAIN = {("least_of", "tol")}
+# comparison slack, where 0 keeps the comparisons exact, and
+# RoaEstimate's resolution is a result's field, not an input.
+OTHER_DOMAIN = {("least_of", "tol"), ("RoaEstimate", "resolution")}
 
 
 def _refuse_best_response(monkeypatch) -> None:
@@ -161,6 +165,8 @@ SHAPE_AND_INDEX = {
     "q_s-stack": ("q_s", lambda: krasovskii_verdict(np.stack([Q_STAR, Q_STAR]), GAME, fp_tol=1e-3)),
     "q_s-short": ("q_s", lambda: krasovskii_verdict(Q_STAR[:2], GAME, fp_tol=1e-3)),
     "q_s-scalar": ("q_s", lambda: krasovskii_verdict(0.2, GAME, fp_tol=1e-3)),
+    "q_star-short": ("q_star", lambda: max_probability_scale(GAME, Q_STAR[:2])),
+    "q_star-stack": ("q_star", lambda: max_probability_scale(GAME, np.stack([Q_STAR, Q_STAR]))),
     "matrix-scalar": ("interference matrix", lambda: feasible_contour(5, [0.1], [0.1])),
     "matrix-ragged": ("interference matrix", lambda: feasible_contour([[0, 1, 0], [1, 0]], [0.1], [0.1])),
 }

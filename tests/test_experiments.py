@@ -370,6 +370,13 @@ def _edge_game(rng) -> Game:
     return Game(a, achieved_rate(b * q, a))
 
 
+def _probe_whole(game, rates=None):
+    """``_stable_lfps`` of ``game``, at ``rates`` (one row per probe) or its own, from zeros on its whole matrix."""
+    rates = game.rates[np.newaxis] if rates is None else np.asarray(rates, dtype=float)
+    mask = np.broadcast_to(game.matrix.astype(bool), (len(rates), game.n, game.n))
+    return experiments._stable_lfps(rates, topology._whole(mask), np.zeros_like(rates), np.ones(game.n))
+
+
 class TestUpperBracket:
     """The certificate is decided at a proven upper bracket of the least
     fixed point, so it does not depend on where the solver stops."""
@@ -388,10 +395,8 @@ class TestUpperBracket:
         for i in range(1500):
             rng = instance_rng(5151, i)
             game = random_game(rng, n_max=5) if i < 1350 else _edge_game(rng)
-            (point,), _, _ = experiments._stable_lfps(
-                game.rates[np.newaxis], game.matrix.astype(bool)[np.newaxis], np.zeros((1, game.n)), np.ones(game.n)
-            )
-            if point is None:
+            _, (margin,), _, _ = _probe_whole(game)
+            if not margin > 0.0:
                 rejected += 1
                 continue
             ref = kleene_lfp(game, tol=1e-13, max_iter=1000)
@@ -418,6 +423,35 @@ class TestUpperBracket:
         branch = bifurcation_sweep(CHAIN, [0.15, 0.15, 0.15], 1, (0.24, 0.25), 0.005)
         assert branch.critical_value == 0.245
         assert stability_consistency(multistart_fixed_points(chain3), chain3).least_stable
+
+
+class TestProbeOutcome:
+    """The probe returns every solved row's point, whatever its margin,
+    and tells a row Newton proved infeasible from one out of budget."""
+
+    def test_solved_rows_keep_their_point_whatever_the_margin(self):
+        # a directed chain whose least fixed point (0.8, 0.2, 0.625) is
+        # interior with an indefinite certificate, and the pair at its
+        # fold, where no upper bracket is proven
+        directed = Game([[0, 0, 1], [0, 0, 0], [0, 1, 0]], [0.3, 0.2, 0.5])
+        for game in (directed, Game(chain_matrix(2), [0.25, 0.25])):
+            (point,), (margin,), _, (infeasible,) = _probe_whole(game)
+            assert point.tobytes() == solver.newton_lfp(game).point.tobytes() and not point.flags.writeable
+            assert not margin > 0.0 and not infeasible
+        assert _probe_whole(directed)[1][0] < 0.0
+
+    def test_only_a_proof_flags_a_row_infeasible(self, monkeypatch):
+        # Newton proves the pair at (1.0, 0.1) infeasible at its first
+        # iterate, and the pair at 0.3 only after more steps
+        pair = Game(chain_matrix(2), [0.1, 0.1])
+        rates = [[1.0, 0.1], [0.15, 0.15], [0.3, 0.3], [1.5, 0.1]]
+        points, margins, _, infeasible = _probe_whole(pair, rates)
+        assert points[1] is not None and margins[1] > 0.0
+        assert infeasible.tolist() == [True, False, True, True]
+        monkeypatch.setattr(experiments, "DEFAULT_MAX_ITER", 1)
+        points, margins, _, infeasible = _probe_whole(pair, rates)
+        assert points == [None] * 4 and np.isnan(margins).all()
+        assert infeasible.tolist() == [True, False, False, True]
 
 
 def _pair_limited(matrix) -> bool:
@@ -884,8 +918,8 @@ class TestComponentBlocks:
         layout = topology._pack(np.array(_pairs_and_chains(), dtype=bool))
         assert layout.blocks == 30
         args = (np.full((2, 60), 0.1), layout, np.zeros((2, 60)), np.ones(60))
-        points, margins, _ = experiments._stable_lfps(*args)
-        assert all(p is not None for p in points) and (margins > 0.0).all()
+        points, margins, _, infeasible = experiments._stable_lfps(*args)
+        assert all(p is not None for p in points) and (margins > 0.0).all() and not infeasible.any()
         original = experiments._newton_rows
 
         def one_block_unconverged(*newton_args):
@@ -895,19 +929,20 @@ class TestComponentBlocks:
             return points, iterations, converged, res_norms, infeasible
 
         monkeypatch.setattr(experiments, "_newton_rows", one_block_unconverged)
-        (pairs_point, chains_point), margins, slopes = experiments._stable_lfps(*args)
-        assert pairs_point is None and np.isnan(margins[0]) and np.isnan(slopes[0])
+        (pairs_point, chains_point), margins, slopes, infeasible = experiments._stable_lfps(*args)
+        assert pairs_point is None and np.isnan(margins[0]) and np.isnan(slopes[0]) and not infeasible.any()
         assert chains_point is not None and margins[1] > 0.0
 
     def test_no_bracket_is_taken_when_no_game_is_solved(self, monkeypatch):
-        # past both folds no game converges, and past 1 none is probed:
-        # no bracket, certificate or slope is computed on no rows
+        # past both folds no game converges, and past 1 Newton proves
+        # each infeasible at once: no bracket, certificate or slope is
+        # computed on no rows
         layout = topology._pack(np.array(_pairs_and_chains(), dtype=bool))
         brackets = record_calls(monkeypatch, experiments, "_stable_above")
         for rate in (0.3, 1.5):
             args = (np.full((2, 60), rate), layout, np.zeros((2, 60)), np.ones(60))
-            points, margins, slopes = experiments._stable_lfps(*args)
-            assert points == [None, None] and np.isnan(margins).all() and np.isnan(slopes).all()
+            points, margins, slopes, infeasible = experiments._stable_lfps(*args)
+            assert points == [None, None] and np.isnan(margins).all() and np.isnan(slopes).all() and infeasible.all()
         assert brackets == []
 
     def test_matches_the_dense_search_on_criterion_6(self, monkeypatch):
@@ -1037,7 +1072,7 @@ class TestCliqueEdgeFirstProbe:
 
         def recording(rates, mask, warm_starts, direction):
             found = original(rates, mask, warm_starts, direction)
-            first.append(found[0])
+            first.append(found[1])
             return found
 
         monkeypatch.setattr(experiments, "_stable_lfps", recording)
@@ -1045,7 +1080,7 @@ class TestCliqueEdgeFirstProbe:
             del first[:]
             experiments._common_rates(matrices, experiments.RATE_STEP)
             # the first round probes each lane once
-            assert len(first[0]) == len(matrices) and all(point is not None for point in first[0])
+            assert len(first[0]) == len(matrices) and (first[0] > 0.0).all()
 
 
 def _clique_edge(d: int) -> float:

@@ -15,7 +15,7 @@ from alohagame import (
     random_topology,
     side_for_density,
 )
-from alohagame import experiments
+from alohagame import experiments, topology
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -126,10 +126,10 @@ def _assert_no_common_rate_reaches_the_bound(matrix):
     k = experiments._below(1.0 / lam, 0.0, step) + 1
     y = round(k * step, 12)
     assert y >= 1.0 / lam > round((k - 1) * step, 12)
-    (point,), margins, _ = experiments._stable_lfps(
-        np.full((1, n), y), np.asarray(matrix, dtype=bool)[np.newaxis], np.zeros((1, n)), np.ones(n)
+    _, margins, _, _ = experiments._stable_lfps(
+        np.full((1, n), y), topology._whole(np.asarray(matrix, dtype=bool)[np.newaxis]), np.zeros((1, n)), np.ones(n)
     )
-    assert point is None and not margins[0] > 0.0
+    assert not margins[0] > 0.0
     assert max_common_rate(matrix)[0] < 1.0 / lam
 
 
