@@ -161,6 +161,9 @@ def integrate_ode(
     if not (t_end >= 0.0 and np.isfinite(t_end)):
         raise ValueError("t_end must be nonnegative and finite")
     _check_positive_finite(tol, "tol")
+    span = float(t_end) / float(dt)
+    if not np.isfinite(span):
+        raise ValueError(f"dt must split t_end into a finite number of steps, got t_end / dt = {span:g}")
     q = _check_start(q0, game.n, "q0")
     mask = game.matrix.astype(bool)
 
@@ -168,7 +171,7 @@ def integrate_ode(
         p = np.clip(p, 0.0, 1.0)
         return _response(p, game.rates, mask) - p
 
-    n_steps = int(round(t_end / dt))
+    n_steps = int(round(span))
     states = [q]
     outcome = BUDGET_EXHAUSTED
     for step in range(n_steps + 1):

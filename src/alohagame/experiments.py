@@ -15,10 +15,11 @@ common-rate, feasible and demand-scale searches move target rates along
 a rate direction (:func:`_rate_searches`) and decide at a proven upper
 bracket of the least fixed point (:func:`_stable_lfps`), as the CLI's
 ``solve`` and ``stability`` do; the probability scale decides at its
-scaled points. The trials of a sweep setting and the cells of a
-feasible grid are lanes of one search: a round solves every live lane's
-probes in one batched Newton and one batched bracket, and each lane
-probes the values its own search would.
+scaled points. Both take their margins and slopes from one decision,
+:func:`alohagame.stability._margins_and_slopes`. The trials of a sweep
+setting and the cells of a feasible grid are lanes of one search: a
+round solves every live lane's probes in one batched Newton and one
+batched bracket, and each lane probes the values its own search would.
 
 The rate searches solve and decide their lanes as diagonal blocks of
 one size, the same number per lane (:class:`alohagame.topology._Layout`):
@@ -37,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _check_start, _response
+from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _check_start, _check_step, _response
 from .game import _write_csv, achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
 from .solver import DEFAULT_MAX_ITER, _newton_rows, _roots, _solve_rows
-from .stability import DEFAULT_FP_TOL, _certificate, _classify, _jacobian, _margin, _smallest_eigenvalue, krasovskii_verdict
+from .stability import DEFAULT_FP_TOL, _classify, _jacobian, _margins_and_slopes, krasovskii_verdict
 from .topology import _Layout, _pack, connectivity, fully_connected_matrix, random_topology, side_for_density
 
 __all__ = [
@@ -83,112 +84,6 @@ def _lane_blocks(lanes: int, n: int) -> list:
     return [range(start, min(start + size, lanes)) for start in range(0, lanes, size)]
 
 
-def _perron_vectors(certificates: np.ndarray, margins: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of each certificate's smallest eigenvalue, by one step of inverse iteration.
-
-    Shifted in place to ``margins``, just below those eigenvalues, from
-    the ones vector, which no nonnegative Perron vector is orthogonal to.
-    """
-    diag = np.arange(certificates.shape[-1])
-    certificates[:, diag, diag] -= margins[:, np.newaxis]
-    v = _solve_rows(certificates, np.ones(certificates.shape[:-1]))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    return v
-
-
-def _margins_and_vectors(q: np.ndarray, f: np.ndarray, mask, blocks: int, n: int):
-    """Certificate margins of games laid out as blocks, and the Perron vectors of the games that pass.
-
-    Game k's blocks are the rows ``k * blocks`` to ``k * blocks + blocks
-    - 1`` of the points q; ``f`` is the response at q and ``mask`` the
-    interference (one matrix, or one per block). A game's certificate
-    is block diagonal, so its smallest eigenvalue is its blocks'
-    smallest and its infinity norm their largest: its margin is
-    :func:`pd_margin` of the whole n x n matrix. Returns ``(margins,
-    passing, limiting, v)``: per game, its margin and whether that is
-    positive; per passing game, its limiting block, the one of the
-    smallest eigenvalue (the first on a tie), and the
-    :func:`_perron_vectors` of that block's certificate. The
-    certificates are freed on return, before a caller's slopes take
-    their temporaries.
-    """
-    certificates = _certificate(q, f, mask)
-    lam, norm = _smallest_eigenvalue(certificates)
-    lam = lam.reshape(-1, blocks)
-    margins = _margin(lam.min(axis=1), norm.reshape(-1, blocks).max(axis=1), n)
-    passing = margins > 0.0
-    limiting = (lam.argmin(axis=1) + blocks * np.arange(len(lam)))[passing]
-    return margins, passing, limiting, _perron_vectors(certificates[limiting], margins[passing])
-
-
-def _margin_slopes(v: np.ndarray, q: np.ndarray, dq, mask) -> np.ndarray:
-    """Derivative of the certificate margin mu = 2 - 2 v^T F' v at q as q moves along ``dq``.
-
-    v is mu's unit eigenvector (:func:`_perron_vectors`), and mu' =
-    -2 v^T (dF') v with dF'_ij = a_ij (q'_i / (1 - q_j) + q_i q'_j /
-    (1 - q_j)^2), taking F(q) = q.
-    """
-    s = 1.0 / (1.0 - q)
-    image = np.matmul(mask, np.stack([v * s, v * dq * s * s], axis=-1))
-    return -2.0 * ((v * dq) * image[..., 0] + (v * q) * image[..., 1]).sum(axis=-1)
-
-
-def _stable_above(lo: np.ndarray, rates: np.ndarray, mask: np.ndarray, direction: np.ndarray, blocks: int, n: int):
-    """Certificate margin, and its slope, at a proven upper bracket of each game's least fixed point.
-
-    Game k of n players is laid out as the blocks ``k * blocks`` to
-    ``k * blocks + blocks - 1``. Block b has target rates ``rates[b]``,
-    interference ``mask[b]`` and rate direction ``direction[b]``, and
-    ``lo[b]`` lies below its least fixed point q*. Every hi < 1 with
-    F(hi) <= hi lies above q*, because the least fixed point lies below
-    every post-fixed point (Knaster-Tarski); the computed F(hi) must
-    clear hi by the rounding error of an n-player response. Below 1 no
-    response saturates, so the certificate C(q) = 2I - (F'(q) + F'(q)^T)
-    only loses definiteness as q grows: F' is nonnegative and grows
-    entrywise, and with it the largest eigenvalue of its symmetric part
-    (Perron-Frobenius). C(hi) positive definite thus proves C(q*)
-    positive definite, whatever the solver's tolerance. The one
-    candidate is hi = lo + |d|, where d solves
-    (I - F'(lo)) d = |F(lo) - lo| + 1e-12, a Newton step that overshoots
-    q*.
-
-    Returns ``(margin, slope)`` per game. ``margin`` is the game's
-    :func:`pd_margin` of C(hi) (:func:`_margins_and_vectors`), so a game
-    passes when it is positive; a game with a block whose candidate is
-    not a post-fixed point below 1, or whose system is singular, has
-    margin NaN. ``slope``, NaN on the other games, is
-    :func:`_margin_slopes` of the game's limiting block at lo along the
-    solution path's slope q' = (I - F'(lo))^-1 b as the rates move along
-    ``rates + t * direction``: b_i = F_i(lo) direction_i / rates_i where
-    rates_i > 0, and 0 elsewhere. One response evaluation per point, one
-    stacked solve for both d and q' and one eigenvalue solve serve all
-    blocks; the slopes take one more stacked solve over the limiting
-    blocks.
-    """
-    f = _response(lo, rates, mask)
-    # relative rounding of a computed response: a success product of
-    # at most n - 1 factors and one quotient
-    rounding = (8 + n) * np.finfo(float).eps
-    gain = np.divide(f * direction, rates, out=np.zeros_like(rates), where=rates > 0.0)
-    # the Jacobian of the drift F(q) - q is F'(lo) - I; the columns are d and q'
-    steps = _solve_rows(-_jacobian(lo, f, mask), np.stack([np.abs(f - lo) + 1e-12, gain], axis=-1))
-    hi = lo + np.abs(steps[..., 0])
-    post = (hi < 1.0).all(axis=-1)
-    rows = np.flatnonzero(post)
-    f_hi = _response(hi[rows], rates[rows], mask[rows])
-    post[rows] = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
-    # a game is bracketed when each of its blocks is
-    bracketed = post.reshape(-1, blocks).all(axis=1)
-    games = np.flatnonzero(bracketed)
-    keep = bracketed[rows // blocks]
-    rows, f_hi = rows[keep], f_hi[keep]
-    margin, slope = np.full(len(bracketed), np.nan), np.full(len(bracketed), np.nan)
-    margin[games], passing, limiting, v = _margins_and_vectors(hi[rows], f_hi, mask[rows], blocks, n)
-    rows = rows[limiting]
-    slope[games[passing]] = _margin_slopes(v, lo[rows], steps[rows, :, 1], mask[rows])
-    return margin, slope
-
-
 def _stable_lfps(rates: np.ndarray, layout: _Layout, warm_starts: np.ndarray, direction: np.ndarray):
     """Per row, the least fixed point, its certificate margin and slope, and whether Newton proved it infeasible.
 
@@ -201,36 +96,65 @@ def _stable_lfps(rates: np.ndarray, layout: _Layout, warm_starts: np.ndarray, di
     the point cannot be interior and stable (at its first iterate when
     a rate is 1 or more); a row is solved when each of its blocks is.
 
-    The certificate is decided at a proven upper bracket of the least
-    fixed point (:func:`_stable_above`), not at the solver's estimate,
-    so the verdict does not depend on where the solver stops: a row
-    passes when its margin is positive. Marginal certificates, such as
-    a pair's at its fold, count as unstable: boundary points are
-    excluded, which keeps rate searches conservative.
+    A solved row is decided at a proven upper bracket hi of its least
+    fixed point q*, not at Newton's estimate lo, so the verdict does not
+    depend on where the solver stops. The one candidate is hi = lo +
+    |d|, d solving (I - F'(lo)) d = |F(lo) - lo| + 1e-12, a Newton step
+    that overshoots q*. A hi < 1 whose computed F(hi) clears it by the
+    rounding of an n-player response is a post-fixed point, so it lies
+    above q* (Knaster-Tarski). Below 1 no response saturates, and C(q) =
+    2I - (F'(q) + F'(q)^T) only loses definiteness as q grows: F' is
+    nonnegative and grows entrywise, and with it the largest eigenvalue
+    of its symmetric part (Perron-Frobenius). So C(hi) positive definite
+    proves C(q*) positive definite, whatever the solver's tolerance. A
+    row is bracketed when each of its blocks is, and passes when its
+    margin is positive; marginal certificates, such as a pair's at its
+    fold, count as unstable, which keeps the rate searches conservative.
 
     Returns ``(points, margins, slopes, infeasible)``: per row the
-    solver's estimate, which lies below the least fixed point, as a
-    read-only array, or None when the row was not solved; the margin
-    and slope of :func:`_stable_above` along the rate ``direction``
-    (NaN for a row that was not bracketed); and whether Newton stopped
-    some block of the row with proof, not for want of budget.
+    estimate lo as a read-only array, or None when the row was not
+    solved; the :func:`alohagame.stability._margins_and_slopes` of C(hi),
+    the slope at lo along the solution path's slope q' = (I -
+    F'(lo))^-1 b as the rates move along ``rates + t * direction``, b_i =
+    F_i(lo) direction_i / rates_i where rates_i > 0 and 0 elsewhere (both
+    NaN for a row that was not bracketed); and whether Newton stopped
+    some block of the row with proof, not for want of budget. One
+    stacked solve gives both d and q'.
     """
-    count, blocks = len(rates), layout.blocks
+    count, blocks, n = len(rates), layout.blocks, layout.n
     found = [None] * count
     margins, slopes = np.full(count, np.nan), np.full(count, np.nan)
     y = layout.gather(rates)
-    points, _, converged, _, proven = _newton_rows(layout.gather(warm_starts), y, layout.mask, DEFAULT_MAX_ITER)
+    lo, _, converged, _, proven = _newton_rows(layout.gather(warm_starts), y, layout.mask, DEFAULT_MAX_ITER)
     # a game is solved when each of its blocks is, and infeasible when one is proven so
     solved = converged.reshape(-1, blocks).all(axis=1)
     infeasible = proven.reshape(-1, blocks).any(axis=1)
     games = np.flatnonzero(solved)
     if len(games) < count:
         keep = solved.repeat(blocks)
-        layout, y, points = layout.take(games), y[keep], points[keep]
+        layout, y, lo = layout.take(games), y[keep], lo[keep]
     if not len(games):
         return found, margins, slopes, infeasible
-    margins[games], slopes[games] = _stable_above(points, y, layout.mask, layout.gather(direction), blocks, layout.n)
-    for game, point in zip(games, layout.scatter(points)):
+    mask, direction = layout.mask, layout.gather(direction)
+    f = _response(lo, y, mask)
+    # relative rounding of a computed response: a success product of
+    # at most n - 1 factors and one quotient
+    rounding = (8 + n) * np.finfo(float).eps
+    gain = np.divide(f * direction, y, out=np.zeros_like(y), where=y > 0.0)
+    # the Jacobian of the drift F(q) - q is F'(lo) - I; the columns are d and q'
+    steps = _solve_rows(-_jacobian(lo, f, mask), np.stack([np.abs(f - lo) + 1e-12, gain], axis=-1))
+    hi = lo + np.abs(steps[..., 0])
+    post = (hi < 1.0).all(axis=-1)
+    rows = np.flatnonzero(post)
+    f_hi = _response(hi[rows], y[rows], mask[rows])
+    post[rows] = (f_hi * (1.0 + rounding) <= hi[rows]).all(axis=-1)
+    # a game is bracketed when each of its blocks is
+    bracketed = post.reshape(-1, blocks).all(axis=1)
+    keep = bracketed[rows // blocks]
+    rows, f_hi = rows[keep], f_hi[keep]
+    decided = games[bracketed]
+    margins[decided], slopes[decided] = _margins_and_slopes(hi[rows], f_hi, mask[rows], blocks, n, lo[rows], steps[rows, :, 1])
+    for game, point in zip(games, layout.scatter(lo)):
         point = point.copy()
         point.flags.writeable = False
         found[game] = point
@@ -292,7 +216,7 @@ def _last_passing(probe, starts, step: float, origin: float = 0.0, limit: float 
     integer array, in which a lane may appear twice), the grid values
     and the warm starts, and returns ``(solutions, margins, slopes)``:
     per probe the solution at its value, the certificate margin mu, and
-    its slope mu' in the searched value (:func:`_stable_above`). A
+    its slope mu' in the searched value (:func:`_stable_lfps`). A
     probe passes when its margin is positive, and its solution is read
     only then. A lane's warm start is the solution at its last passing
     value, which lies below the solution at any higher one. A lane
@@ -484,7 +408,7 @@ def bifurcation_sweep(
     a player, 0..n-1. The matrix and the rates of every value are
     validated once, before any solve.
     """
-    _check_positive_finite(step, "step")
+    _check_step(step, "step")
     lo, hi = value_range
     if not np.isfinite([lo, hi]).all():
         raise ValueError("value_range must be finite")
@@ -557,7 +481,7 @@ def max_common_rate(matrix, step: float = RATE_STEP):
     bracket of the least fixed point, so a pair, whose fold sits
     exactly at 0.25, gives 0.249.
     """
-    _check_positive_finite(step, "step")
+    _check_step(step, "step")
     (found,) = _common_rates([matrix], step)
     return found
 
@@ -574,7 +498,7 @@ def feasible_contour(matrix, y1_values, y3_values, step: float = RATE_STEP):
     rate combinations with nothing left to give away. The cells are
     searched together, in lockstep.
     """
-    _check_positive_finite(step, "step")
+    _check_step(step, "step")
     mask = _as_binary_matrix(matrix).astype(bool)
     if mask.shape[0] != 3:
         raise ValueError("feasible_contour expects a 3-player topology")
@@ -616,7 +540,7 @@ def max_demand_scale(game: Game, step: float = SCALE_STEP) -> ScaleResult:
     The base rates themselves must be stable-feasible, and at least one
     must be positive (otherwise every factor works).
     """
-    _check_positive_finite(step, "step")
+    _check_step(step, "step")
     layout = _pack(game.matrix.astype(bool)[np.newaxis])
     (base_point,), (margin,), _, _ = _stable_lfps(game.rates[np.newaxis], layout, np.zeros((1, game.n)), game.rates)
     if not margin > 0.0:
@@ -642,7 +566,7 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
     reports. ``q_star`` must be a stable equilibrium of the base game
     with some positive component.
     """
-    _check_positive_finite(step, "step")
+    _check_step(step, "step")
     q_star = _check_start(q_star, game.n, "q_star")
     if not krasovskii_verdict(q_star, game).stable:
         raise ValueError("q_star must be a stable equilibrium of the base game")
@@ -656,10 +580,10 @@ def max_probability_scale(game: Game, q_star, step: float = SCALE_STEP) -> Scale
         rows = np.flatnonzero((q < 1.0).all(axis=-1))
         induced = achieved_rate(q, mask)
         margins, slopes = np.full(len(q), np.nan), np.full(len(q), np.nan)
-        f = _response(q[rows], induced[rows], mask)
-        margins[rows], passing, _, v = _margins_and_vectors(q[rows], f, mask, 1, game.n)
-        rows = rows[passing]
-        slopes[rows] = _margin_slopes(v, q[rows], q_star, mask)
+        at = q[rows]
+        f = _response(at, induced[rows], mask)
+        stack = np.broadcast_to(mask, at.shape + (game.n,))
+        margins[rows], slopes[rows] = _margins_and_slopes(at, f, stack, 1, game.n, at, np.broadcast_to(q_star, at.shape))
         return list(zip(q, induced)), margins, slopes
 
     base = (q_star, achieved_rate(q_star, game.matrix))
@@ -720,7 +644,7 @@ def _sweep(settings, trials, step, seed, edge_rule):
     search.
     """
     _check_count(trials, "trials")
-    _check_positive_finite(step, "step")
+    _check_step(step, "step")
     records = []
     summaries = []
     for s_idx, (n, density) in enumerate(settings):

@@ -92,8 +92,8 @@ class Game:
 
 # The input contract, checked by every entry point before it evaluates
 # the response map: tolerances, steps and geometry positive and finite,
-# budgets and counts whole numbers of at least 1, starts finite vectors
-# of the game's size.
+# steps no finer than the search grid, budgets and counts whole numbers
+# of at least 1, starts finite vectors of the game's size.
 def _positive_finite(value) -> np.ndarray:
     """Elementwise ``value > 0`` and finite; NaN fails."""
     v = np.asarray(value, dtype=float)
@@ -103,6 +103,16 @@ def _positive_finite(value) -> np.ndarray:
 def _check_positive_finite(value, name: str) -> None:
     if not _positive_finite(value).all():
         raise ValueError(f"{name} must be positive and finite")
+
+
+# Search grids round their values to 12 decimals: no finer step has a grid.
+_MIN_STEP = 1e-12
+
+
+def _check_step(value, name: str) -> None:
+    _check_positive_finite(value, name)
+    if not value >= _MIN_STEP:
+        raise ValueError(f"{name} must be at least {_MIN_STEP:g}, the grid's resolution")
 
 
 def _check_count(value, name: str) -> None:

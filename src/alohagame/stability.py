@@ -18,11 +18,13 @@ own target rates, gets its verdicts from one response evaluation, one
 certificate stack and one eigenvalue solve, which is how a consistency
 check and a bifurcation sweep classify all their roots; the sweep
 reads the verdicts as arrays, a consistency check as one
-:class:`StabilityVerdict` per point. The Jacobian
-and the certificate matrix also take a stack of interference
-matrices, one per point, which is how the rate searches decide many
-games at once. The region-of-attraction grid goes through the
-certificate one slab of cells at a time. The region estimate grows
+:class:`StabilityVerdict` per point. The Jacobian and the certificate
+matrix also take a stack of interference matrices, one per point,
+which is how the rate searches decide many games at once: every search
+probe, the probability scale's included, reduces its certificates to a
+margin and its slope per game through one helper,
+:func:`_margins_and_slopes`. The region-of-attraction grid goes through
+the certificate one slab of cells at a time. The region estimate grows
 from the equilibrium's cell through face-adjacent positive-definite
 cells, in numpy alone.
 """
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .game import Game, _check_count, _check_positive_finite, _response, best_response, residual
-from .solver import FixedPointSet, least_of
+from .solver import FixedPointSet, _solve_rows, least_of
 
 __all__ = [
     "PD_TOL",
@@ -184,6 +186,45 @@ def _smallest_eigenvalue(c: np.ndarray):
 def _margin(lam, norm, n: int):
     """:func:`pd_margin` of an n x n symmetric matrix from its smallest eigenvalue and infinity norm."""
     return lam - _EIG_ROUNDING * n * norm
+
+
+def _margins_and_slopes(q: np.ndarray, f: np.ndarray, mask: np.ndarray, blocks: int, n: int, at: np.ndarray, along: np.ndarray):
+    """Certificate margin of games laid out as blocks, and its slope along a path, per game.
+
+    Game k of n players is the rows ``k * blocks`` to ``k * blocks +
+    blocks - 1`` of the points q, with response ``f`` at q and one
+    interference matrix per row in ``mask``. Its certificate is block
+    diagonal, so its margin mu, :func:`pd_margin` of the whole n x n
+    matrix, takes its blocks' smallest eigenvalue and largest norm; it
+    passes when mu > 0. Its slope is taken on its limiting block, the
+    one of the smallest eigenvalue (the first on a tie), whose unit
+    Perron vector v is one step of inverse iteration shifted to mu from
+    the ones vector, which no nonnegative Perron vector is orthogonal
+    to: mu' = -2 v^T (dF') v, with dF'_ij = a_ij (q'_i / (1 - q_j) + q_i
+    q'_j / (1 - q_j)^2) at the row's point ``at`` moving along ``along``
+    (F(q) = q). Returns ``(margins, slopes)``, the slope NaN on a
+    failing game; the certificates are freed before the slopes take
+    their temporaries.
+    """
+    certificates = _certificate(q, f, mask)
+    lam, norm = _smallest_eigenvalue(certificates)
+    lam = lam.reshape(-1, blocks)
+    margins = _margin(lam.min(axis=1), norm.reshape(-1, blocks).max(axis=1), n)
+    passing = margins > 0.0
+    limiting = (lam.argmin(axis=1) + blocks * np.arange(len(lam)))[passing]
+    shifted = certificates[limiting]
+    del certificates
+    diag = np.arange(shifted.shape[-1])
+    shifted[:, diag, diag] -= margins[passing, np.newaxis]
+    v = _solve_rows(shifted, np.ones(shifted.shape[:-1]))
+    del shifted
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    at, dq = at[limiting], along[limiting]
+    s = 1.0 / (1.0 - at)
+    image = np.matmul(mask[limiting], np.stack([v * s, v * dq * s * s], axis=-1))
+    slopes = np.full(len(margins), np.nan)
+    slopes[passing] = -2.0 * ((v * dq) * image[..., 0] + (v * at) * image[..., 1]).sum(axis=-1)
+    return margins, slopes
 
 
 def pd_margin(c):

@@ -530,11 +530,19 @@ def _dense_stable_above(lo, rates, mask, direction):
     certificates = _certificate(hi[rows], f_hi[post], mask[rows])
     margin[rows] = pd_margin(certificates)
     passing = margin[rows] > 0.0
-    v = experiments._perron_vectors(certificates[passing], margin[rows][passing])
-    rows = rows[passing]
+    c, rows = certificates[passing], rows[passing]
+    # the unit eigenvector of the smallest eigenvalue, by one step of
+    # inverse iteration from the ones vector, shifted to the margin
+    shifted = c - margin[rows][:, np.newaxis, np.newaxis] * np.eye(c.shape[-1])
+    v = np.linalg.solve(shifted, np.ones(c.shape[:-1])[..., np.newaxis])[..., 0]
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
     q, y, a = lo[rows], rates[rows], mask[rows]
     gain = np.divide(f[rows] * direction, y, out=np.zeros_like(y), where=y > 0.0)
-    slope[rows] = experiments._margin_slopes(v, q, solver._solve_rows(-_jacobian(q, f[rows], a), gain), a)
+    dq = solver._solve_rows(-_jacobian(q, f[rows], a), gain)
+    # mu' = -2 v^T dF' v, dF'_ij = a_ij (q'_i / (1 - q_j) + q_i q'_j / (1 - q_j)^2)
+    s = 1.0 / (1.0 - q)
+    d_jac = a * (dq[:, :, np.newaxis] * s[:, np.newaxis, :] + q[:, :, np.newaxis] * (dq * s * s)[:, np.newaxis, :])
+    slope[rows] = -2.0 * np.einsum("ki,kij,kj->k", v, d_jac, v)
     return margin, slope
 
 

@@ -383,6 +383,7 @@ class TestSimulate:
             (["--ode", "--tol", "nan"], "tol must be positive"),
             (["--perturb", "nan"], "q0 + perturb must be finite"),
             (["--q0", "nan,0,0"], "q0 + perturb must be finite"),
+            (["--ode", "--dt", "1e-320"], "dt must split t_end into a finite number of steps"),
         ],
     )
     def test_nonfinite_input_is_an_error(self, chain_file, args, message, capsys):
@@ -497,6 +498,10 @@ class TestSweepAndFit:
         assert code == 0
         assert "baseline n=4" in out and "baseline n=6" in out
         assert base.exists()
+
+    def test_step_finer_than_the_grid_is_an_error(self, capsys):
+        assert main(["sweep", "--n", "4", "--trials", "1", "--step", "1e-320"]) == 1
+        assert capsys.readouterr().err.startswith("alohagame: error: step ")
 
     def test_varying_both_axes_rejected(self, capsys):
         assert main(["sweep", "--n", "4,6", "--density", "0.2,0.3", "--trials", "1"]) == 1

@@ -1,5 +1,5 @@
 """The input contract: every public entry point rejects a bad tolerance,
-step, budget, count or start by one of the three rules in ``game.py``,
+step, budget, count or start by one of the four rules in ``game.py``,
 naming the argument, before it evaluates the response map."""
 
 import importlib
@@ -100,7 +100,7 @@ START = [[np.nan, 0.0, 0.0], [0.0, 0.0]]
 BAD_VALUES = {
     "tol": POSITIVE,
     "fp_tol": POSITIVE,
-    "step": POSITIVE,
+    "step": POSITIVE + [1e-13, 1e-320],
     "dt": POSITIVE,
     "density": POSITIVE,
     "side": POSITIVE,
@@ -121,7 +121,7 @@ CASES = [
     for value in BAD_VALUES[arg]
 ]
 
-RULES = {"_check_positive_finite", "_check_count", "_check_start"}
+RULES = {"_check_positive_finite", "_check_step", "_check_count", "_check_start"}
 
 # Parameters the signature walk checks for a table entry.
 WATCHED = {"tol", "fp_tol", "step", "dt", "max_iter", "starts_per_axis", "resolution", "q0"}
@@ -156,7 +156,7 @@ def test_bad_input_is_refused_by_a_contract_rule(monkeypatch, entry, arg, value)
     assert raised_in.filename == game_module.__file__ and raised_in.name in RULES, raised_in
 
 
-# Arguments outside the three rules' domains, each refused with a
+# Arguments outside the four rules' domains, each refused with a
 # ValueError naming it before any response evaluation.
 SHAPE_AND_INDEX = {
     "varying_index-1.5": ("varying_index", lambda: bifurcation_sweep(CHAIN, GAME.rates, 1.5, (0.0, 0.3), 0.01)),
@@ -167,6 +167,8 @@ SHAPE_AND_INDEX = {
     "q_s-scalar": ("q_s", lambda: krasovskii_verdict(0.2, GAME, fp_tol=1e-3)),
     "q_star-short": ("q_star", lambda: max_probability_scale(GAME, Q_STAR[:2])),
     "q_star-stack": ("q_star", lambda: max_probability_scale(GAME, np.stack([Q_STAR, Q_STAR]))),
+    "dt-uncountable": ("dt", lambda: integrate_ode(GAME.rates, GAME, dt=1e-320)),
+    "dt-uncountable-t_end": ("dt", lambda: integrate_ode(GAME.rates, GAME, dt=0.01, t_end=1e308)),
     "matrix-scalar": ("interference matrix", lambda: feasible_contour(5, [0.1], [0.1])),
     "matrix-ragged": ("interference matrix", lambda: feasible_contour([[0, 1, 0], [1, 0]], [0.1], [0.1])),
 }

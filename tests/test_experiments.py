@@ -880,26 +880,56 @@ class TestComponentBlocks:
         assert layout.mask.shape[-1] < layout.n
         rng = np.random.default_rng(3)
         q = rng.uniform(0.0, 0.2, (4, 60))
+        along = rng.uniform(0.0, 1.0, (4, 60))
         rates = achieved_rate(q, mask)
         f = stability._response(q, rates, mask)
         blocks = layout.gather(q)
-        margins, passing, limiting, _ = experiments._margins_and_vectors(
-            blocks, layout.gather(f), layout.mask, layout.blocks, 60
+        margins, slopes = stability._margins_and_slopes(
+            blocks, layout.gather(f), layout.mask, layout.blocks, 60, blocks, layout.gather(along)
         )
         whole = pd_margin(stability._certificate(q, f, mask))
-        assert passing.all() and np.abs(margins - whole).max() <= 1e-14
-        lam = np.linalg.eigvalsh(stability._certificate(blocks, layout.gather(f), layout.mask))[:, 0]
-        assert (limiting // layout.blocks == np.arange(4)).all()
-        for k, b in enumerate(limiting):
-            assert lam[b] == lam[k * layout.blocks : (k + 1) * layout.blocks].min()
-        # games reached through take keep their margins and limiting blocks
+        assert (margins > 0.0).all() and np.abs(margins - whole).max() <= 1e-14
+        assert (slopes < 0.0).all()
+        # games reached through take keep their margins and slopes
         games = np.array([3, 1])
         taken = layout.take(games)
-        some, _, some_limiting, _ = experiments._margins_and_vectors(
-            taken.gather(q[games]), taken.gather(f[games]), taken.mask, taken.blocks, 60
+        some = taken.gather(q[games])
+        some_margins, some_slopes = stability._margins_and_slopes(
+            some, taken.gather(f[games]), taken.mask, taken.blocks, 60, some, taken.gather(along[games])
         )
-        assert some.tobytes() == margins[games].tobytes()
-        assert np.array_equal(some_limiting % layout.blocks, limiting[games] % layout.blocks)
+        assert some_margins.tobytes() == margins[games].tobytes()
+        assert some_slopes.tobytes() == slopes[games].tobytes()
+
+    def test_a_games_slope_is_its_limiting_blocks(self):
+        # a game's slope is taken on its block of the smallest
+        # eigenvalue: the same bits as the helper on that block alone,
+        # at the game's n and, as here, its largest norm
+        pairs, chains = _pairs_and_chains()
+        mask = np.array([pairs, chains], dtype=bool)
+        layout = topology._pack(mask)
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.0, 0.15, (2, 60))
+        f = stability._response(q, achieved_rate(q, mask), mask)
+        points, responses, along = layout.gather(q), layout.gather(f), layout.gather(q + 0.1)
+        margins, slopes = stability._margins_and_slopes(points, responses, layout.mask, layout.blocks, 60, points, along)
+        assert (margins > 0.0).all()
+        lam = np.linalg.eigvalsh(stability._certificate(points, responses, layout.mask))[:, 0]
+        for game, block in enumerate(lam.reshape(2, -1).argmin(axis=1)):
+            # not the game's first block, and no other block gives its slope
+            row = game * layout.blocks + block
+            assert block > 0
+            others = []
+            for b in range(game * layout.blocks, (game + 1) * layout.blocks):
+                one = slice(b, b + 1)
+                alone = stability._margins_and_slopes(
+                    points[one], responses[one], layout.mask[one], 1, 60, points[one], along[one]
+                )
+                if b == row:
+                    assert alone[0].tobytes() == margins[game : game + 1].tobytes()
+                    assert alone[1].tobytes() == slopes[game : game + 1].tobytes()
+                else:
+                    others.append(alone[1][0])
+            assert slopes[game] not in others
 
     def test_padding_only_blocks_limit_nothing(self):
         # 30 disjoint pairs need 30 blocks of 3 players, 20 disjoint
@@ -938,12 +968,13 @@ class TestComponentBlocks:
         # each infeasible at once: no bracket, certificate or slope is
         # computed on no rows
         layout = topology._pack(np.array(_pairs_and_chains(), dtype=bool))
-        brackets = record_calls(monkeypatch, experiments, "_stable_above")
+        decisions = record_calls(monkeypatch, experiments, "_margins_and_slopes")
+        brackets = record_calls(monkeypatch, experiments, "_solve_rows")
         for rate in (0.3, 1.5):
             args = (np.full((2, 60), rate), layout, np.zeros((2, 60)), np.ones(60))
             points, margins, slopes, infeasible = experiments._stable_lfps(*args)
             assert points == [None, None] and np.isnan(margins).all() and np.isnan(slopes).all() and infeasible.all()
-        assert brackets == []
+        assert decisions == [] and brackets == []
 
     def test_matches_the_dense_search_on_criterion_6(self, monkeypatch):
         # the 14 settings of criterion 6, 30 trials each, in as many

@@ -73,6 +73,26 @@ class TestPublicNames:
             unused += [(path.stem, name) for name in imported if name not in used]
         assert unused == held
 
+    def test_only_stability_turns_certificates_into_decisions(self):
+        # every probe decides through stability._margins_and_slopes, so
+        # no other module reaches for the certificate or its margin
+        decision = {"_certificate", "_smallest_eigenvalue", "_margin"}
+        named = []
+        for path in sorted(Path(alohagame.__file__).parent.glob("*.py")):
+            if path.name == "stability.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.alias):
+                    names = {node.name, node.asname}
+                elif isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                named += [(path.stem, name) for name in names & decision]
+        assert named == []
+
     def test_every_private_definition_is_named(self):
         # a private function or class that no code in the package names,
         # whatever the docstrings say, is a dead helper
