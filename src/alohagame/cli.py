@@ -39,7 +39,7 @@ from .experiments import (
     size_sweep,
     write_records_csv,
 )
-from .game import Game, _check_count, _check_positive_finite, _positive_finite, _write_csv
+from .game import Game, _check_count, _check_grid_size, _check_positive_finite, _positive_finite, _write_csv
 from .stability import DEFAULT_FP_TOL, krasovskii_verdict
 from .topology import _whole, load_topology, random_topology, side_for_density
 
@@ -76,6 +76,7 @@ def _parse_grid(text: str) -> np.ndarray:
         if len(parts) != 3 or not (parts[2] > 0.0 and np.isfinite(parts[2])):
             raise ValueError(f"expected start:stop:step with a positive finite step, got {text!r}")
         start, stop, step = parts
+        _check_grid_size((stop + step / 2 - start) / step, f"step {step:g} in {text!r}")
         grid = np.arange(start, stop + step / 2, step)
     else:
         grid = np.asarray(_parse_floats(text))
@@ -327,6 +328,7 @@ def _cmd_feasible(args) -> int:
     matrix = _load_matrix(args)
     y1 = _parse_grid(args.y1)
     y3 = _parse_grid(args.y3)
+    _check_grid_size(len(y1) * len(y3), f"the {len(y1)} x {len(y3)} grid of --y1 and --y3")
     surface = feasible_contour(matrix, y1, y3, step=args.step)
     if args.output:
         rows = ([a, b, surface[i, j]] for i, a in enumerate(y1) for j, b in enumerate(y3))

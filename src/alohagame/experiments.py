@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_positive_finite, _check_start, _check_step, _response
+from .game import Game, _as_binary_matrix, _as_rates, _check_count, _check_grid_size, _check_positive_finite, _check_start, _check_step, _response
 from .game import _write_csv, achieved_rate, best_response  # noqa: F401  best_response: bench/tracer.py rebinds it here
 from .solver import DEFAULT_MAX_ITER, _newton_rows, _roots, _solve_rows
 from .stability import DEFAULT_FP_TOL, _classify, _jacobian, _margins_and_slopes, krasovskii_verdict
@@ -406,7 +406,8 @@ def bifurcation_sweep(
     locate the fold. A root whose Jacobian is singular (a neighbour
     coordinate at 1) is marked "singular". ``varying_index`` must name
     a player, 0..n-1. The matrix and the rates of every value are
-    validated once, before any solve.
+    validated once, before any solve, and a step that gives more than
+    10^6 values is refused before they are built.
     """
     _check_step(step, "step")
     lo, hi = value_range
@@ -420,6 +421,7 @@ def bifurcation_sweep(
         raise ValueError(f"varying_index must be a whole number, got {varying_index!r}") from None
     if not 0 <= index < n:
         raise ValueError(f"varying_index must be in 0..{n - 1}, got {varying_index}")
+    _check_grid_size((hi + step / 2 - _grid(lo)) / step, f"step {step:g} over ({lo:g}, {hi:g})")
     values = np.round(np.arange(_grid(lo), hi + step / 2, step), 12)
 
     fixed = np.asarray(fixed_rates, dtype=float)

@@ -93,7 +93,8 @@ class Game:
 # The input contract, checked by every entry point before it evaluates
 # the response map: tolerances, steps and geometry positive and finite,
 # steps no finer than the search grid, budgets and counts whole numbers
-# of at least 1, starts finite vectors of the game's size.
+# of at least 1, starts finite vectors of the game's size. Grids built
+# from a range and a step hold at most a million values.
 def _positive_finite(value) -> np.ndarray:
     """Elementwise ``value > 0`` and finite; NaN fails."""
     v = np.asarray(value, dtype=float)
@@ -113,6 +114,16 @@ def _check_step(value, name: str) -> None:
     _check_positive_finite(value, name)
     if not value >= _MIN_STEP:
         raise ValueError(f"{name} must be at least {_MIN_STEP:g}, the grid's resolution")
+
+
+def _check_grid_size(values: float, name: str) -> None:
+    """Refuse a grid of more than a million values, before it is built.
+
+    ``values`` is the grid's size as a float, which may be infinite:
+    for ``np.arange(start, stop, step)``, (stop - start) / step.
+    """
+    if values > 1e6:
+        raise ValueError(f"{name} asks for {values:.4g} values; a grid holds at most 1e+06")
 
 
 def _check_count(value, name: str) -> None:
@@ -196,55 +207,26 @@ def _response(q: np.ndarray, rates, mask: np.ndarray) -> np.ndarray:
     return np.where(positive, raw, np.where(rates > 0.0, 1.0, 0.0))
 
 
-# A game with at most this many links (interferer entries) steps on
-# Python floats over each player's interferers, a larger one on numpy
-# rows. One step of the plain update, floats against rows, on a 2-core
-# x86-64 guest (Python 3.11, numpy 2.4): 1.4 against 8.1 us at 4 players
-# and 12 links, 3.5 against 8.3 at 8 and 54, 7.3 against 9.3 at 16 and
-# 136, 10.6 against 9.2 at 16 and 240, 20.9 against 18.2 at 60 and 360.
-# Floats cost about 0.2 us a player and 0.03 a link, rows about
-# 7 + 0.003 n^2 us at n players however few the links. Floats won on
-# every game measured with at most 64 links. Above that the rule
-# mis-picks: sparse games step faster on floats (430 against 2,770 us
-# at 1,000 players and 3,910 links), dense ones on rows (113 against 19
-# on K60).
-_SCALAR_LINKS = 64
-
-
 def _best_responses(q: np.ndarray, rates: np.ndarray, mask: np.ndarray, epsilon: float = 1.0):
-    """Best-response iterates from the point ``q`` of a game with target rates ``rates`` and boolean matrix ``mask``, each with its step's infinity norm.
+    """Best-response iterates from the point ``q`` of a game with target rates ``rates`` and boolean matrix ``mask``, each a list of floats with its step's infinity norm.
 
     The step is epsilon (F(q) - q); the next iterate is F(q) at
     ``epsilon`` = 1, else q + step clipped to [0, 1]^n. Nothing is kept.
-    A game of up to ``_SCALAR_LINKS`` links steps on Python floats
-    (:func:`_scalar_best_responses`), with the same bits, and its
-    iterates are lists of floats; a larger one steps on arrays through
-    :func:`_response`.
+    Every game steps on Python floats over each player's list of
+    interferers, whatever its size. A success product multiplies the
+    factors 1 - q_j of the player's interferers in index order, from
+    the first, as :func:`_product` does along the whole row less its
+    exact products with 1.0. The quotient clipped at 1 is
+    :func:`_response`'s rate / max(product, rate), and the jammed rule,
+    the step and its clip to [0, 1] are those of a loop of
+    :func:`_response`, so every iterate and norm has its bits.
     """
     rows, cols = np.nonzero(mask)
-    if len(rows) <= _SCALAR_LINKS:
-        interferers = [[] for _ in range(len(q))]
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            interferers[i].append(j)
-        yield from _scalar_best_responses(q.tolist(), list(zip(rates.tolist(), interferers)), epsilon)
-    else:
-        while True:
-            f = _response(q, rates, mask)
-            step = f - q if epsilon == 1.0 else epsilon * (f - q)
-            yield q, float(np.abs(step).max())
-            q = f if epsilon == 1.0 else np.clip(q + step, 0.0, 1.0)
-
-
-def _scalar_best_responses(q: list, players: list, epsilon: float):
-    """:func:`_best_responses` on a list of floats, each player a ``(rate, interferers)`` pair.
-
-    A success product multiplies the factors 1 - q_j of the player's
-    interferers in index order, from the first, as :func:`_product`
-    does along the whole row less its exact products with 1.0. The
-    quotient clipped at 1 is :func:`_response`'s rate / max(product,
-    rate), and the jammed rule, the step and its clip to [0, 1] are
-    those of the rows' step, so every iterate and norm has their bits.
-    """
+    neighbours = [[] for _ in range(len(q))]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        neighbours[i].append(j)
+    players = list(zip(rates.tolist(), neighbours))
+    q = q.tolist()
     while True:
         f = []
         for rate, interferers in players:

@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,11 @@ class TestBifurcate:
     def test_bad_vary_index(self, chain_file, capsys):
         assert main(["bifurcate", "--topology", chain_file, "--rates", "0.15", "--vary", "9"]) == 1
 
+    def test_a_step_of_more_than_a_million_values_is_an_error(self, chain_file, capsys):
+        assert main(["bifurcate", "--topology", chain_file, "--rates", "0.15", "--step", "1e-12"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("alohagame: error: step 1e-12 over (0, 0.3) asks for 3e+11 values")
+
 
 class TestFeasible:
     def test_writes_surface(self, chain_file, tmp_path, capsys):
@@ -457,6 +463,25 @@ class TestFeasible:
         code = main(["feasible", "--topology", chain_file, option, grid])
         assert code == 1
         assert repr(grid) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grids, asked",
+        [
+            (["--y1", "0:1:1e-9"], "1e+09"),
+            (["--y3", "0:1:1e-300"], "1e+300"),
+            (["--y1", "0:1:1e-3", "--y3", "0:1:1e-3"], "1.002e+06"),
+        ],
+    )
+    def test_grid_of_more_than_a_million_values_is_an_error(self, chain_file, grids, asked, capsys):
+        # refused from the range and the step, before the grid is built
+        tracemalloc.start()
+        try:
+            code = main(["feasible", "--topology", chain_file, *grids])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2**23
+        assert f"asks for {asked} values; a grid holds at most 1e+06" in capsys.readouterr().err
 
     def test_grid_without_a_stable_cell(self, chain_file, capsys):
         # outer rates of 1 leave no stable middle rate in any cell

@@ -169,6 +169,8 @@ SHAPE_AND_INDEX = {
     "q_star-stack": ("q_star", lambda: max_probability_scale(GAME, np.stack([Q_STAR, Q_STAR]))),
     "dt-uncountable": ("dt", lambda: integrate_ode(GAME.rates, GAME, dt=1e-320)),
     "dt-uncountable-t_end": ("dt", lambda: integrate_ode(GAME.rates, GAME, dt=0.01, t_end=1e308)),
+    "step-too-many-values": ("step", lambda: bifurcation_sweep(CHAIN, GAME.rates, 1, (0.0, 0.3), 1e-12)),
+    "step-too-wide-a-range": ("step", lambda: bifurcation_sweep(CHAIN, GAME.rates, 1, (0.0, 1e300), 0.01)),
     "matrix-scalar": ("interference matrix", lambda: feasible_contour(5, [0.1], [0.1])),
     "matrix-ragged": ("interference matrix", lambda: feasible_contour([[0, 1, 0], [1, 0]], [0.1], [0.1])),
 }

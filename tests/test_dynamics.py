@@ -16,6 +16,8 @@ from alohagame import (
     iterate_game,
     kleene_lfp,
     lyapunov_value,
+    random_topology,
+    side_for_density,
 )
 from alohagame import game as game_module
 from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game, record_calls
@@ -210,12 +212,22 @@ class TestAgainstOwnLoops:
 
 
 def _kernel_games():
-    """Chains, stars and dense matrices, directed and symmetric, on both
-    sides of ``game._SCALAR_LINKS``, each with a silent player, and again
-    with a player at rate 1, who jams its neighbours once it transmits
-    always."""
+    """Chains, stars and dense matrices of 1 to 66 players, and a sparse
+    300-player random topology, directed and symmetric, each with a
+    silent player, and again with a player at rate 1, who jams its
+    neighbours once it transmits always."""
     rng = np.random.default_rng(2901)
     games = []
+
+    def add(matrix):
+        n = len(matrix)
+        rates = rng.uniform(0.0, rng.choice([0.05, 0.3]), n)
+        rates[-1] = 0.0
+        games.append(Game(matrix, rates))
+        jammer = rates.copy()
+        jammer[0], jammer[1 % n] = 1.0, rng.uniform(0.0, 0.3)
+        games.append(Game(matrix, jammer))
+
     for n in (1, 2, 5, 8, 12, 40, 65, 66):
         chain = np.eye(n, k=1, dtype=int)
         star = np.zeros((n, n), dtype=int)
@@ -223,20 +235,18 @@ def _kernel_games():
         dense = (rng.random((n, n)) < 0.7).astype(int)
         np.fill_diagonal(dense, 0)
         for a in (chain, star, dense):
-            for matrix in (a, np.maximum(a, a.T)):
-                rates = rng.uniform(0.0, rng.choice([0.05, 0.3]), n)
-                rates[-1] = 0.0
-                games.append(Game(matrix, rates))
-                jammer = rates.copy()
-                jammer[0], jammer[1 % n] = 1.0, rng.uniform(0.0, 0.3)
-                games.append(Game(matrix, jammer))
+            add(a)
+            add(np.maximum(a, a.T))
+    sparse = random_topology(300, side_for_density(300, 0.1), 2901)[1]
+    add(np.triu(sparse))
+    add(sparse)
     # near its fold at 0.25 a pair creeps up for thousands of steps
     return games + [Game(chain_matrix(2), [0.2499, 0.2499])]
 
 
 class TestStepKernels:
-    """Small games step on Python floats and large ones on numpy rows, and
-    both give the bits of a loop of :func:`alohagame.game._response`."""
+    """Every game steps on Python floats, with the bits of a loop of
+    :func:`alohagame.game._response`."""
 
     def test_both_kernels_match_the_response_loops(self):
         games = _kernel_games()
@@ -244,7 +254,7 @@ class TestStepKernels:
         assert min(links) == 0 and max(links) > 1000
         assert {64, 65} <= set(links)
         outcomes = set()
-        # Next to a jammer, a rows step divides by products as small as
+        # Next to a jammer, the response loop divides by products as small as
         # 1e-310; the pytest configuration makes an overflow an error.
         for game in games:
             for q0 in (None, game.rates):
@@ -262,26 +272,18 @@ class TestStepKernels:
         # A symmetric 40-player star whose centre has rate 1: at epsilon
         # 0.5 the leaves climb to 1 and the centre's success product
         # falls through 1e-303 and 2e-315 to 0, and a rate over such a
-        # product used to overflow. The rows step and the float step give
-        # the same bits.
+        # product used to overflow. The float step gives the bits of a
+        # loop of the response map.
         star = np.zeros((40, 40), dtype=int)
         star[0, 1:] = star[1:, 0] = 1
         rates = np.full(40, 0.02)
         rates[0] = 1.0
         game = Game(star, rates)
-        assert game.matrix.sum() > game_module._SCALAR_LINKS
         traj = iterate_game(np.zeros(40), game, epsilon=0.5)
         assert traj.outcome == CONVERGED and (traj.final > 1.0 - 1e-8).all()
-        mask = game.matrix.astype(bool)
-        rows = game_module._best_responses(np.zeros(40), rates, mask, 0.5)
-        players = [(rate, np.flatnonzero(row).tolist()) for rate, row in zip(rates.tolist(), mask)]
-        floats = game_module._scalar_best_responses([0.0] * 40, players, 0.5)
-        smallest = 1.0
-        for _, (q, norm), (p, p_norm) in zip(range(len(traj.states)), rows, floats):
-            assert np.asarray(q).tobytes() == np.array(p).tobytes() and norm == p_norm
-            product = game_module.success_product(q, star)[0]
-            smallest = min(smallest, product) if product > 0.0 else smallest
-        assert smallest < 1e-310
+        assert _run(traj) == _run(iterate_game_own_loop(np.zeros(40), game, epsilon=0.5))
+        products = game_module.success_product(traj.states, star)[:, 0]
+        assert products[products > 0.0].min() < 1e-310
 
     def test_jammed_players(self):
         # player 0 transmits always: player 1, with a positive rate, is
@@ -293,15 +295,15 @@ class TestStepKernels:
                 got = _run(iterate_game(q0, game, epsilon=epsilon))
                 assert got == _run(iterate_game_own_loop(q0, game, epsilon=epsilon))
 
-    def test_the_game_size_picks_the_kernel(self, monkeypatch):
+    def test_no_ascent_calls_the_rows_response(self, monkeypatch):
         rows = record_calls(monkeypatch, game_module, "_response")
-        # 56 and 64 links step on floats, 66 on rows
-        for matrix, on_rows in ((fully_connected_matrix(8), False), (chain_matrix(33), False), (chain_matrix(34), True)):
+        # 56, 64 and 66 links, and a sparse random topology of 300 players
+        sparse = random_topology(300, side_for_density(300, 0.1), 2901)[1]
+        for matrix in (fully_connected_matrix(8), chain_matrix(33), chain_matrix(34), sparse):
             game = Game(matrix, np.full(len(matrix), 0.01))
-            del rows[:]
             kleene_lfp(game)
             iterate_game(game.rates, game, epsilon=0.5)
-            assert bool(rows) == on_rows
+        assert rows == []
 
 
 class TestDetectCycle:
