@@ -10,6 +10,7 @@ ran out of budget.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +119,20 @@ def iterate_game(
     requires an explicit nudge like 1e-6; the default 0 keeps starts
     untouched.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0, 1]")
+    try:
+        fraction = getattr(epsilon, "ndim", 0) == 0 and 0.0 < epsilon <= 1.0
+    except (TypeError, ValueError):  # not a number
+        fraction = False
+    if not fraction:
+        raise ValueError(f"epsilon must be a number in (0, 1], got {epsilon!r}")
     _check_positive_finite(tol, "tol")
     _check_count(max_iter, "max_iter")
-    q = _check_start(np.asarray(q0, dtype=float) + perturb, game.n, "q0 + perturb")
-    q = np.clip(q, 0.0, 1.0)
+    q = np.asarray(q0, dtype=float)
+    try:
+        q = q + perturb
+    except (TypeError, ValueError):  # not numbers, or not of q0's shape
+        raise ValueError(f"perturb must be a number or a vector of q0's size, got {perturb!r}") from None
+    q = _check_start(q, game.n, "q0 + perturb").clip(0.0, 1.0)
     mask = game.matrix.astype(bool)
 
     states = []
@@ -142,7 +151,8 @@ def iterate_game(
             break
         if budget:
             break
-    return Trajectory(states=np.asarray(states), outcome=outcome, epsilon=epsilon, period=period)
+    states = np.fromiter(itertools.chain.from_iterable(states), float, len(states) * game.n)
+    return Trajectory(states=states.reshape(-1, game.n), outcome=outcome, epsilon=epsilon, period=period)
 
 
 def integrate_ode(

@@ -16,6 +16,7 @@ partial order, which is what the solver module exploits.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass
 
@@ -102,7 +103,8 @@ def _positive_finite(value) -> np.ndarray:
 
 
 def _check_positive_finite(value, name: str) -> None:
-    if not _positive_finite(value).all():
+    # A Python float is compared as it is, with the outcome of the 0-d array rule.
+    if not (0.0 < value < math.inf if type(value) is float else _positive_finite(value).all()):
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -140,7 +142,7 @@ def _check_start(q, n: int, name: str) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {q.shape}")
-    if not np.isfinite(q).all():
+    if not all(map(math.isfinite, q.tolist())):
         raise ValueError(f"{name} must be finite")
     return q
 

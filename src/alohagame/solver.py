@@ -38,6 +38,7 @@ Three routes to the fixed points of the best-response map:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,15 +144,14 @@ class FixedPointSet:
 
     def interior_points(self) -> list:
         """Roots strictly inside (0, 1)^n."""
-        return [p for p in self.points if (p > 0.0).all() and (p < 1.0).all()]
+        return [p for p in self.points if all(0.0 < x < 1.0 for x in p.tolist())]
 
 
-def _result(game: Game, q, iterations, converged, res_norm, tol, infeasible=False) -> LfpResult:
+def _result(game: Game, q: list, iterations, converged, res_norm, tol, infeasible=False) -> LfpResult:
+    """The :class:`LfpResult` at the point ``q``, a list of floats."""
     point = np.array(q, dtype=float)
     point.flags.writeable = False
-    extraneous = converged and bool((point >= 1.0 - 10.0 * tol).all()) and bool(
-        (game.rates > 0.0).any()
-    )
+    extraneous = converged and all(x >= 1.0 - 10.0 * tol for x in q) and bool((game.rates > 0.0).any())
     return LfpResult(point, iterations, converged, res_norm, extraneous, infeasible)
 
 
@@ -174,9 +174,12 @@ def kleene_lfp(
     """
     _check_positive_finite(tol, "tol")
     _check_count(max_iter, "max_iter")
-    q0 = _check_start(np.zeros(game.n) if q0 is None else q0, game.n, "q0")
-    if not ((q0 >= 0.0) & (q0 <= game.rates)).all():
-        raise ValueError("q0 must lie in the box [0, rates] (start region for the ascent)")
+    if q0 is None:  # in the box
+        q0 = np.zeros(game.n)
+    else:
+        q0 = _check_start(q0, game.n, "q0")
+        if not ((q0 >= 0.0) & (q0 <= game.rates)).all():
+            raise ValueError("q0 must lie in the box [0, rates] (start region for the ascent)")
     for iterations, (q, res_norm) in enumerate(_best_responses(q0, game.rates, game.matrix.astype(bool))):
         if res_norm <= tol or iterations == max_iter:
             break
@@ -212,7 +215,7 @@ def newton_lfp(game: Game, q0=None, max_iter: int = DEFAULT_MAX_ITER) -> LfpResu
     (point,), (iterations,), (converged,), (res_norm,), (infeasible,) = _newton_rows(
         q[np.newaxis], game.rates[np.newaxis], mask[np.newaxis], max_iter
     )
-    return _result(game, point, int(iterations), bool(converged), float(res_norm), DEFAULT_TOL, bool(infeasible))
+    return _result(game, point.tolist(), int(iterations), bool(converged), float(res_norm), DEFAULT_TOL, bool(infeasible))
 
 
 def _solve_rows(m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -692,35 +695,29 @@ def _polish(starts: np.ndarray, rates, matrix, max_iter: int) -> np.ndarray:
 def _merge(points: np.ndarray, owner: np.ndarray, radius: float):
     """Merge each game's points within the given infinity-norm radius, every game at once.
 
-    Point k belongs to game ``owner[k]``. One stable sort orders the
+    Point k, finite, belongs to game ``owner[k]``. One stable sort orders the
     points by game and, within a game, lexicographically by their
     coordinates rounded to 1e-9, points that round alike in the order
-    they came in. Each step then keeps every game's first remaining
-    point and drops that game's remaining points within ``radius`` of
-    it, until none remain: each game keeps the points a greedy pass
-    over its own points keeps, in as many steps as the most points one
-    game keeps. The rounding keeps roots that agree to rounding error
-    in one order unless their shared coordinate lies within that error
-    of a rounding boundary (an odd multiple of 5e-10). Returns the kept
+    they came in. One pass in that order then keeps a point unless it
+    lies within ``radius`` of a point its game kept before it: each game
+    keeps the points a greedy pass over its own points keeps. The
+    rounding keeps roots that agree to rounding error in one order
+    unless their shared coordinate lies within that error of a rounding
+    boundary (an odd multiple of 5e-10). Returns copies of the kept
     points, read-only, and their games, in that order.
     """
-    if len(points) < 2:  # nothing to order or to merge
-        points = points.copy()
-    else:
-        order = np.lexsort((*np.round(points, 9).T[::-1], owner))
-        points, owner = points[order], owner[order]
-        kept = np.zeros(len(points), dtype=bool)
-        rest = np.arange(len(points))
-        while len(rest):
-            first = np.ones(len(rest), dtype=bool)
-            np.not_equal(owner[rest[1:]], owner[rest[:-1]], out=first[1:])
-            heads = rest[first]
-            kept[heads] = True
-            # each remaining point against its game's head, the head itself included
-            rest = rest[np.abs(points[rest] - points[heads[np.cumsum(first) - 1]]).max(axis=1) > radius]
-        points, owner = points[kept], owner[kept]
+    rows, games, keys = points.tolist(), owner.tolist(), points.round(9).tolist()
+    kept, game = [], None
+    for k in sorted(range(len(rows)), key=lambda k: (games[k], keys[k])):
+        if games[k] != game:
+            game, heads = games[k], []
+        point = rows[k]
+        if all(max(map(abs, map(operator.sub, point, head))) > radius for head in heads):
+            heads.append(point)
+            kept.append(k)
+    points = points.take(kept, axis=0)
     points.flags.writeable = False
-    return points, owner
+    return points, owner.take(kept)
 
 
 def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
@@ -728,15 +725,15 @@ def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
 
     Game k has target rates ``rates[k]`` and the validated interference
     ``matrix`` that all the games share. The boxes of each block of
-    games (see ``_BLOCK_BOXES``) contract, split and polish together,
-    each against its own target rates. One fixed-point membership test
-    then runs over every polished root, and one :func:`_merge` over
-    them all deduplicates each game's roots, so every game gets the
-    fixed points it would get alone. A block whose boxes keep no start
-    is not polished, and when no block keeps one the test and the
-    merge are skipped too. Returns ``(roots, owner)``: the kept roots,
-    read-only, ordered by game and within a game as :func:`_merge`
-    keeps them, and the game of each.
+    games (see ``_BLOCK_BOXES``) contract and split together, each
+    against its own target rates. One polish then takes every block's
+    starts, each row on its own, one fixed-point membership test runs
+    over every polished root, and one :func:`_merge` over them all
+    deduplicates each game's roots, so every game gets the fixed points
+    it would get alone. When no block keeps a start, nothing is
+    polished, tested or merged. Returns ``(roots, owner)``: the kept
+    roots, read-only, ordered by game and within a game as
+    :func:`_merge` keeps them, and the game of each.
     """
     n = matrix.shape[0]
     if n > ORACLE_MAX_PLAYERS:
@@ -747,24 +744,23 @@ def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
     _check_count(starts_per_axis, "starts_per_axis")
     _check_count(max_iter, "max_iter")
     block = max(1, _BLOCK_BOXES // (2 * starts_per_axis) ** n)
-    roots, owner = [], []
+    starts, owner = [], []
     for first in range(0, len(rates), block):
-        starts, rows = _leaf_centres(rates[first : first + block], matrix, starts_per_axis)
-        if len(starts):
-            roots.append(_polish(starts, rates.take(first + rows, axis=0), matrix, max_iter))
-            owner.append(first + rows)
-    if not roots:
-        empty = np.empty((0, n))
-        empty.flags.writeable = False
-        return empty, np.empty(0, dtype=np.intp)
-    roots, owner = np.concatenate(roots), np.concatenate(owner)
+        centres, rows = _leaf_centres(rates[first : first + block], matrix, starts_per_axis)
+        starts.append(centres)
+        owner.append(first + rows)
+    starts, owner = np.concatenate(starts), np.concatenate(owner)
+    if not len(starts):
+        starts.flags.writeable = False
+        return starts, owner
     leaf_rates = rates.take(owner, axis=0)
+    roots = _polish(starts, leaf_rates, matrix, max_iter)
     # Exact, as for the leaves: a zero rate forces q_i = 0.
     roots[leaf_rates == 0.0] = 0.0
     slack = 1e-9
     inside = ((roots >= -slack) & (roots <= 1.0 + slack)).all(axis=1)
     # roots outside are tested too, and dropped with those not fixed
-    roots = np.clip(roots, 0.0, 1.0)
+    roots = roots.clip(0.0, 1.0)
     kept = inside & (np.abs(_response(roots, leaf_rates, matrix.astype(bool)) - roots).max(axis=1) <= FIXED_POINT_TOL)
     return _merge(roots[kept], owner[kept], DEDUP_RADIUS)
 
@@ -772,12 +768,11 @@ def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
 def _fixed_point_sets(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50) -> list:
     """:func:`multistart_fixed_points` of each game, enumerated together: :func:`_roots` split by game."""
     roots, owner = _roots(rates, matrix, starts_per_axis, max_iter)
-    ends = np.searchsorted(owner, np.arange(len(rates) + 1))
-    extraneous = (rates > 0.0).all(axis=1)
-    return [
-        FixedPointSet(points=list(roots[lo:hi]), includes_extraneous=bool(every))
-        for lo, hi, every in zip(ends[:-1], ends[1:], extraneous)
-    ]
+    points = [[] for _ in range(len(rates))]
+    for k, root in zip(owner.tolist(), roots):
+        points[k].append(root)
+    extraneous = [all(y > 0.0 for y in row) for row in rates.tolist()]
+    return [FixedPointSet(points=p, includes_extraneous=every) for p, every in zip(points, extraneous)]
 
 
 def multistart_fixed_points(
@@ -835,9 +830,13 @@ def least_of(fps: FixedPointSet, tol: float = 0.0) -> np.ndarray:
     """
     if not fps.points:
         raise ValueError("fixed-point set is empty")
-    candidate = min(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
-    for other in fps.points:
-        if not (candidate <= other + tol).all():
+    # a stack's row sums have the bits of each point's own sum
+    stack = np.array(fps.points, dtype=float)
+    rows, sums = stack.tolist(), stack.sum(axis=1).tolist()
+    k = min(range(len(rows)), key=lambda k: (sums[k], rows[k]))
+    candidate, least = fps.points[k], rows[k]
+    for other, row in zip(fps.points, rows):
+        if not all(a <= b + tol for a, b in zip(least, row)):
             raise ValueError(
                 "no least element: fixed points are incomparable "
                 f"({candidate} vs {other}); this contradicts the ordered "

@@ -28,7 +28,11 @@ ascent and a game iteration that each run a best-response loop of
 their own, a flow whose drift is the checked residual, a diagonal
 contraction that accumulates its products by a prefix loop, inverses
 solved against the identity, a merge that sorts however few points it
-gets, and a certificate that checks every point for a neighbour at 1.
+gets, a certificate that checks every point for a neighbour at 1, and
+the four small-game calls (least fixed point, oracle, consistency check
+and game iteration) with their checks, packaging and state records
+built from numpy arrays and per-point reductions around the same
+numeric cores.
 """
 
 import numpy as np
@@ -43,6 +47,7 @@ from alohagame import (
     ConsistencyReport,
     FixedPointSet,
     Game,
+    LfpResult,
     StabilityVerdict,
     SweepRecord,
     Trajectory,
@@ -65,7 +70,8 @@ from alohagame import (
     side_for_density,
 )
 from alohagame import dynamics, experiments, solver, stability, topology
-from alohagame.game import _as_binary_matrix, _response
+from alohagame import game as game_module
+from alohagame.game import _as_binary_matrix, _best_responses, _response
 from alohagame.stability import _certificate, _jacobian
 from alohagame.cli import _fmt_vec
 
@@ -748,3 +754,163 @@ def integrate_ode_residual_drift(
         q = np.clip(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, 1.0)
         states.append(q)
     return Trajectory(states=np.asarray(states), outcome=outcome, epsilon=dt)
+
+
+# ---------------------------------------------------------------------------
+# The four small-game calls with their bookkeeping on numpy arrays: 0-d
+# array checks, per-point reductions, a merge by heads and a states array
+# built from nested lists. The numeric cores are the package's own.
+# ---------------------------------------------------------------------------
+
+
+def positive_finite_by_array(value, name):
+    """The scalar contract rule through a 0-d array: ``_positive_finite(value).all()``."""
+    if not game_module._positive_finite(value).all():
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def start_checked_by_array(q, n, name):
+    q = np.asarray(q, dtype=float)
+    if q.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError(f"{name} must be finite")
+    return q
+
+
+def lfp_result_by_array(game, q, iterations, converged, res_norm, tol, infeasible=False):
+    """An :class:`LfpResult` whose extraneous flag reduces the point array."""
+    point = np.array(q, dtype=float)
+    point.flags.writeable = False
+    extraneous = converged and bool((point >= 1.0 - 10.0 * tol).all()) and bool((game.rates > 0.0).any())
+    return LfpResult(point, iterations, converged, res_norm, extraneous, infeasible)
+
+
+def kleene_lfp_by_arrays(game, q0=None, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER):
+    """:func:`kleene_lfp` with its start checked and its result packaged on arrays."""
+    positive_finite_by_array(tol, "tol")
+    game_module._check_count(max_iter, "max_iter")
+    q0 = start_checked_by_array(np.zeros(game.n) if q0 is None else q0, game.n, "q0")
+    if not ((q0 >= 0.0) & (q0 <= game.rates)).all():
+        raise ValueError("q0 must lie in the box [0, rates] (start region for the ascent)")
+    for iterations, (q, res_norm) in enumerate(_best_responses(q0, game.rates, game.matrix.astype(bool))):
+        if res_norm <= tol or iterations == max_iter:
+            break
+    return lfp_result_by_array(game, q, iterations, res_norm <= tol, res_norm, tol)
+
+
+def newton_lfp_by_arrays(game):
+    """:func:`newton_lfp` from zeros, its result packaged on arrays."""
+    mask = game.matrix.astype(bool)
+    (point,), (iterations,), (converged,), (res_norm,), (infeasible,) = solver._newton_rows(
+        np.zeros((1, game.n)), game.rates[np.newaxis], mask[np.newaxis], solver.DEFAULT_MAX_ITER
+    )
+    return lfp_result_by_array(
+        game, point, int(iterations), bool(converged), float(res_norm), solver.DEFAULT_TOL, bool(infeasible)
+    )
+
+
+def roots_by_blocks(rates, matrix, starts_per_axis=1, max_iter=50):
+    """The oracle's roots: blocks polished apart, concatenated, taken again
+    by owner for the membership test and merged by heads."""
+    n = matrix.shape[0]
+    block = max(1, solver._BLOCK_BOXES // (2 * starts_per_axis) ** n)
+    roots, owner = [], []
+    for first in range(0, len(rates), block):
+        starts, rows = solver._leaf_centres(rates[first : first + block], matrix, starts_per_axis)
+        if len(starts):
+            roots.append(solver._polish(starts, rates.take(first + rows, axis=0), matrix, max_iter))
+            owner.append(first + rows)
+    if not roots:
+        empty = np.empty((0, n))
+        empty.flags.writeable = False
+        return empty, np.empty(0, dtype=np.intp)
+    roots, owner = np.concatenate(roots), np.concatenate(owner)
+    leaf_rates = rates.take(owner, axis=0)
+    roots[leaf_rates == 0.0] = 0.0
+    inside = ((roots >= -1e-9) & (roots <= 1.0 + 1e-9)).all(axis=1)
+    roots = np.clip(roots, 0.0, 1.0)
+    kept = inside & (np.abs(_response(roots, leaf_rates, matrix.astype(bool)) - roots).max(axis=1) <= 1e-9)
+    return merge_always_sorting(roots[kept], owner[kept], solver.DEDUP_RADIUS)
+
+
+def multistart_by_arrays(game, starts_per_axis=1, max_iter=50):
+    """:func:`multistart_fixed_points` split by ``searchsorted`` from :func:`roots_by_blocks`."""
+    rates = game.rates[np.newaxis]
+    roots, owner = roots_by_blocks(rates, game.matrix, starts_per_axis, max_iter)
+    ends = np.searchsorted(owner, np.arange(len(rates) + 1))
+    extraneous = (rates > 0.0).all(axis=1)
+    return [
+        FixedPointSet(points=list(roots[lo:hi]), includes_extraneous=bool(every))
+        for lo, hi, every in zip(ends[:-1], ends[1:], extraneous)
+    ][0]
+
+
+def interior_by_arrays(fps):
+    return [p for p in fps.points if (p > 0.0).all() and (p < 1.0).all()]
+
+
+def least_by_arrays(fps, tol=0.0):
+    """:func:`least_of` with one sum and one comparison array per point."""
+    if not fps.points:
+        raise ValueError("fixed-point set is empty")
+    candidate = min(fps.points, key=lambda p: (float(p.sum()), tuple(p)))
+    for other in fps.points:
+        if not (candidate <= other + tol).all():
+            raise ValueError(
+                "no least element: fixed points are incomparable "
+                f"({candidate} vs {other}); this contradicts the ordered "
+                "fixed-point structure and should be investigated"
+            )
+    return candidate
+
+
+def consistency_by_arrays(fps, game):
+    """:func:`stability_consistency` with its interior points and least point
+    found by per-point reductions, around the package's verdicts."""
+    interior = interior_by_arrays(fps)
+    if not interior:
+        return ConsistencyReport(verdicts=[], least_point=None, least_stable=None, violation=False)
+    verdicts = stability._verdicts(np.array(interior), game.rates, game.matrix, stability.DEFAULT_FP_TOL)
+    error = next((v for v in verdicts if isinstance(v, ValueError)), None)
+    if error is not None:
+        raise error
+    least = least_by_arrays(FixedPointSet(points=interior), tol=1e-9)
+    least_verdict = next(v for p, v in zip(interior, verdicts) if p is least)
+    violation = (not least_verdict.stable) and any(v.stable for v in verdicts if v is not least_verdict)
+    return ConsistencyReport(
+        verdicts=verdicts,
+        least_point=least_verdict.point,
+        least_stable=least_verdict.stable,
+        violation=violation,
+    )
+
+
+def iterate_game_by_arrays(
+    q0, game, tol=dynamics.DEFAULT_TOL, max_iter=dynamics.DEFAULT_MAX_ITER, epsilon=1.0, perturb=0.0
+):
+    """:func:`iterate_game` with its start checked on arrays and its states
+    array built from the nested list of iterates."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must be in (0, 1]")
+    positive_finite_by_array(tol, "tol")
+    game_module._check_count(max_iter, "max_iter")
+    q = start_checked_by_array(np.asarray(q0, dtype=float) + perturb, game.n, "q0 + perturb")
+    q = np.clip(q, 0.0, 1.0)
+    states = []
+    outcome = BUDGET_EXHAUSTED
+    period = None
+    for step, (q, norm) in enumerate(_best_responses(q, game.rates, game.matrix.astype(bool), epsilon)):
+        states.append(q)
+        budget = step == max_iter and norm > tol
+        if len(states) % dynamics._CYCLE_CHECK_STRIDE == 0 or budget:
+            period = detect_cycle(states)
+            if period is not None:
+                outcome = CYCLE
+                break
+        if norm <= tol:
+            outcome = CONVERGED
+            break
+        if budget:
+            break
+    return Trajectory(states=np.asarray(states), outcome=outcome, epsilon=epsilon, period=period)

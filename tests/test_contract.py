@@ -35,6 +35,7 @@ from alohagame import (
 )
 from alohagame import game as game_module
 from conftest import Q_STAR
+from reference import positive_finite_by_array
 
 CHAIN = chain_matrix(3)
 GAME = Game(CHAIN, [0.15] * 3)
@@ -96,7 +97,7 @@ TABLE = {
 
 POSITIVE = [np.nan, np.inf, 0.0, -1.0]
 COUNT = [0, -5, 2.5]
-START = [[np.nan, 0.0, 0.0], [0.0, 0.0]]
+START = [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0]]
 BAD_VALUES = {
     "tol": POSITIVE,
     "fp_tol": POSITIVE,
@@ -171,6 +172,13 @@ SHAPE_AND_INDEX = {
     "dt-uncountable-t_end": ("dt", lambda: integrate_ode(GAME.rates, GAME, dt=0.01, t_end=1e308)),
     "step-too-many-values": ("step", lambda: bifurcation_sweep(CHAIN, GAME.rates, 1, (0.0, 0.3), 1e-12)),
     "step-too-wide-a-range": ("step", lambda: bifurcation_sweep(CHAIN, GAME.rates, 1, (0.0, 1e300), 0.01)),
+    "epsilon-str": ("epsilon", lambda: iterate_game(GAME.rates, GAME, epsilon="0.5")),
+    "epsilon-none": ("epsilon", lambda: iterate_game(GAME.rates, GAME, epsilon=None)),
+    "epsilon-vector": ("epsilon", lambda: iterate_game(GAME.rates, GAME, epsilon=np.array([0.5, 0.5]))),
+    "epsilon-one-element": ("epsilon", lambda: iterate_game(GAME.rates, GAME, epsilon=np.array([0.5]))),
+    "perturb-str": ("perturb", lambda: iterate_game(GAME.rates, GAME, perturb="x")),
+    "perturb-none": ("perturb", lambda: iterate_game(GAME.rates, GAME, perturb=None)),
+    "perturb-short": ("perturb", lambda: iterate_game(GAME.rates, GAME, perturb=[0.1, 0.2])),
     "matrix-scalar": ("interference matrix", lambda: feasible_contour(5, [0.1], [0.1])),
     "matrix-ragged": ("interference matrix", lambda: feasible_contour([[0, 1, 0], [1, 0]], [0.1], [0.1])),
 }
@@ -215,3 +223,52 @@ def test_every_watched_public_parameter_is_in_the_table():
             if param in WATCHED and param not in TABLE.get(name, {}) and (name, param) not in OTHER_DOMAIN:
                 missing.append(f"{name}({param})")
     assert missing == []
+
+
+# Values of every Python and numpy type a scalar argument may arrive as.
+SCALARS = {
+    "float": 1e-3,
+    "float-zero": 0.0,
+    "float-negative-zero": -0.0,
+    "float-negative": -2.5,
+    "float-nan": float("nan"),
+    "float-inf": float("inf"),
+    "float-minus-inf": -float("inf"),
+    "float-tiny": 5e-324,
+    "float-huge": 1.7e308,
+    "int": 3,
+    "int-zero": 0,
+    "int-negative": -1,
+    "int-huge": 10**400,
+    "bool": True,
+    "float64": np.float64(0.5),
+    "float64-nan": np.float64("nan"),
+    "float32": np.float32(0.5),
+    "float32-inf": np.float32("inf"),
+    "int64": np.int64(7),
+    "int64-negative": np.int64(-7),
+    "0-d": np.array(0.5),
+    "0-d-negative": np.array(-0.5),
+    "0-d-nan": np.array(np.nan),
+    "str": "0.5",
+    "str-negative": "-1",
+    "str-nan": "nan",
+    "str-word": "x",
+    "none": None,
+    "list": [0.1, 0.2],
+    "list-with-zero": [0.1, 0.0],
+}
+
+
+def _outcome(check, value):
+    try:
+        check(value, "tol")
+    except Exception as error:  # the outcome under test, whatever it is
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("value", list(SCALARS.values()), ids=list(SCALARS))
+def test_scalar_check_keeps_the_array_rule(value):
+    """The scalar rule takes the array rule's outcome and message on every type it may be given."""
+    assert _outcome(game_module._check_positive_finite, value) == _outcome(positive_finite_by_array, value)
