@@ -32,12 +32,14 @@ Three routes to the fixed points of the best-response map:
   in the same rounds, in blocks of games whose boxes fit a fixed
   budget, and one merge then deduplicates every game's roots at once:
   a bifurcation sweep finds every parameter value's roots in one
-  enumeration per block and one finishing pass.
+  enumeration per block and one finishing pass, each game's roots
+  those it would have alone.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -221,9 +223,13 @@ def newton_lfp(game: Game, q0=None, max_iter: int = DEFAULT_MAX_ITER) -> LfpResu
 def _solve_rows(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solutions x[k] of m[k] x = b[k], with NaN where m[k] is singular.
 
-    Each b[k] is a vector, or a matrix whose columns are solved for
-    together. LAPACK fails a whole stack for one singular matrix, so a
-    stack that fails is solved again one matrix at a time.
+    The package's one linear solve and inverse. Each b[k] is a vector or
+    a matrix, and ``b`` may be any stack that broadcasts against ``m``:
+    against ``np.eye(n)[np.newaxis]``, x[k] is ``np.linalg.inv(m[k])``
+    bit for bit. LAPACK solves each matrix alone but fails a whole stack
+    for one singular matrix. Such a stack is solved again in one call
+    without the matrices whose LU factors (``slogdet``'s) have a zero
+    pivot, into C-ordered NaN, so each x[k] has a one-matrix call's bits.
     """
     vectors = b.ndim < m.ndim
     if vectors:
@@ -231,12 +237,10 @@ def _solve_rows(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         x = np.linalg.solve(m, b)
     except np.linalg.LinAlgError:
-        x = np.full_like(b, np.nan)
-        for k in range(len(b)):
-            try:
-                x[k] = np.linalg.solve(m[k], b[k])
-            except np.linalg.LinAlgError:
-                pass
+        with np.errstate(invalid="ignore"):
+            regular = np.linalg.slogdet(m)[0] != 0.0
+        x = np.full(m.shape[:-1] + b.shape[-1:], np.nan)
+        x[regular] = np.linalg.solve(m[regular], np.broadcast_to(b, x.shape)[regular])
     return x[..., 0] if vectors else x
 
 
@@ -519,13 +523,14 @@ def _krawczyk_test(lo, hi, y, matrix):
     the interval Jacobian, comes from :func:`_jacobians`. In
     centre-radius form K = [k - rho, k + rho] with Newton point
     k = m - Y h(m) and rho = |I - Y J_c| r + |Y| J_r r, widened by
-    ``_rounding``. The test passes when K lies strictly inside X on
-    every active axis (y_i > 0). Returns ``(k, k_lo, k_hi, passed)``.
+    ``_rounding``; Y comes from :func:`_solve_rows`, so each box's K is
+    what it would be alone. The test passes when K lies strictly inside
+    X on every active axis (y_i > 0). Returns ``(k, k_lo, k_hi, passed)``.
     """
     n = lo.shape[1]
     m = (lo + hi) / 2.0
     prod, jm, j_lo, j_hi = _jacobians(m, lo, hi, matrix)
-    y_inv = _inverses(jm)
+    y_inv = _solve_rows(jm, np.eye(n)[np.newaxis])
     # X lies in [m - r, m + r] despite the rounding of m and r.
     r = np.maximum(hi - m, m - lo) * (1.0 + np.finfo(float).eps)
     centre = m - _times(y_inv, m * prod - y)
@@ -537,16 +542,6 @@ def _krawczyk_test(lo, hi, y, matrix):
     k_lo, k_hi = centre - rho, centre + rho
     passed = ((k_lo > lo) & (k_hi < hi) | (y == 0.0)).all(axis=1)
     return centre, k_lo, k_hi, passed
-
-
-def _inverses(m):
-    """The inverses of a stack of matrices, NaN where one is singular: LAPACK's
-    solve against the identity, as :func:`_solve_rows` gives it, which takes over
-    when some matrix is singular."""
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return _solve_rows(m, np.broadcast_to(np.eye(m.shape[-1]), m.shape))
 
 
 def _jacobians(m, lo, hi, matrix):
@@ -729,10 +724,11 @@ def _roots(rates, matrix, starts_per_axis: int = 1, max_iter: int = 50):
     against its own target rates. One polish then takes every block's
     starts, each row on its own, one fixed-point membership test runs
     over every polished root, and one :func:`_merge` over them all
-    deduplicates each game's roots, so every game gets the fixed points
-    it would get alone. When no block keeps a start, nothing is
-    polished, tested or merged. Returns ``(roots, owner)``: the kept
-    roots, read-only, ordered by game and within a game as
+    deduplicates each game's roots. Every kernel answers each box and
+    root as it would alone, so every game gets the fixed points it would
+    get alone, whatever its block holds. When no block keeps a start,
+    nothing is polished, tested or merged. Returns ``(roots, owner)``:
+    the kept roots, read-only, ordered by game and within a game as
     :func:`_merge` keeps them, and the game of each.
     """
     n = matrix.shape[0]
@@ -828,6 +824,8 @@ def least_of(fps: FixedPointSet, tol: float = 0.0) -> np.ndarray:
     least-fixed-point structure of the game; ``tol`` loosens the
     comparisons to absorb solver round-off (0 keeps them exact).
     """
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+        raise ValueError(f"tol must be a nonnegative finite number, got {tol!r}")
     if not fps.points:
         raise ValueError("fixed-point set is empty")
     # a stack's row sums have the bits of each point's own sum

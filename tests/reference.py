@@ -27,12 +27,12 @@ that finishes through one verdict object per root, a least-fixed-point
 ascent and a game iteration that each run a best-response loop of
 their own, a flow whose drift is the checked residual, a diagonal
 contraction that accumulates its products by a prefix loop, inverses
-solved against the identity, a merge that sorts however few points it
-gets, a certificate that checks every point for a neighbour at 1, and
-the four small-game calls (least fixed point, oracle, consistency check
-and game iteration) with their checks, packaging and state records
-built from numpy arrays and per-point reductions around the same
-numeric cores.
+taken and failed stacked solves retried one matrix at a time, a merge
+that sorts however few points it gets, a certificate that checks every
+point for a neighbour at 1, and the four small-game calls (least fixed
+point, oracle, consistency check and game iteration) with their checks,
+packaging and state records built from numpy arrays and per-point
+reductions around the same numeric cores.
 """
 
 import numpy as np
@@ -159,9 +159,35 @@ def prefix_loop_contraction(lo, hi, row, rates, mask):
 
 
 def inverse_by_solving(m):
-    """The inverses of a stack of matrices, solved against the identity
-    (NaN where one is singular)."""
-    return solver._solve_rows(m, np.broadcast_to(np.eye(m.shape[-1]), m.shape))
+    """The inverse of each matrix of a stack, ``np.linalg.inv`` of that
+    matrix alone (LAPACK's solve against the identity), NaN where it is
+    singular."""
+    x = np.full(m.shape, np.nan)
+    for k in range(len(m)):
+        try:
+            x[k] = np.linalg.inv(m[k])
+        except np.linalg.LinAlgError:
+            pass
+    return x
+
+
+def solve_one_by_one(m, b):
+    """The stacked solve of :func:`solver._solve_rows`, with a stack that
+    LAPACK fails solved again one matrix at a time (NaN where one is
+    singular). ``b`` is a stack as long as ``m``, of vectors or matrices."""
+    vectors = b.ndim < m.ndim
+    if vectors:
+        b = b[..., np.newaxis]
+    try:
+        x = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, np.nan)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(m[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+    return x[..., 0] if vectors else x
 
 
 def merge_always_sorting(points, owner, radius):

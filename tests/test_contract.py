@@ -23,6 +23,7 @@ from alohagame import (
     iterate_game,
     kleene_lfp,
     krasovskii_verdict,
+    least_of,
     max_common_rate,
     max_demand_scale,
     max_probability_scale,
@@ -272,3 +273,18 @@ def _outcome(check, value):
 def test_scalar_check_keeps_the_array_rule(value):
     """The scalar rule takes the array rule's outcome and message on every type it may be given."""
     assert _outcome(game_module._check_positive_finite, value) == _outcome(positive_finite_by_array, value)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), "1e-9", None, np.array([0.0, 1e-9])])
+def test_least_of_refuses_a_tolerance_that_is_not_a_nonnegative_finite_number(tol):
+    # a bad slack is named as such, not reported as incomparable points
+    fps = multistart_fixed_points(GAME)
+    with pytest.raises(ValueError) as excinfo:
+        least_of(fps, tol=tol)
+    assert str(excinfo.value).startswith("tol must be a nonnegative finite number")
+
+
+@pytest.mark.parametrize("tol", [0.0, 0, 1e-9, np.float64(1e-9)])
+def test_least_of_keeps_a_nonnegative_finite_tolerance(tol):
+    fps = multistart_fixed_points(GAME)
+    assert least_of(fps, tol=tol) is least_of(fps)

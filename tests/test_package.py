@@ -93,6 +93,30 @@ class TestPublicNames:
                 named += [(path.stem, name) for name in names & decision]
         assert named == []
 
+    def test_only_solve_rows_solves(self):
+        # solver._solve_rows is the package's one stacked solve and
+        # inverse, and the one place that handles LAPACK's refusal
+        def names(node):
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                return [ast.unparse(node)]
+            if isinstance(node, ast.ImportFrom):
+                return [f"{node.module}.{alias.name}" for alias in node.names]
+            return []
+
+        solves = ("linalg.solve", "linalg.inv", "LinAlgError")
+        named = []
+        for path in sorted(Path(alohagame.__file__).parent.glob("*.py")):
+            for statement in ast.parse(path.read_text()).body:
+                owner = getattr(statement, "name", "<module>")
+                if (path.stem, owner) != ("solver", "_solve_rows"):
+                    named += [
+                        (path.stem, owner, name)
+                        for node in ast.walk(statement)
+                        for name in names(node)
+                        if name.endswith(solves)
+                    ]
+        assert named == []
+
     def test_every_private_definition_is_named(self):
         # a private function or class that no code in the package names,
         # whatever the docstrings say, is a dead helper

@@ -19,12 +19,12 @@ from alohagame import (
     multistart_fixed_points,
     newton_lfp,
 )
-from alohagame import solver
-from alohagame.game import success_product
+from alohagame import solver, stability
+from alohagame.game import _response, success_product
 from conftest import P_SADDLE, Q_STAR, batch_games, instance_rng, random_game, record_calls
 from reference import diagonal_contraction, fixed_point_sets_per_game, greedy_dedup, inverse_by_solving
 from reference import last_axis_products, merge_always_sorting, neighbour_contraction, polish_compacting_every_step
-from reference import prefix_loop_contraction, width_only_leaf_centres, widest_axis_leaf_centres
+from reference import prefix_loop_contraction, solve_one_by_one, width_only_leaf_centres, widest_axis_leaf_centres
 from test_game import two_player_root
 
 
@@ -245,6 +245,168 @@ class TestNewtonRows:
         assert np.isnan(x[1]).all()
         for k in (0, 2):
             assert x[k].tobytes() == np.linalg.solve(m[k], b[k]).tobytes()
+
+
+def _pair_led(rng, n):
+    """A random n-player interference matrix whose players 0 and 1 hear
+    only each other. Its Jacobian J(q) of q * P(q) - y is then exactly
+    singular wherever q_0 = q_1 = 1/2 and every other q_i < 1/2: rows 0
+    and 1 are (1/2, -1/2, 0, ...) and its negative, and partial pivoting
+    takes row 0 first, which leaves row 1 zero."""
+    a = (rng.random((n, n)) < 0.5).astype(np.int8)
+    a[:2] = 0
+    a[0, 1] = a[1, 0] = 1
+    np.fill_diagonal(a, 0)
+    return a
+
+
+def _lapack_fails(m):
+    """Check that LAPACK refuses the stack ``m`` as a whole."""
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(m, np.ones(m.shape[:-1] + (1,)))
+
+
+class TestRowsAsAlone:
+    """Every batched kernel gives each row of a stack, bit for bit, what a
+    one-row call gives it, with a singular, infeasible or non-finite row
+    in the stack."""
+
+    def test_solve_rows(self):
+        rng = np.random.default_rng(3501)
+        for n in (1, 2, 3, 5, 8):
+            m = rng.standard_normal((6, n, n))
+            # a zero column stays zero, so its LU factors have a zero pivot
+            m[1, :, -1] = 0.0
+            m[3, 0, 0] = np.nan
+            m[4, -1, -1] = np.inf
+            _lapack_fails(m)
+            vectors, columns = rng.standard_normal((6, n)), rng.standard_normal((6, n, 3))
+            for b in (vectors, columns, np.broadcast_to(np.eye(n), m.shape)):
+                got = solver._solve_rows(m, b)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == solve_one_by_one(m, b).tobytes()
+                assert np.isnan(got[1]).all() and np.isfinite(got[[0, 2, 5]]).all()
+                for k in range(len(m)):
+                    assert got[k].tobytes() == solver._solve_rows(m[k : k + 1], b[k : k + 1])[0].tobytes()
+            inverses = solver._solve_rows(m, np.eye(n)[np.newaxis])
+            assert inverses.flags.c_contiguous
+            assert inverses.tobytes() == inverse_by_solving(m).tobytes()
+
+    def test_krawczyk_test(self):
+        rng = np.random.default_rng(3502)
+        for n in range(2, solver.ORACLE_MAX_PLAYERS + 1):
+            a = _pair_led(rng, n)
+            lo = rng.uniform(0.0, 0.2, (64, n))
+            hi = lo + rng.uniform(0.0, 0.25, (64, n))
+            # box 5 has m_0 = m_1 = 1/2 and the rest below: J(m) is singular
+            lo[5, :2], hi[5, :2] = 0.25, 0.75
+            y = rng.uniform(0.0, 0.2, (64, n))
+            y[rng.random((64, n)) < 0.1] = 0.0
+            _lapack_fails(solver._jacobians((lo + hi) / 2.0, lo, hi, a)[1])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                stacked = solver._krawczyk_test(lo, hi, y, a)
+                assert np.isnan(stacked[0][5]).all() and not stacked[3][5]
+                for k in range(len(lo)):
+                    alone = solver._krawczyk_test(lo[k : k + 1], hi[k : k + 1], y[k : k + 1], a)
+                    for got, one in zip(stacked, alone):
+                        assert got[k].tobytes() == one[0].tobytes()
+
+    def test_polish(self):
+        rng = np.random.default_rng(3503)
+        for n in range(2, solver.ORACLE_MAX_PLAYERS + 1):
+            a = _pair_led(rng, n)
+            starts = rng.uniform(0.0, 0.45, (16, n))
+            starts[3, :2] = 0.5
+            rates = rng.uniform(0.0, 0.2, (16, n))
+            # rates no point of [0, 1]^n reaches
+            rates[7] = 0.9
+            _lapack_fails(solver._polynomial(starts, rates, a)[1])
+            stacked = solver._polish(starts, rates, a, 50)
+            for k in range(len(starts)):
+                alone = solver._polish(starts[k : k + 1], rates[k : k + 1], a, 50)
+                assert stacked[k].tobytes() == alone[0].tobytes()
+
+    def test_newton_rows(self):
+        # The pair at rates (0.2, 0.3125) has a singular Newton matrix at
+        # q = (0.5, 0.5), and so has the pair with a third player who
+        # hears both; the rows after them are past their folds.
+        pair, led = chain_matrix(2), np.array([[0, 1, 0], [1, 0, 0], [1, 1, 0]])
+        edgeless = Game(np.zeros((2, 2)), [0.4, 0.2])
+        for games, starts in [
+            (
+                [Game(pair, [0.1, 0.1]), Game(pair, [0.2, 0.3125]), Game(pair, [0.3, 0.3]), edgeless],
+                [np.zeros(2), np.full(2, 0.5), np.zeros(2), np.zeros(2)],
+            ),
+            (
+                [Game(led, [0.1] * 3), Game(led, [0.2, 0.3125, 0.1]), Game(chain_matrix(3), [0.15, 0.3, 0.15])],
+                [np.zeros(3), np.array([0.5, 0.5, 0.0]), np.zeros(3)],
+            ),
+        ]:
+            q = np.array(starts)
+            rates = np.array([g.rates for g in games])
+            mask = np.array([g.matrix for g in games], dtype=bool)
+            f = _response(q, rates, mask)
+            _lapack_fails(np.eye(q.shape[1]) - mask * (f[:, :, np.newaxis] / (1.0 - q)[:, np.newaxis, :]))
+            stacked = solver._newton_rows(q, rates, mask, 100)
+            assert stacked[4].tolist() == [False, True, True] + [False] * (len(games) - 3)
+            for k in range(len(games)):
+                alone = solver._newton_rows(q[k : k + 1], rates[k : k + 1], mask[k : k + 1], 100)
+                for got, one in zip(stacked, alone):
+                    assert got[k].tobytes() == one[0].tobytes()
+
+    def test_classify(self):
+        chain = chain_matrix(3)
+        rates = np.array([[0.15] * 3, [0.15] * 3, [0.15] * 3, [0.2, 0.1, 0.2], [0.15, 0.3, 0.15]])
+        q = np.array([Q_STAR, P_SADDLE, [1.0, 0.0, 0.0], [0.2, 0.1, 0.2], [0.9, 0.9, 0.9]])
+        q[:2] = [newton_lfp(Game(chain, rates[0])).point, multistart_fixed_points(Game(chain, rates[1])).points[1]]
+        stacked = stability._classify(q, rates, chain, 1e-9)
+        # a stable point, a saddle, a neighbour at 1 and two points that are not fixed
+        assert stacked.decided.tolist() == [True, True, False, False, False]
+        assert stacked.classification == ["stable", "unstable"]
+        decided = np.cumsum(stacked.decided) - 1
+        for k in range(len(q)):
+            alone = stability._classify(q[k : k + 1], rates[k : k + 1], chain, 1e-9)
+            for got, one in zip(stacked[:5], alone[:5]):
+                assert got[k].tobytes() == one[0].tobytes()
+            if stacked.decided[k]:
+                j = decided[k]
+                assert stacked.certificate[j].tobytes() == alone.certificate[0].tobytes()
+                assert stacked.positive_definite[j] == alone.positive_definite[0]
+                assert stacked.classification[j] == alone.classification[0]
+
+    def test_margins_and_slopes(self):
+        rng = np.random.default_rng(3504)
+        for n in (2, 3, 6):
+            mask = rng.random((12, n, n)) < 0.6
+            mask[:, np.arange(n), np.arange(n)] = False
+            q = rng.uniform(0.0, 0.3, (12, n))
+            # near 1, where the certificate fails
+            q[[2, 9]] = 0.95
+            f = _response(q, achieved_rate(q, mask) * 0.99, mask)
+            along = rng.uniform(0.0, 1.0, (12, n))
+            margins, slopes = stability._margins_and_slopes(q, f, mask, 1, n, q, along)
+            assert (margins[[2, 9]] <= 0.0).all() and np.isnan(slopes[[2, 9]]).all()
+            assert (margins > 0.0).sum() >= 6
+            for k in range(len(q)):
+                one = slice(k, k + 1)
+                alone = stability._margins_and_slopes(q[one], f[one], mask[one], 1, n, q[one], along[one])
+                assert margins[k].tobytes() == alone[0][0].tobytes()
+                assert slopes[k].tobytes() == alone[1][0].tobytes()
+
+    def test_roots_of_a_chain8_sweep(self):
+        # The two values of this sweep were once enumerated together with
+        # the second's roots up to 2.2e-16 away from its own call's.
+        a = chain_matrix(8)
+        rates = np.full((2, 8), 0.1)
+        rates[:, 3] = [0.0232, 0.0328]
+        roots, owner = solver._roots(rates, a)
+        for k in range(len(rates)):
+            alone, _ = solver._roots(rates[k : k + 1], a)
+            assert roots[owner == k].tobytes() == alone.tobytes()
+        branch = bifurcation_sweep(a, [0.1] * 8, 3, (0.0232, 0.0328), step=0.0096)
+        for value, points in zip(branch.parameter_values, branch.branches):
+            fps = multistart_fixed_points(Game(a, np.where(np.arange(8) == 3, value, 0.1)))
+            assert sorted(p.point.tobytes() for p in points) == sorted(p.tobytes() for p in fps.points)
 
 
 class TestMultistartOracle:
@@ -617,22 +779,29 @@ class TestKrawczykStep:
         assert retired == 4 * 7 + 2
 
     def test_inverses_match_the_solve_against_the_identity(self):
-        # J(m) stacks of 1 to 2,048 boxes at every oracle size
+        # J(m) stacks of 1 to 2,048 boxes at every oracle size: each
+        # inverse is np.linalg.inv of its matrix alone, bit for bit
         rng = np.random.default_rng(3002)
         for n in range(1, solver.ORACLE_MAX_PLAYERS + 1):
+            eye = np.eye(n)[np.newaxis]
             for k in (1, 2, 5, 64, 2048):
                 lo, hi, _, _ = _random_boxes(rng, n, k)
                 a = (rng.random((n, n)) < 0.6).astype(np.int8)
                 np.fill_diagonal(a, 0)
                 _, jm, _, _ = solver._jacobians((lo + hi) / 2.0, lo, hi, a)
-                assert solver._inverses(jm).tobytes() == inverse_by_solving(jm).tobytes()
+                got = solver._solve_rows(jm, eye)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == inverse_by_solving(jm).tobytes()
         # The pair's J(m) at m = (0.5, 0.5) is [[0.5, -0.5], [-0.5, 0.5]]:
-        # its inverse is NaN, and the others are solved one by one.
+        # its inverse is NaN, and the others are each matrix's own.
         m = np.array([[0.2, 0.3], [0.5, 0.5], [0.1, 0.7]])
         _, jm, _, _ = solver._jacobians(m, m, m, Game(chain_matrix(2), [0.25, 0.25]).matrix)
-        got = solver._inverses(jm)
+        got = solver._solve_rows(jm, np.eye(2)[np.newaxis])
+        assert got.flags.c_contiguous
         assert got.tobytes() == inverse_by_solving(jm).tobytes()
         assert np.isnan(got[1]).all() and np.isfinite(got[[0, 2]]).all()
+        for k in (0, 2):
+            assert got[k].tobytes() == np.linalg.inv(jm[k]).tobytes()
 
     def test_singular_jacobian_passes_the_box_on(self):
         # J(m) of the pair at m = (0.5, 0.5) is [[0.5, -0.5], [-0.5, 0.5]].
